@@ -9,16 +9,14 @@ from .series import BiSeries, GradedOrder, HolSeries, det_series, \
 from .radial import RSeries
 from .diastasis import BochnerReport, b_transform, check_bochner_form, \
     normalize_to_diastasis
-from .resolvability import CertifiedNotResolvable, CertifiedResolvable, \
-    HartogsWitness, HermMatrix, MatrixWitness, NotPsd, Psd, ResolvableUpTo, \
-    build_matrix, hartogs_criterion, hartogs_metric_check, psd_certify, \
-    resolvability
+from .resolvability import CertifiedNotResolvable, HartogsWitness, \
+    HermMatrix, MatrixWitness, NotPsd, Psd, ResolvableUpTo, build_matrix, \
+    hartogs_criterion, hartogs_metric_check, psd_certify, resolvability
 from .immersion import Component, ImmersionMap, NonExistence, \
     NotResolvableError, Target, VerifyResult, factor_immersion, \
     indefinite_immersion, space_form_classification, space_form_immersion, \
     space_form_rank, verify_immersion
-from .models import MODELS, ModelSpec, build_model, get_model, \
-    hartogs_profile
+from .models import MODELS, build_model, hartogs_profile
 from .symmetric import DomainInvariants, Membership, \
     bergman_scaling_decision, cartan_hartogs_decision, \
     cartan_hartogs_failure, ch_immersion, classical_invariants, \

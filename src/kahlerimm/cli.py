@@ -11,17 +11,16 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from . import bell as bellmod
-from .diastasis import b_transform, normalize_to_diastasis
 from .einstein import EinsteinResult, GaugeError, NotEinstein, einstein_estimate
 from .immersion import ImmersionMap, NotResolvableError, factor_immersion, \
     verify_immersion
-from .models import HARTOGS_PROFILES, MODELS, build_model, hartogs_profile
+from .models import MODELS, build_model, hartogs_profile
 from .resolvability import CertifiedNotResolvable, HartogsWitness, \
-    MatrixWitness, ResolvableUpTo, build_matrix, hartogs_criterion, \
-    resolvability
+    MatrixWitness, ResolvableUpTo, calabi_matrix, hartogs_criterion, \
+    hartogs_series, resolvability
 from .scalars import CScalar, as_fraction, format_fraction
 from .series import BiSeries, index_of_ordinal
 from .symmetric import DomainInvariants, bergman_scaling_decision, \
@@ -48,9 +47,11 @@ def _parse_params(pairs: Optional[List[str]]) -> Dict[str, str]:
     return out
 
 
-def _load_source(args) -> Tuple[Dict[str, Any], BiSeries]:
-    """Resolve --model/--spec/--series into (source descriptor, series)."""
-    degree = args.degree
+def _model_of(args) -> Optional[Tuple[str, Dict[str, str], int]]:
+    """(name, parameters, degree) named by --model or --spec.
+
+    Checks that exactly one source is given; None means --series.
+    """
     chosen = [x for x in ("model", "spec", "series")
               if getattr(args, x, None) is not None]
     if len(chosen) != 1:
@@ -61,38 +62,51 @@ def _load_source(args) -> Tuple[Dict[str, Any], BiSeries]:
             params["n"] = str(args.n)
         if getattr(args, "scale", None) is not None:
             params["scale"] = args.scale
-        try:
-            series = build_model(args.model, params, degree)
-        except KeyError as exc:
-            raise InputError(str(exc)) from exc
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad parameters for {args.model}: {exc}") from exc
-        return {"kind": "model", "model": args.model,
-                "parameters": dict(sorted(params.items()))}, series
+        return args.model, params, args.degree
     if args.spec is not None:
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
                 spec = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read spec file: {exc}") from exc
-        name = spec.get("name")
         params = {k: str(v) for k, v in spec.get("parameters", {}).items()}
-        degree = int(spec.get("degree", degree))
-        try:
-            series = build_model(name, params, degree)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad model spec: {exc}") from exc
-        return {"kind": "model", "model": name,
-                "parameters": dict(sorted(params.items()))}, series
+        return spec.get("name"), params, int(spec.get("degree", args.degree))
+    return None
+
+
+def _from_model(make: Callable[[str, Mapping[str, Any], int], Any],
+                name: str, params: Mapping[str, Any], degree: int) -> Any:
+    """``make(name, params, degree)`` for ``build_model`` or
+    ``hartogs_profile``, with parameter errors reported as input errors."""
+    try:
+        return make(name, params, degree)
+    except KeyError as exc:
+        raise InputError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad parameters for {name}: {exc}") from exc
+
+
+def _model_source(name: str, params: Mapping[str, Any]) -> Dict[str, Any]:
+    return {"kind": "model", "model": name,
+            "parameters": dict(sorted(params.items()))}
+
+
+def _load_source(args) -> Tuple[Dict[str, Any], BiSeries]:
+    """Resolve --model/--spec/--series into (source descriptor, series)."""
+    model = _model_of(args)
+    if model is not None:
+        name, params, degree = model
+        return (_model_source(name, params),
+                _from_model(build_model, name, params, degree))
     try:
         with open(args.series, "r", encoding="utf-8") as fh:
             text = fh.read()
         series = BiSeries.loads(text, degree=None)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read series file: {exc}") from exc
-    if series.d < degree:
+    if series.d < args.degree:
         raise InputError(
-            f"series file holds degree {series.d} < requested {degree}")
+            f"series file holds degree {series.d} < requested {args.degree}")
     return {"kind": "series", "series": series.dumps()}, series
 
 
@@ -122,12 +136,8 @@ def _verdict_json(verdict) -> Dict[str, Any]:
     if isinstance(verdict, ResolvableUpTo):
         return {"verdict": "resolvable-up-to", "degree": verdict.degree,
                 "rank": verdict.rank, "witness": None}
-    if isinstance(verdict, CertifiedNotResolvable):
-        return {"verdict": "certified-not-resolvable",
-                "degree": verdict.degree,
-                "rank": None, "witness": _witness_json(verdict.witness)}
-    return {"verdict": "certified-resolvable", "degree": None,
-            "rank": verdict.rank, "witness": None}
+    return {"verdict": "certified-not-resolvable", "degree": verdict.degree,
+            "rank": None, "witness": _witness_json(verdict.witness)}
 
 
 def _immersion_json(imm: ImmersionMap) -> Dict[str, Any]:
@@ -158,34 +168,41 @@ def _immersion_json(imm: ImmersionMap) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
-    source, series = _load_source(args)
     b = as_fraction(args.b)
     doc: Dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "kind": "certificate",
-        "source": source,
         "b": format_fraction(b),
         "degree": args.degree,
     }
-    if args.jmax is not None or args.kmax is not None or args.c is not None:
-        if args.model not in HARTOGS_PROFILES:
+    if args.jmax is None and args.kmax is None and args.c is None:
+        doc["source"], series = _load_source(args)
+        verdict = resolvability(series, b, args.degree)
+        doc["criterion"] = "matrix"
+    else:
+        # the profile criterion reads F alone; the jet is never built
+        model = _model_of(args)
+        entry = MODELS.get(args.model)
+        if entry is None or entry.profile is None:
             raise InputError(
-                "--c/--jmax/--kmax apply only to radial Hartogs profiles: "
-                + ", ".join(sorted(HARTOGS_PROFILES)))
+                "--c/--jmax/--kmax apply only to --model with a radial "
+                "Hartogs profile: " + ", ".join(
+                    sorted(k for k, e in MODELS.items()
+                           if e.profile is not None)))
         if args.c is None:
             raise InputError("the profile criterion needs --c")
-        jmax = args.jmax if args.jmax is not None else args.degree
-        kmax = args.kmax if args.kmax is not None else args.degree
-        params = _parse_params(args.param)
-        F = hartogs_profile(args.model, params, max(jmax, 1))
+        name, params, degree = model
+        if degree < 1:  # the model's build rejects it too
+            raise InputError("a Hartogs model needs --degree >= 1")
+        jmax = args.jmax if args.jmax is not None else degree
+        kmax = args.kmax if args.kmax is not None else degree
+        F = _from_model(hartogs_profile, name, params, max(jmax, 1))
         verdict = hartogs_criterion(F, as_fraction(args.c), jmax, kmax)
+        doc["source"] = _model_source(name, params)
         doc["criterion"] = "hartogs"
         doc["c"] = format_fraction(as_fraction(args.c))
         doc["jmax"] = jmax
         doc["kmax"] = kmax
-    else:
-        verdict = resolvability(series, b, args.degree)
-        doc["criterion"] = "matrix"
     doc.update(_verdict_json(verdict))
     _emit(doc)
     return 1 if isinstance(verdict, CertifiedNotResolvable) else 0
@@ -210,9 +227,6 @@ def _cmd_emit_immersion(args) -> int:
             CertifiedNotResolvable(args.degree, exc.witness)))
         _emit(doc)
         return 1
-    check = verify_immersion(imm, series, b, args.degree)
-    if not check.ok:  # pragma: no cover - internal soundness guard
-        raise AssertionError(f"emitted map failed verification: {check}")
     doc = dict(base)
     doc["kind"] = "immersion"
     doc.update(_immersion_json(imm))
@@ -302,10 +316,7 @@ def _cmd_einstein(args) -> int:
             raise InputError("--b selects a space-form curvature only")
     if args.n is not None:
         params["n"] = str(args.n)
-    try:
-        series = build_model(model, params, args.degree)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    series = _from_model(build_model, model, params, args.degree)
     doc: Dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "kind": "einstein",
@@ -346,8 +357,8 @@ def _cmd_models(_args) -> int:
 
 def _rebuild_from_source(source: Mapping[str, Any], degree: int) -> BiSeries:
     if source.get("kind") == "model":
-        return build_model(source["model"], source.get("parameters", {}),
-                           degree)
+        return _from_model(build_model, source["model"],
+                           source.get("parameters", {}), degree)
     if source.get("kind") == "series":
         return BiSeries.loads(source["series"], degree=None)
     raise InputError(f"unknown certificate source {source.get('kind')!r}")
@@ -376,29 +387,33 @@ def _cmd_check_certificate(args) -> int:
                    "note": "nothing to re-validate for a positive verdict"})
             return 0
         witness = doc["witness"]
-        if witness["type"] == "matrix":
+        if not isinstance(witness, dict):
+            raise InputError("the witness must be a JSON object")
+        if witness.get("type") == "matrix":
             series = _rebuild_from_source(doc["source"], degree)
-            transformed = b_transform(
-                normalize_to_diastasis(series), b)
-            matrix = build_matrix(transformed, degree)
-            vec = [CScalar.parse(t) for t in witness["components"]]
-            value = matrix.quadratic_form(vec)
+            _, matrix = calabi_matrix(series, b, degree)
+            comps = witness.get("components")
+            if not (isinstance(comps, list) and len(comps) == matrix.dimension
+                    and all(isinstance(t, str) for t in comps)):
+                raise InputError(f"a matrix witness needs {matrix.dimension} "
+                                 "components, one string each")
+            value = matrix.quadratic_form([CScalar.parse(t) for t in comps])
             ok = (value < 0
                   and format_fraction(value) == witness["value"])
-        elif witness["type"] == "hartogs":
+        elif witness.get("type") == "hartogs":
             source = doc["source"]
             jmax = int(doc["jmax"])
-            F = hartogs_profile(source["model"],
-                                source.get("parameters", {}), max(jmax, 1))
-            c = as_fraction(doc["c"])
-            f0 = F.constant_term()
-            from .radial import RSeries
-            g = F.scale(Fraction(1) / f0) - RSeries.constant(1, F.d, 1)
-            h = g.pow1p(-(c + int(witness["k"])))
-            coeff = h.ucoeff(int(witness["j"]))
+            F = _from_model(hartogs_profile, source["model"],
+                            source.get("parameters", {}), max(jmax, 1))
+            try:
+                j, k = int(witness["j"]), int(witness["k"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputError(f"a hartogs witness needs integers j and k: "
+                                 f"{exc}") from exc
+            coeff = hartogs_series(F, as_fraction(doc["c"]), k).ucoeff(j)
             ok = coeff < 0 and format_fraction(coeff) == witness["coefficient"]
         else:
-            raise InputError(f"unknown witness type {witness['type']!r}")
+            raise InputError(f"unknown witness type {witness.get('type')!r}")
         _emit({"schema_version": SCHEMA_VERSION, "kind": "check",
                "file_kind": kind, "valid": bool(ok)})
         return 0 if ok else 1

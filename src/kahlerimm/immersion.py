@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .diastasis import b_transform, normalize_to_diastasis
-from .resolvability import MatrixWitness, NotPsd, Psd, _certify_with_factors
+from .diastasis import normalize_to_diastasis
+from .resolvability import MatrixWitness, NotPsd, calabi_matrix, psd_certify
 from .scalars import CScalar, RationalLike, as_fraction
 from .series import BiSeries, GradedOrder, HolSeries, MultiIndex, \
-    _ordinal_degree, index_of_ordinal
+    index_of_ordinal
 
 
 class NotResolvableError(ValueError):
@@ -73,10 +73,12 @@ def factor_immersion(d: BiSeries, b: RationalLike, degree: int) -> ImmersionMap:
 
     Component h has radicand = pivot d_h and series = the h-th unit-diagonal
     column of L, so that sum_h d_h |f_h|^2 reproduces b_transform(d, b)
-    through ``degree`` exactly.
+    through ``degree`` exactly.  Before it is returned, the map is verified
+    against that series, the flat-target (b = 0) diastasis of the same map.
     """
     b = as_fraction(b)
-    matrix, verdict = _certify_with_factors(d, b, degree)
+    transformed, matrix = calabi_matrix(d, b, degree)
+    verdict = psd_certify(matrix)
     if isinstance(verdict, NotPsd):
         raise NotResolvableError(
             MatrixWitness(matrix.basis, verdict.witness, verdict.value))
@@ -88,7 +90,11 @@ def factor_immersion(d: BiSeries, b: RationalLike, degree: int) -> ImmersionMap:
             coeffs[position + 1] = c  # basis position -> graded ordinal
         components.append(Component(
             +1, pivot.value, HolSeries(n, degree, coeffs)))
-    return ImmersionMap(tuple(components), _target_for(b), degree, n)
+    imm = ImmersionMap(tuple(components), _target_for(b), degree, n)
+    check = verify_immersion(imm, transformed, 0, degree)
+    if not check.ok:  # pragma: no cover - internal soundness guard
+        raise AssertionError(f"factored map failed verification: {check}")
+    return imm
 
 
 def indefinite_immersion(d: BiSeries, r: Sequence[RationalLike],
@@ -250,7 +256,7 @@ def verify_immersion(imm: ImmersionMap, d: BiSeries, b: RationalLike,
     """
     if imm.arity != d.n:
         raise ValueError(f"arity mismatch: map {imm.arity} vs series {d.n}")
-    want = b_transform(normalize_to_diastasis(d), as_fraction(b))
+    want, _ = calabi_matrix(d, b, min(degree, imm.degree, d.d))
     got = imm.pullback_norm()
     deg = min(degree, got.d, want.d)
     got = got.truncate(deg) if got.d > deg else got

@@ -4,20 +4,20 @@ Everything here returns exact ``BiSeries`` jets: space forms, Hartogs-type
 domains over a radial profile F, the classical bounded symmetric domains
 via determinant kernels, Cartan-Hartogs and Fock-Bargmann-Hartogs domains,
 the cigar metric, the implicit Taub-NUT potential and the tubular ODE
-metric.  ``get_model`` dispatches by name for the CLI and config files.
+metric.  ``MODELS`` is the one registry of them; ``build_model`` builds an
+entry by name.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .diastasis import normalize_to_diastasis
 from .radial import RSeries
 from .scalars import CScalar, RationalLike, as_fraction
-from .series import BiSeries, GradedOrder, MultiIndex, det_series, \
-    exp_series, log1p_series, ordinal_of_index, pow1p_series, \
+from .series import BiSeries, MultiIndex, _compose_coefficients, \
+    det_series, exp_series, log1p_series, ordinal_of_index, \
     solve_graded_fixed_point
 
 
@@ -71,20 +71,12 @@ def hartogs_diastasis(F: RSeries, n: int, degree: int) -> BiSeries:
     f0 = F.constant_term()
     if f0 <= 0:
         raise ValueError("F(0) must be positive")
-    x0 = _abs2_var(n, degree, 0)
-    f_of_x0 = BiSeries.zero(n, degree)
-    power = BiSeries(n, degree, {(0, 0): CScalar(1)})
-    f_of_x0 = power.scale(CScalar(F.ucoeff(0)))
-    for j in range(1, degree + 1):
-        power = power * x0
-        if not power.coeffs:
-            break
-        cj = F.ucoeff(j)
-        if cj:
-            f_of_x0 = f_of_x0 + power.scale(CScalar(cj))
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    one = BiSeries.one(n, degree)
+    f_of_x0 = _compose_coefficients(_abs2_var(n, degree, 0), one, F.ucoeff)
     rho = _rho(n, degree, first=1)
-    inner = (f_of_x0 - rho).scale(CScalar(1 / f0)) \
-        - BiSeries(n, degree, {(0, 0): CScalar(1)})
+    inner = (f_of_x0 - rho).scale(CScalar(1 / f0)) - one
     return normalize_to_diastasis(-log1p_series(inner))
 
 
@@ -346,15 +338,8 @@ def calabi_tube(n: int, degree: int) -> Tuple[RSeries, BiSeries]:
         p2 = p2 + BiSeries.term(n, degree, tuple(e2), zero, 1)
         p2 = p2 + BiSeries.term(n, degree, _unit(n, j), _unit(n, j), 2)
         p2 = p2 + BiSeries.term(n, degree, zero, tuple(e2), 1)
-    acc = BiSeries.zero(n, degree)
-    power = BiSeries(n, degree, {(0, 0): CScalar(1)})
-    for k in range(1, degree + 1):
-        power = power * p2
-        if not power.coeffs:
-            break
-        ck = y.ucoeff(2 * k)
-        if ck:
-            acc = acc + power.scale(CScalar(ck))
+    acc = _compose_coefficients(p2, BiSeries.one(n, degree),
+                                lambda k: y.ucoeff(2 * k))
     return y, normalize_to_diastasis(acc)
 
 
@@ -448,17 +433,15 @@ def profile_rhp_cubic(degree: int) -> RSeries:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ModelSpec:
-    name: str
-    parameters: Mapping[str, RationalLike]
-    degree: int
-
-
-@dataclass(frozen=True)
 class ModelEntry:
+    """A catalog model.  A Hartogs-family entry also names its radial
+    profile F and F's parameters; other entries hold None and ()."""
+
     build: Callable[..., BiSeries]
     schema: Mapping[str, str]
     doc: str
+    profile: Optional[Callable[..., RSeries]]
+    profile_params: Tuple[str, ...]
 
 
 def _build_spaceform(degree: int, n: int = 1, b: RationalLike = 0,
@@ -467,104 +450,109 @@ def _build_spaceform(degree: int, n: int = 1, b: RationalLike = 0,
         CScalar(as_fraction(scale)))
 
 
-def _build_hartogs(profile: Callable[..., RSeries], profile_params: Sequence[str]
-                   ) -> Callable[..., BiSeries]:
-    def build(degree: int, n: int = 2, scale: RationalLike = 1,
-              **kwargs) -> BiSeries:
-        args = [as_fraction(kwargs.get(p, 1)) for p in profile_params]
-        F = profile(*args, degree)
-        d = hartogs_diastasis(F, int(n), degree)
-        return d.scale(CScalar(as_fraction(scale)))
-    return build
+def _hartogs_parameters(entry: ModelEntry,
+                        parameters: Mapping[str, RationalLike], degree: int
+                        ) -> Tuple[RSeries, int, Fraction]:
+    """(F, n, scale) of a Hartogs-family model: the family's one parameter
+    rule.  n defaults to 2; scale and each profile parameter default to 1."""
+    n = int(parameters.get("n", 2))
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    args = [as_fraction(parameters.get(p, 1)) for p in entry.profile_params]
+    scale = as_fraction(parameters.get("scale", 1))
+    return entry.profile(*args, degree), n, scale
+
+
+def _hartogs_entry(profile: Callable[..., RSeries], params: Tuple[str, ...],
+                   doc: str) -> ModelEntry:
+    """The Hartogs domain over F = profile(*params, degree)."""
+    def build(degree: int, **parameters: RationalLike) -> BiSeries:
+        F, n, scale = _hartogs_parameters(entry, parameters, degree)
+        return hartogs_diastasis(F, n, degree).scale(CScalar(scale))
+
+    schema = {"n": "arity", "scale": "rational > 0"}
+    schema.update((p, "rational > 0") for p in params)
+    entry = ModelEntry(build, schema, doc, profile, params)
+    return entry
 
 
 MODELS: Dict[str, ModelEntry] = {
     "flat": ModelEntry(
         lambda degree, n=1, scale=1: _build_spaceform(degree, n, 0, scale),
         {"n": "arity", "scale": "rational > 0"},
-        "flat diastasis sum |z_j|^2"),
+        "flat diastasis sum |z_j|^2", None, ()),
     "cp": ModelEntry(
         lambda degree, n=1, scale=1: _build_spaceform(degree, n, 1, scale),
         {"n": "arity", "scale": "rational > 0"},
-        "projective (Fubini-Study) diastasis log(1 + sum |z_j|^2)"),
+        "projective (Fubini-Study) diastasis log(1 + sum |z_j|^2)", None, ()),
     "ch": ModelEntry(
         lambda degree, n=1, scale=1: _build_spaceform(degree, n, -1, scale),
         {"n": "arity", "scale": "rational > 0"},
-        "hyperbolic diastasis -log(1 - sum |z_j|^2)"),
+        "hyperbolic diastasis -log(1 - sum |z_j|^2)", None, ()),
     "spaceform": ModelEntry(
         _build_spaceform,
         {"n": "arity", "b": "curvature/4 rational", "scale": "rational > 0"},
-        "space form of holomorphic sectional curvature 4b"),
-    "springer": ModelEntry(
-        _build_hartogs(lambda degree: profile_springer(degree), []),
-        {"n": "arity", "scale": "rational > 0"},
-        "Hartogs domain with profile F = e^{-x}"),
-    "hartogs_one_minus_xp": ModelEntry(
-        _build_hartogs(profile_one_minus_x_pow, ["p"]),
-        {"n": "arity", "p": "rational > 0", "scale": "rational > 0"},
-        "Hartogs domain with F = (1-x)^p"),
-    "hartogs_inv_one_plus_xp": ModelEntry(
-        _build_hartogs(profile_inv_one_plus_x_pow, ["p"]),
-        {"n": "arity", "p": "rational > 0", "scale": "rational > 0"},
+        "space form of holomorphic sectional curvature 4b", None, ()),
+    "springer": _hartogs_entry(
+        profile_springer, (), "Hartogs domain with profile F = e^{-x}"),
+    "hartogs_one_minus_xp": _hartogs_entry(
+        profile_one_minus_x_pow, ("p",), "Hartogs domain with F = (1-x)^p"),
+    "hartogs_inv_one_plus_xp": _hartogs_entry(
+        profile_inv_one_plus_x_pow, ("p",),
         "Hartogs domain with F = (x+1)^{-p}"),
-    "hartogs_alpha": ModelEntry(
-        _build_hartogs(profile_alpha, ["alpha"]),
-        {"n": "arity", "alpha": "rational > 0", "scale": "rational > 0"},
-        "Hartogs domain with F = alpha/(x+alpha)"),
-    "hartogs_inv_sqrt": ModelEntry(
-        _build_hartogs(lambda degree: profile_inv_sqrt(degree), []),
-        {"n": "arity", "scale": "rational > 0"},
-        "Hartogs domain with F = 1/sqrt(x+1)"),
-    "rhp_cubic": ModelEntry(
-        _build_hartogs(lambda degree: profile_rhp_cubic(degree), []),
-        {"n": "arity", "scale": "rational > 0"},
+    "hartogs_alpha": _hartogs_entry(
+        profile_alpha, ("alpha",), "Hartogs domain with F = alpha/(x+alpha)"),
+    "hartogs_inv_sqrt": _hartogs_entry(
+        profile_inv_sqrt, (), "Hartogs domain with F = 1/sqrt(x+1)"),
+    "rhp_cubic": _hartogs_entry(
+        profile_rhp_cubic, (),
         "Hartogs domain with the cubic profile (x-1)(x-11/4)(x+3/4)"),
     "phiB": ModelEntry(
         lambda degree, scale=1: phi_b_potential(degree).scale(
             CScalar(as_fraction(scale))),
         {"scale": "rational > 0"},
-        "circular-domain exercise potential (3 variables)"),
+        "circular-domain exercise potential (3 variables)", None, ()),
     "cigar": ModelEntry(
         lambda degree, scale=1: cigar_diastasis(degree).scale(
             CScalar(as_fraction(scale))),
         {"scale": "rational > 0"},
-        "cigar soliton diastasis, diagonal (-1)^{j+1}/j^2"),
+        "cigar soliton diastasis, diagonal (-1)^{j+1}/j^2", None, ()),
     "taubnut_slice": ModelEntry(
         lambda degree, m=0, scale=1: taubnut_potential(m, "slice", degree)
         .scale(CScalar(as_fraction(scale))),
         {"m": "rational >= 0", "scale": "rational > 0"},
-        "Taub-NUT potential restricted to the first coordinate"),
+        "Taub-NUT potential restricted to the first coordinate", None, ()),
     "taubnut_full": ModelEntry(
         lambda degree, m=0, scale=1: taubnut_potential(m, "full", degree)
         .scale(CScalar(as_fraction(scale))),
         {"m": "rational >= 0", "scale": "rational > 0"},
-        "full two-variable Taub-NUT potential"),
+        "full two-variable Taub-NUT potential", None, ()),
     "calabi_tube": ModelEntry(
         lambda degree, n=2, scale=1: calabi_tube(int(n), degree)[1].scale(
             CScalar(as_fraction(scale))),
         {"n": "arity", "scale": "rational > 0"},
-        "tubular ODE metric diastasis"),
+        "tubular ODE metric diastasis", None, ()),
     "omega1": ModelEntry(
         lambda degree, m=1, n=1, scale=1: cartan_bergman_diastasis(
             "omega1", (int(m), int(n)), degree)[0].scale(
                 CScalar(as_fraction(scale))),
         {"m": "rows", "n": "cols", "scale": "rational > 0"},
-        "type-I domain Bergman diastasis (matrices m x n)"),
+        "type-I domain Bergman diastasis (matrices m x n)", None, ()),
     "omega2": ModelEntry(
         lambda degree, n=2, scale=1: cartan_bergman_diastasis(
             "omega2", (int(n),), degree)[0].scale(CScalar(as_fraction(scale))),
         {"n": "size", "scale": "rational > 0"},
-        "type-II (symmetric matrices) Bergman diastasis"),
+        "type-II (symmetric matrices) Bergman diastasis", None, ()),
     "omega3": ModelEntry(
         lambda degree, n=2, scale=1: cartan_bergman_diastasis(
             "omega3", (int(n),), degree)[0].scale(CScalar(as_fraction(scale))),
         {"n": "size", "scale": "rational > 0"},
-        "type-III (antisymmetric matrices) Bergman diastasis"),
+        "type-III (antisymmetric matrices) Bergman diastasis", None, ()),
     "omega4": ModelEntry(
         lambda degree, n=3, scale=1: cartan_bergman_diastasis(
             "omega4", (int(n),), degree)[0].scale(CScalar(as_fraction(scale))),
         {"n": "size != 2", "scale": "rational > 0"},
-        "type-IV (Lie ball) Bergman diastasis"),
+        "type-IV (Lie ball) Bergman diastasis", None, ()),
     "cartan_hartogs": ModelEntry(
         lambda degree, base="omega1", m=1, n=1, mu=1, scale=1:
             cartan_hartogs_diastasis(
@@ -574,22 +562,13 @@ MODELS: Dict[str, ModelEntry] = {
                 mu, degree).scale(CScalar(as_fraction(scale))),
         {"base": "omega1..omega4", "m": "rows (omega1)", "n": "size",
          "mu": "rational > 0", "scale": "rational > 0"},
-        "Cartan-Hartogs diastasis -log(N^mu - |w|^2)"),
+        "Cartan-Hartogs diastasis -log(N^mu - |w|^2)", None, ()),
     "fbh": ModelEntry(
         lambda degree, n=1, m=1, mu=1, nu=0, scale=1: fbh_diastasis(
             int(n), int(m), mu, nu, degree).scale(CScalar(as_fraction(scale))),
         {"n": "z-arity", "m": "w-arity", "mu": "rational > 0",
          "nu": "rational > -1", "scale": "rational > 0"},
-        "Fock-Bargmann-Hartogs diastasis"),
-}
-
-HARTOGS_PROFILES: Dict[str, Tuple[Callable[..., RSeries], Tuple[str, ...]]] = {
-    "hartogs_one_minus_xp": (profile_one_minus_x_pow, ("p",)),
-    "hartogs_inv_one_plus_xp": (profile_inv_one_plus_x_pow, ("p",)),
-    "hartogs_alpha": (profile_alpha, ("alpha",)),
-    "hartogs_inv_sqrt": (profile_inv_sqrt, ()),
-    "rhp_cubic": (profile_rhp_cubic, ()),
-    "springer": (profile_springer, ()),
+        "Fock-Bargmann-Hartogs diastasis", None, ()),
 }
 
 
@@ -602,15 +581,13 @@ def build_model(name: str, parameters: Mapping[str, RationalLike],
     return entry.build(degree, **dict(parameters))
 
 
-def get_model(spec: ModelSpec) -> BiSeries:
-    return build_model(spec.name, spec.parameters, spec.degree)
-
-
 def hartogs_profile(name: str, parameters: Mapping[str, RationalLike],
                     degree: int) -> RSeries:
-    """The univariate profile F behind a Hartogs-family model."""
-    if name not in HARTOGS_PROFILES:
+    """The univariate profile F behind a Hartogs-family model.
+
+    Reads and checks every parameter the model's build reads.
+    """
+    entry = MODELS.get(name)
+    if entry is None or entry.profile is None:
         raise KeyError(f"model {name!r} has no radial profile")
-    fn, param_names = HARTOGS_PROFILES[name]
-    args = [as_fraction(parameters[p]) for p in param_names]
-    return fn(*args, degree)
+    return _hartogs_parameters(entry, parameters, degree)[0]

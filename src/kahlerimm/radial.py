@@ -7,11 +7,12 @@ degree.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .scalars import RationalLike, as_fraction
+from .series import _binomial, _compose_coefficients, _exp_coefficient, \
+    _log1p_coefficient
 
 Expo = Tuple[int, ...]
 
@@ -170,38 +171,19 @@ class RSeries:
             out[tuple(e2)] = c
         return RSeries(self.nvars, self.d, out)
 
-    # -- transcendental ops -------------------------------------------
-    def _compose(self, coeff_at, constant: Fraction) -> "RSeries":
-        if self.constant_term():
-            raise ValueError("composition needs a zero constant term")
-        out = RSeries.constant(self.nvars, self.d, constant)
-        power = RSeries.constant(self.nvars, self.d, 1)
-        for k in range(1, self.d + 1):
-            power = power * self
-            if not power.coeffs:
-                break
-            ck = coeff_at(k)
-            if ck:
-                out = out + power.scale(ck)
-        return out
-
+    # -- transcendental ops (the composition loop of series.py) --------
     def exp(self) -> "RSeries":
-        return self._compose(lambda k: Fraction(1, math.factorial(k)), Fraction(1))
+        one = RSeries.constant(self.nvars, self.d, 1)
+        return _compose_coefficients(self, one, _exp_coefficient)
 
     def log1p(self) -> "RSeries":
-        return self._compose(lambda k: Fraction((-1) ** (k + 1), k), Fraction(0))
+        one = RSeries.constant(self.nvars, self.d, 1)
+        return _compose_coefficients(self, one, _log1p_coefficient)
 
     def pow1p(self, e: RationalLike) -> "RSeries":
         """(1 + self)^e, generalized binomial, rational exponent."""
-        e = as_fraction(e)
-
-        def binom(k: int) -> Fraction:
-            num = Fraction(1)
-            for i in range(k):
-                num *= (e - i)
-            return num / math.factorial(k)
-
-        return self._compose(binom, Fraction(1))
+        one = RSeries.constant(self.nvars, self.d, 1)
+        return _compose_coefficients(self, one, _binomial(as_fraction(e)))
 
     def pow_normalized(self, e: RationalLike) -> "RSeries":
         """self^e for a series with positive rational constant term."""

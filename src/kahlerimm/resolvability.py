@@ -8,7 +8,7 @@ vector w with w*Aw < 0 — a machine-checkable non-immersibility certificate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -39,13 +39,7 @@ class HermMatrix:
         return self.entries.get((row, col), CScalar(0))
 
     def quadratic_form(self, v: Sequence[CScalar]) -> Fraction:
-        """v* A v, exact; the value is real for Hermitian A."""
-        total = CScalar(0)
-        for (r, c), a in self.entries.items():
-            total = total + v[r].conj() * a * v[c]
-        if total.im:
-            raise ValueError("quadratic form of a non-Hermitian matrix")
-        return total.re
+        return _qform(self.entries, v)
 
 
 def build_matrix(d: BiSeries, degree: int) -> HermMatrix:
@@ -203,10 +197,12 @@ def _eliminate(mat: Dict[Tuple[int, int], CScalar],
 
 def _qform(entries: Dict[Tuple[int, int], CScalar],
            v: Sequence[CScalar]) -> Fraction:
+    """v* A v for the matrix dict A, exact; real for Hermitian A."""
     total = CScalar(0)
     for (r, c), a in entries.items():
-        if r < len(v) and c < len(v):
-            total = total + v[r].conj() * a * v[c]
+        total = total + v[r].conj() * a * v[c]
+    if total.im:
+        raise ValueError("quadratic form of a non-Hermitian matrix")
     return total.re
 
 
@@ -269,14 +265,25 @@ class CertifiedNotResolvable:
     witness: Union[MatrixWitness, HartogsWitness]
 
 
-@dataclass(frozen=True)
-class CertifiedResolvable:
-    """Closed-form models only; rank None means infinite rank."""
-
-    rank: Optional[int] = None
+Verdict = Union[ResolvableUpTo, CertifiedNotResolvable]
 
 
-Verdict = Union[ResolvableUpTo, CertifiedNotResolvable, CertifiedResolvable]
+def calabi_matrix(d: BiSeries, b: RationalLike, degree: int
+                  ) -> Tuple[BiSeries, HermMatrix]:
+    """The Calabi pipeline: the b-transformed diastasis and its matrix.
+
+    ``d`` is normalized to a diastasis, which must be Hermitian, then
+    mapped by ``b_transform`` for the curvature-4b target; the matrix is
+    that series' coefficient matrix through ``degree``.  Every decision and
+    check of the matrix criterion starts here.
+    """
+    d = normalize_to_diastasis(d)
+    if not d.is_hermitian():
+        raise ValueError("the jet is not Hermitian: some a_jk differs from "
+                         "conj(a_kj)")
+    b = as_fraction(b)
+    transformed = b_transform(d, b) if b else d  # b = 0: the identity
+    return transformed, build_matrix(transformed, degree)
 
 
 def resolvability(d: BiSeries, b: RationalLike, degree: int) -> Verdict:
@@ -286,9 +293,7 @@ def resolvability(d: BiSeries, b: RationalLike, degree: int) -> Verdict:
     ``CertifiedNotResolvable`` is final at every degree >= its own
     (principal submatrices of a PSD matrix are PSD).
     """
-    d = normalize_to_diastasis(d)
-    transformed = b_transform(d, b)
-    matrix = build_matrix(transformed, degree)
+    _, matrix = calabi_matrix(d, b, degree)
     verdict = psd_certify(matrix)
     if isinstance(verdict, Psd):
         return ResolvableUpTo(degree, verdict.rank)
@@ -296,17 +301,20 @@ def resolvability(d: BiSeries, b: RationalLike, degree: int) -> Verdict:
         degree, MatrixWitness(matrix.basis, verdict.witness, verdict.value))
 
 
-def _certify_with_factors(d: BiSeries, b: RationalLike, degree: int
-                          ) -> Tuple[HermMatrix, PsdVerdict]:
-    d = normalize_to_diastasis(d)
-    transformed = b_transform(d, b)
-    matrix = build_matrix(transformed, degree)
-    return matrix, psd_certify(matrix)
-
-
 # ---------------------------------------------------------------------------
 # rotation-invariant Hartogs criterion
 # ---------------------------------------------------------------------------
+
+def hartogs_series(F: RSeries, c: Fraction, k: int) -> RSeries:
+    """(F(x)/F(0))^(-(c+k)), the series whose signs the criterion scans."""
+    if F.nvars != 1:
+        raise ValueError("F must be univariate")
+    f0 = F.constant_term()
+    if f0 <= 0:
+        raise ValueError("F(0) must be positive")
+    g = F.scale(Fraction(1) / f0) - RSeries.constant(1, F.d, 1)
+    return g.pow1p(-(c + k))
+
 
 def hartogs_criterion(F: RSeries, c: RationalLike, jmax: int, kmax: int
                       ) -> Verdict:
@@ -318,18 +326,11 @@ def hartogs_criterion(F: RSeries, c: RationalLike, jmax: int, kmax: int
     keeps all arithmetic rational.  First negative coefficient wins,
     scanning k = 0..kmax outer and j = 1..jmax inner.
     """
-    if F.nvars != 1:
-        raise ValueError("F must be univariate")
-    f0 = F.constant_term()
-    if f0 <= 0:
-        raise ValueError("F(0) must be positive")
     if F.d < jmax:
         raise ValueError(f"F truncated below jmax={jmax}")
     c = as_fraction(c)
-    one = RSeries.constant(1, F.d, 1)
-    g = F.scale(Fraction(1) / f0) - one
     for k in range(kmax + 1):
-        h = g.pow1p(-(c + k))
+        h = hartogs_series(F, c, k)
         for j in range(1, jmax + 1):
             coeff = h.ucoeff(j)
             if coeff < 0:
@@ -344,14 +345,9 @@ def hartogs_metric_check(F: RSeries, degree: int) -> bool:
     Only the origin jet of this open condition is formally decidable from
     a truncation; nothing beyond it is asserted.
     """
-    if F.nvars != 1:
-        raise ValueError("F must be univariate")
-    f0 = F.constant_term()
-    if f0 <= 0:
-        raise ValueError("F(0) must be positive")
     F = F.truncate(min(F.d, degree))
-    one = RSeries.constant(1, F.d, 1)
-    inv_f = (F.scale(Fraction(1) / f0) - one).pow1p(-1).scale(Fraction(1) / f0)
+    # (F/F(0))^(-1) / F(0) = 1/F
+    inv_f = hartogs_series(F, Fraction(1), 0).scale(1 / F.constant_term())
     g = F.derivative().shift_up() * inv_f
     h = -g.derivative()
     return h.constant_term() > 0

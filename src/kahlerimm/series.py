@@ -22,6 +22,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple, TypeVar
 from .scalars import CScalar, RationalLike, as_fraction, format_fraction
 
 MultiIndex = Tuple[int, ...]
+T = TypeVar("T")
 
 
 class ArityMismatchError(ValueError):
@@ -176,6 +177,10 @@ class BiSeries:
         return cls(n, d, {})
 
     @classmethod
+    def one(cls, n: int, d: int) -> "BiSeries":
+        return cls(n, d, {(0, 0): CScalar(1)})
+
+    @classmethod
     def term(cls, n: int, d: int, m_hol: MultiIndex, m_anti: MultiIndex,
              coeff: "CScalar | RationalLike" = 1) -> "BiSeries":
         j = ordinal_of_index(tuple(m_hol))
@@ -317,52 +322,61 @@ class BiSeries:
 # transcendental operations (zero constant term required)
 # ---------------------------------------------------------------------------
 
-def _require_zero_constant(a: BiSeries, what: str) -> None:
-    if not a.get(0, 0).is_zero():
-        raise ConstantTermError(f"{what} needs a zero constant term")
+def _exp_coefficient(k: int) -> Fraction:
+    return Fraction(1, math.factorial(k))
 
 
-def _compose_coefficients(a: BiSeries, coeff_at: Callable[[int], CScalar],
-                          constant: CScalar) -> BiSeries:
-    """sum_k c_k a^k with c_0 = ``constant``; a must have no constant term."""
-    out = BiSeries(a.n, a.d, {(0, 0): constant})
-    power = BiSeries(a.n, a.d, {(0, 0): CScalar(1)})
+def _log1p_coefficient(k: int) -> Fraction:
+    return Fraction((-1) ** (k + 1), k) if k else Fraction(0)
+
+
+def _binomial(e: Fraction) -> Callable[[int], Fraction]:
+    """k -> C(e, k), the generalized binomial coefficient of (1 + a)^e."""
+    def coefficient(k: int) -> Fraction:
+        num = Fraction(1)
+        for i in range(k):
+            num *= (e - i)
+        return num / math.factorial(k)
+    return coefficient
+
+
+def _compose_coefficients(a: T, one: T, coeff_at: Callable[[int], Fraction]
+                          ) -> T:
+    """sum_k coeff_at(k) a^k, truncated at a's degree.
+
+    ``a`` is a ``BiSeries`` or an ``RSeries`` with zero constant term and
+    ``one`` is the unit series of the same kind, whose only key is the
+    constant term's.  Every composition in the package runs this loop.
+    """
+    if a.coeffs.keys() & one.coeffs.keys():
+        raise ConstantTermError("composition needs a zero constant term")
+    out = one.scale(coeff_at(0))
+    power = one
     for k in range(1, 2 * a.d + 1):
         power = power * a
         if not power.coeffs:
             break
         ck = coeff_at(k)
-        if not ck.is_zero():
+        if ck:
             out = out + power.scale(ck)
     return out
 
 
 def exp_series(a: BiSeries) -> BiSeries:
     """exp(a) truncated at a's degree (constant term 1)."""
-    _require_zero_constant(a, "exp_series")
-    return _compose_coefficients(
-        a, lambda k: CScalar(Fraction(1, math.factorial(k))), CScalar(1))
+    return _compose_coefficients(a, BiSeries.one(a.n, a.d), _exp_coefficient)
 
 
 def log1p_series(a: BiSeries) -> BiSeries:
     """log(1+a) truncated at a's degree (zero constant term)."""
-    _require_zero_constant(a, "log1p_series")
-    return _compose_coefficients(
-        a, lambda k: CScalar(Fraction((-1) ** (k + 1), k)), CScalar(0))
+    return _compose_coefficients(a, BiSeries.one(a.n, a.d),
+                                 _log1p_coefficient)
 
 
 def pow1p_series(a: BiSeries, e: RationalLike) -> BiSeries:
     """(1+a)^e via the generalized binomial series, rational exponent."""
-    _require_zero_constant(a, "pow1p_series")
-    e = as_fraction(e)
-
-    def binom(k: int) -> CScalar:
-        num = Fraction(1)
-        for i in range(k):
-            num *= (e - i)
-        return CScalar(num / math.factorial(k))
-
-    return _compose_coefficients(a, binom, CScalar(1))
+    return _compose_coefficients(a, BiSeries.one(a.n, a.d),
+                                 _binomial(as_fraction(e)))
 
 
 def det_series(matrix: Sequence[Sequence[BiSeries]]) -> BiSeries:
@@ -388,9 +402,6 @@ def det_series(matrix: Sequence[Sequence[BiSeries]]) -> BiSeries:
             prod = prod * matrix[row][perm[row]]
         acc = acc + (prod if sign == 1 else -prod)
     return acc
-
-
-T = TypeVar("T")
 
 
 def solve_graded_fixed_point(step: Callable[[T], T], seed: T,
@@ -459,22 +470,6 @@ class HolSeries:
     def __repr__(self):
         return f"HolSeries(n={self.n}, d={self.d}, {len(self.coeffs)} terms)"
 
-    def scale(self, factor: "CScalar | RationalLike") -> "HolSeries":
-        f = CScalar.of(factor)
-        return HolSeries(self.n, self.d, {j: c * f for j, c in self.coeffs.items()})
-
-    def __add__(self, other: "HolSeries") -> "HolSeries":
-        if self.n != other.n:
-            raise ArityMismatchError(f"arity {self.n} != {other.n}")
-        d = min(self.d, other.d)
-        out: Dict[int, CScalar] = {}
-        for src in (self.coeffs, other.coeffs):
-            for j, c in src.items():
-                if _ordinal_degree(self.n, j) > d:
-                    continue
-                out[j] = out.get(j, CScalar(0)) + c
-        return HolSeries(self.n, d, out)
-
     def mul_monomial(self, m: MultiIndex,
                      coeff: "CScalar | RationalLike" = 1) -> "HolSeries":
         """Multiply by coeff * z^m, dropping terms beyond the degree."""
@@ -513,12 +508,3 @@ class HolSeries:
                     continue
                 out[(j, k)] = out.get((j, k), CScalar(0)) + cj * ck.conj()
         return BiSeries(self.n, d, out)
-
-    def dumps(self) -> str:
-        """One line per coefficient: ``m_j ; re ; im``, graded order."""
-        lines = []
-        for j in sorted(self.coeffs):
-            c = self.coeffs[j]
-            m = ",".join(map(str, index_of_ordinal(self.n, j)))
-            lines.append(f"{m} ; {format_fraction(c.re)} ; {format_fraction(c.im)}")
-        return "\n".join(lines) + ("\n" if lines else "")

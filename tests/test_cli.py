@@ -191,3 +191,63 @@ def test_series_degree_too_low(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", "--series", str(f),
                        "--degree", "5")
     assert code == 2
+
+
+def one_json_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    return json.loads(lines[0])
+
+
+def test_hartogs_alpha_defaults_alpha_to_one(capsys):
+    base = ("analyze", "--model", "hartogs_alpha", "--c", "1", "--degree", "5")
+    code, default = run_json(capsys, *base)
+    code1, explicit = run_json(capsys, *base, "--param", "alpha=1")
+    assert code == code1 == 0
+    for key in ("verdict", "degree", "rank", "witness"):
+        assert default[key] == explicit[key], key
+
+
+def test_non_hermitian_series_rejected(capsys, tmp_path):
+    f = tmp_path / "series.txt"
+    f.write_text("1 ; 2 ; 5 ; 0\n")  # a_{12} = 5 but no a_{21}
+    for command in ("analyze", "emit-immersion"):
+        code, out, err = run(capsys, command, "--series", str(f),
+                             "--degree", "2")
+        assert code == 2 and out == ""
+        assert "Hermitian" in one_json_line(err)["error"]
+
+
+def test_hartogs_arity_zero_rejected(capsys):
+    for extra in ((), ("--c", "1")):
+        code, out, err = run(capsys, "analyze", "--model", "springer",
+                             "--n", "0", "--degree", "3", *extra)
+        assert code == 2 and out == ""
+        assert "error" in one_json_line(err)
+
+
+def _witness_cert(capsys, tmp_path, mutate):
+    code, out, _ = run(capsys, "analyze", "--model", "cp", "--n", "1",
+                       "--scale", "1/2", "--b", "1", "--degree", "4")
+    assert code == 1
+    doc = json.loads(out)
+    mutate(doc)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    return run(capsys, "check-certificate", str(cert))
+
+
+def test_matrix_witness_with_too_few_components(capsys, tmp_path):
+    def drop(doc):
+        doc["witness"]["components"] = doc["witness"]["components"][:2]
+    code, out, err = _witness_cert(capsys, tmp_path, drop)
+    assert code == 2 and out == ""
+    assert "components" in one_json_line(err)["error"]
+
+
+def test_witness_given_as_list(capsys, tmp_path):
+    def listify(doc):
+        doc["witness"] = list(doc["witness"].values())
+    code, out, err = _witness_cert(capsys, tmp_path, listify)
+    assert code == 2 and out == ""
+    assert "witness" in one_json_line(err)["error"]

@@ -38,6 +38,8 @@ def test_hartogs_diastasis_input_checks():
         hartogs_diastasis(RSeries.univariate([0, 1], 3), 2, 3)
     with pytest.raises(ValueError):
         hartogs_diastasis(RSeries.zero(2, 3), 2, 3)
+    with pytest.raises(ValueError):
+        hartogs_diastasis(RSeries.univariate([1, -1], 3), 0, 3)
 
 
 # ---------------------------------------------------------------------------
