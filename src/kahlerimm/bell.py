@@ -1,11 +1,11 @@
 """Exact Bell polynomials and the cigar-metric obstruction scan.
 
 The partial Bell polynomials B_{n,k} are computed by the standard
-convolution recurrence; the complete polynomials Y_n = sum_k B_{n,k}
-govern the Taylor coefficients of exp of a power series, which is exactly
-how they enter the cigar analysis: the |z|^{2n} coefficient of
-e^{c D} - 1 for the cigar diastasis equals (-1)^n Y_n(a~)/n! with
-a~_j = -c j!/j^2.  The scan computes that coefficient along both routes
+convolution recurrence, one table per argument list; the complete
+polynomials Y_n = sum_k B_{n,k} govern the Taylor coefficients of exp of
+a power series, which is exactly how they enter the cigar analysis: the
+|z|^{2n} coefficient of e^{c D} - 1 for the cigar diastasis equals
+(-1)^n Y_n(a~)/n! with a~_j = -c j!/j^2.  The scan computes that coefficient along both routes
 (Bell recurrence and direct series exponentiation) and insists they agree.
 """
 from __future__ import annotations
@@ -19,12 +19,29 @@ from .radial import RSeries
 from .scalars import RationalLike, as_fraction
 
 
-def bell_partial(n: int, k: int, x: Sequence[RationalLike]) -> Fraction:
-    """Partial Bell polynomial B_{n,k}(x_1, ..., x_{n-k+1}), exact.
+def bell_table(n: int, x: Sequence[RationalLike]) -> List[List[Fraction]]:
+    """Rows of partial Bell polynomials: ``rows[m][k] = B_{m,k}(x)``.
 
-    Recurrence: B_{n,k} = sum_{i=1}^{n-k+1} C(n-1, i-1) x_i B_{n-i,k-1},
-    with B_{0,0} = 1 and B_{n,0} = B_{0,k} = 0 otherwise.
+    Recurrence: B_{m,k} = sum_{i=1}^{m-k+1} C(m-1, i-1) x_i B_{m-i,k-1},
+    with B_{0,0} = 1 and B_{m,0} = 0 for m >= 1, for 0 <= k <= m <= n.
+    B_{m,k} reads x_1..x_{m-k+1} only; terms past the end of ``x`` are
+    left out, so ``rows[m][k]`` is exact whenever m - k < len(x).
     """
+    xs = [as_fraction(v) for v in x]
+    rows: List[List[Fraction]] = [[Fraction(1)]]
+    for m in range(1, n + 1):
+        row = [Fraction(0)]
+        for k in range(1, m + 1):
+            row.append(sum((math.comb(m - 1, i - 1) * xs[i - 1]
+                            * rows[m - i][k - 1]
+                            for i in range(1, min(m - k + 1, len(xs)) + 1)),
+                           Fraction(0)))
+        rows.append(row)
+    return rows
+
+
+def bell_partial(n: int, k: int, x: Sequence[RationalLike]) -> Fraction:
+    """Partial Bell polynomial B_{n,k}(x_1, ..., x_{n-k+1}), exact."""
     if k < 0 or n < 0:
         raise ValueError("need n, k >= 0")
     if k > n:
@@ -32,22 +49,7 @@ def bell_partial(n: int, k: int, x: Sequence[RationalLike]) -> Fraction:
     xs = [as_fraction(v) for v in x]
     if k >= 1 and len(xs) < n - k + 1:
         raise ValueError(f"need at least {n - k + 1} arguments")
-    table = {(0, 0): Fraction(1)}
-
-    def get(nn: int, kk: int) -> Fraction:
-        if kk == 0:
-            return Fraction(1) if nn == 0 else Fraction(0)
-        if nn < kk:
-            return Fraction(0)
-        if (nn, kk) in table:
-            return table[(nn, kk)]
-        total = Fraction(0)
-        for i in range(1, nn - kk + 2):
-            total += math.comb(nn - 1, i - 1) * xs[i - 1] * get(nn - i, kk - 1)
-        table[(nn, kk)] = total
-        return total
-
-    return get(n, k)
+    return bell_table(n, xs)[n][k]
 
 
 def bell_complete(n: int, x: Sequence[RationalLike]) -> Fraction:
@@ -61,7 +63,10 @@ def bell_complete(n: int, x: Sequence[RationalLike]) -> Fraction:
         raise ValueError("need n >= 0")
     if n == 0:
         return Fraction(0)
-    return sum((bell_partial(n, k, x) for k in range(1, n + 1)), Fraction(0))
+    xs = [as_fraction(v) for v in x]
+    if len(xs) < n:
+        raise ValueError(f"need at least {n} arguments")
+    return sum(bell_table(n, xs)[n][1:], Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +101,14 @@ def cigar_scan(c: RationalLike, n_max: int) -> CigarScan:
     diag = RSeries(1, n_max, {(j,): Fraction((-1) ** (j + 1), j * j) * c
                               for j in range(1, n_max + 1)})
     expd = diag.exp()
+    # route 1: Y_1..Y_{n_max} from one table of partial Bell polynomials
+    rows = bell_table(n_max, a_tilde)
     coefficients: List[Fraction] = []
     first_n = None
     first_y = None
     first_coeff = None
     for n in range(1, n_max + 1):
-        y = bell_complete(n, a_tilde[: n])
+        y = sum(rows[n][1:], Fraction(0))
         via_bell = Fraction((-1) ** n) * y / math.factorial(n)
         via_exp = expd.ucoeff(n)
         if via_bell != via_exp:  # pragma: no cover - internal oracle

@@ -69,15 +69,36 @@ def _model_of(args) -> Optional[Tuple[str, Dict[str, str], int]]:
                 spec = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read spec file: {exc}") from exc
-        params = {k: str(v) for k, v in spec.get("parameters", {}).items()}
-        return spec.get("name"), params, int(spec.get("degree", args.degree))
+        if not isinstance(spec, dict):
+            raise InputError("a spec file must hold a JSON object")
+        parameters = spec.get("parameters", {})
+        if not isinstance(parameters, dict):
+            raise InputError("spec parameters must be a JSON object")
+        params = {k: str(v) for k, v in parameters.items()}
+        return (spec.get("name"), params,
+                _integer(spec.get("degree", args.degree), "spec degree"))
     return None
+
+
+def _integer(value: Any, what: str) -> int:
+    """``value`` if it is a JSON integer, else an input error."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _check_degree(degree: int) -> None:
+    if degree < 1:
+        raise InputError(f"--degree must be >= 1, got {degree}")
 
 
 def _from_model(make: Callable[[str, Mapping[str, Any], int], Any],
                 name: str, params: Mapping[str, Any], degree: int) -> Any:
     """``make(name, params, degree)`` for ``build_model`` or
-    ``hartogs_profile``, with parameter errors reported as input errors."""
+    ``hartogs_profile``, with parameter errors reported as input errors.
+
+    Every model is built at degree >= 1."""
+    _check_degree(degree)
     try:
         return make(name, params, degree)
     except KeyError as exc:
@@ -192,8 +213,7 @@ def _cmd_analyze(args) -> int:
         if args.c is None:
             raise InputError("the profile criterion needs --c")
         name, params, degree = model
-        if degree < 1:  # the model's build rejects it too
-            raise InputError("a Hartogs model needs --degree >= 1")
+        _check_degree(degree)  # F itself is built at max(jmax, 1)
         jmax = args.jmax if args.jmax is not None else degree
         kmax = args.kmax if args.kmax is not None else degree
         F = _from_model(hartogs_profile, name, params, max(jmax, 1))
@@ -370,8 +390,10 @@ def _cmd_check_certificate(args) -> int:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read certificate: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError("a certificate must be a JSON object")
     kind = doc.get("kind")
-    degree = int(doc["degree"])
+    degree = _integer(doc.get("degree"), "the certificate degree")
     b = as_fraction(doc.get("b", "0"))
     if kind == "immersion":
         series = _rebuild_from_source(doc["source"], degree)

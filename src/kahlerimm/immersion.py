@@ -16,7 +16,7 @@ from .diastasis import normalize_to_diastasis
 from .resolvability import MatrixWitness, NotPsd, calabi_matrix, psd_certify
 from .scalars import CScalar, RationalLike, as_fraction
 from .series import BiSeries, GradedOrder, HolSeries, MultiIndex, \
-    index_of_ordinal
+    index_of_ordinal, norm_sum
 
 
 class NotResolvableError(ValueError):
@@ -50,12 +50,10 @@ class ImmersionMap:
 
     def pullback_norm(self) -> BiSeries:
         """sum sign * radicand * series * conj(series), exact."""
-        acc = BiSeries.zero(self.arity, self.degree)
-        for comp in self.components:
-            sq = comp.series.mul_conj(comp.series)
-            factor = CScalar(comp.radicand if comp.sign > 0 else -comp.radicand)
-            acc = acc + sq.scale(factor)
-        return acc
+        d = min([self.degree] + [c.series.d for c in self.components])
+        return norm_sum(self.arity, d, (
+            (c.radicand if c.sign > 0 else -c.radicand, c.series)
+            for c in self.components))
 
 
 @dataclass(frozen=True)

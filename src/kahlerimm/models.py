@@ -16,9 +16,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from .diastasis import normalize_to_diastasis
 from .radial import RSeries
 from .scalars import CScalar, RationalLike, as_fraction
-from .series import BiSeries, MultiIndex, _compose_coefficients, \
-    det_series, exp_series, log1p_series, ordinal_of_index, \
-    solve_graded_fixed_point
+from .series import BiSeries, MultiIndex, det_series, exp_series, \
+    log1p_series, ordinal_of_index, solve_graded_fixed_point
 
 
 def _unit(n: int, which: int) -> MultiIndex:
@@ -74,7 +73,11 @@ def hartogs_diastasis(F: RSeries, n: int, degree: int) -> BiSeries:
     if n < 1:
         raise ValueError("n must be >= 1")
     one = BiSeries.one(n, degree)
-    f_of_x0 = _compose_coefficients(_abs2_var(n, degree, 0), one, F.ucoeff)
+    # F(|z_0|^2) = sum_k F_k |z_0|^{2k} is diagonal
+    diagonal = (ordinal_of_index((k,) + (0,) * (n - 1))
+                for k in range(degree + 1))
+    f_of_x0 = BiSeries(n, degree, {(j, j): F.ucoeff(k)
+                                   for k, j in enumerate(diagonal)})
     rho = _rho(n, degree, first=1)
     inner = (f_of_x0 - rho).scale(CScalar(1 / f0)) - one
     return normalize_to_diastasis(-log1p_series(inner))
@@ -338,8 +341,10 @@ def calabi_tube(n: int, degree: int) -> Tuple[RSeries, BiSeries]:
         p2 = p2 + BiSeries.term(n, degree, tuple(e2), zero, 1)
         p2 = p2 + BiSeries.term(n, degree, _unit(n, j), _unit(n, j), 2)
         p2 = p2 + BiSeries.term(n, degree, zero, tuple(e2), 1)
-    acc = _compose_coefficients(p2, BiSeries.one(n, degree),
-                                lambda k: y.ucoeff(2 * k))
+    one = BiSeries.one(n, degree)
+    acc = BiSeries.zero(n, degree)
+    for k in range(degree, -1, -1):  # Horner's rule
+        acc = acc * p2 + one.scale(y.ucoeff(2 * k))
     return y, normalize_to_diastasis(acc)
 
 

@@ -8,11 +8,12 @@ degree.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Sequence, Tuple
 
 from .scalars import RationalLike, as_fraction
-from .series import _binomial, _compose_coefficients, _exp_coefficient, \
-    _log1p_coefficient
+from .series import EXP_RULE, LOG1P_RULE, Rule, _degree_recurrence, \
+    pow1p_rule
 
 Expo = Tuple[int, ...]
 
@@ -108,17 +109,20 @@ class RSeries:
     def __mul__(self, other: "RSeries") -> "RSeries":
         self._check(other)
         d = min(self.d, other.d)
-        out: Dict[Expo, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            s1 = sum(e1)
-            if s1 > d:
-                continue
-            for e2, c2 in other.coeffs.items():
-                if s1 + sum(e2) > d:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return RSeries(self.nvars, d, out)
+        acc: Dict[Expo, Fraction] = {}
+        mine, theirs = self._slices(), other._slices()
+        for s1, x in mine.items():
+            for s2, y in theirs.items():
+                if s1 + s2 <= d:
+                    _mul_add(acc, x, y, 1)
+        return RSeries(self.nvars, d, acc)
+
+    def _slices(self) -> Dict[int, Dict[Expo, Fraction]]:
+        """Coefficients grouped by total degree."""
+        out: Dict[int, Dict[Expo, Fraction]] = {}
+        for e, c in self.coeffs.items():
+            out.setdefault(sum(e), {})[e] = c
+        return out
 
     def truncate(self, d: int) -> "RSeries":
         if d > self.d:
@@ -171,19 +175,24 @@ class RSeries:
             out[tuple(e2)] = c
         return RSeries(self.nvars, self.d, out)
 
-    # -- transcendental ops (the composition loop of series.py) --------
+    # -- transcendental ops (the degree recurrence of series.py) -------
     def exp(self) -> "RSeries":
-        one = RSeries.constant(self.nvars, self.d, 1)
-        return _compose_coefficients(self, one, _exp_coefficient)
+        return self._compose(EXP_RULE)
 
     def log1p(self) -> "RSeries":
-        one = RSeries.constant(self.nvars, self.d, 1)
-        return _compose_coefficients(self, one, _log1p_coefficient)
+        return self._compose(LOG1P_RULE)
 
     def pow1p(self, e: RationalLike) -> "RSeries":
-        """(1 + self)^e, generalized binomial, rational exponent."""
-        one = RSeries.constant(self.nvars, self.d, 1)
-        return _compose_coefficients(self, one, _binomial(as_fraction(e)))
+        """(1 + self)^e for a rational exponent."""
+        return self._compose(pow1p_rule(as_fraction(e)))
+
+    def _compose(self, rule: Rule) -> "RSeries":
+        unit = {(0,) * self.nvars: Fraction(1)}
+        f = _degree_recurrence(
+            self._slices(), self.d, unit, rule, _mul_add,
+            lambda acc: {e: c for e, c in acc.items() if c})
+        return RSeries(self.nvars, self.d,
+                       {e: c for part in f for e, c in part.items()})
 
     def pow_normalized(self, e: RationalLike) -> "RSeries":
         """self^e for a series with positive rational constant term."""
@@ -198,3 +207,15 @@ class RSeries:
             raise ValueError("non-integer exponent with non-unit constant term;"
                              " normalize the series first")
         return body.pow1p(e).scale(scalar)
+
+
+def _mul_add(acc: Dict[Expo, Fraction], x: Dict[Expo, Fraction],
+             y: Dict[Expo, Fraction], w: "Fraction | int") -> None:
+    """acc += w * x * y (no truncation: callers pass fitting slices)."""
+    scaled = w != 1
+    for e1, c1 in x.items():
+        if scaled:
+            c1 = c1 * w
+        for e2, c2 in y.items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2

@@ -11,6 +11,11 @@ analogue.  All coefficients are :class:`~kahlerimm.scalars.CScalar`.
 
 Every operation documents its output truncation degree; results never
 silently lose degree information.
+
+exp, log(1 + a) and (1 + a)^e of a ``BiSeries`` or an ``RSeries`` run one
+recurrence over total-degree slices (``_degree_recurrence``), which costs
+about one product instead of a sum of powers.  Products bucket their terms
+by bidegree and visit only bucket pairs that stay inside the truncation.
 """
 from __future__ import annotations
 
@@ -232,20 +237,10 @@ class BiSeries:
         self._check(other)
         n = self.n
         d = min(self.d, other.d)
-        out: Coeffs = {}
-        for (j1, k1), c1 in self.coeffs.items():
-            dj1 = _ordinal_degree(n, j1)
-            dk1 = _ordinal_degree(n, k1)
-            if dj1 > d or dk1 > d:
-                continue
-            for (j2, k2), c2 in other.coeffs.items():
-                if dj1 + _ordinal_degree(n, j2) > d:
-                    continue
-                if dk1 + _ordinal_degree(n, k2) > d:
-                    continue
-                jk = (_ordinal_sum(n, j1, j2), _ordinal_sum(n, k1, k2))
-                out[jk] = out.get(jk, CScalar(0)) + c1 * c2
-        return BiSeries(n, d, out)
+        acc: Acc = {}
+        _mul_add(n, d, acc, _buckets(n, _pairs(self.coeffs)),
+                 _buckets(n, _pairs(other.coeffs)), 1)
+        return _from_acc(n, d, acc)
 
     def truncate(self, d: int) -> "BiSeries":
         if d >= self.d:
@@ -319,64 +314,160 @@ class BiSeries:
 
 
 # ---------------------------------------------------------------------------
-# transcendental operations (zero constant term required)
+# bucketed products
 # ---------------------------------------------------------------------------
 
-def _exp_coefficient(k: int) -> Fraction:
-    return Fraction(1, math.factorial(k))
+# A term (j, k, re, im) of a bucket map, keyed by its bidegree
+# (|m_j|, |m_k|).  ``im`` is the int 0 for a real coefficient, so that real
+# products skip the imaginary arithmetic.
+Term = Tuple[int, int, Fraction, "Fraction | int"]
+Buckets = Dict[Tuple[int, int], List[Term]]
+# an accumulator: (j, k) -> [re, im]
+Acc = Dict[Tuple[int, int], list]
 
 
-def _log1p_coefficient(k: int) -> Fraction:
-    return Fraction((-1) ** (k + 1), k) if k else Fraction(0)
+def _pairs(coeffs: Coeffs) -> Iterable:
+    return (((j, k), (c.re, c.im)) for (j, k), c in coeffs.items())
 
 
-def _binomial(e: Fraction) -> Callable[[int], Fraction]:
-    """k -> C(e, k), the generalized binomial coefficient of (1 + a)^e."""
-    def coefficient(k: int) -> Fraction:
-        num = Fraction(1)
-        for i in range(k):
-            num *= (e - i)
-        return num / math.factorial(k)
-    return coefficient
-
-
-def _compose_coefficients(a: T, one: T, coeff_at: Callable[[int], Fraction]
-                          ) -> T:
-    """sum_k coeff_at(k) a^k, truncated at a's degree.
-
-    ``a`` is a ``BiSeries`` or an ``RSeries`` with zero constant term and
-    ``one`` is the unit series of the same kind, whose only key is the
-    constant term's.  Every composition in the package runs this loop.
-    """
-    if a.coeffs.keys() & one.coeffs.keys():
-        raise ConstantTermError("composition needs a zero constant term")
-    out = one.scale(coeff_at(0))
-    power = one
-    for k in range(1, 2 * a.d + 1):
-        power = power * a
-        if not power.coeffs:
-            break
-        ck = coeff_at(k)
-        if ck:
-            out = out + power.scale(ck)
+def _buckets(n: int, items: Iterable) -> Buckets:
+    """Bucket ``((j, k), (re, im))`` items by bidegree, dropping zeros."""
+    out: Buckets = {}
+    for (j, k), (re, im) in items:
+        if not re and not im:
+            continue
+        key = (_ordinal_degree(n, j), _ordinal_degree(n, k))
+        out.setdefault(key, []).append((j, k, re, im or 0))
     return out
+
+
+def _mul_add(n: int, d: int, acc: Acc, x: Buckets, y: Buckets,
+             w: "Fraction | int") -> None:
+    """acc += w * x * y, truncated at |m_j|, |m_k| <= d.
+
+    Only bucket pairs whose bidegrees add up inside the box are visited.
+    """
+    scaled = w != 1
+    osum = _ordinal_sum
+    for (dj1, dk1), xs in x.items():
+        fits = [ys for (dj2, dk2), ys in y.items()
+                if dj1 + dj2 <= d and dk1 + dk2 <= d]
+        if not fits:
+            continue
+        for j1, k1, ar, ai in xs:
+            if scaled:
+                ar = ar * w
+                ai = ai * w if ai else 0
+            for ys in fits:
+                for j2, k2, br, bi in ys:
+                    if bi:
+                        if ai:
+                            re = ar * br - ai * bi
+                            im = ar * bi + ai * br
+                        else:
+                            re = ar * br
+                            im = ar * bi
+                    else:
+                        re = ar * br
+                        im = ai * br if ai else 0
+                    key = (osum(n, j1, j2), osum(n, k1, k2))
+                    cur = acc.get(key)
+                    if cur is None:
+                        acc[key] = [re, im]
+                    else:
+                        cur[0] += re
+                        if im:
+                            cur[1] += im
+
+
+def _from_acc(n: int, d: int, acc: Acc) -> "BiSeries":
+    return BiSeries(n, d, {jk: CScalar(re, im)
+                           for jk, (re, im) in acc.items()})
+
+
+# ---------------------------------------------------------------------------
+# exp, log1p and (1 + a)^e by the degree recurrence
+# ---------------------------------------------------------------------------
+
+# (F_0, alpha, beta, gamma) of the recurrence of _degree_recurrence
+Rule = Tuple[int, int, "Fraction | int", int]
+EXP_RULE: Rule = (1, 0, 1, 0)
+LOG1P_RULE: Rule = (0, 1, 0, -1)
+
+
+def pow1p_rule(e: Fraction) -> Rule:
+    """The rule of (1 + a)^e."""
+    return (1, 0, e, -1)
+
+
+def _degree_recurrence(a: Dict[int, T], top: int, unit: T, rule: Rule,
+                       mul_add: Callable[[dict, T, T, Fraction], None],
+                       close: Callable[[dict], T]) -> List[T]:
+    """Slices F_0..F_top of F = f(A), by total degree.
+
+    ``a`` maps a degree t >= 1 to the slice A_t of A (A_0 must be empty),
+    ``unit`` is the slice of the series 1, ``mul_add(acc, x, y, w)`` adds
+    w * x * y, truncated, into an accumulator, and ``close`` turns an
+    accumulator into a slice.  With (F_0, alpha, beta, gamma) = ``rule``:
+
+        t F_t = alpha t A_t + sum_{s=1..t} (beta s + gamma (t - s)) A_s F_{t-s}
+
+    which is exp (1, 0, 1, 0), log(1 + A) (0, 1, 0, -1) and (1 + A)^e
+    (1, 0, e, -1): apply the Euler operator t (degree) to F' = A' F,
+    (1 + A) F' = A' and (1 + A) F' = e A' F (J.C.P. Miller's recurrence;
+    Knuth, TAOCP vol. 2, 4.7; Brent & Kung, J. ACM 1978).  The truncations
+    used here keep the monomials of an ideal's complement, on which the
+    Euler operator acts degree by degree, so the truncated recurrence is
+    exact.  It costs about one product A * F.
+    """
+    if a.get(0):
+        raise ConstantTermError("composition needs a zero constant term")
+    f0, alpha, beta, gamma = rule
+    f = [unit if f0 else close({})]
+    for t in range(1, top + 1):
+        acc: dict = {}
+        if alpha and a.get(t):
+            mul_add(acc, a[t], unit, Fraction(alpha))
+        for s in range(1, t + 1):
+            w = beta * s + gamma * (t - s)
+            if w and a.get(s) and f[t - s]:
+                mul_add(acc, a[s], f[t - s], Fraction(w) / t)
+        f.append(close(acc))
+    return f
+
+
+def _compose(a: BiSeries, rule: Rule) -> BiSeries:
+    """f(a) for the recurrence ``rule``, truncated at a's degree.
+
+    Slice degree is |m_j| + |m_k| <= 2d; a slice is a bucket map.
+    """
+    n, d = a.n, a.d
+    slices: Dict[int, Buckets] = {}
+    for key, terms in _buckets(n, _pairs(a.coeffs)).items():
+        slices.setdefault(sum(key), {})[key] = terms
+    unit: Buckets = {(0, 0): [(0, 0, Fraction(1), 0)]}
+    f = _degree_recurrence(
+        slices, 2 * d, unit, rule,
+        lambda acc, x, y, w: _mul_add(n, d, acc, x, y, w),
+        lambda acc: _buckets(n, acc.items()))
+    return BiSeries(n, d, {(j, k): CScalar(re, im)
+                           for part in f for terms in part.values()
+                           for j, k, re, im in terms})
 
 
 def exp_series(a: BiSeries) -> BiSeries:
     """exp(a) truncated at a's degree (constant term 1)."""
-    return _compose_coefficients(a, BiSeries.one(a.n, a.d), _exp_coefficient)
+    return _compose(a, EXP_RULE)
 
 
 def log1p_series(a: BiSeries) -> BiSeries:
     """log(1+a) truncated at a's degree (zero constant term)."""
-    return _compose_coefficients(a, BiSeries.one(a.n, a.d),
-                                 _log1p_coefficient)
+    return _compose(a, LOG1P_RULE)
 
 
 def pow1p_series(a: BiSeries, e: RationalLike) -> BiSeries:
-    """(1+a)^e via the generalized binomial series, rational exponent."""
-    return _compose_coefficients(a, BiSeries.one(a.n, a.d),
-                                 _binomial(as_fraction(e)))
+    """(1+a)^e for a rational exponent, truncated at a's degree."""
+    return _compose(a, pow1p_rule(as_fraction(e)))
 
 
 def det_series(matrix: Sequence[Sequence[BiSeries]]) -> BiSeries:
@@ -508,3 +599,16 @@ class HolSeries:
                     continue
                 out[(j, k)] = out.get((j, k), CScalar(0)) + cj * ck.conj()
         return BiSeries(self.n, d, out)
+
+
+def norm_sum(n: int, d: int, terms: Iterable[Tuple[Fraction, HolSeries]]
+             ) -> BiSeries:
+    """sum_h w_h f_h conj(f_h) through degree d, summed in one accumulator."""
+    acc: Acc = {}
+    for w, f in terms:
+        if f.n != n:
+            raise ArityMismatchError(f"arity {f.n} != {n}")
+        hol = [((j, 0), (c.re, c.im)) for j, c in f.coeffs.items()]
+        anti = [((0, j), (c.re, -c.im)) for j, c in f.coeffs.items()]
+        _mul_add(n, d, acc, _buckets(n, hol), _buckets(n, anti), w)
+    return _from_acc(n, d, acc)

@@ -251,3 +251,43 @@ def test_witness_given_as_list(capsys, tmp_path):
     code, out, err = _witness_cert(capsys, tmp_path, listify)
     assert code == 2 and out == ""
     assert "witness" in one_json_line(err)["error"]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: [doc],                        # top level is a list
+    lambda doc: dict(doc, degree=None),
+    lambda doc: dict(doc, degree="four"),
+    lambda doc: dict(doc, degree=2.5),
+])
+def test_malformed_certificate_exit_two(capsys, tmp_path, mutate):
+    code, out, _ = run(capsys, "analyze", "--model", "cp", "--n", "1",
+                       "--scale", "1/2", "--b", "1", "--degree", "4")
+    assert code == 1
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(mutate(json.loads(out))))
+    code, out, err = run(capsys, "check-certificate", str(cert))
+    assert code == 2 and out == ""
+    assert "error" in one_json_line(err)
+
+
+@pytest.mark.parametrize("spec", [
+    [{"name": "cp", "parameters": {"n": 1}, "degree": 4}],
+    {"name": "cp", "parameters": ["n", 1], "degree": 4},
+    {"name": "cp", "parameters": {"n": 1}, "degree": None},
+])
+def test_malformed_spec_exit_two(capsys, tmp_path, spec):
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "analyze", "--spec", str(f), "--b", "1",
+                         "--degree", "4")
+    assert code == 2 and out == ""
+    assert "error" in one_json_line(err)
+
+
+def test_degree_zero_rejected_for_every_model(capsys):
+    from kahlerimm.models import MODELS
+    for name in sorted(MODELS):
+        code, out, err = run(capsys, "analyze", "--model", name,
+                             "--degree", "0")
+        assert code == 2 and out == "", name
+        assert "degree" in one_json_line(err)["error"], name

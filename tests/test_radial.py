@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -86,3 +87,78 @@ def test_multivariate_product():
     y = RSeries.var(2, 2, 1)
     p = (x + y) * (x - y)
     assert p.get((2, 0)) == 1 and p.get((0, 2)) == -1 and p.get((1, 1)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the degree recurrence against the composition loop it replaced
+# ---------------------------------------------------------------------------
+
+def power_sum(a, coeff_at):
+    """sum_k coeff_at(k) a^k, truncated at a's degree."""
+    one = RSeries.constant(a.nvars, a.d, 1)
+    out = one.scale(coeff_at(0))
+    power = one
+    for k in range(1, a.d + 1):
+        power = power * a
+        if not power.coeffs:
+            break
+        ck = coeff_at(k)
+        if ck:
+            out = out + power.scale(ck)
+    return out
+
+
+def binomial(e):
+    def coefficient(k):
+        num = Fraction(1)
+        for i in range(k):
+            num *= e - i
+        return num / math.factorial(k)
+    return coefficient
+
+
+@st.composite
+def rseries_st(draw, zero_constant=True):
+    nvars = draw(st.integers(1, 2))
+    d = draw(st.integers(0, 5))
+    expos = [(i, j) if nvars == 2 else (i,)
+             for i in range(d + 1) for j in range(d + 1 - i)
+             if nvars == 2 or j == 0]
+    if zero_constant:
+        expos = [e for e in expos if sum(e)]
+    if not expos:
+        return RSeries.zero(nvars, d)
+    return RSeries(nvars, d, draw(st.dictionaries(
+        st.sampled_from(expos), frac_st, max_size=6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rseries_st(), frac_st)
+def test_recurrence_matches_power_sum(a, e):
+    assert a.exp() == power_sum(a, lambda k: Fraction(1, math.factorial(k)))
+    assert a.log1p() == power_sum(
+        a, lambda k: Fraction((-1) ** (k + 1), k) if k else Fraction(0))
+    assert a.pow1p(e) == power_sum(a, binomial(e))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_product_matches_naive(data):
+    a = data.draw(rseries_st(False))
+    b = data.draw(rseries_st(False).filter(lambda s: s.nvars == a.nvars))
+    d = min(a.d, b.d)
+    want = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if sum(e) <= d:
+                want[e] = want.get(e, Fraction(0)) + c1 * c2
+    assert a * b == RSeries(a.nvars, d, want)
+
+
+def test_composition_rejects_constant_term():
+    from kahlerimm.series import ConstantTermError
+    a = RSeries.univariate([1, 1])
+    for fn in (RSeries.exp, RSeries.log1p, lambda s: s.pow1p(2)):
+        with pytest.raises(ConstantTermError):
+            fn(a)

@@ -1,8 +1,11 @@
+import math
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kahlerimm.immersion import Component, ImmersionMap, Target
 from kahlerimm.scalars import CScalar
 from kahlerimm.series import (
     ArityMismatchError, BiSeries, ConstantTermError, GradedOrder, HolSeries,
@@ -131,6 +134,121 @@ def test_hermitian_closed_under_product(a, b):
     assert ha.is_hermitian() and hb.is_hermitian()
     assert (ha * hb + hb * ha).is_hermitian()
     assert (ha + hb).is_hermitian()
+
+
+# ---------------------------------------------------------------------------
+# the degree recurrence and the bucketed product against reference loops
+# ---------------------------------------------------------------------------
+
+def power_sum(a, one, coeff_at):
+    """sum_k coeff_at(k) a^k: the composition loop the recurrence replaced."""
+    out = one.scale(coeff_at(0))
+    power = one
+    for k in range(1, 2 * a.d + 1):
+        power = power * a
+        if not power.coeffs:
+            break
+        ck = coeff_at(k)
+        if ck:
+            out = out + power.scale(ck)
+    return out
+
+
+def exp_coefficient(k):
+    return Fraction(1, math.factorial(k))
+
+
+def log1p_coefficient(k):
+    return Fraction((-1) ** (k + 1), k) if k else Fraction(0)
+
+
+def binomial(e):
+    def coefficient(k):
+        num = Fraction(1)
+        for i in range(k):
+            num *= e - i
+        return num / math.factorial(k)
+    return coefficient
+
+
+@st.composite
+def complex_jet(draw, n, d, zero_constant=True):
+    """A non-circular complex BiSeries: any (j, k), not just |m_j| = |m_k|."""
+    size = GradedOrder(n, d).size
+    pairs = [(j, k) for j in range(size) for k in range(size)
+             if not (zero_constant and j == k == 0)]
+    if not pairs:
+        return BiSeries.zero(n, d)
+    return BiSeries(n, d, draw(st.dictionaries(
+        st.sampled_from(pairs), coeff_st, max_size=6)))
+
+
+@st.composite
+def jet_with_shape(draw, zero_constant=True):
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 4))
+    return draw(complex_jet(n, d, zero_constant))
+
+
+exponent_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(jet_with_shape(), exponent_st)
+def test_recurrence_matches_power_sum(a, e):
+    one = BiSeries.one(a.n, a.d)
+    assert exp_series(a) == power_sum(a, one, exp_coefficient)
+    assert log1p_series(a) == power_sum(a, one, log1p_coefficient)
+    assert pow1p_series(a, e) == power_sum(a, one, binomial(e))
+
+
+def naive_product(a, b):
+    n, d = a.n, min(a.d, b.d)
+    out = {}
+    for (j1, k1), c1 in a.coeffs.items():
+        for (j2, k2), c2 in b.coeffs.items():
+            mj = tuple(map(add, index_of_ordinal(n, j1),
+                           index_of_ordinal(n, j2)))
+            mk = tuple(map(add, index_of_ordinal(n, k1),
+                           index_of_ordinal(n, k2)))
+            if sum(mj) > d or sum(mk) > d:
+                continue
+            key = (ordinal_of_index(mj), ordinal_of_index(mk))
+            out[key] = out.get(key, CScalar(0)) + c1 * c2
+    return BiSeries(n, d, out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_bucketed_product_matches_naive(data):
+    n = data.draw(st.integers(1, 3))
+    a = data.draw(complex_jet(n, data.draw(st.integers(0, 4)), False))
+    b = data.draw(complex_jet(n, data.draw(st.integers(0, 4)), False))
+    assert a * b == naive_product(a, b)
+
+
+@st.composite
+def immersion_map(draw):
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
+    size = GradedOrder(n, d).size
+    components = draw(st.lists(st.builds(
+        Component, st.sampled_from([1, -1]),
+        st.fractions(min_value=Fraction(1, 5), max_value=5,
+                     max_denominator=6),
+        st.dictionaries(st.integers(0, size - 1), coeff_st, max_size=5)
+        .map(lambda c: HolSeries(n, d, c))), max_size=4))
+    return ImmersionMap(tuple(components), Target("indefinite"), d, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(immersion_map())
+def test_pullback_norm_matches_component_sum(imm):
+    want = BiSeries.zero(imm.arity, imm.degree)
+    for comp in imm.components:
+        want = want + comp.series.mul_conj(comp.series).scale(
+            comp.sign * comp.radicand)
+    assert imm.pullback_norm() == want
 
 
 def test_det_series_2x2():
