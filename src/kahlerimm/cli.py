@@ -69,11 +69,8 @@ def _model_of(args) -> Optional[Tuple[str, Dict[str, str], int]]:
                 spec = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read spec file: {exc}") from exc
-        if not isinstance(spec, dict):
-            raise InputError("a spec file must hold a JSON object")
-        parameters = spec.get("parameters", {})
-        if not isinstance(parameters, dict):
-            raise InputError("spec parameters must be a JSON object")
+        _object(spec, "a spec file")
+        parameters = _object(spec.get("parameters", {}), "spec parameters")
         params = {k: str(v) for k, v in parameters.items()}
         return (spec.get("name"), params,
                 _integer(spec.get("degree", args.degree), "spec degree"))
@@ -85,6 +82,20 @@ def _integer(value: Any, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise InputError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _object(value: Any, what: str) -> Dict[str, Any]:
+    """``value`` if it is a JSON object, else an input error."""
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be a JSON object")
+    return value
+
+
+def _rational(value: Any, what: str) -> Fraction:
+    """``value`` as an exact rational if it is a JSON string or integer."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise InputError(f"{what} must be a rational, got {value!r}")
+    return as_fraction(value)
 
 
 def _check_degree(degree: int) -> None:
@@ -369,19 +380,22 @@ def _cmd_models(_args) -> int:
     for name in sorted(MODELS):
         entry = MODELS[name]
         listing[name] = {"doc": entry.doc,
-                         "parameters": dict(entry.schema)}
+                         "parameters": dict(entry.schema,
+                                            scale="rational > 0")}
     _emit({"schema_version": SCHEMA_VERSION, "kind": "models",
            "models": listing})
     return 0
 
 
-def _rebuild_from_source(source: Mapping[str, Any], degree: int) -> BiSeries:
+def _rebuild_from_source(source: Any, degree: int) -> BiSeries:
+    source = _object(source, "the certificate source")
     if source.get("kind") == "model":
         return _from_model(build_model, source["model"],
                            source.get("parameters", {}), degree)
-    if source.get("kind") == "series":
-        return BiSeries.loads(source["series"], degree=None)
-    raise InputError(f"unknown certificate source {source.get('kind')!r}")
+    text = source.get("series")
+    if source.get("kind") == "series" and isinstance(text, str):
+        return BiSeries.loads(text, degree=None)
+    raise InputError(f"unusable certificate source {source.get('kind')!r}")
 
 
 def _cmd_check_certificate(args) -> int:
@@ -390,11 +404,10 @@ def _cmd_check_certificate(args) -> int:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read certificate: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError("a certificate must be a JSON object")
+    _object(doc, "a certificate")
     kind = doc.get("kind")
     degree = _integer(doc.get("degree"), "the certificate degree")
-    b = as_fraction(doc.get("b", "0"))
+    b = _rational(doc.get("b", "0"), "the certificate b")
     if kind == "immersion":
         series = _rebuild_from_source(doc["source"], degree)
         imm = _immersion_from_json(doc)
@@ -408,9 +421,7 @@ def _cmd_check_certificate(args) -> int:
                    "file_kind": kind, "valid": True,
                    "note": "nothing to re-validate for a positive verdict"})
             return 0
-        witness = doc["witness"]
-        if not isinstance(witness, dict):
-            raise InputError("the witness must be a JSON object")
+        witness = _object(doc["witness"], "the witness")
         if witness.get("type") == "matrix":
             series = _rebuild_from_source(doc["source"], degree)
             _, matrix = calabi_matrix(series, b, degree)
@@ -423,8 +434,8 @@ def _cmd_check_certificate(args) -> int:
             ok = (value < 0
                   and format_fraction(value) == witness["value"])
         elif witness.get("type") == "hartogs":
-            source = doc["source"]
-            jmax = int(doc["jmax"])
+            source = _object(doc["source"], "the certificate source")
+            jmax = _integer(doc.get("jmax"), "the certificate jmax")
             F = _from_model(hartogs_profile, source["model"],
                             source.get("parameters", {}), max(jmax, 1))
             try:
@@ -432,7 +443,8 @@ def _cmd_check_certificate(args) -> int:
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"a hartogs witness needs integers j and k: "
                                  f"{exc}") from exc
-            coeff = hartogs_series(F, as_fraction(doc["c"]), k).ucoeff(j)
+            c = _rational(doc.get("c"), "the certificate c")
+            coeff = hartogs_series(F, c, k).ucoeff(j)
             ok = coeff < 0 and format_fraction(coeff) == witness["coefficient"]
         else:
             raise InputError(f"unknown witness type {witness.get('type')!r}")
@@ -444,21 +456,28 @@ def _cmd_check_certificate(args) -> int:
 
 def _immersion_from_json(doc: Mapping[str, Any]) -> ImmersionMap:
     from .immersion import Component, Target
-    from .series import HolSeries, ordinal_of_index
-    target = Target(doc["target"]["kind"],
-                    as_fraction(doc["target"]["b"])
-                    if "b" in doc["target"] else None)
-    degree = int(doc["degree"])
-    arity = int(doc["arity"])
-    comps = []
-    for comp in doc["components"]:
-        coeffs = {}
-        for term in comp["series"]:
-            j = ordinal_of_index(tuple(term["m"]))
-            coeffs[j] = CScalar(Fraction(term["re"]), Fraction(term["im"]))
-        comps.append(Component(int(comp["sign"]),
-                               as_fraction(comp["radicand"]),
-                               HolSeries(arity, degree, coeffs)))
+    from .series import GradedOrder, HolSeries
+    degree = _integer(doc.get("degree"), "the immersion degree")
+    arity = _integer(doc.get("arity"), "the immersion arity")
+    order = GradedOrder(arity, degree)
+    try:
+        target = _object(doc["target"], "the immersion target")
+        target = Target(target["kind"], as_fraction(target["b"])
+                        if "b" in target else None)
+        comps = []
+        for comp in doc["components"]:
+            coeffs = {}
+            for term in comp["series"]:
+                m = tuple(term["m"])
+                if not all(isinstance(e, int) and e >= 0 for e in m):
+                    raise InputError(f"bad multi-index {list(m)}")
+                coeffs[order.ordinal(m)] = CScalar(term["re"], term["im"])
+            comps.append(Component(int(comp["sign"]),
+                                   as_fraction(comp["radicand"]),
+                                   HolSeries(arity, degree, coeffs)))
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+        raise InputError(f"malformed immersion document: "
+                         f"{type(exc).__name__}: {exc}") from exc
     return ImmersionMap(tuple(comps), target, degree, arity)
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from .diastasis import check_bochner_form
 from .scalars import CScalar, RationalLike, as_fraction
@@ -85,8 +85,7 @@ def einstein_estimate(d: BiSeries, degree: int):
             f"not in Bochner form (defect at {report.defect!r}); "
             "renormalize coordinates first")
     h = hessian_det(d, degree)
-    one = BiSeries(h.n, h.d, {(0, 0): CScalar(1)})
-    logdet = log1p_series(h - one)
+    logdet = log1p_series(h - BiSeries.one(h.n, h.d))
     if not logdet.coeffs:
         return EinsteinResult(Fraction(0), flat=True)
     n = d.n

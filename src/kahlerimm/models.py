@@ -20,26 +20,25 @@ from .series import BiSeries, MultiIndex, det_series, exp_series, \
     log1p_series, ordinal_of_index, solve_graded_fixed_point
 
 
-def _unit(n: int, which: int) -> MultiIndex:
-    e = [0] * n
-    e[which] = 1
-    return tuple(e)
+def _unit(n: int, which: int, power: int = 1) -> MultiIndex:
+    """The exponents of z_which^power."""
+    return tuple(power if i == which else 0 for i in range(n))
 
 
-def _abs2_var(n: int, d: int, which: int) -> BiSeries:
-    """|z_which|^2 as a BiSeries."""
-    e = _unit(n, which)
-    return BiSeries.term(n, d, e, e, 1)
+def _polynomial(n: int, d: int,
+                terms: Sequence[Tuple[MultiIndex, MultiIndex, RationalLike]]
+                ) -> BiSeries:
+    """sum c z^m_hol conj(z)^m_anti over distinct monomials, dropping those
+    outside the truncation box (so a degree-1 jet of a quadratic builds)."""
+    return BiSeries(n, d, {
+        (ordinal_of_index(mh), ordinal_of_index(mk)): CScalar.of(c)
+        for mh, mk, c in terms if sum(mh) <= d and sum(mk) <= d})
 
 
 def _rho(n: int, d: int, first: int = 0, last: int | None = None) -> BiSeries:
     """sum_{j=first}^{last-1} |z_j|^2."""
-    if last is None:
-        last = n
-    acc = BiSeries.zero(n, d)
-    for j in range(first, last):
-        acc = acc + _abs2_var(n, d, j)
-    return acc
+    units = [_unit(n, j) for j in range(first, n if last is None else last)]
+    return _polynomial(n, d, [(e, e, 1) for e in units])
 
 
 # ---------------------------------------------------------------------------
@@ -87,26 +86,21 @@ def hartogs_diastasis(F: RSeries, n: int, degree: int) -> BiSeries:
 # classical bounded symmetric domains
 # ---------------------------------------------------------------------------
 
-def _one_minus_zzstar(rows: int, cols: int,
-                      var_of: Callable[[int, int], Tuple[Optional[int], int]],
+def _one_minus_zzstar(z: Sequence[Sequence[Optional[Tuple[int, int]]]],
                       n_vars: int, degree: int) -> List[List[BiSeries]]:
-    """Matrix I - Z Z* where Z[i][j] = sign * z_{var_of(i,j)} (or 0)."""
+    """The matrix I - Z Z*, one coefficient dict per entry.  An entry of Z
+    is (variable, sign) for sign * z_variable, or None for 0."""
+    unit = [ordinal_of_index(_unit(n_vars, v)) for v in range(n_vars)]
     mat: List[List[BiSeries]] = []
-    for i in range(rows):
+    for i, zi in enumerate(z):
         row: List[BiSeries] = []
-        for k in range(rows):
-            entry = BiSeries.zero(n_vars, degree)
-            if i == k:
-                entry = entry + BiSeries(n_vars, degree, {(0, 0): CScalar(1)})
-            for j in range(cols):
-                vi, si = var_of(i, j)
-                vk, sk = var_of(k, j)
-                if vi is None or vk is None:
-                    continue
-                coeff = CScalar(-si * sk)
-                entry = entry + BiSeries.term(
-                    n_vars, degree, _unit(n_vars, vi), _unit(n_vars, vk), coeff)
-            row.append(entry)
+        for k, zk in enumerate(z):
+            coeffs = {(0, 0): CScalar(1)} if i == k else {}
+            for a, b in zip(zi, zk):
+                if a is not None and b is not None:
+                    key = (unit[a[0]], unit[b[0]])
+                    coeffs[key] = coeffs.get(key, CScalar(0)) - a[1] * b[1]
+            row.append(BiSeries(n_vars, degree, coeffs))
         mat.append(row)
     return mat
 
@@ -117,7 +111,8 @@ def cartan_bergman_diastasis(kind: str, sizes: Sequence[int], degree: int
 
     kind: "omega1" (sizes m, n), "omega2"/"omega3"/"omega4" (size n).
     Returns (series, genus) where genus is the determinant-kernel exponent:
-    omega1: n+m, omega2: n+1, omega3: n-1, omega4: n.
+    omega1: n+m, omega2: n+1, omega3: n-1, omega4: n.  Types I-III are
+    -genus * log det(I - Z Z*) over the matrix Z of the domain's variables.
     """
     kind = kind.lower()
     if kind == "omega1":
@@ -126,63 +121,37 @@ def cartan_bergman_diastasis(kind: str, sizes: Sequence[int], degree: int
             raise ValueError("omega1 needs positive sizes")
         n_vars = m * n
         genus = n + m
-
-        def var_of(i: int, j: int) -> Tuple[Optional[int], int]:
-            return i * n + j, 1
-
-        mat = _one_minus_zzstar(m, n, var_of, n_vars, degree)
-    elif kind == "omega2":
+        z = [[(i * n + j, 1) for j in range(n)] for i in range(m)]
+    elif kind in ("omega2", "omega3"):
         (n,) = tuple(sizes)
-        if n < 1:
-            raise ValueError("omega2 needs a positive size")
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        lookup = {p: v for v, p in enumerate(pairs)}
+        skew = kind == "omega3"  # antisymmetric Z, else symmetric
+        if n < 1 + skew:
+            raise ValueError("omega3 needs size >= 2" if skew
+                             else "omega2 needs a positive size")
+        pairs = [(i, j) for i in range(n) for j in range(i + skew, n)]
+        var = {p: v for v, p in enumerate(pairs)}
         n_vars = len(pairs)
-        genus = n + 1
-
-        def var_of(i: int, j: int) -> Tuple[Optional[int], int]:
-            return lookup[(min(i, j), max(i, j))], 1
-
-        mat = _one_minus_zzstar(n, n, var_of, n_vars, degree)
-    elif kind == "omega3":
-        (n,) = tuple(sizes)
-        if n < 2:
-            raise ValueError("omega3 needs size >= 2")
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        lookup = {p: v for v, p in enumerate(pairs)}
-        n_vars = len(pairs)
-        genus = n - 1
-
-        def var_of(i: int, j: int) -> Tuple[Optional[int], int]:
-            if i == j:
-                return None, 1
-            if i < j:
-                return lookup[(i, j)], 1
-            return lookup[(j, i)], -1
-
-        mat = _one_minus_zzstar(n, n, var_of, n_vars, degree)
+        genus = n - 1 if skew else n + 1
+        z = [[None if skew and i == j
+              else (var[min(i, j), max(i, j)], -1 if skew and i > j else 1)
+              for j in range(n)] for i in range(n)]
     elif kind == "omega4":
         (n,) = tuple(sizes)
         if n < 1:
             raise ValueError("omega4 needs a positive size")
         if n == 2:
             raise ValueError("omega4 with n=2 is not irreducible; rejected")
-        sigma = BiSeries.zero(n, degree)
         zero = (0,) * n
-        for j in range(n):
-            e = [0] * n
-            e[j] = 2
-            sigma = sigma + BiSeries.term(n, degree, tuple(e), zero, 1)
-        sigma_bar = BiSeries(
-            n, degree, {(k, j): c.conj() for (j, k), c in sigma.coeffs.items()})
+        squares = [(_unit(n, j, 2), zero, 1) for j in range(n)]
+        sigma = _polynomial(n, degree, squares)
+        sigma_bar = _polynomial(n, degree, [(k, j, c) for j, k, c in squares])
         inner = sigma * sigma_bar - _rho(n, degree).scale(2)
         series = (-log1p_series(inner)).scale(n)
         return normalize_to_diastasis(series), n
     else:
         raise ValueError(f"unknown domain kind {kind!r}")
-    det = det_series(mat)
-    inner = det - BiSeries(det.n, det.d, {(0, 0): CScalar(1)})
-    series = (-log1p_series(inner)).scale(genus)
+    det = det_series(_one_minus_zzstar(z, n_vars, degree))
+    series = (-log1p_series(det - BiSeries.one(det.n, det.d))).scale(genus)
     return normalize_to_diastasis(series), genus
 
 
@@ -219,8 +188,8 @@ def cartan_hartogs_diastasis(minus_log_n: BiSeries, mu: RationalLike,
         lifted[(ordinal_of_index(mj), ordinal_of_index(mk))] = c
     base_l = BiSeries(n, degree, lifted)
     n_mu = exp_series(base_l.scale(CScalar(-mu)))
-    w2 = _abs2_var(n, degree, n - 1)
-    inner = n_mu - BiSeries(n, degree, {(0, 0): CScalar(1)}) - w2
+    w2 = _rho(n, degree, n - 1)
+    inner = n_mu - BiSeries.one(n, degree) - w2
     return normalize_to_diastasis(-log1p_series(inner))
 
 
@@ -241,8 +210,8 @@ def fbh_diastasis(n: int, m: int, mu: RationalLike, nu: RationalLike,
     total = n + m
     z2 = _rho(total, degree, 0, n)
     w2 = _rho(total, degree, n, total)
-    inner = exp_series(z2.scale(CScalar(-mu))) \
-        - BiSeries(total, degree, {(0, 0): CScalar(1)}) - w2
+    inner = exp_series(z2.scale(CScalar(-mu))) - BiSeries.one(total, degree) \
+        - w2
     phi = z2.scale(CScalar(nu * mu)) - log1p_series(inner)
     return normalize_to_diastasis(phi)
 
@@ -334,13 +303,10 @@ def calabi_tube(n: int, degree: int) -> Tuple[RSeries, BiSeries]:
 
     # (sum_j (z_j + conj z_j)^2) as a BiSeries, then sum_k c_{2k} P^k
     zero = (0,) * n
-    p2 = BiSeries.zero(n, degree)
-    for j in range(n):
-        e2 = [0] * n
-        e2[j] = 2
-        p2 = p2 + BiSeries.term(n, degree, tuple(e2), zero, 1)
-        p2 = p2 + BiSeries.term(n, degree, _unit(n, j), _unit(n, j), 2)
-        p2 = p2 + BiSeries.term(n, degree, zero, tuple(e2), 1)
+    p2 = _polynomial(n, degree, [
+        term for j in range(n) for term in ((_unit(n, j, 2), zero, 1),
+                                            (_unit(n, j), _unit(n, j), 2),
+                                            (zero, _unit(n, j, 2), 1))])
     one = BiSeries.one(n, degree)
     acc = BiSeries.zero(n, degree)
     for k in range(degree, -1, -1):  # Horner's rule
@@ -373,17 +339,15 @@ def phi_b_potential(degree: int) -> BiSeries:
     """The circular-domain exercise potential
     -3 log(1 - |z1|^2 - 2|z2|^2 - |z3|^2 + |z1|^2|z3|^2 + |z2|^4
            - z1 z3 conj(z2)^2 - z2^2 conj(z1) conj(z3))."""
-    n = 3
-    t = lambda mh, mk, c: BiSeries.term(n, degree, mh, mk, c)
-    inner = (
-        t((1, 0, 0), (1, 0, 0), -1)
-        + t((0, 1, 0), (0, 1, 0), -2)
-        + t((0, 0, 1), (0, 0, 1), -1)
-        + t((1, 0, 1), (1, 0, 1), 1)
-        + t((0, 2, 0), (0, 2, 0), 1)
-        + t((1, 0, 1), (0, 2, 0), -1)
-        + t((0, 2, 0), (1, 0, 1), -1)
-    )
+    inner = _polynomial(3, degree, [
+        ((1, 0, 0), (1, 0, 0), -1),
+        ((0, 1, 0), (0, 1, 0), -2),
+        ((0, 0, 1), (0, 0, 1), -1),
+        ((1, 0, 1), (1, 0, 1), 1),
+        ((0, 2, 0), (0, 2, 0), 1),
+        ((1, 0, 1), (0, 2, 0), -1),
+        ((0, 2, 0), (1, 0, 1), -1),
+    ])
     return normalize_to_diastasis((-log1p_series(inner)).scale(3))
 
 
@@ -449,54 +413,48 @@ class ModelEntry:
     profile_params: Tuple[str, ...]
 
 
-def _build_spaceform(degree: int, n: int = 1, b: RationalLike = 0,
-                     scale: RationalLike = 1) -> BiSeries:
-    return space_form_diastasis(int(n), b, degree).scale(
-        CScalar(as_fraction(scale)))
-
-
 def _hartogs_parameters(entry: ModelEntry,
                         parameters: Mapping[str, RationalLike], degree: int
-                        ) -> Tuple[RSeries, int, Fraction]:
-    """(F, n, scale) of a Hartogs-family model: the family's one parameter
-    rule.  n defaults to 2; scale and each profile parameter default to 1."""
+                        ) -> Tuple[RSeries, int]:
+    """(F, n) of a Hartogs-family model: the family's one parameter rule.
+    n defaults to 2; each profile parameter defaults to 1."""
     n = int(parameters.get("n", 2))
     if n < 1:
         raise ValueError("n must be >= 1")
     args = [as_fraction(parameters.get(p, 1)) for p in entry.profile_params]
-    scale = as_fraction(parameters.get("scale", 1))
-    return entry.profile(*args, degree), n, scale
+    return entry.profile(*args, degree), n
 
 
 def _hartogs_entry(profile: Callable[..., RSeries], params: Tuple[str, ...],
                    doc: str) -> ModelEntry:
     """The Hartogs domain over F = profile(*params, degree)."""
     def build(degree: int, **parameters: RationalLike) -> BiSeries:
-        F, n, scale = _hartogs_parameters(entry, parameters, degree)
-        return hartogs_diastasis(F, n, degree).scale(CScalar(scale))
+        F, n = _hartogs_parameters(entry, parameters, degree)
+        return hartogs_diastasis(F, n, degree)
 
-    schema = {"n": "arity", "scale": "rational > 0"}
+    schema = {"n": "arity"}
     schema.update((p, "rational > 0") for p in params)
     entry = ModelEntry(build, schema, doc, profile, params)
     return entry
 
 
+# every model also takes "scale", which build_model applies
 MODELS: Dict[str, ModelEntry] = {
     "flat": ModelEntry(
-        lambda degree, n=1, scale=1: _build_spaceform(degree, n, 0, scale),
-        {"n": "arity", "scale": "rational > 0"},
+        lambda degree, n=1: space_form_diastasis(int(n), 0, degree),
+        {"n": "arity"},
         "flat diastasis sum |z_j|^2", None, ()),
     "cp": ModelEntry(
-        lambda degree, n=1, scale=1: _build_spaceform(degree, n, 1, scale),
-        {"n": "arity", "scale": "rational > 0"},
+        lambda degree, n=1: space_form_diastasis(int(n), 1, degree),
+        {"n": "arity"},
         "projective (Fubini-Study) diastasis log(1 + sum |z_j|^2)", None, ()),
     "ch": ModelEntry(
-        lambda degree, n=1, scale=1: _build_spaceform(degree, n, -1, scale),
-        {"n": "arity", "scale": "rational > 0"},
+        lambda degree, n=1: space_form_diastasis(int(n), -1, degree),
+        {"n": "arity"},
         "hyperbolic diastasis -log(1 - sum |z_j|^2)", None, ()),
     "spaceform": ModelEntry(
-        _build_spaceform,
-        {"n": "arity", "b": "curvature/4 rational", "scale": "rational > 0"},
+        lambda degree, n=1, b=0: space_form_diastasis(int(n), b, degree),
+        {"n": "arity", "b": "curvature/4 rational"},
         "space form of holomorphic sectional curvature 4b", None, ()),
     "springer": _hartogs_entry(
         profile_springer, (), "Hartogs domain with profile F = e^{-x}"),
@@ -513,68 +471,70 @@ MODELS: Dict[str, ModelEntry] = {
         profile_rhp_cubic, (),
         "Hartogs domain with the cubic profile (x-1)(x-11/4)(x+3/4)"),
     "phiB": ModelEntry(
-        lambda degree, scale=1: phi_b_potential(degree).scale(
-            CScalar(as_fraction(scale))),
-        {"scale": "rational > 0"},
+        phi_b_potential, {},
         "circular-domain exercise potential (3 variables)", None, ()),
     "cigar": ModelEntry(
-        lambda degree, scale=1: cigar_diastasis(degree).scale(
-            CScalar(as_fraction(scale))),
-        {"scale": "rational > 0"},
+        cigar_diastasis, {},
         "cigar soliton diastasis, diagonal (-1)^{j+1}/j^2", None, ()),
     "taubnut_slice": ModelEntry(
-        lambda degree, m=0, scale=1: taubnut_potential(m, "slice", degree)
-        .scale(CScalar(as_fraction(scale))),
-        {"m": "rational >= 0", "scale": "rational > 0"},
+        lambda degree, m=0: taubnut_potential(m, "slice", degree),
+        {"m": "rational >= 0"},
         "Taub-NUT potential restricted to the first coordinate", None, ()),
     "taubnut_full": ModelEntry(
-        lambda degree, m=0, scale=1: taubnut_potential(m, "full", degree)
-        .scale(CScalar(as_fraction(scale))),
-        {"m": "rational >= 0", "scale": "rational > 0"},
+        lambda degree, m=0: taubnut_potential(m, "full", degree),
+        {"m": "rational >= 0"},
         "full two-variable Taub-NUT potential", None, ()),
     "calabi_tube": ModelEntry(
-        lambda degree, n=2, scale=1: calabi_tube(int(n), degree)[1].scale(
-            CScalar(as_fraction(scale))),
-        {"n": "arity", "scale": "rational > 0"},
+        lambda degree, n=2: calabi_tube(int(n), degree)[1],
+        {"n": "arity"},
         "tubular ODE metric diastasis", None, ()),
     "omega1": ModelEntry(
-        lambda degree, m=1, n=1, scale=1: cartan_bergman_diastasis(
-            "omega1", (int(m), int(n)), degree)[0].scale(
-                CScalar(as_fraction(scale))),
-        {"m": "rows", "n": "cols", "scale": "rational > 0"},
+        lambda degree, m=1, n=1: cartan_bergman_diastasis(
+            "omega1", (int(m), int(n)), degree)[0],
+        {"m": "rows", "n": "cols"},
         "type-I domain Bergman diastasis (matrices m x n)", None, ()),
     "omega2": ModelEntry(
-        lambda degree, n=2, scale=1: cartan_bergman_diastasis(
-            "omega2", (int(n),), degree)[0].scale(CScalar(as_fraction(scale))),
-        {"n": "size", "scale": "rational > 0"},
+        lambda degree, n=2: cartan_bergman_diastasis(
+            "omega2", (int(n),), degree)[0],
+        {"n": "size"},
         "type-II (symmetric matrices) Bergman diastasis", None, ()),
     "omega3": ModelEntry(
-        lambda degree, n=2, scale=1: cartan_bergman_diastasis(
-            "omega3", (int(n),), degree)[0].scale(CScalar(as_fraction(scale))),
-        {"n": "size", "scale": "rational > 0"},
+        lambda degree, n=2: cartan_bergman_diastasis(
+            "omega3", (int(n),), degree)[0],
+        {"n": "size"},
         "type-III (antisymmetric matrices) Bergman diastasis", None, ()),
     "omega4": ModelEntry(
-        lambda degree, n=3, scale=1: cartan_bergman_diastasis(
-            "omega4", (int(n),), degree)[0].scale(CScalar(as_fraction(scale))),
-        {"n": "size != 2", "scale": "rational > 0"},
+        lambda degree, n=3: cartan_bergman_diastasis(
+            "omega4", (int(n),), degree)[0],
+        {"n": "size != 2"},
         "type-IV (Lie ball) Bergman diastasis", None, ()),
     "cartan_hartogs": ModelEntry(
-        lambda degree, base="omega1", m=1, n=1, mu=1, scale=1:
+        lambda degree, base="omega1", m=1, n=1, mu=1:
             cartan_hartogs_diastasis(
                 minus_log_norm(str(base),
                                (int(m), int(n)) if str(base) == "omega1"
                                else (int(n),), degree),
-                mu, degree).scale(CScalar(as_fraction(scale))),
+                mu, degree),
         {"base": "omega1..omega4", "m": "rows (omega1)", "n": "size",
-         "mu": "rational > 0", "scale": "rational > 0"},
+         "mu": "rational > 0"},
         "Cartan-Hartogs diastasis -log(N^mu - |w|^2)", None, ()),
     "fbh": ModelEntry(
-        lambda degree, n=1, m=1, mu=1, nu=0, scale=1: fbh_diastasis(
-            int(n), int(m), mu, nu, degree).scale(CScalar(as_fraction(scale))),
+        lambda degree, n=1, m=1, mu=1, nu=0: fbh_diastasis(
+            int(n), int(m), mu, nu, degree),
         {"n": "z-arity", "m": "w-arity", "mu": "rational > 0",
-         "nu": "rational > -1", "scale": "rational > 0"},
+         "nu": "rational > -1"},
         "Fock-Bargmann-Hartogs diastasis", None, ()),
 }
+
+
+def _positive_scale(parameters: Mapping[str, RationalLike]
+                    ) -> Tuple[Fraction, Dict[str, RationalLike]]:
+    """(scale, the other parameters); scale defaults to 1 and must be > 0."""
+    rest = dict(parameters)
+    scale = as_fraction(rest.pop("scale", 1))
+    if scale <= 0:
+        raise ValueError(f"scale must be a positive rational, got {scale}")
+    return scale, rest
 
 
 def build_model(name: str, parameters: Mapping[str, RationalLike],
@@ -582,8 +542,8 @@ def build_model(name: str, parameters: Mapping[str, RationalLike],
     """Construct a catalog model by name with validated parameters."""
     if name not in MODELS:
         raise KeyError(f"unknown model {name!r}; see the 'models' listing")
-    entry = MODELS[name]
-    return entry.build(degree, **dict(parameters))
+    scale, rest = _positive_scale(parameters)
+    return MODELS[name].build(degree, **rest).scale(CScalar(scale))
 
 
 def hartogs_profile(name: str, parameters: Mapping[str, RationalLike],
@@ -595,4 +555,5 @@ def hartogs_profile(name: str, parameters: Mapping[str, RationalLike],
     entry = MODELS.get(name)
     if entry is None or entry.profile is None:
         raise KeyError(f"model {name!r} has no radial profile")
-    return _hartogs_parameters(entry, parameters, degree)[0]
+    return _hartogs_parameters(entry, _positive_scale(parameters)[1],
+                               degree)[0]

@@ -82,7 +82,6 @@ class Pivot:
 @dataclass(frozen=True)
 class Psd:
     rank: int
-    pivot_ordinals: Tuple[int, ...]
     pivots: Tuple[Pivot, ...]
 
 
@@ -145,9 +144,7 @@ def _eliminate(mat: Dict[Tuple[int, int], CScalar],
                     if witness_small is not None:
                         break
             if witness_small is None:
-                return Psd(len(pivots),
-                           tuple(pv.ordinal for pv in pivots),
-                           tuple(pivots))
+                return Psd(len(pivots), tuple(pivots))
             # lift the reduced witness back through the eliminations
             y = dict(witness_small)
             for p, dval, row in reversed(steps):
@@ -230,9 +227,7 @@ def psd_certify(matrix: HermMatrix) -> PsdVerdict:
             vec += [CScalar(0)] * (matrix.dimension - len(vec))
             return NotPsd(tuple(vec), verdict.value)
         all_pivots.extend(verdict.pivots)
-    return Psd(len(all_pivots),
-               tuple(p.ordinal for p in all_pivots),
-               tuple(all_pivots))
+    return Psd(len(all_pivots), tuple(all_pivots))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,10 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -119,7 +122,7 @@ class CScalar:
     def parse(cls, text: str) -> "CScalar":
         s = text.strip().replace(" ", "")
         if not s.endswith("i"):
-            return cls(Fraction(s))
+            return cls(s)
         body = s[:-1]
         # split the imaginary part off at the last top-level +/- sign
         for pos in range(len(body) - 1, 0, -1):
@@ -127,11 +130,8 @@ class CScalar:
                 re_part, im_part = body[:pos], body[pos:]
                 if im_part in ("+", "-"):
                     im_part += "1"
-                return cls(Fraction(re_part), Fraction(im_part))
+                return cls(re_part, im_part)
         if body in ("", "+", "-"):
             body += "1"
-        return cls(0, Fraction(body))
+        return cls(0, body)
 
-
-ZERO = CScalar(0)
-ONE = CScalar(1)

@@ -19,6 +19,7 @@ by bidegree and visit only bucket pairs that stay inside the truncation.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -380,6 +381,10 @@ def _mul_add(n: int, d: int, acc: Acc, x: Buckets, y: Buckets,
                             cur[1] += im
 
 
+# the bucket map of the series 1
+_UNIT: Buckets = {(0, 0): [(0, 0, Fraction(1), 0)]}
+
+
 def _from_acc(n: int, d: int, acc: Acc) -> "BiSeries":
     return BiSeries(n, d, {jk: CScalar(re, im)
                            for jk, (re, im) in acc.items()})
@@ -445,9 +450,8 @@ def _compose(a: BiSeries, rule: Rule) -> BiSeries:
     slices: Dict[int, Buckets] = {}
     for key, terms in _buckets(n, _pairs(a.coeffs)).items():
         slices.setdefault(sum(key), {})[key] = terms
-    unit: Buckets = {(0, 0): [(0, 0, Fraction(1), 0)]}
     f = _degree_recurrence(
-        slices, 2 * d, unit, rule,
+        slices, 2 * d, _UNIT, rule,
         lambda acc, x, y, w: _mul_add(n, d, acc, x, y, w),
         lambda acc: _buckets(n, acc.items()))
     return BiSeries(n, d, {(j, k): CScalar(re, im)
@@ -471,28 +475,37 @@ def pow1p_series(a: BiSeries, e: RationalLike) -> BiSeries:
 
 
 def det_series(matrix: Sequence[Sequence[BiSeries]]) -> BiSeries:
-    """Exact determinant of a square matrix of BiSeries (Leibniz expansion)."""
+    """Exact determinant of a square matrix of BiSeries, truncated at the
+    lowest degree of its entries.
+
+    Cofactor expansion along the rows, bottom up: the minor on rows r.. and
+    sorted columns S is sum_i (-1)^i a_{r,S_i} minor(r + 1, S - {S_i}), and
+    each S is expanded once: size * 2^(size-1) products, not size! terms.
+    """
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise ValueError("matrix must be square")
     if size == 0:
         raise ValueError("empty matrix")
-    import itertools
-
-    first = matrix[0][0]
-    acc = BiSeries.zero(first.n, min(e.d for row in matrix for e in row))
-    for perm in itertools.permutations(range(size)):
-        sign = 1
-        seen = list(perm)
-        # permutation parity by counting inversions
-        inv = sum(1 for i in range(size) for j in range(i + 1, size)
-                  if seen[i] > seen[j])
-        sign = -1 if inv % 2 else 1
-        prod = matrix[0][perm[0]]
-        for row in range(1, size):
-            prod = prod * matrix[row][perm[row]]
-        acc = acc + (prod if sign == 1 else -prod)
-    return acc
+    n = matrix[0][0].n
+    if any(e.n != n for row in matrix for e in row):
+        raise ArityMismatchError("matrix entries differ in arity")
+    d = min(e.d for row in matrix for e in row)
+    rows = [[_buckets(n, _pairs(e.truncate(d).coeffs)) for e in row]
+            for row in matrix]
+    minors: Dict[Tuple[int, ...], Buckets] = {(): _UNIT}  # by column set
+    for r in range(size - 1, -1, -1):
+        upper: Dict[Tuple[int, ...], Buckets] = {}
+        for cols in itertools.combinations(range(size), size - r):
+            acc: Acc = {}
+            for i, c in enumerate(cols):
+                rest = minors[cols[:i] + cols[i + 1:]]
+                _mul_add(n, d, acc, rows[r][c], rest, (-1) ** i)
+            upper[cols] = _buckets(n, acc.items())
+        minors = upper
+    (det,) = minors.values()
+    return BiSeries(n, d, {(j, k): CScalar(re, im) for terms in det.values()
+                           for j, k, re, im in terms})
 
 
 def solve_graded_fixed_point(step: Callable[[T], T], seed: T,

@@ -253,16 +253,57 @@ def test_witness_given_as_list(capsys, tmp_path):
     assert "witness" in one_json_line(err)["error"]
 
 
+# requests that emit a matrix certificate, a Hartogs certificate and an
+# immersion, with their exit codes
+MATRIX = (1, "analyze", "--model", "cp", "--n", "1", "--scale", "1/2",
+          "--b", "1", "--degree", "4")
+HARTOGS = (1, "analyze", "--model", "hartogs_inv_sqrt", "--c", "1",
+           "--degree", "6", "--jmax", "6", "--kmax", "3")
+IMMERSION = (0, "emit-immersion", "--model", "ch", "--n", "2", "--b", "-1",
+             "--degree", "3")
+
+
+def emitted_by(request, mutate):
+    """``mutate``, applied to the document that ``request`` emits."""
+    mutate.request = request
+    return mutate
+
+
+def each_term(doc, change):
+    """``doc`` with ``change`` applied to every term of every component."""
+    return dict(doc, components=[
+        dict(comp, series=[change(t) for t in comp["series"]])
+        for comp in doc["components"]])
+
+
 @pytest.mark.parametrize("mutate", [
     lambda doc: [doc],                        # top level is a list
     lambda doc: dict(doc, degree=None),
     lambda doc: dict(doc, degree="four"),
     lambda doc: dict(doc, degree=2.5),
+    lambda doc: dict(doc, b=None),
+    emitted_by(HARTOGS, lambda doc: dict(doc, source=["hartogs_inv_sqrt"])),
+    emitted_by(HARTOGS, lambda doc: dict(doc, source="hartogs_inv_sqrt")),
+    emitted_by(HARTOGS, lambda doc: dict(doc, jmax=None)),
+    emitted_by(HARTOGS, lambda doc: dict(doc, c=None)),
+    emitted_by(IMMERSION, lambda doc: dict(
+        doc, source=list(doc["source"].values()))),
+    emitted_by(IMMERSION, lambda doc: dict(doc, components=None)),
+    emitted_by(IMMERSION, lambda doc: dict(doc, components=[
+        dict(doc["components"][0], series=None)])),
+    emitted_by(IMMERSION, lambda doc: dict(doc, target="curved")),
+    emitted_by(IMMERSION, lambda doc: dict(doc, arity=None)),
+    emitted_by(IMMERSION, lambda doc: each_term(
+        doc, lambda t: dict(t, m=t["m"] + [0]))),
+    emitted_by(IMMERSION, lambda doc: each_term(
+        doc, lambda t: dict(t, m=t["m"][:1]))),
+    emitted_by(IMMERSION, lambda doc: each_term(
+        doc, lambda t: dict(t, re="1/0"))),
 ])
 def test_malformed_certificate_exit_two(capsys, tmp_path, mutate):
-    code, out, _ = run(capsys, "analyze", "--model", "cp", "--n", "1",
-                       "--scale", "1/2", "--b", "1", "--degree", "4")
-    assert code == 1
+    expected, *request = getattr(mutate, "request", MATRIX)
+    code, out, _ = run(capsys, *request)
+    assert code == expected
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(mutate(json.loads(out))))
     code, out, err = run(capsys, "check-certificate", str(cert))
@@ -291,3 +332,40 @@ def test_degree_zero_rejected_for_every_model(capsys):
                              "--degree", "0")
         assert code == 2 and out == "", name
         assert "degree" in one_json_line(err)["error"], name
+
+
+def test_every_model_builds_at_degree_one(capsys):
+    from kahlerimm.models import MODELS
+    for name in sorted(MODELS):
+        code, out, err = run(capsys, "analyze", "--model", name,
+                             "--degree", "1")
+        assert code in (0, 1), (name, err)
+        assert json.loads(out)["degree"] == 1, name
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "-1/2"])
+def test_nonpositive_scale_rejected_for_every_model(capsys, scale):
+    from kahlerimm.models import MODELS
+    for name in sorted(MODELS):
+        paths = [()] + ([("--c", "1")] if MODELS[name].profile else [])
+        for extra in paths:
+            code, out, err = run(capsys, "analyze", "--model", name,
+                                 f"--scale={scale}", "--degree", "2", *extra)
+            assert code == 2 and out == "", (name, extra)
+            assert "scale" in one_json_line(err)["error"], (name, extra)
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--model", "cp", "--b", "1/0", "--degree", "2"),
+    ("analyze", "--model", "springer", "--c", "1/0", "--degree", "2"),
+    ("analyze", "--model", "cp", "--scale", "1/0", "--degree", "2"),
+    ("analyze", "--model", "hartogs_alpha", "--param", "alpha=1/0",
+     "--degree", "2"),
+    ("wallach", "--domain", "omega1", "--sizes", "2,2", "--c", "1/0"),
+    ("cigar", "--c", "1/0", "--nmax", "3"),
+    ("bell", "--n", "2", "--x=1/0,1"),
+])
+def test_zero_denominator_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "zero denominator" in one_json_line(err)["error"]

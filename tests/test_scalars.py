@@ -58,3 +58,10 @@ def test_mul_conjugation_compatibility(a, b, c, d):
 def test_format_fraction():
     assert format_fraction(Fraction(3)) == "3"
     assert format_fraction(Fraction(-1, 8)) == "-1/8"
+
+
+def test_as_fraction_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        as_fraction("1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        CScalar.parse("1+1/0i")

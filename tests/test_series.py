@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from operator import add
@@ -268,6 +269,50 @@ def test_det_series_antisymmetry():
     zero = BiSeries.zero(2, 2)
     assert det_series([[a, b], [a, b]]) == zero
     assert det_series([[a, b], [b, a]]) == a * a - b * b
+
+
+def leibniz_det(matrix):
+    """The permutation sum that the memoized cofactor expansion replaced."""
+    size = len(matrix)
+    first = matrix[0][0]
+    acc = BiSeries.zero(first.n, min(e.d for row in matrix for e in row))
+    for perm in itertools.permutations(range(size)):
+        inv = sum(1 for i in range(size) for j in range(i + 1, size)
+                  if perm[i] > perm[j])
+        prod = matrix[0][perm[0]]
+        for row in range(1, size):
+            prod = prod * matrix[row][perm[row]]
+        acc = acc + (prod if inv % 2 == 0 else -prod)
+    return acc
+
+
+@st.composite
+def jet_matrix(draw):
+    """A square matrix of complex jets of mixed degree, with or without a
+    constant term; sometimes a repeated row makes it singular."""
+    size = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 2))
+    rows = [[draw(complex_jet(n, draw(st.integers(0, 3)), draw(st.booleans())))
+             for _ in range(size)] for _ in range(size)]
+    if size > 1 and draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(jet_matrix())
+def test_det_series_matches_leibniz(matrix):
+    assert det_series(matrix) == leibniz_det(matrix)
+
+
+def test_det_series_rejects_bad_shapes():
+    one = BiSeries.one(1, 2)
+    with pytest.raises(ValueError, match="square"):
+        det_series([[one, one]])
+    with pytest.raises(ValueError, match="empty"):
+        det_series([])
+    with pytest.raises(ArityMismatchError):
+        det_series([[one, one], [one, BiSeries.one(2, 2)]])
 
 
 def test_fixed_point_lagrange_inversion():
