@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .diastasis import normalize_to_diastasis
-from .resolvability import MatrixWitness, NotPsd, calabi_matrix, psd_certify
+from .resolvability import MatrixWitness, NotPsd, calabi_matrix, \
+    calabi_series, psd_certify
 from .scalars import CScalar, RationalLike, as_fraction
 from .series import BiSeries, GradedOrder, HolSeries, MultiIndex, \
     index_of_ordinal, norm_sum
@@ -254,7 +255,7 @@ def verify_immersion(imm: ImmersionMap, d: BiSeries, b: RationalLike,
     """
     if imm.arity != d.n:
         raise ValueError(f"arity mismatch: map {imm.arity} vs series {d.n}")
-    want, _ = calabi_matrix(d, b, min(degree, imm.degree, d.d))
+    want = calabi_series(d, b)
     got = imm.pullback_norm()
     deg = min(degree, got.d, want.d)
     got = got.truncate(deg) if got.d > deg else got

@@ -527,9 +527,19 @@ MODELS: Dict[str, ModelEntry] = {
 }
 
 
-def _positive_scale(parameters: Mapping[str, RationalLike]
-                    ) -> Tuple[Fraction, Dict[str, RationalLike]]:
-    """(scale, the other parameters); scale defaults to 1 and must be > 0."""
+def _parameters(entry: ModelEntry, parameters: Mapping[str, RationalLike]
+                ) -> Tuple[Fraction, Dict[str, RationalLike]]:
+    """(scale, the other parameters) of a model.
+
+    Every name must be in the entry's schema or be ``scale``, which
+    defaults to 1 and must be > 0.
+    """
+    accepted = sorted(set(entry.schema) | {"scale"})
+    unknown = sorted(set(parameters) - set(accepted))
+    if unknown:
+        raise ValueError(f"unknown parameter{'s' * (len(unknown) > 1)} "
+                         f"{', '.join(map(repr, unknown))}; "
+                         f"accepted: {', '.join(accepted)}")
     rest = dict(parameters)
     scale = as_fraction(rest.pop("scale", 1))
     if scale <= 0:
@@ -542,8 +552,9 @@ def build_model(name: str, parameters: Mapping[str, RationalLike],
     """Construct a catalog model by name with validated parameters."""
     if name not in MODELS:
         raise KeyError(f"unknown model {name!r}; see the 'models' listing")
-    scale, rest = _positive_scale(parameters)
-    return MODELS[name].build(degree, **rest).scale(CScalar(scale))
+    entry = MODELS[name]
+    scale, rest = _parameters(entry, parameters)
+    return entry.build(degree, **rest).scale(CScalar(scale))
 
 
 def hartogs_profile(name: str, parameters: Mapping[str, RationalLike],
@@ -555,5 +566,5 @@ def hartogs_profile(name: str, parameters: Mapping[str, RationalLike],
     entry = MODELS.get(name)
     if entry is None or entry.profile is None:
         raise KeyError(f"model {name!r} has no radial profile")
-    return _hartogs_parameters(entry, _positive_scale(parameters)[1],
+    return _hartogs_parameters(entry, _parameters(entry, parameters)[1],
                                degree)[0]

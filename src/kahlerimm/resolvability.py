@@ -94,6 +94,10 @@ class NotPsd:
 PsdVerdict = Union[Psd, NotPsd]
 
 
+# an entry of the Schur complement: (re, im), im the int 0 when real
+Pair = Tuple[Fraction, "Fraction | int"]
+
+
 def _eliminate(mat: Dict[Tuple[int, int], CScalar],
                positions: List[int]) -> PsdVerdict:
     """Pivoted LDL* on the Hermitian dict ``mat`` over ``positions``.
@@ -103,93 +107,125 @@ def _eliminate(mat: Dict[Tuple[int, int], CScalar],
     a basis-vector witness; a zero diagonal with a nonzero off-diagonal
     gives a 2x2 principal-block witness; otherwise the remainder is zero
     and the matrix is PSD.
+
+    Only the upper triangle of ``mat`` is read.  The Schur complement is
+    held as one dict per row of its nonzero ``(re, im)`` pairs, and a pivot
+    step visits only the pairs q <= r in the support of the pivot row: it
+    subtracts a_qp conj(a_rp) / d at (q, r) and writes the conjugate at
+    (r, q), k (k + 1) / 2 products for k off-diagonal entries in that row.
+    ``CScalar``s are made only for the pivot columns and the witness.
     """
-    work = dict(mat)
+    rows: Dict[int, Dict[int, Pair]] = {p: {} for p in positions}
+    for (r, c), a in mat.items():
+        if r <= c and r in rows and c in rows and not a.is_zero():
+            rows[r][c] = (a.re, a.im or 0)
+            if r != c:
+                rows[c][r] = (a.re, -a.im or 0)
     active = sorted(positions)
     pivots: List[Pivot] = []
-    steps: List[Tuple[int, Fraction, Dict[int, CScalar]]] = []
-
-    def entry(r: int, c: int) -> CScalar:
-        return work.get((r, c), CScalar(0))
+    steps: List[Tuple[int, Fraction, Dict[int, Pair]]] = []
 
     while True:
-        best = None
+        best, dval = None, 0
         for p in active:
-            dv = entry(p, p)
-            if dv.im:
+            dv = rows[p].get(p)
+            if dv is None:
+                continue
+            if dv[1]:
                 raise ValueError("non-Hermitian diagonal")
-            if dv.re > 0 and (best is None or dv.re > entry(best, best).re):
-                best = p
+            if dv[0] > dval:
+                best, dval = p, dv[0]
         if best is None:
-            witness_small: Optional[Dict[int, CScalar]] = None
-            for p in active:
-                if entry(p, p).re < 0:
-                    witness_small = {p: CScalar(1)}
-                    break
-            if witness_small is None:
-                for p in active:
-                    for q in active:
-                        if q == p:
-                            continue
-                        a = entry(p, q)
-                        if not a.is_zero() and entry(p, p).re == 0:
-                            # block [[0, a], [conj(a), c]] with c >= 0:
-                            # (t, 1) with t = -s a, s = (c+1)/|a|^2 gives
-                            # value c - 2 s |a|^2 = -c - 2 < 0.
-                            c = entry(q, q).re
-                            s = (c + 2) / (2 * a.abs2())
-                            witness_small = {p: CScalar(0) - a.conj() * s,
-                                             q: CScalar(1)}
-                            break
-                    if witness_small is not None:
-                        break
+            witness_small = _small_witness(rows, active)
             if witness_small is None:
                 return Psd(len(pivots), tuple(pivots))
-            # lift the reduced witness back through the eliminations
-            y = dict(witness_small)
-            for p, dval, row in reversed(steps):
-                acc = CScalar(0)
-                for q, coeff in y.items():
-                    acc = acc + row.get(q, CScalar(0)) * coeff
-                y[p] = CScalar(0) - acc / CScalar(dval)
-            size = (max(positions) + 1) if positions else 0
-            vec = [CScalar(0)] * size
-            for p, coeff in y.items():
-                vec[p] = coeff
-            # canonical scale: first nonzero component becomes 1
-            first = next(c for c in vec if not c.is_zero())
-            vec = [c / first for c in vec]
-            value = _qform(mat, vec)
-            if value >= 0:  # pragma: no cover - internal soundness guard
-                raise AssertionError("witness failed to certify")
-            return NotPsd(tuple(vec), value)
+            return _lift_witness(mat, positions, steps, witness_small)
 
-        dval = entry(best, best).re
-        col: Dict[int, CScalar] = {best: CScalar(1)}
-        for q in active:
-            if q == best:
-                continue
-            a = entry(q, best)
-            if not a.is_zero():
-                col[q] = a / CScalar(dval)
-        steps.append((best, dval, {q: entry(best, q) for q in active}))
-        pivots.append(Pivot(best, dval, col))
+        row = rows.pop(best)
         active.remove(best)
-        for q in active:
-            cq = col.get(q)
-            if cq is None:
-                continue
-            for r in active:
-                cr = col.get(r)
-                if cr is None:
-                    continue
-                delta = cq * cr.conj() * dval
-                key = (q, r)
-                cur = work.get(key, CScalar(0)) - delta
-                if cur.is_zero():
-                    work.pop(key, None)
+        support = sorted(q for q in row if q != best)
+        # the column of L below the pivot: l_q = a_qp / d = conj(a_pq) / d
+        col: Dict[int, CScalar] = {best: CScalar(1)}
+        ls: List[Tuple[int, Fraction, "Fraction | int"]] = []
+        for q in support:
+            del rows[q][best]
+            re, im = row[q]
+            lr, li = re / dval, (-im / dval if im else 0)
+            col[q] = CScalar(lr, li)
+            ls.append((q, lr, li))
+        steps.append((best, dval, row))
+        pivots.append(Pivot(best, dval, col))
+        # a_qr -= l_q a_pr for q <= r; a_rq is its conjugate.  On the
+        # diagonal l_q a_pq = |a_pq|^2 / d, whose imaginary part comes out 0.
+        for i, (q, lr, li) in enumerate(ls):
+            rq = rows[q]
+            for r in support[i:]:
+                ur, ui = row[r]
+                if li:
+                    dre = lr * ur - li * ui if ui else lr * ur
+                    dim = lr * ui + li * ur if ui else li * ur
                 else:
-                    work[key] = cur
+                    dre = lr * ur
+                    dim = lr * ui if ui else 0
+                cur = rq.get(r)
+                if cur is None:
+                    re, im = -dre, (-dim if dim else 0)
+                else:
+                    re, im = cur[0] - dre, (cur[1] - dim) or 0
+                if not re and not im:
+                    del rq[r]
+                    if q != r:
+                        del rows[r][q]
+                    continue
+                rq[r] = (re, im)
+                if q != r:
+                    rows[r][q] = (re, -im if im else 0)
+
+
+def _small_witness(rows: Dict[int, Dict[int, Pair]], active: List[int]
+                   ) -> Optional[Dict[int, CScalar]]:
+    """A witness on the remainder, which has no positive diagonal, or None
+    when the remainder is zero."""
+    for p in active:
+        if rows[p].get(p, (0, 0))[0] < 0:
+            return {p: CScalar(1)}
+    for p in active:
+        off = [q for q in rows[p] if q != p]
+        if off:
+            # every diagonal of the remainder is 0 here.  The block
+            # [[0, a], [conj(a), c]] with c >= 0: (t, 1) with t = -s a,
+            # s = (c+2)/(2|a|^2) gives value c - 2 s |a|^2 = -2 < 0.
+            q = min(off)
+            a = CScalar(*rows[p][q])
+            c = rows[q].get(q, (0, 0))[0]
+            s = (c + 2) / (2 * a.abs2())
+            return {p: CScalar(0) - a * s, q: CScalar(1)}
+    return None
+
+
+def _lift_witness(mat: Dict[Tuple[int, int], CScalar], positions: List[int],
+                  steps: List[Tuple[int, Fraction, Dict[int, Pair]]],
+                  witness_small: Dict[int, CScalar]) -> NotPsd:
+    """Lift a witness of the remainder back through the eliminations."""
+    y = dict(witness_small)
+    for p, dval, row in reversed(steps):
+        acc = CScalar(0)
+        for q, coeff in y.items():
+            a = row.get(q)
+            if a is not None:
+                acc = acc + CScalar(*a) * coeff
+        y[p] = CScalar(0) - acc / CScalar(dval)
+    size = (max(positions) + 1) if positions else 0
+    vec = [CScalar(0)] * size
+    for p, coeff in y.items():
+        vec[p] = coeff
+    # canonical scale: first nonzero component becomes 1
+    first = next(c for c in vec if not c.is_zero())
+    vec = [c / first for c in vec]
+    value = _qform(mat, vec)
+    if value >= 0:  # pragma: no cover - internal soundness guard
+        raise AssertionError("witness failed to certify")
+    return NotPsd(tuple(vec), value)
 
 
 def _qform(entries: Dict[Tuple[int, int], CScalar],
@@ -203,13 +239,30 @@ def _qform(entries: Dict[Tuple[int, int], CScalar],
     return total.re
 
 
+def _check_hermitian(entries: Dict[Tuple[int, int], CScalar]) -> None:
+    """Raise ValueError unless a_rc = conj(a_cr) for every entry."""
+    for (r, c), a in entries.items():
+        b = entries.get((c, r))
+        if b is None:
+            if a.is_zero():
+                continue
+            b = CScalar(0)
+        if a.re != b.re or a.im != -b.im:
+            raise ValueError(f"the matrix is not Hermitian: entry ({r},{c}) "
+                             f"is not the conjugate of entry ({c},{r})")
+
+
 def psd_certify(matrix: HermMatrix) -> PsdVerdict:
     """Exact PSD certification with a retained factorization or a witness.
+
+    A matrix whose entries are not Hermitian raises ValueError (checked once,
+    before elimination, since ``_eliminate`` reads one triangle only).
 
     With ``circular_flag`` the matrix splits into independent per-degree
     principal blocks, which are factored separately (same verdict as the
     monolithic elimination; pivot sets identical up to ordering by degree).
     """
+    _check_hermitian(matrix.entries)
     positions = list(range(matrix.dimension))
     if not matrix.circular_flag:
         return _eliminate(matrix.entries, positions)
@@ -263,21 +316,29 @@ class CertifiedNotResolvable:
 Verdict = Union[ResolvableUpTo, CertifiedNotResolvable]
 
 
-def calabi_matrix(d: BiSeries, b: RationalLike, degree: int
-                  ) -> Tuple[BiSeries, HermMatrix]:
-    """The Calabi pipeline: the b-transformed diastasis and its matrix.
+def calabi_series(d: BiSeries, b: RationalLike) -> BiSeries:
+    """The series half of the Calabi pipeline: the b-transformed diastasis.
 
     ``d`` is normalized to a diastasis, which must be Hermitian, then
-    mapped by ``b_transform`` for the curvature-4b target; the matrix is
-    that series' coefficient matrix through ``degree``.  Every decision and
-    check of the matrix criterion starts here.
+    mapped by ``b_transform`` for the curvature-4b target.
     """
     d = normalize_to_diastasis(d)
     if not d.is_hermitian():
         raise ValueError("the jet is not Hermitian: some a_jk differs from "
                          "conj(a_kj)")
     b = as_fraction(b)
-    transformed = b_transform(d, b) if b else d  # b = 0: the identity
+    return b_transform(d, b) if b else d  # b = 0: the identity
+
+
+def calabi_matrix(d: BiSeries, b: RationalLike, degree: int
+                  ) -> Tuple[BiSeries, HermMatrix]:
+    """The Calabi pipeline: the b-transformed diastasis and its matrix.
+
+    The series is ``calabi_series(d, b)``; the matrix is its coefficient
+    matrix through ``degree``.  Every decision of the matrix criterion
+    starts here; ``verify_immersion`` needs the series only.
+    """
+    transformed = calabi_series(d, b)
     return transformed, build_matrix(transformed, degree)
 
 

@@ -616,12 +616,39 @@ class HolSeries:
 
 def norm_sum(n: int, d: int, terms: Iterable[Tuple[Fraction, HolSeries]]
              ) -> BiSeries:
-    """sum_h w_h f_h conj(f_h) through degree d, summed in one accumulator."""
+    """sum_h w_h f_h conj(f_h) through degree d, summed in one accumulator.
+
+    The term w f_j conj(f_k) of a component lands on key (j, k), so only the
+    pairs j <= k of its support are computed, k (k + 1) / 2 products for k
+    coefficients; (k, j) is the conjugate of (j, k) since every w is real.
+    """
     acc: Acc = {}
     for w, f in terms:
         if f.n != n:
             raise ArityMismatchError(f"arity {f.n} != {n}")
-        hol = [((j, 0), (c.re, c.im)) for j, c in f.coeffs.items()]
-        anti = [((0, j), (c.re, -c.im)) for j, c in f.coeffs.items()]
-        _mul_add(n, d, acc, _buckets(n, hol), _buckets(n, anti), w)
-    return _from_acc(n, d, acc)
+        # (j, w re, w im, re, im) of each coefficient f_j inside the box
+        coeffs = [(j, w * c.re, w * c.im if c.im else 0, c.re, c.im or 0)
+                  for j, c in sorted(f.coeffs.items())
+                  if _ordinal_degree(n, j) <= d]
+        for i, (j, ar, ai, _, _) in enumerate(coeffs):
+            for k, _, _, br, bi in coeffs[i:]:
+                # (ar + i ai)(br - i bi); im comes out 0 when j = k
+                if bi:
+                    re = ar * br + ai * bi if ai else ar * br
+                    im = ai * br - ar * bi if ai else -ar * bi
+                else:
+                    re = ar * br
+                    im = ai * br if ai else 0
+                cur = acc.get((j, k))
+                if cur is None:
+                    acc[(j, k)] = [re, im]
+                else:
+                    cur[0] += re
+                    if im:
+                        cur[1] += im
+    out: Coeffs = {}
+    for (j, k), (re, im) in acc.items():
+        out[(j, k)] = CScalar(re, im)
+        if j != k:
+            out[(k, j)] = CScalar(re, -im)
+    return BiSeries(n, d, out)

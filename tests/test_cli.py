@@ -369,3 +369,43 @@ def test_zero_denominator_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "zero denominator" in one_json_line(err)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--model", "springer", "--degree", "2"),
+    ("--model", "springer", "--c", "1", "--degree", "2"),
+    ("--model", "cp", "--degree", "2"),
+])
+def test_unknown_parameter_exit_two(capsys, argv):
+    code, out, err = run(capsys, "analyze", *argv, "--param", "foo=1")
+    assert code == 2 and out == ""
+    assert one_json_line(err)["error"] == (
+        "bad parameters for " + argv[1] + ": unknown parameter 'foo'; "
+        "accepted: n, scale")
+
+
+def test_unknown_parameter_same_message_for_every_model(capsys):
+    from kahlerimm.models import MODELS
+    for name in sorted(MODELS):
+        accepted = ", ".join(sorted(set(MODELS[name].schema) | {"scale"}))
+        paths = [()] + ([("--c", "1")] if MODELS[name].profile else [])
+        for extra in paths:
+            code, out, err = run(capsys, "analyze", "--model", name,
+                                 "--param", "foo=1", "--degree", "2", *extra)
+            assert code == 2 and out == "", (name, extra)
+            assert one_json_line(err)["error"] == (
+                f"bad parameters for {name}: unknown parameter 'foo'; "
+                f"accepted: {accepted}"), (name, extra)
+
+
+def test_zero_diagonal_complex_jet_certified(capsys, tmp_path):
+    # a_12 = i, a_21 = -i and no diagonal: the 2x2 block witness
+    f = tmp_path / "series.txt"
+    f.write_text("1 ; 2 ; 0 ; 1\n2 ; 1 ; 0 ; -1\n")
+    code, out, err = run(capsys, "analyze", "--series", str(f),
+                         "--degree", "2")
+    assert code == 1, err
+    cert = tmp_path / "cert.json"
+    cert.write_text(out)
+    code, doc = run_json(capsys, "check-certificate", str(cert))
+    assert code == 0 and doc["valid"] is True

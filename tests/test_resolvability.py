@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from kahlerimm.models import (build_model, profile_inv_sqrt,
                               profile_one_minus_x_pow, profile_springer)
 from kahlerimm.resolvability import (CertifiedNotResolvable, HermMatrix,
-                                     NotADiastasisError, NotPsd, Psd,
-                                     ResolvableUpTo, build_matrix,
-                                     hartogs_criterion, hartogs_metric_check,
-                                     psd_certify, resolvability)
+                                     NotADiastasisError, NotPsd, Pivot, Psd,
+                                     ResolvableUpTo, _eliminate, _qform,
+                                     build_matrix, hartogs_criterion,
+                                     hartogs_metric_check, psd_certify,
+                                     resolvability)
 from kahlerimm.scalars import CScalar
 from kahlerimm.series import BiSeries, GradedOrder
 
@@ -188,6 +189,217 @@ def test_circular_block_path_matches_monolithic():
         else:
             assert mat.quadratic_form(v1.witness) == v1.value < 0
             assert mat.quadratic_form(v2.witness) == v2.value < 0
+
+
+def test_non_hermitian_matrix_rejected():
+    for rows in ([[1, 2], [3, 1]],
+                 [[1, CScalar(1, 1)], [CScalar(1, 1), 1]],
+                 [[1, 2], [0, 1]],
+                 [[CScalar(1, 1), 0], [0, 1]]):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            psd_certify(_herm_from_rows(rows))
+
+
+# ---------------------------------------------------------------------------
+# the sparse elimination against the dense loop it replaced
+# ---------------------------------------------------------------------------
+
+def dense_eliminate(mat, positions):
+    """The dense CScalar LDL* loop that ``_eliminate`` replaced: both
+    halves of every pair of active positions at every pivot step.
+
+    One token differs from that loop: its 2x2 witness took t = -s conj(a)
+    where its comment (and this copy) has t = -s a.  The two agree for a
+    real a; for a non-real a the loop's vector fails to certify whenever
+    Re(a^2) <= 0 (see test_zero_diagonal_complex_off_diagonal_witness)."""
+    work = dict(mat)
+    active = sorted(positions)
+    pivots = []
+    steps = []
+
+    def entry(r, c):
+        return work.get((r, c), CScalar(0))
+
+    while True:
+        best = None
+        for p in active:
+            dv = entry(p, p)
+            if dv.im:
+                raise ValueError("non-Hermitian diagonal")
+            if dv.re > 0 and (best is None or dv.re > entry(best, best).re):
+                best = p
+        if best is None:
+            witness_small = None
+            for p in active:
+                if entry(p, p).re < 0:
+                    witness_small = {p: CScalar(1)}
+                    break
+            if witness_small is None:
+                for p in active:
+                    for q in active:
+                        if q == p:
+                            continue
+                        a = entry(p, q)
+                        if not a.is_zero() and entry(p, p).re == 0:
+                            c = entry(q, q).re
+                            s = (c + 2) / (2 * a.abs2())
+                            witness_small = {p: CScalar(0) - a * s,
+                                             q: CScalar(1)}
+                            break
+                    if witness_small is not None:
+                        break
+            if witness_small is None:
+                return Psd(len(pivots), tuple(pivots))
+            y = dict(witness_small)
+            for p, dval, row in reversed(steps):
+                acc = CScalar(0)
+                for q, coeff in y.items():
+                    acc = acc + row.get(q, CScalar(0)) * coeff
+                y[p] = CScalar(0) - acc / CScalar(dval)
+            size = (max(positions) + 1) if positions else 0
+            vec = [CScalar(0)] * size
+            for p, coeff in y.items():
+                vec[p] = coeff
+            first = next(c for c in vec if not c.is_zero())
+            vec = [c / first for c in vec]
+            value = _qform(mat, vec)
+            if value >= 0:
+                raise AssertionError("witness failed to certify")
+            return NotPsd(tuple(vec), value)
+
+        dval = entry(best, best).re
+        col = {best: CScalar(1)}
+        for q in active:
+            if q == best:
+                continue
+            a = entry(q, best)
+            if not a.is_zero():
+                col[q] = a / CScalar(dval)
+        steps.append((best, dval, {q: entry(best, q) for q in active}))
+        pivots.append(Pivot(best, dval, col))
+        active.remove(best)
+        for q in active:
+            cq = col.get(q)
+            if cq is None:
+                continue
+            for r in active:
+                cr = col.get(r)
+                if cr is None:
+                    continue
+                delta = cq * cr.conj() * dval
+                cur = work.get((q, r), CScalar(0)) - delta
+                if cur.is_zero():
+                    work.pop((q, r), None)
+                else:
+                    work[(q, r)] = cur
+
+
+def dense_psd_certify(matrix):
+    """``psd_certify`` with ``dense_eliminate``, circular blocks included."""
+    positions = list(range(matrix.dimension))
+    if not matrix.circular_flag:
+        return dense_eliminate(matrix.entries, positions)
+    by_degree = {}
+    for p in positions:
+        by_degree.setdefault(sum(matrix.basis[p]), []).append(p)
+    all_pivots = []
+    for deg in sorted(by_degree):
+        block_pos = by_degree[deg]
+        block = {(r, c): v for (r, c), v in matrix.entries.items()
+                 if r in block_pos and c in block_pos}
+        verdict = dense_eliminate(block, block_pos)
+        if isinstance(verdict, NotPsd):
+            vec = list(verdict.witness)
+            vec += [CScalar(0)] * (matrix.dimension - len(vec))
+            return NotPsd(tuple(vec), verdict.value)
+        all_pivots.extend(verdict.pivots)
+    return Psd(len(all_pivots), tuple(all_pivots))
+
+
+small_fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def hermitian_rows(draw):
+    """Hermitian rows of size 1-7: random, Gram (often rank-deficient),
+    Gram with a negative diagonal, or Gram plus an uncoupled zero-diagonal
+    block; real or complex entries, sparse or dense."""
+    size = draw(st.integers(1, 7))
+    complex_entries = draw(st.booleans())
+    sparse = draw(st.booleans())
+
+    def scalar():
+        if sparse and draw(st.booleans()):
+            return CScalar(0)
+        im = draw(small_fraction) if complex_entries else 0
+        return CScalar(draw(small_fraction), im)
+
+    kind = draw(st.sampled_from(["random", "gram", "negative", "zero_block"]))
+    rows = [[CScalar(0)] * size for _ in range(size)]
+    if kind == "random":
+        for i in range(size):
+            rows[i][i] = CScalar(draw(small_fraction))
+            for j in range(i + 1, size):
+                rows[i][j] = scalar()
+                rows[j][i] = rows[i][j].conj()
+        return rows
+    zero = set()
+    if kind == "zero_block" and size >= 2:
+        zero = set(draw(st.lists(st.integers(0, size - 1), min_size=2,
+                                 max_size=size, unique=True)))
+    rest = [i for i in range(size) if i not in zero]
+    factors = [[scalar() for _ in rest]
+               for _ in range(draw(st.integers(1, size)))]
+    for a, i in enumerate(rest):
+        for b, j in enumerate(rest):
+            rows[i][j] = sum((f[a].conj() * f[b] for f in factors),
+                             CScalar(0))
+    if kind == "negative":
+        p = draw(st.integers(0, size - 1))
+        rows[p][p] = CScalar(-draw(st.integers(1, 3)))
+    ordered = sorted(zero)
+    for a, i in enumerate(ordered):
+        for j in ordered[a + 1:]:
+            v = scalar()
+            if j == ordered[a + 1] and v.is_zero():
+                v = CScalar(1)
+            rows[i][j] = v
+            rows[j][i] = v.conj()
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(hermitian_rows())
+def test_eliminate_matches_dense_loop(rows):
+    mat = _herm_from_rows(rows)
+    positions = list(range(mat.dimension))
+    want = dense_eliminate(mat.entries, positions)
+    assert _eliminate(mat.entries, positions) == want
+    assert psd_certify(mat) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(hermitian_rows())
+def test_circular_blocks_match_dense_loop(rows):
+    # positions take the degrees of the graded basis in two variables;
+    # a circular matrix has no entry between different degrees
+    basis = GradedOrder(2, 3).basis[1:len(rows) + 1]
+    entries = {(r, c): v for (r, c), v in _herm_from_rows(rows).entries.items()
+               if sum(basis[r]) == sum(basis[c])}
+    mat = HermMatrix(len(rows), entries, basis, True)
+    assert psd_certify(mat) == dense_psd_certify(mat)
+
+
+def test_zero_diagonal_complex_off_diagonal_witness():
+    # no positive or negative diagonal: the 2x2 block witness.  With
+    # t = -s conj(a) in place of -s a, a = i and 2 - 3i gave a positive
+    # value and raised "witness failed to certify".
+    for a in (CScalar(0, 1), CScalar(2, -3), CScalar(-1, 0)):
+        mat = _herm_from_rows([[0, a, 0], [a.conj(), 0, 0], [0, 0, 0]])
+        verdict = psd_certify(mat)
+        assert isinstance(verdict, NotPsd)
+        assert verdict.witness[0] == CScalar(1) and verdict.witness[2] == 0
+        assert mat.quadratic_form(verdict.witness) == verdict.value < 0
 
 
 # ---------------------------------------------------------------------------
