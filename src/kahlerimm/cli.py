@@ -124,7 +124,9 @@ def _model_source(name: str, params: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 def _load_source(args) -> Tuple[Dict[str, Any], BiSeries]:
-    """Resolve --model/--spec/--series into (source descriptor, series)."""
+    """Resolve --model/--spec/--series into (source descriptor, series);
+    every source is decided at --degree >= 1."""
+    _check_degree(args.degree)
     model = _model_of(args)
     if model is not None:
         name, params, degree = model
@@ -242,26 +244,16 @@ def _cmd_analyze(args) -> int:
 def _cmd_emit_immersion(args) -> int:
     source, series = _load_source(args)
     b = as_fraction(args.b)
-    base = {
-        "schema_version": SCHEMA_VERSION,
-        "source": source,
-        "b": format_fraction(b),
-        "degree": args.degree,
-    }
+    doc = {"schema_version": SCHEMA_VERSION, "source": source,
+           "b": format_fraction(b), "degree": args.degree}
     try:
         imm = factor_immersion(series, b, args.degree)
     except NotResolvableError as exc:
-        doc = dict(base)
-        doc["kind"] = "certificate"
-        doc["criterion"] = "matrix"
-        doc.update(_verdict_json(
+        doc.update(kind="certificate", criterion="matrix", **_verdict_json(
             CertifiedNotResolvable(args.degree, exc.witness)))
         _emit(doc)
         return 1
-    doc = dict(base)
-    doc["kind"] = "immersion"
-    doc.update(_immersion_json(imm))
-    doc["verified"] = True
+    doc.update(kind="immersion", verified=True, **_immersion_json(imm))
     _emit(doc)
     return 0
 
@@ -388,6 +380,7 @@ def _cmd_models(_args) -> int:
 
 
 def _rebuild_from_source(source: Any, degree: int) -> BiSeries:
+    _check_degree(degree)
     source = _object(source, "the certificate source")
     if source.get("kind") == "model":
         return _from_model(build_model, source["model"],
@@ -410,48 +403,72 @@ def _cmd_check_certificate(args) -> int:
     b = _rational(doc.get("b", "0"), "the certificate b")
     if kind == "immersion":
         series = _rebuild_from_source(doc["source"], degree)
-        imm = _immersion_from_json(doc)
-        check = verify_immersion(imm, series, b, degree)
-        _emit({"schema_version": SCHEMA_VERSION, "kind": "check",
-               "file_kind": kind, "valid": check.ok})
-        return 0 if check.ok else 1
-    if kind == "certificate":
-        if doc.get("verdict") != "certified-not-resolvable":
-            _emit({"schema_version": SCHEMA_VERSION, "kind": "check",
-                   "file_kind": kind, "valid": True,
-                   "note": "nothing to re-validate for a positive verdict"})
-            return 0
-        witness = _object(doc["witness"], "the witness")
-        if witness.get("type") == "matrix":
-            series = _rebuild_from_source(doc["source"], degree)
-            _, matrix = calabi_matrix(series, b, degree)
-            comps = witness.get("components")
-            if not (isinstance(comps, list) and len(comps) == matrix.dimension
-                    and all(isinstance(t, str) for t in comps)):
-                raise InputError(f"a matrix witness needs {matrix.dimension} "
-                                 "components, one string each")
-            value = matrix.quadratic_form([CScalar.parse(t) for t in comps])
-            ok = (value < 0
-                  and format_fraction(value) == witness["value"])
-        elif witness.get("type") == "hartogs":
-            source = _object(doc["source"], "the certificate source")
-            jmax = _integer(doc.get("jmax"), "the certificate jmax")
-            F = _from_model(hartogs_profile, source["model"],
-                            source.get("parameters", {}), max(jmax, 1))
-            try:
-                j, k = int(witness["j"]), int(witness["k"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"a hartogs witness needs integers j and k: "
-                                 f"{exc}") from exc
-            c = _rational(doc.get("c"), "the certificate c")
-            coeff = hartogs_series(F, c, k).ucoeff(j)
-            ok = coeff < 0 and format_fraction(coeff) == witness["coefficient"]
-        else:
-            raise InputError(f"unknown witness type {witness.get('type')!r}")
-        _emit({"schema_version": SCHEMA_VERSION, "kind": "check",
-               "file_kind": kind, "valid": bool(ok)})
-        return 0 if ok else 1
-    raise InputError(f"unknown file kind {kind!r}")
+        ok = verify_immersion(_immersion_from_json(doc), series, b,
+                              degree).ok
+    elif kind != "certificate":
+        raise InputError(f"unknown file kind {kind!r}")
+    elif doc.get("verdict") == "resolvable-up-to":
+        ok = _redecides_positive(doc, degree, b)
+    elif doc.get("verdict") == "certified-not-resolvable":
+        ok = _witness_certifies(doc, degree, b)
+    else:
+        raise InputError(f"unknown verdict {doc.get('verdict')!r}")
+    _emit({"schema_version": SCHEMA_VERSION, "kind": "check",
+           "file_kind": kind, "valid": bool(ok)})
+    return 0 if ok else 1
+
+
+def _hartogs_of(doc: Mapping[str, Any]) -> Tuple[Any, Fraction, int]:
+    """(F, c, jmax) of a Hartogs certificate, F built from its source."""
+    source = _object(doc["source"], "the certificate source")
+    jmax = _integer(doc.get("jmax"), "the certificate jmax")
+    F = _from_model(hartogs_profile, source["model"],
+                    source.get("parameters", {}), max(jmax, 1))
+    return F, _rational(doc.get("c"), "the certificate c"), jmax
+
+
+def _redecides_positive(doc: Mapping[str, Any], degree: int, b: Fraction
+                        ) -> bool:
+    """Decide a positive certificate's source again, at the cost of
+    ``analyze``: it holds when the verdict is again ``ResolvableUpTo``
+    with the document's degree and rank."""
+    if doc.get("criterion") == "hartogs":
+        F, c, jmax = _hartogs_of(doc)
+        kmax = _integer(doc.get("kmax"), "the certificate kmax")
+        verdict = hartogs_criterion(F, c, jmax, kmax)
+    elif doc.get("criterion") == "matrix":
+        _integer(doc.get("rank"), "the certificate rank")
+        series = _rebuild_from_source(doc["source"], degree)
+        verdict = resolvability(series, b, degree)
+    else:
+        raise InputError(f"unknown criterion {doc.get('criterion')!r}")
+    return verdict == ResolvableUpTo(degree, doc.get("rank"))
+
+
+def _witness_certifies(doc: Mapping[str, Any], degree: int, b: Fraction
+                       ) -> bool:
+    """Evaluate a negative certificate's witness against its source."""
+    witness = _object(doc["witness"], "the witness")
+    if witness.get("type") == "matrix":
+        series = _rebuild_from_source(doc["source"], degree)
+        _, matrix = calabi_matrix(series, b, degree)
+        comps = witness.get("components")
+        if not (isinstance(comps, list) and len(comps) == matrix.dimension
+                and all(isinstance(t, str) for t in comps)):
+            raise InputError(f"a matrix witness needs {matrix.dimension} "
+                             "components, one string each")
+        value = matrix.quadratic_form([CScalar.parse(t) for t in comps])
+        return value < 0 and format_fraction(value) == witness["value"]
+    if witness.get("type") == "hartogs":
+        F, c, _ = _hartogs_of(doc)
+        try:
+            j, k = int(witness["j"]), int(witness["k"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"a hartogs witness needs integers j and k: "
+                             f"{exc}") from exc
+        coeff = hartogs_series(F, c, k).ucoeff(j)
+        return coeff < 0 and format_fraction(coeff) == witness["coefficient"]
+    raise InputError(f"unknown witness type {witness.get('type')!r}")
 
 
 def _immersion_from_json(doc: Mapping[str, Any]) -> ImmersionMap:

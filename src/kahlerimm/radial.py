@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .scalars import RationalLike, as_fraction
 from .series import EXP_RULE, LOG1P_RULE, Rule, _degree_recurrence, \

@@ -15,7 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .diastasis import b_transform, normalize_to_diastasis
 from .radial import RSeries
 from .scalars import CScalar, RationalLike, as_fraction
-from .series import BiSeries, GradedOrder, MultiIndex, _ordinal_degree
+from .series import BiSeries, GradedOrder, MultiIndex, Rows, \
+    _ordinal_degree, hermitian_defect, hermitian_update
 
 
 class NotADiastasisError(ValueError):
@@ -94,10 +95,6 @@ class NotPsd:
 PsdVerdict = Union[Psd, NotPsd]
 
 
-# an entry of the Schur complement: (re, im), im the int 0 when real
-Pair = Tuple[Fraction, "Fraction | int"]
-
-
 def _eliminate(mat: Dict[Tuple[int, int], CScalar],
                positions: List[int]) -> PsdVerdict:
     """Pivoted LDL* on the Hermitian dict ``mat`` over ``positions``.
@@ -108,14 +105,13 @@ def _eliminate(mat: Dict[Tuple[int, int], CScalar],
     gives a 2x2 principal-block witness; otherwise the remainder is zero
     and the matrix is PSD.
 
-    Only the upper triangle of ``mat`` is read.  The Schur complement is
-    held as one dict per row of its nonzero ``(re, im)`` pairs, and a pivot
-    step visits only the pairs q <= r in the support of the pivot row: it
-    subtracts a_qp conj(a_rp) / d at (q, r) and writes the conjugate at
-    (r, q), k (k + 1) / 2 products for k off-diagonal entries in that row.
-    ``CScalar``s are made only for the pivot columns and the witness.
+    Only the upper triangle of ``mat`` is read.  The Schur complement is a
+    ``series.Rows`` store, and a pivot step is ``hermitian_update`` with
+    -d and the column l of L below the pivot (l_q = a_qp / d): it visits
+    only the pairs q <= r in the support of the pivot row, k (k + 1) / 2
+    products for k off-diagonal entries in that row.
     """
-    rows: Dict[int, Dict[int, Pair]] = {p: {} for p in positions}
+    rows: Rows = {p: {} for p in positions}
     for (r, c), a in mat.items():
         if r <= c and r in rows and c in rows and not a.is_zero():
             rows[r][c] = (a.re, a.im or 0)
@@ -123,7 +119,6 @@ def _eliminate(mat: Dict[Tuple[int, int], CScalar],
                 rows[c][r] = (a.re, -a.im or 0)
     active = sorted(positions)
     pivots: List[Pivot] = []
-    steps: List[Tuple[int, Fraction, Dict[int, Pair]]] = []
 
     while True:
         best, dval = None, 0
@@ -139,50 +134,20 @@ def _eliminate(mat: Dict[Tuple[int, int], CScalar],
             witness_small = _small_witness(rows, active)
             if witness_small is None:
                 return Psd(len(pivots), tuple(pivots))
-            return _lift_witness(mat, positions, steps, witness_small)
+            return _lift_witness(mat, positions, pivots, witness_small)
 
         row = rows.pop(best)
         active.remove(best)
-        support = sorted(q for q in row if q != best)
-        # the column of L below the pivot: l_q = a_qp / d = conj(a_pq) / d
-        col: Dict[int, CScalar] = {best: CScalar(1)}
-        ls: List[Tuple[int, Fraction, "Fraction | int"]] = []
-        for q in support:
+        del row[best]
+        for q in row:
             del rows[q][best]
-            re, im = row[q]
-            lr, li = re / dval, (-im / dval if im else 0)
-            col[q] = CScalar(lr, li)
-            ls.append((q, lr, li))
-        steps.append((best, dval, row))
-        pivots.append(Pivot(best, dval, col))
-        # a_qr -= l_q a_pr for q <= r; a_rq is its conjugate.  On the
-        # diagonal l_q a_pq = |a_pq|^2 / d, whose imaginary part comes out 0.
-        for i, (q, lr, li) in enumerate(ls):
-            rq = rows[q]
-            for r in support[i:]:
-                ur, ui = row[r]
-                if li:
-                    dre = lr * ur - li * ui if ui else lr * ur
-                    dim = lr * ui + li * ur if ui else li * ur
-                else:
-                    dre = lr * ur
-                    dim = lr * ui if ui else 0
-                cur = rq.get(r)
-                if cur is None:
-                    re, im = -dre, (-dim if dim else 0)
-                else:
-                    re, im = cur[0] - dre, (cur[1] - dim) or 0
-                if not re and not im:
-                    del rq[r]
-                    if q != r:
-                        del rows[r][q]
-                    continue
-                rq[r] = (re, im)
-                if q != r:
-                    rows[r][q] = (re, -im if im else 0)
+        below = {q: CScalar(re / dval, -im / dval)
+                 for q, (re, im) in sorted(row.items())}
+        pivots.append(Pivot(best, dval, {best: CScalar(1), **below}))
+        hermitian_update(rows, -dval, below)
 
 
-def _small_witness(rows: Dict[int, Dict[int, Pair]], active: List[int]
+def _small_witness(rows: Rows, active: List[int]
                    ) -> Optional[Dict[int, CScalar]]:
     """A witness on the remainder, which has no positive diagonal, or None
     when the remainder is zero."""
@@ -204,17 +169,19 @@ def _small_witness(rows: Dict[int, Dict[int, Pair]], active: List[int]
 
 
 def _lift_witness(mat: Dict[Tuple[int, int], CScalar], positions: List[int],
-                  steps: List[Tuple[int, Fraction, Dict[int, Pair]]],
-                  witness_small: Dict[int, CScalar]) -> NotPsd:
-    """Lift a witness of the remainder back through the eliminations."""
+                  pivots: List[Pivot], witness_small: Dict[int, CScalar]
+                  ) -> NotPsd:
+    """Lift a witness of the remainder back through the eliminations:
+    y_p = -sum_q conj(l_q) y_q over the column l of each pivot p, last
+    pivot first."""
     y = dict(witness_small)
-    for p, dval, row in reversed(steps):
+    for pivot in reversed(pivots):
         acc = CScalar(0)
         for q, coeff in y.items():
-            a = row.get(q)
-            if a is not None:
-                acc = acc + CScalar(*a) * coeff
-        y[p] = CScalar(0) - acc / CScalar(dval)
+            lq = pivot.column.get(q)
+            if lq is not None:
+                acc = acc + lq.conj() * coeff
+        y[pivot.ordinal] = -acc
     size = (max(positions) + 1) if positions else 0
     vec = [CScalar(0)] * size
     for p, coeff in y.items():
@@ -239,19 +206,6 @@ def _qform(entries: Dict[Tuple[int, int], CScalar],
     return total.re
 
 
-def _check_hermitian(entries: Dict[Tuple[int, int], CScalar]) -> None:
-    """Raise ValueError unless a_rc = conj(a_cr) for every entry."""
-    for (r, c), a in entries.items():
-        b = entries.get((c, r))
-        if b is None:
-            if a.is_zero():
-                continue
-            b = CScalar(0)
-        if a.re != b.re or a.im != -b.im:
-            raise ValueError(f"the matrix is not Hermitian: entry ({r},{c}) "
-                             f"is not the conjugate of entry ({c},{r})")
-
-
 def psd_certify(matrix: HermMatrix) -> PsdVerdict:
     """Exact PSD certification with a retained factorization or a witness.
 
@@ -262,7 +216,11 @@ def psd_certify(matrix: HermMatrix) -> PsdVerdict:
     principal blocks, which are factored separately (same verdict as the
     monolithic elimination; pivot sets identical up to ordering by degree).
     """
-    _check_hermitian(matrix.entries)
+    bad = hermitian_defect(matrix.entries)
+    if bad is not None:
+        r, c = bad
+        raise ValueError(f"the matrix is not Hermitian: entry ({r},{c}) "
+                         f"is not the conjugate of entry ({c},{r})")
     positions = list(range(matrix.dimension))
     if not matrix.circular_flag:
         return _eliminate(matrix.entries, positions)

@@ -23,7 +23,8 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, \
+    Sequence, Tuple, TypeVar
 
 from .scalars import CScalar, RationalLike, as_fraction, format_fraction
 
@@ -202,10 +203,7 @@ class BiSeries:
                         ordinal_of_index(tuple(m_anti)))
 
     def is_hermitian(self) -> bool:
-        for (j, k), c in self.coeffs.items():
-            if self.get(k, j) != c.conj():
-                return False
-        return True
+        return hermitian_defect(self.coeffs) is None
 
     # -- ring operations ----------------------------------------------
     def _check(self, other: "BiSeries") -> None:
@@ -312,6 +310,58 @@ class BiSeries:
                 continue
             coeffs[(ordinal_of_index(mj), ordinal_of_index(mk))] = c
         return cls(arity, d, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Hermitian matrices: the predicate and the rank-one update
+# ---------------------------------------------------------------------------
+
+def hermitian_defect(coeffs: Coeffs) -> Optional[Tuple[int, int]]:
+    """The first key (j, k) with a_jk != conj(a_kj), a missing key being 0,
+    or None when ``coeffs`` is Hermitian."""
+    zero = CScalar(0)
+    return next(((j, k) for (j, k), c in coeffs.items()
+                 if coeffs.get((k, j), zero) != c.conj()), None)
+
+
+# a Hermitian matrix as one dict per row of its nonzero entries (re, im),
+# im the int 0 when real
+Rows = Dict[int, Dict[int, Tuple[Fraction, "Fraction | int"]]]
+
+
+def hermitian_update(rows: Rows, w: Fraction, x: Mapping[int, CScalar]
+                     ) -> None:
+    """rows += w x x*, in place, for a real weight w.
+
+    For q <= r in the sorted keys of x this adds w x_q conj(x_r) at
+    (q, r) and writes the conjugate at (r, q), k (k + 1) / 2 products for
+    k keys; entries that cancel are deleted.  This is the rank-one
+    step of the exact LDL* (w = -d, x the column of L below the pivot) and
+    of the pullback norm (w = d_h, x = f_h).
+    """
+    xs = [(q, rows.setdefault(q, {}), c.re, c.im or 0)
+          for q, c in sorted(x.items())]
+    for i, (q, rq, xr, xi) in enumerate(xs):
+        ar = w * xr
+        ai = w * xi if xi else 0
+        for r, rr, br, bi in xs[i:]:
+            # (ar + i ai)(br - i bi); im comes out 0 when q = r
+            if bi:
+                re = ar * br + ai * bi if ai else ar * br
+                im = ai * br - ar * bi if ai else -ar * bi
+            else:
+                re = ar * br
+                im = ai * br if ai else 0
+            cur = rq.get(r)
+            if cur is not None:
+                re, im = cur[0] + re, cur[1] + im
+            if re or im:
+                im = im or 0
+                rq[r] = (re, im)
+                rr[q] = (re, -im)  # the same entry when q = r
+            elif cur is not None:
+                del rq[r]
+                rr.pop(q, None)
 
 
 # ---------------------------------------------------------------------------
@@ -616,39 +666,13 @@ class HolSeries:
 
 def norm_sum(n: int, d: int, terms: Iterable[Tuple[Fraction, HolSeries]]
              ) -> BiSeries:
-    """sum_h w_h f_h conj(f_h) through degree d, summed in one accumulator.
-
-    The term w f_j conj(f_k) of a component lands on key (j, k), so only the
-    pairs j <= k of its support are computed, k (k + 1) / 2 products for k
-    coefficients; (k, j) is the conjugate of (j, k) since every w is real.
-    """
-    acc: Acc = {}
+    """sum_h w_h f_h conj(f_h) through degree d: one ``hermitian_update``
+    per component on one row store."""
+    rows: Rows = {}
     for w, f in terms:
         if f.n != n:
             raise ArityMismatchError(f"arity {f.n} != {n}")
-        # (j, w re, w im, re, im) of each coefficient f_j inside the box
-        coeffs = [(j, w * c.re, w * c.im if c.im else 0, c.re, c.im or 0)
-                  for j, c in sorted(f.coeffs.items())
-                  if _ordinal_degree(n, j) <= d]
-        for i, (j, ar, ai, _, _) in enumerate(coeffs):
-            for k, _, _, br, bi in coeffs[i:]:
-                # (ar + i ai)(br - i bi); im comes out 0 when j = k
-                if bi:
-                    re = ar * br + ai * bi if ai else ar * br
-                    im = ai * br - ar * bi if ai else -ar * bi
-                else:
-                    re = ar * br
-                    im = ai * br if ai else 0
-                cur = acc.get((j, k))
-                if cur is None:
-                    acc[(j, k)] = [re, im]
-                else:
-                    cur[0] += re
-                    if im:
-                        cur[1] += im
-    out: Coeffs = {}
-    for (j, k), (re, im) in acc.items():
-        out[(j, k)] = CScalar(re, im)
-        if j != k:
-            out[(k, j)] = CScalar(re, -im)
-    return BiSeries(n, d, out)
+        hermitian_update(rows, w, {j: c for j, c in f.coeffs.items()
+                                   if _ordinal_degree(n, j) <= d})
+    return BiSeries(n, d, {(j, k): CScalar(re, im) for j, row in rows.items()
+                           for k, (re, im) in row.items()})

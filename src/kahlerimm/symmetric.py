@@ -15,12 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, List, Mapping, Optional, Union
 
 from .immersion import Component, ImmersionMap, Target
-from .scalars import CScalar, RationalLike, as_fraction
-from .series import GradedOrder, HolSeries, _ordinal_degree, \
-    index_of_ordinal, ordinal_of_index
+from .scalars import RationalLike, as_fraction
+from .series import HolSeries, _ordinal_degree
 
 
 class MissingBaseMapError(KeyError):

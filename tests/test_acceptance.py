@@ -165,9 +165,9 @@ def test_criterion_6():
     assert scan.coefficient == Fraction(-1, 288)
 
     import mpmath as mp
-    mp.mp.dps = 30
     limit = K.cigar_limit(1, 12)
-    closed_form = 1 - mp.e ** (-(mp.pi ** 2) / 6)
+    with mp.workdps(30):
+        closed_form = 1 - mp.e ** (-(mp.pi ** 2) / 6)
     assert abs(limit.float_value - float(closed_form)) < 1e-9
 
     rng = random.Random(41)
@@ -264,24 +264,24 @@ def test_criterion_10():
 
     # independent high-precision ODE integration; Richardson extraction
     import mpmath as mp
-    mp.mp.dps = 40
-    r0 = mp.mpf("1e-6")
-    f = mp.odefun(lambda r, v: [v[1], mp.e ** v[0] * (r / v[1])],
-                  r0, [r0 ** 2 / 2, r0])
+    with mp.workdps(25):
+        r0 = mp.mpf("1e-6")
+        f = mp.odefun(lambda r, v: [v[1], mp.e ** v[0] * (r / v[1])],
+                      r0, [r0 ** 2 / 2, r0])
 
-    def richardson(samples):
-        vals = list(samples)
-        for level in range(1, len(vals)):
-            vals = [(mp.mpf(4) ** level * vals[i + 1] - vals[i])
-                    / (mp.mpf(4) ** level - 1)
-                    for i in range(len(vals) - 1)]
-        return vals[0]
+        def richardson(samples):
+            vals = list(samples)
+            for level in range(1, len(vals)):
+                vals = [(mp.mpf(4) ** level * vals[i + 1] - vals[i])
+                        / (mp.mpf(4) ** level - 1)
+                        for i in range(len(vals) - 1)]
+            return vals[0]
 
-    rs = [mp.mpf("0.1") / 2 ** i for i in range(4)]
-    c2 = richardson([f(r)[0] / r ** 2 for r in rs])
-    c4 = richardson([(f(r)[0] - r ** 2 / 2) / r ** 4 for r in rs])
-    assert abs(c2 - mp.mpf(1) / 2) < mp.mpf("1e-10")
-    assert abs(c4 - mp.mpf(1) / 32) < mp.mpf("1e-10")
+        rs = [mp.mpf("0.1") / 2 ** i for i in range(4)]
+        c2 = richardson([f(r)[0] / r ** 2 for r in rs])
+        c4 = richardson([(f(r)[0] - r ** 2 / 2) / r ** 4 for r in rs])
+        assert abs(c2 - mp.mpf(1) / 2) < mp.mpf("1e-10")
+        assert abs(c4 - mp.mpf(1) / 32) < mp.mpf("1e-10")
 
 
 @criterion(11, "certificate soundness sweep")

@@ -299,6 +299,9 @@ def each_term(doc, change):
         doc, lambda t: dict(t, m=t["m"][:1]))),
     emitted_by(IMMERSION, lambda doc: each_term(
         doc, lambda t: dict(t, re="1/0"))),
+    lambda doc: dict(doc, verdict="maybe"),
+    lambda doc: dict(doc, verdict="resolvable-up-to", criterion=None),
+    lambda doc: dict(doc, verdict="resolvable-up-to", rank=True),
 ])
 def test_malformed_certificate_exit_two(capsys, tmp_path, mutate):
     expected, *request = getattr(mutate, "request", MATRIX)
@@ -409,3 +412,57 @@ def test_zero_diagonal_complex_jet_certified(capsys, tmp_path):
     cert.write_text(out)
     code, doc = run_json(capsys, "check-certificate", str(cert))
     assert code == 0 and doc["valid"] is True
+
+
+def check_edited(capsys, tmp_path, request, edit):
+    """check-certificate on the document that ``request`` emits, after
+    ``edit``: (exit code, stdout document)."""
+    expected, *argv = request
+    code, out, err = run(capsys, *argv)
+    assert code == expected, err
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(edit(json.loads(out))))
+    return run_json(capsys, "check-certificate", str(cert))
+
+
+POSITIVE = (0, "analyze", "--model", "flat", "--n", "2", "--b", "0",
+            "--degree", "3")
+POSITIVE_HARTOGS = (0, "analyze", "--model", "hartogs_alpha", "--c", "1",
+                    "--degree", "5")
+
+
+@pytest.mark.parametrize("request_", [MATRIX, HARTOGS])
+def test_flipped_verdict_rejected(capsys, tmp_path, request_):
+    code, doc = check_edited(capsys, tmp_path, request_, lambda doc: dict(
+        doc, verdict="resolvable-up-to", rank=999))
+    assert code == 1 and doc["valid"] is False
+    code, doc = check_edited(capsys, tmp_path, request_, lambda doc: dict(
+        doc, verdict="resolvable-up-to", witness=None,
+        rank=None if doc["criterion"] == "hartogs" else 0))
+    assert code == 1 and doc["valid"] is False
+
+
+@pytest.mark.parametrize("request_", [POSITIVE, POSITIVE_HARTOGS])
+def test_edited_rank_rejected(capsys, tmp_path, request_):
+    code, doc = check_edited(capsys, tmp_path, request_, lambda doc: doc)
+    assert code == 0 and doc["valid"] is True
+    code, doc = check_edited(capsys, tmp_path, request_, lambda doc: dict(
+        doc, rank=(doc["rank"] or 0) + 1))
+    assert code == 1 and doc["valid"] is False
+
+
+def test_degree_zero_rejected_for_series(capsys, tmp_path):
+    f = tmp_path / "series.txt"
+    f.write_text("1 ; 1 ; 1 ; 0\n")
+    for command in ("analyze", "emit-immersion"):
+        code, out, err = run(capsys, command, "--series", str(f),
+                             "--degree", "0")
+        assert code == 2 and out == "", command
+        assert "degree" in one_json_line(err)["error"], command
+    code, out, _ = run(capsys, "analyze", "--series", str(f), "--degree", "1")
+    assert code == 0
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(dict(json.loads(out), degree=0, rank=0)))
+    code, out, err = run(capsys, "check-certificate", str(cert))
+    assert code == 2 and out == ""
+    assert "degree" in one_json_line(err)["error"]
