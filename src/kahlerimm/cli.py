@@ -11,12 +11,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from . import bell as bellmod
 from .einstein import EinsteinResult, GaugeError, NotEinstein, einstein_estimate
 from .immersion import ImmersionMap, NotResolvableError, factor_immersion, \
-    verify_immersion
+    target_for, verify_immersion
 from .models import MODELS, build_model, hartogs_profile
 from .resolvability import CertifiedNotResolvable, HartogsWitness, \
     MatrixWitness, ResolvableUpTo, calabi_matrix, hartogs_criterion, \
@@ -47,7 +47,7 @@ def _parse_params(pairs: Optional[List[str]]) -> Dict[str, str]:
     return out
 
 
-def _model_of(args) -> Optional[Tuple[str, Dict[str, str], int]]:
+def _model_of(args) -> Optional[Tuple[str, Dict[str, Any], int]]:
     """(name, parameters, degree) named by --model or --spec.
 
     Checks that exactly one source is given; None means --series.
@@ -70,17 +70,17 @@ def _model_of(args) -> Optional[Tuple[str, Dict[str, str], int]]:
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read spec file: {exc}") from exc
         _object(spec, "a spec file")
-        parameters = _object(spec.get("parameters", {}), "spec parameters")
-        params = {k: str(v) for k, v in parameters.items()}
+        params = _object(spec.get("parameters", {}), "spec parameters")
         return (spec.get("name"), params,
                 _integer(spec.get("degree", args.degree), "spec degree"))
     return None
 
 
-def _integer(value: Any, what: str) -> int:
-    """``value`` if it is a JSON integer, else an input error."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"{what} must be an integer, got {value!r}")
+def _integer(value: Any, what: str, least: int = 0) -> int:
+    """``value`` if it is a JSON integer >= ``least``, else an input error."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise InputError(f"{what} must be an integer >= {least}, "
+                         f"got {value!r}")
     return value
 
 
@@ -98,50 +98,27 @@ def _rational(value: Any, what: str) -> Fraction:
     return as_fraction(value)
 
 
-def _check_degree(degree: int) -> None:
-    if degree < 1:
-        raise InputError(f"--degree must be >= 1, got {degree}")
-
-
-def _from_model(make: Callable[[str, Mapping[str, Any], int], Any],
-                name: str, params: Mapping[str, Any], degree: int) -> Any:
-    """``make(name, params, degree)`` for ``build_model`` or
-    ``hartogs_profile``, with parameter errors reported as input errors.
-
-    Every model is built at degree >= 1."""
-    _check_degree(degree)
-    try:
-        return make(name, params, degree)
-    except KeyError as exc:
-        raise InputError(str(exc)) from exc
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad parameters for {name}: {exc}") from exc
-
-
-def _model_source(name: str, params: Mapping[str, Any]) -> Dict[str, Any]:
+def _model_source(name: Any, params: Any) -> Dict[str, Any]:
+    params = _object(params, "the model parameters")
     return {"kind": "model", "model": name,
-            "parameters": dict(sorted(params.items()))}
+            "parameters": {k: str(params[k]) for k in sorted(params)}}
 
 
 def _load_source(args) -> Tuple[Dict[str, Any], BiSeries]:
     """Resolve --model/--spec/--series into (source descriptor, series);
     every source is decided at --degree >= 1."""
-    _check_degree(args.degree)
+    _integer(args.degree, "degree", 1)
     model = _model_of(args)
     if model is not None:
         name, params, degree = model
-        return (_model_source(name, params),
-                _from_model(build_model, name, params, degree))
+        return _rebuild_from_source(_model_source(name, params), degree)
     try:
         with open(args.series, "r", encoding="utf-8") as fh:
             text = fh.read()
-        series = BiSeries.loads(text, degree=None)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         raise InputError(f"cannot read series file: {exc}") from exc
-    if series.d < args.degree:
-        raise InputError(
-            f"series file holds degree {series.d} < requested {args.degree}")
-    return {"kind": "series", "series": series.dumps()}, series
+    return _rebuild_from_source({"kind": "series", "series": text},
+                                args.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +179,11 @@ def _immersion_json(imm: ImmersionMap) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
-    b = as_fraction(args.b)
-    doc: Dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "certificate",
-        "b": format_fraction(b),
-        "degree": args.degree,
-    }
+    request: Dict[str, Any] = {"b": args.b, "degree": args.degree}
+    loaded = None
     if args.jmax is None and args.kmax is None and args.c is None:
-        doc["source"], series = _load_source(args)
-        verdict = resolvability(series, b, args.degree)
-        doc["criterion"] = "matrix"
+        loaded = _load_source(args)
+        request.update(source=loaded[0], criterion="matrix")
     else:
         # the profile criterion reads F alone; the jet is never built
         model = _model_of(args)
@@ -223,22 +194,56 @@ def _cmd_analyze(args) -> int:
                 "Hartogs profile: " + ", ".join(
                     sorted(k for k, e in MODELS.items()
                            if e.profile is not None)))
-        if args.c is None:
-            raise InputError("the profile criterion needs --c")
-        name, params, degree = model
-        _check_degree(degree)  # F itself is built at max(jmax, 1)
-        jmax = args.jmax if args.jmax is not None else degree
-        kmax = args.kmax if args.kmax is not None else degree
-        F = _from_model(hartogs_profile, name, params, max(jmax, 1))
-        verdict = hartogs_criterion(F, as_fraction(args.c), jmax, kmax)
-        doc["source"] = _model_source(name, params)
-        doc["criterion"] = "hartogs"
-        doc["c"] = format_fraction(as_fraction(args.c))
-        doc["jmax"] = jmax
-        doc["kmax"] = kmax
-    doc.update(_verdict_json(verdict))
+        name, params, _ = model
+        request.update(
+            source=_model_source(name, params), criterion="hartogs",
+            c=args.c, jmax=args.degree if args.jmax is None else args.jmax,
+            kmax=args.degree if args.kmax is None else args.kmax)
+    doc = _certificate(request, loaded)
     _emit(doc)
-    return 1 if isinstance(verdict, CertifiedNotResolvable) else 0
+    return 1 if doc["verdict"] == "certified-not-resolvable" else 0
+
+
+def _request(fields: Mapping[str, Any]) -> Dict[str, Any]:
+    """The request in ``fields``: source (checked where it is built), b,
+    degree >= 1, criterion, and for the profile criterion c, jmax >= 1 and
+    kmax >= 0."""
+    request = {"source": fields.get("source"),
+               "b": _rational(fields.get("b"), "b"),
+               "degree": _integer(fields.get("degree"), "degree", 1),
+               "criterion": fields.get("criterion")}
+    if request["criterion"] == "hartogs":
+        request.update(c=_rational(fields.get("c"), "c"),
+                       jmax=_integer(fields.get("jmax"), "jmax", 1),
+                       kmax=_integer(fields.get("kmax"), "kmax", 0))
+    elif request["criterion"] != "matrix":
+        raise InputError(f"unknown criterion {request['criterion']!r}")
+    return request
+
+
+def _certificate(fields: Mapping[str, Any],
+                 loaded: Optional[Tuple[Dict[str, Any], BiSeries]] = None
+                 ) -> Dict[str, Any]:
+    """The certificate ``analyze`` prints for the request ``fields`` name
+    (see ``_request``); ``loaded`` is the (source, jet) pair of a matrix
+    request that the caller has read already."""
+    request = _request(fields)
+    doc = {"schema_version": SCHEMA_VERSION, "kind": "certificate",
+           "b": format_fraction(request["b"]),
+           "criterion": request["criterion"]}
+    if request["criterion"] == "matrix":
+        doc["source"], series = loaded or _rebuild_from_source(
+            request["source"], request["degree"])
+        verdict = resolvability(series, request["b"], request["degree"])
+    else:
+        doc["source"], F = _rebuild_from_source(
+            request["source"], request["jmax"], profile=True)
+        verdict = hartogs_criterion(F, request["c"], request["jmax"],
+                                    request["kmax"])
+        doc.update(c=format_fraction(request["c"]), jmax=request["jmax"],
+                   kmax=request["kmax"])
+    doc.update(_verdict_json(verdict))
+    return doc
 
 
 def _cmd_emit_immersion(args) -> int:
@@ -339,7 +344,8 @@ def _cmd_einstein(args) -> int:
             raise InputError("--b selects a space-form curvature only")
     if args.n is not None:
         params["n"] = str(args.n)
-    series = _from_model(build_model, model, params, args.degree)
+    _, series = _rebuild_from_source(_model_source(model, params),
+                                     args.degree)
     doc: Dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "kind": "einstein",
@@ -379,16 +385,30 @@ def _cmd_models(_args) -> int:
     return 0
 
 
-def _rebuild_from_source(source: Any, degree: int) -> BiSeries:
-    _check_degree(degree)
-    source = _object(source, "the certificate source")
+def _rebuild_from_source(source: Any, degree: int, profile: bool = False
+                         ) -> Tuple[Dict[str, Any], Any]:
+    """(source as certificates print it, its jet at ``degree`` >= 1), or
+    with ``profile`` the radial profile F of a Hartogs model for the jet."""
+    _integer(degree, "degree", 1)
+    source = _object(source, "the source")
     if source.get("kind") == "model":
-        return _from_model(build_model, source["model"],
-                           source.get("parameters", {}), degree)
+        source = _model_source(source.get("model"),
+                               source.get("parameters", {}))
+        make = hartogs_profile if profile else build_model
+        try:
+            return source, make(source["model"], source["parameters"], degree)
+        except KeyError as exc:
+            raise InputError(str(exc)) from exc
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad parameters for {source['model']}: {exc}"
+                             ) from exc
     text = source.get("series")
-    if source.get("kind") == "series" and isinstance(text, str):
-        return BiSeries.loads(text, degree=None)
-    raise InputError(f"unusable certificate source {source.get('kind')!r}")
+    if source.get("kind") != "series" or not isinstance(text, str) or profile:
+        raise InputError(f"unusable source {source.get('kind')!r}")
+    series = BiSeries.loads(text, degree=None)
+    if series.d < degree:
+        raise InputError(f"the series holds degree {series.d} < {degree}")
+    return {"kind": "series", "series": series.dumps()}, series
 
 
 def _cmd_check_certificate(args) -> int:
@@ -399,18 +419,25 @@ def _cmd_check_certificate(args) -> int:
         raise InputError(f"cannot read certificate: {exc}") from exc
     _object(doc, "a certificate")
     kind = doc.get("kind")
-    degree = _integer(doc.get("degree"), "the certificate degree")
-    b = _rational(doc.get("b", "0"), "the certificate b")
     if kind == "immersion":
-        series = _rebuild_from_source(doc["source"], degree)
-        ok = verify_immersion(_immersion_from_json(doc), series, b,
-                              degree).ok
+        degree = _integer(doc.get("degree"), "degree", 1)
+        b = _rational(doc.get("b"), "b")
+        _, series = _rebuild_from_source(doc.get("source"), degree)
+        imm = _immersion_from_json(doc)
+        if imm.target != target_for(b):
+            raise InputError(f"an immersion for b = {b} maps into "
+                             f"{target_for(b)}, not {imm.target}")
+        ok = verify_immersion(imm, series, b, degree).ok
     elif kind != "certificate":
         raise InputError(f"unknown file kind {kind!r}")
     elif doc.get("verdict") == "resolvable-up-to":
-        ok = _redecides_positive(doc, degree, b)
+        if doc.get("rank") is not None:
+            _integer(doc["rank"], "the certificate rank")
+        # valid only as the very document analyze prints for its request
+        ok = (json.dumps(_certificate(doc), sort_keys=True)
+              == json.dumps(doc, sort_keys=True))
     elif doc.get("verdict") == "certified-not-resolvable":
-        ok = _witness_certifies(doc, degree, b)
+        ok = _witness_certifies(doc, _request(doc))
     else:
         raise InputError(f"unknown verdict {doc.get('verdict')!r}")
     _emit({"schema_version": SCHEMA_VERSION, "kind": "check",
@@ -418,40 +445,15 @@ def _cmd_check_certificate(args) -> int:
     return 0 if ok else 1
 
 
-def _hartogs_of(doc: Mapping[str, Any]) -> Tuple[Any, Fraction, int]:
-    """(F, c, jmax) of a Hartogs certificate, F built from its source."""
-    source = _object(doc["source"], "the certificate source")
-    jmax = _integer(doc.get("jmax"), "the certificate jmax")
-    F = _from_model(hartogs_profile, source["model"],
-                    source.get("parameters", {}), max(jmax, 1))
-    return F, _rational(doc.get("c"), "the certificate c"), jmax
-
-
-def _redecides_positive(doc: Mapping[str, Any], degree: int, b: Fraction
-                        ) -> bool:
-    """Decide a positive certificate's source again, at the cost of
-    ``analyze``: it holds when the verdict is again ``ResolvableUpTo``
-    with the document's degree and rank."""
-    if doc.get("criterion") == "hartogs":
-        F, c, jmax = _hartogs_of(doc)
-        kmax = _integer(doc.get("kmax"), "the certificate kmax")
-        verdict = hartogs_criterion(F, c, jmax, kmax)
-    elif doc.get("criterion") == "matrix":
-        _integer(doc.get("rank"), "the certificate rank")
-        series = _rebuild_from_source(doc["source"], degree)
-        verdict = resolvability(series, b, degree)
-    else:
-        raise InputError(f"unknown criterion {doc.get('criterion')!r}")
-    return verdict == ResolvableUpTo(degree, doc.get("rank"))
-
-
-def _witness_certifies(doc: Mapping[str, Any], degree: int, b: Fraction
+def _witness_certifies(doc: Mapping[str, Any], request: Mapping[str, Any]
                        ) -> bool:
-    """Evaluate a negative certificate's witness against its source."""
-    witness = _object(doc["witness"], "the witness")
-    if witness.get("type") == "matrix":
-        series = _rebuild_from_source(doc["source"], degree)
-        _, matrix = calabi_matrix(series, b, degree)
+    """Evaluate a negative certificate's witness against its request."""
+    witness = _object(doc.get("witness"), "the witness")
+    if witness.get("type") != request["criterion"]:
+        raise InputError(f"unknown witness type {witness.get('type')!r}")
+    if request["criterion"] == "matrix":
+        _, series = _rebuild_from_source(request["source"], request["degree"])
+        _, matrix = calabi_matrix(series, request["b"], request["degree"])
         comps = witness.get("components")
         if not (isinstance(comps, list) and len(comps) == matrix.dimension
                 and all(isinstance(t, str) for t in comps)):
@@ -459,16 +461,12 @@ def _witness_certifies(doc: Mapping[str, Any], degree: int, b: Fraction
                              "components, one string each")
         value = matrix.quadratic_form([CScalar.parse(t) for t in comps])
         return value < 0 and format_fraction(value) == witness["value"]
-    if witness.get("type") == "hartogs":
-        F, c, _ = _hartogs_of(doc)
-        try:
-            j, k = int(witness["j"]), int(witness["k"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"a hartogs witness needs integers j and k: "
-                             f"{exc}") from exc
-        coeff = hartogs_series(F, c, k).ucoeff(j)
-        return coeff < 0 and format_fraction(coeff) == witness["coefficient"]
-    raise InputError(f"unknown witness type {witness.get('type')!r}")
+    _, F = _rebuild_from_source(request["source"], request["jmax"],
+                                profile=True)
+    j = _integer(witness.get("j"), "the witness j", 1)
+    k = _integer(witness.get("k"), "the witness k")
+    coeff = hartogs_series(F, request["c"], k).ucoeff(j)
+    return coeff < 0 and format_fraction(coeff) == witness["coefficient"]
 
 
 def _immersion_from_json(doc: Mapping[str, Any]) -> ImmersionMap:
@@ -489,7 +487,7 @@ def _immersion_from_json(doc: Mapping[str, Any]) -> ImmersionMap:
                 if not all(isinstance(e, int) and e >= 0 for e in m):
                     raise InputError(f"bad multi-index {list(m)}")
                 coeffs[order.ordinal(m)] = CScalar(term["re"], term["im"])
-            comps.append(Component(int(comp["sign"]),
+            comps.append(Component(_integer(comp["sign"], "a sign", -1),
                                    as_fraction(comp["radicand"]),
                                    HolSeries(arity, degree, coeffs)))
     except (AttributeError, IndexError, KeyError, TypeError) as exc:

@@ -41,6 +41,11 @@ class Component:
     radicand: Fraction             # positive rational
     series: HolSeries
 
+    def __post_init__(self):
+        if self.sign not in (1, -1) or not self.radicand > 0:
+            raise ValueError(f"a component needs sign +1 or -1 and a positive"
+                             f" radicand, got {self.sign} and {self.radicand}")
+
 
 @dataclass(frozen=True)
 class ImmersionMap:
@@ -49,12 +54,17 @@ class ImmersionMap:
     degree: int
     arity: int
 
+    def __post_init__(self):
+        if self.target.kind != "indefinite" and any(
+                c.sign < 0 for c in self.components):
+            raise ValueError(f"a sign -1 component needs an indefinite "
+                             f"target, not {self.target.kind!r}")
+
     def pullback_norm(self) -> BiSeries:
         """sum sign * radicand * series * conj(series), exact."""
         d = min([self.degree] + [c.series.d for c in self.components])
         return norm_sum(self.arity, d, (
-            (c.radicand if c.sign > 0 else -c.radicand, c.series)
-            for c in self.components))
+            (c.sign * c.radicand, c.series) for c in self.components))
 
 
 @dataclass(frozen=True)
@@ -63,7 +73,8 @@ class NonExistence:
     first_negative: Optional[Tuple[MultiIndex, Fraction]] = None
 
 
-def _target_for(b: Fraction) -> Target:
+def target_for(b: Fraction) -> Target:
+    """The space form of curvature 4b: flat for b = 0, else curved."""
     return Target("flat") if not b else Target("curved", b)
 
 
@@ -89,7 +100,7 @@ def factor_immersion(d: BiSeries, b: RationalLike, degree: int) -> ImmersionMap:
             coeffs[position + 1] = c  # basis position -> graded ordinal
         components.append(Component(
             +1, pivot.value, HolSeries(n, degree, coeffs)))
-    imm = ImmersionMap(tuple(components), _target_for(b), degree, n)
+    imm = ImmersionMap(tuple(components), target_for(b), degree, n)
     check = verify_immersion(imm, transformed, 0, degree)
     if not check.ok:  # pragma: no cover - internal soundness guard
         raise AssertionError(f"factored map failed verification: {check}")
@@ -219,7 +230,7 @@ def space_form_immersion(n: int, b: RationalLike, b_target: RationalLike,
         if s > 0:
             components.append(Component(
                 +1, s, HolSeries.monomial(n, degree, m)))
-    return ImmersionMap(tuple(components), _target_for(b_target), degree, n)
+    return ImmersionMap(tuple(components), target_for(b_target), degree, n)
 
 
 def space_form_rank(n: int, b: RationalLike, b_target: RationalLike

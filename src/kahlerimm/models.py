@@ -295,8 +295,7 @@ def calabi_tube(n: int, degree: int) -> Tuple[RSeries, BiSeries]:
         e = y.exp()
         averaged = RSeries(1, rdeg, {
             (j,): c * Fraction(n, j + n) for (j,), c in e.coeffs.items()})
-        body = averaged - RSeries.constant(1, rdeg, 1)
-        root = body.pow1p(Fraction(1, n))
+        root = averaged.pow_normalized(Fraction(1, n))
         return root.shift_up().integrate()
 
     y = solve_graded_fixed_point(step, RSeries.zero(1, rdeg), rdeg + 2)
@@ -323,11 +322,7 @@ def calabi_tube_residual(n: int, y: RSeries) -> RSeries:
     if n == 1:
         lhs = ypp
     else:
-        c0 = yp_over_r.constant_term()
-        if c0 <= 0:
-            raise ValueError("y'/r must start positive")
-        body = yp_over_r.scale(Fraction(1) / c0) - RSeries.constant(1, y.d, 1)
-        lhs = body.pow1p(n - 1).scale(c0 ** (n - 1)) * ypp
+        lhs = yp_over_r.pow_normalized(n - 1) * ypp
     return (lhs - y.exp()).truncate(max(y.d - 2, 0))
 
 

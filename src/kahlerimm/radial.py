@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Dict, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from .scalars import RationalLike, as_fraction
 from .series import EXP_RULE, LOG1P_RULE, Rule, _degree_recurrence, \
@@ -144,35 +144,26 @@ class RSeries:
 
     # -- calculus (univariate helpers used by the Hartogs criterion) ---
     def derivative(self, which: int = 0) -> "RSeries":
-        out: Dict[Expo, Fraction] = {}
-        for e, c in self.coeffs.items():
-            if e[which] == 0:
-                continue
-            e2 = list(e)
-            e2[which] -= 1
-            out[tuple(e2)] = c * e[which]
-        return RSeries(self.nvars, self.d, out)
+        return self._shift(which, -1, lambda p: p)
 
     def integrate(self, which: int = 0) -> "RSeries":
         """Antiderivative with zero constant; drops the top-degree slice."""
-        out: Dict[Expo, Fraction] = {}
-        for e, c in self.coeffs.items():
-            if sum(e) + 1 > self.d:
-                continue
-            e2 = list(e)
-            e2[which] += 1
-            out[tuple(e2)] = c / e2[which]
-        return RSeries(self.nvars, self.d, out)
+        return self._shift(which, 1, lambda p: Fraction(1, p + 1))
 
     def shift_up(self, which: int = 0) -> "RSeries":
         """Multiply by the variable ``which`` (drops the top slice)."""
+        return self._shift(which, 1, lambda p: 1)
+
+    def _shift(self, which: int, step: int,
+               weight: Callable[[int], RationalLike]) -> "RSeries":
+        """Each c x^e moved to the exponent e[which] + step, times
+        weight(e[which]); terms leaving degrees 0..d are dropped."""
         out: Dict[Expo, Fraction] = {}
         for e, c in self.coeffs.items():
-            if sum(e) + 1 > self.d:
+            p = e[which]
+            if p + step < 0 or sum(e) + step > self.d:
                 continue
-            e2 = list(e)
-            e2[which] += 1
-            out[tuple(e2)] = c
+            out[e[:which] + (p + step,) + e[which + 1:]] = c * weight(p)
         return RSeries(self.nvars, self.d, out)
 
     # -- transcendental ops (the degree recurrence of series.py) -------
@@ -195,18 +186,18 @@ class RSeries:
                        {e: c for part in f for e, c in part.items()})
 
     def pow_normalized(self, e: RationalLike) -> "RSeries":
-        """self^e for a series with positive rational constant term."""
+        """self^e for a series with positive rational constant term c0;
+        e must be an integer unless c0 = 1."""
         c0 = self.constant_term()
         if c0 <= 0:
             raise ValueError("pow_normalized needs a positive constant term")
         e = as_fraction(e)
-        body = (self.scale(Fraction(1) / c0)
-                - RSeries.constant(self.nvars, self.d, 1))
-        scalar = c0 ** e.numerator if e.denominator == 1 else None
-        if scalar is None:
+        if e.denominator != 1 and c0 != 1:
             raise ValueError("non-integer exponent with non-unit constant term;"
                              " normalize the series first")
-        return body.pow1p(e).scale(scalar)
+        body = (self.scale(Fraction(1) / c0)
+                - RSeries.constant(self.nvars, self.d, 1))
+        return body.pow1p(e).scale(c0 ** e.numerator)
 
 
 def _mul_add(acc: Dict[Expo, Fraction], x: Dict[Expo, Fraction],

@@ -326,8 +326,7 @@ def hartogs_series(F: RSeries, c: Fraction, k: int) -> RSeries:
     f0 = F.constant_term()
     if f0 <= 0:
         raise ValueError("F(0) must be positive")
-    g = F.scale(Fraction(1) / f0) - RSeries.constant(1, F.d, 1)
-    return g.pow1p(-(c + k))
+    return F.scale(Fraction(1) / f0).pow_normalized(-(c + k))
 
 
 def hartogs_criterion(F: RSeries, c: RationalLike, jmax: int, kmax: int
@@ -340,6 +339,8 @@ def hartogs_criterion(F: RSeries, c: RationalLike, jmax: int, kmax: int
     keeps all arithmetic rational.  First negative coefficient wins,
     scanning k = 0..kmax outer and j = 1..jmax inner.
     """
+    if jmax < 1 or kmax < 0:
+        raise ValueError(f"need jmax >= 1 and kmax >= 0, got {jmax}, {kmax}")
     if F.d < jmax:
         raise ValueError(f"F truncated below jmax={jmax}")
     c = as_fraction(c)
@@ -360,8 +361,6 @@ def hartogs_metric_check(F: RSeries, degree: int) -> bool:
     a truncation; nothing beyond it is asserted.
     """
     F = F.truncate(min(F.d, degree))
-    # (F/F(0))^(-1) / F(0) = 1/F
-    inv_f = hartogs_series(F, Fraction(1), 0).scale(1 / F.constant_term())
-    g = F.derivative().shift_up() * inv_f
+    g = F.derivative().shift_up() * F.pow_normalized(-1)
     h = -g.derivative()
     return h.constant_term() > 0

@@ -261,12 +261,34 @@ HARTOGS = (1, "analyze", "--model", "hartogs_inv_sqrt", "--c", "1",
            "--degree", "6", "--jmax", "6", "--kmax", "3")
 IMMERSION = (0, "emit-immersion", "--model", "ch", "--n", "2", "--b", "-1",
              "--degree", "3")
+POSITIVE = (0, "analyze", "--model", "flat", "--n", "2", "--b", "0",
+            "--degree", "3")
+POSITIVE_HARTOGS = (0, "analyze", "--model", "hartogs_alpha", "--c", "1",
+                    "--degree", "5")
+# the flat-target jet of cp n=1 through degree 2 is |z|^2 - |z|^4/2: no
+# holomorphic map into C^N has it (the witness value is -1/2)
+CP_FLAT = (1, "analyze", "--model", "cp", "--n", "1", "--b", "0",
+           "--degree", "2")
 
 
 def emitted_by(request, mutate):
     """``mutate``, applied to the document that ``request`` emits."""
     mutate.request = request
     return mutate
+
+
+def forged_immersion(sign, radicand):
+    """An immersion document for the CP_FLAT source: components (+1, 1, z)
+    and (sign, radicand, z^2), whose pulled-back norm is |z|^2 - |z|^4/2
+    when sign * radicand = -1/2."""
+    def forge(doc):
+        comps = [{"sign": s, "radicand": r,
+                  "series": [{"m": [m], "re": "1", "im": "0"}]}
+                 for s, r, m in ((1, "1", 1), (sign, radicand, 2))]
+        return {"schema_version": 1, "kind": "immersion", "verified": True,
+                "source": doc["source"], "b": "0", "degree": 2, "arity": 1,
+                "target": {"kind": "flat"}, "components": comps}
+    return emitted_by(CP_FLAT, forge)
 
 
 def each_term(doc, change):
@@ -302,6 +324,13 @@ def each_term(doc, change):
     lambda doc: dict(doc, verdict="maybe"),
     lambda doc: dict(doc, verdict="resolvable-up-to", criterion=None),
     lambda doc: dict(doc, verdict="resolvable-up-to", rank=True),
+    forged_immersion(1, "-1/2"),
+    forged_immersion(-1, "1/2"),
+    forged_immersion(7, "-1/2"),
+    emitted_by(IMMERSION, lambda doc: dict(doc, target={"kind": "flat"})),
+    emitted_by(IMMERSION, lambda doc: dict(doc, components=[
+        dict(doc["components"][0], sign=1.0)] + doc["components"][1:])),
+    emitted_by(POSITIVE_HARTOGS, lambda doc: dict(doc, jmax=0, degree=0)),
 ])
 def test_malformed_certificate_exit_two(capsys, tmp_path, mutate):
     expected, *request = getattr(mutate, "request", MATRIX)
@@ -425,12 +454,6 @@ def check_edited(capsys, tmp_path, request, edit):
     return run_json(capsys, "check-certificate", str(cert))
 
 
-POSITIVE = (0, "analyze", "--model", "flat", "--n", "2", "--b", "0",
-            "--degree", "3")
-POSITIVE_HARTOGS = (0, "analyze", "--model", "hartogs_alpha", "--c", "1",
-                    "--degree", "5")
-
-
 @pytest.mark.parametrize("request_", [MATRIX, HARTOGS])
 def test_flipped_verdict_rejected(capsys, tmp_path, request_):
     code, doc = check_edited(capsys, tmp_path, request_, lambda doc: dict(
@@ -466,3 +489,41 @@ def test_degree_zero_rejected_for_series(capsys, tmp_path):
     code, out, err = run(capsys, "check-certificate", str(cert))
     assert code == 2 and out == ""
     assert "degree" in one_json_line(err)["error"]
+
+
+@pytest.mark.parametrize("request_", [POSITIVE, POSITIVE_HARTOGS])
+@pytest.mark.parametrize("edit", [
+    lambda doc: dict(doc, schema_version=2),
+    lambda doc: dict(doc, note="added"),
+    lambda doc: dict(doc, witness={"type": doc["criterion"]}),
+    lambda doc: dict(doc, b="0/1"),
+    # an added key on the matrix document, a rewritten one on the Hartogs
+    lambda doc: dict(doc, c="2/2"),
+])
+def test_positive_certificate_valid_only_as_printed(capsys, tmp_path,
+                                                    request_, edit):
+    code, doc = check_edited(capsys, tmp_path, request_, edit)
+    assert code == 1 and doc["valid"] is False
+
+
+@pytest.mark.parametrize("bounds", [("--jmax", "0", "--kmax", "3"),
+                                    ("--jmax", "6", "--kmax", "-1")])
+def test_empty_hartogs_scan_exit_two(capsys, bounds):
+    code, out, err = run(capsys, "analyze", "--model", "hartogs_inv_sqrt",
+                         "--c", "1", "--degree", "6", *bounds)
+    assert code == 2 and out == ""
+    assert "max must be an integer >= " in one_json_line(err)["error"]
+
+
+def test_every_model_certificate_round_trips(capsys, tmp_path):
+    from kahlerimm.models import MODELS
+    cert = tmp_path / "cert.json"
+    for name in sorted(MODELS):
+        paths = [()] + ([("--c", "1")] if MODELS[name].profile else [])
+        for extra in paths:
+            code, out, err = run(capsys, "analyze", "--model", name,
+                                 "--degree", "2", *extra)
+            assert code in (0, 1), (name, extra, err)
+            cert.write_text(out)
+            code, doc = run_json(capsys, "check-certificate", str(cert))
+            assert code == 0 and doc["valid"] is True, (name, extra)

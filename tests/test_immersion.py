@@ -5,14 +5,16 @@ from fractions import Fraction
 import pytest
 
 from kahlerimm.diastasis import b_transform, normalize_to_diastasis
-from kahlerimm.immersion import (NonExistence, NotResolvableError,
+from kahlerimm.immersion import (Component, ImmersionMap, NonExistence,
+                                 NotResolvableError, Target,
                                  factor_immersion, indefinite_immersion,
                                  space_form_classification,
                                  space_form_immersion, space_form_rank,
                                  verify_immersion)
 from kahlerimm.models import build_model, space_form_diastasis
 from kahlerimm.scalars import CScalar
-from kahlerimm.series import BiSeries, GradedOrder, index_of_ordinal
+from kahlerimm.series import BiSeries, GradedOrder, HolSeries, \
+    index_of_ordinal
 
 
 def _mfact(m):
@@ -194,3 +196,20 @@ def test_verify_reports_first_difference():
     mj, mk, got, want = res.residual
     assert (mj, mk) == ((2,), (2,))
     assert got == CScalar(0) and want == CScalar(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("sign,radicand", [
+    (7, 1), (0, 1), (1, 0), (1, Fraction(-1, 2)), (-1, -1)])
+def test_component_needs_unit_sign_and_positive_radicand(sign, radicand):
+    z = HolSeries.monomial(1, 2, (1,))
+    with pytest.raises(ValueError, match="positive radicand"):
+        Component(sign, Fraction(radicand), z)
+
+
+@pytest.mark.parametrize("target", [Target("flat"),
+                                    Target("curved", Fraction(1))])
+def test_negative_component_needs_indefinite_target(target):
+    minus = Component(-1, Fraction(1), HolSeries.monomial(1, 2, (1,)))
+    with pytest.raises(ValueError, match="indefinite"):
+        ImmersionMap((minus,), target, 2, 1)
+    ImmersionMap((minus,), Target("indefinite"), 2, 1)

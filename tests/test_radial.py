@@ -82,6 +82,14 @@ def test_pow_normalized():
         RSeries.univariate([0, 1]).pow_normalized(2)
 
 
+def test_pow_normalized_rational_exponent_at_unit_constant():
+    s = RSeries.univariate([1, 1, 0, 0])  # 1 + x
+    root = s.pow_normalized(Fraction(1, 2))
+    assert root * root == s
+    assert [root.ucoeff(j) for j in range(4)] == \
+        [1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)]
+
+
 def test_multivariate_product():
     x = RSeries.var(2, 2, 0)
     y = RSeries.var(2, 2, 1)

@@ -455,6 +455,13 @@ def test_hartogs_criterion_requires_enough_terms():
         hartogs_criterion(profile_springer(3), 1, 8, 2)
 
 
+@pytest.mark.parametrize("jmax,kmax", [(0, 3), (6, -1)])
+def test_hartogs_criterion_rejects_empty_scan(jmax, kmax):
+    # an empty scan finds no negative coefficient; it must not pass
+    with pytest.raises(ValueError, match="jmax >= 1 and kmax >= 0"):
+        hartogs_criterion(profile_inv_sqrt(6), 1, jmax, kmax)
+
+
 def test_hartogs_metric_check():
     assert hartogs_metric_check(profile_inv_sqrt(4), 4)
     assert hartogs_metric_check(profile_springer(4), 4)
