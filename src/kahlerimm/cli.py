@@ -19,8 +19,7 @@ from .immersion import ImmersionMap, NotResolvableError, factor_immersion, \
     target_for, verify_immersion
 from .models import MODELS, build_model, hartogs_profile
 from .resolvability import CertifiedNotResolvable, HartogsWitness, \
-    MatrixWitness, ResolvableUpTo, calabi_matrix, hartogs_criterion, \
-    hartogs_series, resolvability
+    MatrixWitness, ResolvableUpTo, hartogs_criterion, resolvability
 from .scalars import CScalar, as_fraction, format_fraction
 from .series import BiSeries, index_of_ordinal
 from .symmetric import DomainInvariants, bergman_scaling_decision, \
@@ -37,13 +36,23 @@ def _emit(obj: Dict[str, Any]) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _parse_params(pairs: Optional[List[str]]) -> Dict[str, str]:
-    out: Dict[str, str] = {}
+def _parse_params(pairs: Optional[List[str]], **shortcuts: Any
+                  ) -> Dict[str, str]:
+    """The ``--param key=value`` pairs and each shortcut option given (such
+    as ``--n``); a parameter given twice is an input error."""
+    items = []
     for item in pairs or []:
         if "=" not in item:
             raise InputError(f"--param needs key=value, got {item!r}")
         key, value = item.split("=", 1)
-        out[key.strip()] = value.strip()
+        items.append((key.strip(), value.strip()))
+    items += [(key, str(value)) for key, value in shortcuts.items()
+              if value is not None]
+    out: Dict[str, str] = {}
+    for key, value in items:
+        if key in out:
+            raise InputError(f"parameter {key!r} given twice")
+        out[key] = value
     return out
 
 
@@ -57,11 +66,7 @@ def _model_of(args) -> Optional[Tuple[str, Dict[str, Any], int]]:
     if len(chosen) != 1:
         raise InputError("exactly one of --model, --spec, --series required")
     if args.model is not None:
-        params = _parse_params(getattr(args, "param", None))
-        if getattr(args, "n", None) is not None:
-            params["n"] = str(args.n)
-        if getattr(args, "scale", None) is not None:
-            params["scale"] = args.scale
+        params = _parse_params(args.param, n=args.n, scale=args.scale)
         return args.model, params, args.degree
     if args.spec is not None:
         try:
@@ -125,6 +130,13 @@ def _load_source(args) -> Tuple[Dict[str, Any], BiSeries]:
 # JSON renderings
 # ---------------------------------------------------------------------------
 
+def _header(source: Dict[str, Any], b: Fraction, degree: int
+            ) -> Dict[str, Any]:
+    """The fields every certificate and immersion document starts with."""
+    return {"schema_version": SCHEMA_VERSION, "source": source,
+            "b": format_fraction(b), "degree": degree}
+
+
 def _witness_json(witness) -> Dict[str, Any]:
     if isinstance(witness, MatrixWitness):
         return {
@@ -145,13 +157,16 @@ def _witness_json(witness) -> Dict[str, Any]:
 
 def _verdict_json(verdict) -> Dict[str, Any]:
     if isinstance(verdict, ResolvableUpTo):
-        return {"verdict": "resolvable-up-to", "degree": verdict.degree,
-                "rank": verdict.rank, "witness": None}
-    return {"verdict": "certified-not-resolvable", "degree": verdict.degree,
-            "rank": None, "witness": _witness_json(verdict.witness)}
+        return {"verdict": "resolvable-up-to", "rank": verdict.rank,
+                "witness": None}
+    return {"verdict": "certified-not-resolvable", "rank": None,
+            "witness": _witness_json(verdict.witness)}
 
 
-def _immersion_json(imm: ImmersionMap) -> Dict[str, Any]:
+def _immersion_json(imm: ImmersionMap, source: Dict[str, Any], b: Fraction
+                    ) -> Dict[str, Any]:
+    """The document ``emit-immersion`` prints for the verified map ``imm``
+    of ``source`` into the space form of curvature 4b."""
     comps = []
     for comp in imm.components:
         series = []
@@ -170,7 +185,8 @@ def _immersion_json(imm: ImmersionMap) -> Dict[str, Any]:
     target: Dict[str, Any] = {"kind": imm.target.kind}
     if imm.target.b is not None:
         target["b"] = format_fraction(imm.target.b)
-    return {"target": target, "degree": imm.degree, "arity": imm.arity,
+    return {**_header(source, b, imm.degree), "kind": "immersion",
+            "verified": True, "target": target, "arity": imm.arity,
             "components": comps}
 
 
@@ -228,38 +244,33 @@ def _certificate(fields: Mapping[str, Any],
     (see ``_request``); ``loaded`` is the (source, jet) pair of a matrix
     request that the caller has read already."""
     request = _request(fields)
-    doc = {"schema_version": SCHEMA_VERSION, "kind": "certificate",
-           "b": format_fraction(request["b"]),
-           "criterion": request["criterion"]}
+    body = {"kind": "certificate", "criterion": request["criterion"]}
     if request["criterion"] == "matrix":
-        doc["source"], series = loaded or _rebuild_from_source(
+        source, series = loaded or _rebuild_from_source(
             request["source"], request["degree"])
         verdict = resolvability(series, request["b"], request["degree"])
     else:
-        doc["source"], F = _rebuild_from_source(
+        source, F = _rebuild_from_source(
             request["source"], request["jmax"], profile=True)
         verdict = hartogs_criterion(F, request["c"], request["jmax"],
                                     request["kmax"])
-        doc.update(c=format_fraction(request["c"]), jmax=request["jmax"],
-                   kmax=request["kmax"])
-    doc.update(_verdict_json(verdict))
-    return doc
+        body.update(c=format_fraction(request["c"]), jmax=request["jmax"],
+                    kmax=request["kmax"])
+    return {**_header(source, request["b"], verdict.degree), **body,
+            **_verdict_json(verdict)}
 
 
 def _cmd_emit_immersion(args) -> int:
     source, series = _load_source(args)
     b = as_fraction(args.b)
-    doc = {"schema_version": SCHEMA_VERSION, "source": source,
-           "b": format_fraction(b), "degree": args.degree}
     try:
         imm = factor_immersion(series, b, args.degree)
     except NotResolvableError as exc:
-        doc.update(kind="certificate", criterion="matrix", **_verdict_json(
-            CertifiedNotResolvable(args.degree, exc.witness)))
-        _emit(doc)
+        _emit({**_header(source, b, args.degree), "kind": "certificate",
+               "criterion": "matrix", **_verdict_json(
+                   CertifiedNotResolvable(args.degree, exc.witness))})
         return 1
-    doc.update(kind="immersion", verified=True, **_immersion_json(imm))
-    _emit(doc)
+    _emit(_immersion_json(imm, source, b))
     return 0
 
 
@@ -334,16 +345,12 @@ def _cmd_bell(args) -> int:
 
 
 def _cmd_einstein(args) -> int:
-    params = _parse_params(args.param)
+    params = _parse_params(args.param, n=args.n, b=args.b)
     model = args.model
     if args.b is not None:
-        if model in ("flat", "cp", "ch", "spaceform"):
-            model = "spaceform"
-            params["b"] = args.b
-        else:
+        if model not in ("flat", "cp", "ch", "spaceform"):
             raise InputError("--b selects a space-form curvature only")
-    if args.n is not None:
-        params["n"] = str(args.n)
+        model = "spaceform"
     _, series = _rebuild_from_source(_model_source(model, params),
                                      args.degree)
     doc: Dict[str, Any] = {
@@ -422,51 +429,49 @@ def _cmd_check_certificate(args) -> int:
     if kind == "immersion":
         degree = _integer(doc.get("degree"), "degree", 1)
         b = _rational(doc.get("b"), "b")
-        _, series = _rebuild_from_source(doc.get("source"), degree)
+        source, series = _rebuild_from_source(doc.get("source"), degree)
         imm = _immersion_from_json(doc)
         if imm.target != target_for(b):
             raise InputError(f"an immersion for b = {b} maps into "
                              f"{target_for(b)}, not {imm.target}")
-        ok = verify_immersion(imm, series, b, degree).ok
-    elif kind != "certificate":
-        raise InputError(f"unknown file kind {kind!r}")
-    elif doc.get("verdict") == "resolvable-up-to":
-        if doc.get("rank") is not None:
-            _integer(doc["rank"], "the certificate rank")
-        # valid only as the very document analyze prints for its request
-        ok = (json.dumps(_certificate(doc), sort_keys=True)
-              == json.dumps(doc, sort_keys=True))
-    elif doc.get("verdict") == "certified-not-resolvable":
-        ok = _witness_certifies(doc, _request(doc))
+        printed = _immersion_json(imm, source, b) \
+            if verify_immersion(imm, series, b, degree).ok else None
+    elif kind == "certificate":
+        _check_verdict_form(doc, _request(doc)["criterion"])
+        printed = _certificate(doc)
     else:
-        raise InputError(f"unknown verdict {doc.get('verdict')!r}")
+        raise InputError(f"unknown file kind {kind!r}")
+    # valid only as the very document kahlerimm prints for its request
+    ok = json.dumps(printed, sort_keys=True) == json.dumps(doc, sort_keys=True)
     _emit({"schema_version": SCHEMA_VERSION, "kind": "check",
-           "file_kind": kind, "valid": bool(ok)})
+           "file_kind": kind, "valid": ok})
     return 0 if ok else 1
 
 
-def _witness_certifies(doc: Mapping[str, Any], request: Mapping[str, Any]
-                       ) -> bool:
-    """Evaluate a negative certificate's witness against its request."""
+def _check_verdict_form(doc: Mapping[str, Any], want: str) -> None:
+    """Reject, as input errors, verdict fields no certificate could hold:
+    an unknown verdict, a non-integer rank, or a witness that is not a
+    ``want`` witness of the printed shape."""
+    verdict = doc.get("verdict")
+    if verdict == "resolvable-up-to":
+        if doc.get("rank") is not None:
+            _integer(doc["rank"], "the certificate rank")
+        return
+    if verdict != "certified-not-resolvable":
+        raise InputError(f"unknown verdict {verdict!r}")
     witness = _object(doc.get("witness"), "the witness")
-    if witness.get("type") != request["criterion"]:
+    if witness.get("type") != want:
         raise InputError(f"unknown witness type {witness.get('type')!r}")
-    if request["criterion"] == "matrix":
-        _, series = _rebuild_from_source(request["source"], request["degree"])
-        _, matrix = calabi_matrix(series, request["b"], request["degree"])
-        comps = witness.get("components")
-        if not (isinstance(comps, list) and len(comps) == matrix.dimension
-                and all(isinstance(t, str) for t in comps)):
-            raise InputError(f"a matrix witness needs {matrix.dimension} "
-                             "components, one string each")
-        value = matrix.quadratic_form([CScalar.parse(t) for t in comps])
-        return value < 0 and format_fraction(value) == witness["value"]
-    _, F = _rebuild_from_source(request["source"], request["jmax"],
-                                profile=True)
-    j = _integer(witness.get("j"), "the witness j", 1)
-    k = _integer(witness.get("k"), "the witness k")
-    coeff = hartogs_series(F, request["c"], k).ucoeff(j)
-    return coeff < 0 and format_fraction(coeff) == witness["coefficient"]
+    if want == "hartogs":
+        _integer(witness.get("j"), "the witness j", 1)
+        _integer(witness.get("k"), "the witness k")
+        return
+    basis, comps = witness.get("basis"), witness.get("components")
+    if not (isinstance(basis, list) and isinstance(comps, list)
+            and len(comps) == len(basis)
+            and all(isinstance(t, str) for t in comps)):
+        raise InputError("a matrix witness needs components, one string "
+                         "per basis element")
 
 
 def _immersion_from_json(doc: Mapping[str, Any]) -> ImmersionMap:

@@ -201,6 +201,8 @@ def _lift_index(n: int, ordinal: int) -> MultiIndex:
 def fbh_diastasis(n: int, m: int, mu: RationalLike, nu: RationalLike,
                   degree: int) -> BiSeries:
     """nu mu ||z||^2 - log(e^{-mu ||z||^2} - ||w||^2), z in C^n, w in C^m."""
+    if n < 1 or m < 1:
+        raise ValueError("fbh needs n >= 1 and m >= 1")
     mu = as_fraction(mu)
     nu = as_fraction(nu)
     if mu <= 0:

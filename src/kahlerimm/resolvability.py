@@ -319,19 +319,9 @@ def resolvability(d: BiSeries, b: RationalLike, degree: int) -> Verdict:
 # rotation-invariant Hartogs criterion
 # ---------------------------------------------------------------------------
 
-def hartogs_series(F: RSeries, c: Fraction, k: int) -> RSeries:
-    """(F(x)/F(0))^(-(c+k)), the series whose signs the criterion scans."""
-    if F.nvars != 1:
-        raise ValueError("F must be univariate")
-    f0 = F.constant_term()
-    if f0 <= 0:
-        raise ValueError("F(0) must be positive")
-    return F.scale(Fraction(1) / f0).pow_normalized(-(c + k))
-
-
 def hartogs_criterion(F: RSeries, c: RationalLike, jmax: int, kmax: int
                       ) -> Verdict:
-    """Sign scan of the x^j coefficients of (F(x)/F(0))^(-(c+k)).
+    """Sign scan of the x^j coefficients of (F(x)/F(0))^(-(c+k)), F(0) > 0.
 
     This decides projective inducedness of the rotation-invariant Hartogs
     metric with profile F, up to (jmax, kmax).  The positive prefactor
@@ -343,9 +333,15 @@ def hartogs_criterion(F: RSeries, c: RationalLike, jmax: int, kmax: int
         raise ValueError(f"need jmax >= 1 and kmax >= 0, got {jmax}, {kmax}")
     if F.d < jmax:
         raise ValueError(f"F truncated below jmax={jmax}")
+    if F.nvars != 1:
+        raise ValueError("F must be univariate")
+    f0 = F.constant_term()
+    if f0 <= 0:
+        raise ValueError("F(0) must be positive")
     c = as_fraction(c)
+    G = F.scale(Fraction(1) / f0)
     for k in range(kmax + 1):
-        h = hartogs_series(F, c, k)
+        h = G.pow_normalized(-(c + k))
         for j in range(1, jmax + 1):
             coeff = h.ucoeff(j)
             if coeff < 0:

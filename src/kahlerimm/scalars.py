@@ -117,21 +117,3 @@ class CScalar:
             return f"{format_fraction(self.im)}i"
         sign = "+" if self.im > 0 else "-"
         return f"{format_fraction(self.re)}{sign}{format_fraction(abs(self.im))}i"
-
-    @classmethod
-    def parse(cls, text: str) -> "CScalar":
-        s = text.strip().replace(" ", "")
-        if not s.endswith("i"):
-            return cls(s)
-        body = s[:-1]
-        # split the imaginary part off at the last top-level +/- sign
-        for pos in range(len(body) - 1, 0, -1):
-            if body[pos] in "+-" and body[pos - 1] not in "+-/":
-                re_part, im_part = body[:pos], body[pos:]
-                if im_part in ("+", "-"):
-                    im_part += "1"
-                return cls(re_part, im_part)
-        if body in ("", "+", "-"):
-            body += "1"
-        return cls(0, body)
-

@@ -1,6 +1,10 @@
+import contextlib
+import functools
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kahlerimm.cli import main
 
@@ -92,12 +96,16 @@ def test_immersion_round_trip(capsys, tmp_path):
     assert code == 0 and checked["valid"] is True
 
 
-def test_emit_immersion_refusal_prints_certificate(capsys):
-    code, doc = run_json(capsys, "emit-immersion", "--model", "cp",
-                         "--n", "1", "--scale", "1/2", "--b", "1",
-                         "--degree", "4")
+def test_emit_immersion_refusal_prints_certificate(capsys, tmp_path):
+    code, out, _ = run(capsys, "emit-immersion", "--model", "cp",
+                       "--n", "1", "--scale", "1/2", "--b", "1",
+                       "--degree", "4")
     assert code == 1
-    assert doc["verdict"] == "certified-not-resolvable"
+    assert json.loads(out)["verdict"] == "certified-not-resolvable"
+    f = tmp_path / "refusal.json"
+    f.write_text(out)
+    code, checked = run_json(capsys, "check-certificate", str(f))
+    assert code == 0 and checked["valid"] is True
 
 
 def test_hartogs_certificate_round_trip(capsys, tmp_path):
@@ -265,6 +273,11 @@ POSITIVE = (0, "analyze", "--model", "flat", "--n", "2", "--b", "0",
             "--degree", "3")
 POSITIVE_HARTOGS = (0, "analyze", "--model", "hartogs_alpha", "--c", "1",
                     "--degree", "5")
+# the emit-immersion refusal: the MATRIX request has no map
+REFUSAL = (1, "emit-immersion", *MATRIX[2:])
+# ch n=1 into flat space: components with radicands 1 and 1/2
+IMMERSION_FLAT = (0, "emit-immersion", "--model", "ch", "--n", "1",
+                  "--b", "0", "--degree", "2")
 # the flat-target jet of cp n=1 through degree 2 is |z|^2 - |z|^4/2: no
 # holomorphic map into C^N has it (the witness value is -1/2)
 CP_FLAT = (1, "analyze", "--model", "cp", "--n", "1", "--b", "0",
@@ -331,6 +344,8 @@ def each_term(doc, change):
     emitted_by(IMMERSION, lambda doc: dict(doc, components=[
         dict(doc["components"][0], sign=1.0)] + doc["components"][1:])),
     emitted_by(POSITIVE_HARTOGS, lambda doc: dict(doc, jmax=0, degree=0)),
+    emitted_by(HARTOGS, lambda doc: dict(doc, witness=dict(doc["witness"],
+                                                           j="2"))),
 ])
 def test_malformed_certificate_exit_two(capsys, tmp_path, mutate):
     expected, *request = getattr(mutate, "request", MATRIX)
@@ -519,11 +534,163 @@ def test_every_model_certificate_round_trips(capsys, tmp_path):
     from kahlerimm.models import MODELS
     cert = tmp_path / "cert.json"
     for name in sorted(MODELS):
-        paths = [()] + ([("--c", "1")] if MODELS[name].profile else [])
-        for extra in paths:
-            code, out, err = run(capsys, "analyze", "--model", name,
+        paths = [("analyze",), ("emit-immersion",)] + (
+            [("analyze", "--c", "1")] if MODELS[name].profile else [])
+        for command, *extra in paths:
+            code, out, err = run(capsys, command, "--model", name,
                                  "--degree", "2", *extra)
-            assert code in (0, 1), (name, extra, err)
+            assert code in (0, 1), (name, command, extra, err)
             cert.write_text(out)
             code, doc = run_json(capsys, "check-certificate", str(cert))
             assert code == 0 and doc["valid"] is True, (name, extra)
+
+
+def with_radicand(old, new):
+    return lambda doc: dict(doc, components=[
+        dict(comp, radicand=new if comp["radicand"] == old
+             else comp["radicand"]) for comp in doc["components"]])
+
+
+@pytest.mark.parametrize("request_, edit", [
+    (MATRIX, lambda doc: dict(doc, rank=999, schema_version=2, note="added")),
+    (MATRIX, lambda doc: dict(doc, witness=dict(doc["witness"],
+                                                basis=[[9]] * 4))),
+    (IMMERSION, lambda doc: dict(doc, verified=False, schema_version=7,
+                                 note="added")),
+    (HARTOGS, lambda doc: dict(doc, note="added")),
+    (IMMERSION_FLAT, with_radicand("1/2", "2/4")),
+], ids=["matrix-rank-schema-key", "matrix-basis",
+        "immersion-verified-schema-key", "hartogs-key", "immersion-radicand"])
+def test_document_valid_only_as_printed(capsys, tmp_path, request_, edit):
+    code, doc = check_edited(capsys, tmp_path, request_, edit)
+    assert code == 1 and doc["valid"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--model", "cp", "--param", "n=1", "--param", "n=2",
+     "--degree", "2"),
+    ("analyze", "--model", "cp", "--n", "1", "--param", "n=2",
+     "--degree", "2"),
+    ("analyze", "--model", "cp", "--scale", "1/2", "--param", "scale=1/3",
+     "--degree", "2"),
+    ("analyze", "--model", "springer", "--n", "1", "--param", "n=1",
+     "--c", "1", "--degree", "2"),
+    ("emit-immersion", "--model", "ch", "--n", "1", "--param", "n=1",
+     "--degree", "2"),
+    ("einstein", "--model", "cp", "--n", "2", "--param", "n=2",
+     "--degree", "2"),
+    ("einstein", "--model", "spaceform", "--b", "1", "--param", "b=1",
+     "--degree", "2"),
+])
+def test_parameter_given_twice_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "given twice" in one_json_line(err)["error"]
+
+
+@pytest.mark.parametrize("arity", ["n=0", "m=0"])
+def test_fbh_zero_arity_exit_two(capsys, arity):
+    code, out, err = run(capsys, "analyze", "--model", "fbh", "--param",
+                         arity, "--degree", "2")
+    assert code == 2 and out == ""
+    assert "fbh needs" in one_json_line(err)["error"]
+
+
+# ---------------------------------------------------------------------------
+# edit fuzz: one random edit of an emitted document never validates unless
+# it is the document kahlerimm prints for the request it names
+# ---------------------------------------------------------------------------
+
+FUZZED = {"matrix-": MATRIX, "matrix+": POSITIVE, "hartogs-": HARTOGS,
+          "hartogs+": POSITIVE_HARTOGS, "immersion": IMMERSION,
+          "refusal": REFUSAL}
+# replacement leaves: JSON values of every type, rationals spelled two ways
+LEAVES = [None, True, False, 0, 1, 2, -1, "", "0", "1", "2", "-1", "1/2",
+          "2/4", "x", [], {}]
+
+
+def call(*argv):
+    """main(argv) in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@functools.lru_cache(maxsize=None)
+def emitted(kind):
+    expected, *argv = FUZZED[kind]
+    code, out, err = call(*argv)
+    assert code == expected, err
+    return out
+
+
+def places(node, path=(), parent=None):
+    """(path, node, parent node) of ``node`` and every node under it."""
+    yield path, node, parent
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in items:
+        yield from places(child, path + (key,), node)
+
+
+def edit_spots(doc, how):
+    """Paths ``edited`` can apply ``how`` to: a scalar leaf ("leaf"), an
+    object ("add") or a key of an object ("drop")."""
+    return [path for path, node, parent in places(doc)
+            if (how == "leaf" and not isinstance(node, (dict, list)))
+            or (how == "add" and isinstance(node, dict))
+            or (how == "drop" and isinstance(parent, dict))]
+
+
+def edited(doc, path, how, value):
+    """``doc`` with the leaf at ``path`` replaced by ``value`` ("leaf"),
+    the object at ``path`` given the key "added" ("add"), or the key at
+    ``path`` dropped ("drop")."""
+    if how == "add":
+        path, how = path + ("added",), "leaf"
+    *up, last = path
+    node = doc
+    for key in up:
+        node = node[key]
+    if how == "leaf":
+        node[last] = value
+    else:
+        del node[last]
+    return doc
+
+
+def printed_for(doc):
+    """stdout of the command that emits a document for the request
+    ``doc`` names (a model source)."""
+    source = doc["source"]
+    argv = ["emit-immersion" if doc["kind"] == "immersion" else "analyze",
+            "--model", source["model"], f"--b={doc['b']}",
+            f"--degree={doc['degree']}"]
+    argv += [f"--param={k}={v}" for k, v in source["parameters"].items()]
+    if doc.get("criterion") == "hartogs":
+        argv += [f"--c={doc['c']}", f"--jmax={doc['jmax']}",
+                 f"--kmax={doc['kmax']}"]
+    return call(*argv)[1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(sorted(FUZZED)),
+       how=st.sampled_from(["leaf", "add", "drop"]),
+       value=st.sampled_from(LEAVES), data=st.data())
+def test_edited_document_never_validates(tmp_path_factory, kind, how, value,
+                                         data):
+    doc = json.loads(emitted(kind))
+    path = data.draw(st.sampled_from(edit_spots(doc, how)))
+    doc = edited(doc, path, how, value)
+    cert = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    cert.write_text(json.dumps(doc))
+    code, out, err = call("check-certificate", str(cert))
+    if code == 2:
+        assert out == "" and "error" in one_json_line(err)
+        return
+    assert code in (0, 1) and json.loads(out)["valid"] is (code == 0)
+    if code == 0:
+        # the edit named another request, and this is its very document
+        assert printed_for(doc) == json.dumps(doc, indent=2,
+                                              sort_keys=True) + "\n"

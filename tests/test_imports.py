@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and every private
+helper the package defines is called from somewhere in the package."""
 import ast
 from pathlib import Path
 
@@ -42,3 +43,31 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in imported_names(tree)
               if name not in used]
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def referenced_names(tree):
+    """Names the module reads or looks up as attributes."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+            } | {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
+
+
+def private_helpers(tree):
+    """(name, line) of each module-level function and method whose name
+    starts with one underscore; dunder methods are called implicitly."""
+    for node in tree.body:
+        defs = node.body if isinstance(node, ast.ClassDef) else [node]
+        for fn in defs:
+            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and fn.name.startswith("_")
+                    and not fn.name.endswith("__")):
+                yield fn.name, fn.lineno
+
+
+def test_no_uncalled_private_helpers():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    referenced = set().union(*map(referenced_names, trees.values()))
+    dead = [f"{module}:{line} {name}" for module, tree in trees.items()
+            for name, line in private_helpers(tree) if name not in referenced]
+    assert not dead, f"private helpers nothing references: {dead}"

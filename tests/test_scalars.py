@@ -33,18 +33,10 @@ def test_division_by_zero():
         CScalar(1) / CScalar(0)
 
 
-@given(rationals, rationals)
-def test_format_parse_round_trip(re, im):
-    c = CScalar(re, im)
-    assert CScalar.parse(c.format()) == c
-
-
-def test_parse_examples():
-    assert CScalar.parse("3/4") == CScalar(Fraction(3, 4))
-    assert CScalar.parse("-2i") == CScalar(0, -2)
-    assert CScalar.parse("1/2-1/3i") == CScalar(Fraction(1, 2),
-                                                Fraction(-1, 3))
-    assert CScalar.parse("i") == CScalar(0, 1)
+@given(rationals, rationals, rationals, rationals)
+def test_format_injective(a, b, c, d):
+    x, y = CScalar(a, b), CScalar(c, d)
+    assert (x.format() == y.format()) == (x == y)
 
 
 @given(rationals, rationals, rationals, rationals)
@@ -63,5 +55,3 @@ def test_format_fraction():
 def test_as_fraction_zero_denominator():
     with pytest.raises(ValueError, match="zero denominator"):
         as_fraction("1/0")
-    with pytest.raises(ValueError, match="zero denominator"):
-        CScalar.parse("1+1/0i")
