@@ -2,9 +2,12 @@
 
 The central object is the Hermitian matrix (a_{jk}) of a diastasis over the
 graded monomial basis (constant excluded).  ``psd_certify`` runs an exact
-pivoted LDL* elimination over Gaussian rationals and returns either a
-factorization (retained for building immersion maps) or a rational witness
+pivoted LDL* elimination and returns either a factorization over Gaussian
+rationals (retained for building immersion maps) or a rational witness
 vector w with w*Aw < 0 — a machine-checkable non-immersibility certificate.
+The elimination itself is fraction-free: Bareiss's integer-preserving
+steps over Gaussian integers, each division checked to be exact, with one
+``Fraction`` built per pivot and per column entry returned.
 """
 from __future__ import annotations
 
@@ -16,7 +19,8 @@ from .diastasis import b_transform, normalize_to_diastasis
 from .radial import RSeries
 from .scalars import CScalar, RationalLike, as_fraction
 from .series import BiSeries, GradedOrder, MultiIndex, Rows, \
-    _ordinal_degree, hermitian_defect, hermitian_update
+    _ordinal_degree, exact_div, gaussian_integers, hermitian_defect, \
+    hermitian_update
 
 
 class NotADiastasisError(ValueError):
@@ -105,33 +109,53 @@ def _eliminate(mat: Dict[Tuple[int, int], CScalar],
     gives a 2x2 principal-block witness; otherwise the remainder is zero
     and the matrix is PSD.
 
-    Only the upper triangle of ``mat`` is read.  The Schur complement is a
-    ``series.Rows`` store, and a pivot step is ``hermitian_update`` with
-    -d and the column l of L below the pivot (l_q = a_qp / d): it visits
-    only the pairs q <= r in the support of the pivot row, k (k + 1) / 2
-    products for k off-diagonal entries in that row.
+    The elimination is Bareiss's fraction-free one over Gaussian integers.
+    Only the upper triangle of ``mat`` is read, scaled by den, the lcm of
+    its denominators, into a ``series.Rows`` store.  After k pivots
+    p_1..p_k, let D_k be the integer of the k-th pivot (D_0 = 1): entry
+    (q, r) is then the minor of rows p_1..p_k, q and columns p_1..p_k, r of
+    the scaled matrix, den D_k times the Schur complement entry.  A pivot
+    step is ``hermitian_update`` with w = -1, x the pivot column, scale =
+    the new pivot's integer and prev = D_k.  It visits only the pairs
+    q <= r in the support of the pivot row; the entries it leaves keep the
+    D they were written at and are rescaled by D_now / D_then when read.
+    Every Schur diagonal is its integer over den D_k > 0, so the integers
+    pick the same pivot.  The pivot is B_pp / (den D_k) and l_q =
+    conj(B_pq) / B_pp, one ``Fraction`` per entry returned.  A witness is
+    found on the remainder's Schur values B / (den D_k).
     """
     rows: Rows = {p: {} for p in positions}
-    for (r, c), a in mat.items():
-        if r <= c and r in rows and c in rows and not a.is_zero():
-            rows[r][c] = (a.re, a.im or 0)
+    den, upper = gaussian_integers({
+        (r, c): a for (r, c), a in mat.items()
+        if r <= c and r in rows and c in rows})
+    for (r, c), (re, im) in upper.items():
+        if re or im:
+            rows[r][c] = (re, im, 1)
             if r != c:
-                rows[c][r] = (a.re, -a.im or 0)
+                rows[c][r] = (re, -im, 1)
     active = sorted(positions)
     pivots: List[Pivot] = []
+    prev = 1
 
     while True:
-        best, dval = None, 0
+        best, bval = None, 0
         for p in active:
             dv = rows[p].get(p)
             if dv is None:
                 continue
-            if dv[1]:
+            re, im, scale = dv
+            if im:
                 raise ValueError("non-Hermitian diagonal")
-            if dv[0] > dval:
-                best, dval = p, dv[0]
+            if scale != prev:
+                re = exact_div(re * prev, scale)
+            if re > bval:
+                best, bval = p, re
         if best is None:
-            witness_small = _small_witness(rows, active)
+            remainder = {p: {q: (Fraction(re, den * scale),
+                                 Fraction(im, den * scale))
+                             for q, (re, im, scale) in rows[p].items()}
+                         for p in active}
+            witness_small = _small_witness(remainder, active)
             if witness_small is None:
                 return Psd(len(pivots), tuple(pivots))
             return _lift_witness(mat, positions, pivots, witness_small)
@@ -141,14 +165,22 @@ def _eliminate(mat: Dict[Tuple[int, int], CScalar],
         del row[best]
         for q in row:
             del rows[q][best]
-        below = {q: CScalar(re / dval, -im / dval)
-                 for q, (re, im) in sorted(row.items())}
-        pivots.append(Pivot(best, dval, {best: CScalar(1), **below}))
-        hermitian_update(rows, -dval, below)
+        x = {}  # the pivot column B_qp = conj(B_pq), at D_k
+        for q, (re, im, scale) in sorted(row.items()):
+            if scale != prev:
+                re = exact_div(re * prev, scale)
+                im = exact_div(im * prev, scale)
+            x[q] = (re, -im)
+        below = {q: CScalar(Fraction(re, bval), Fraction(im, bval))
+                 for q, (re, im) in x.items()}
+        pivots.append(Pivot(best, Fraction(bval, den * prev),
+                            {best: CScalar(1), **below}))
+        hermitian_update(rows, -1, x, bval, prev)
+        prev = bval
 
 
-def _small_witness(rows: Rows, active: List[int]
-                   ) -> Optional[Dict[int, CScalar]]:
+def _small_witness(rows: Dict[int, Dict[int, Tuple[Fraction, Fraction]]],
+                   active: List[int]) -> Optional[Dict[int, CScalar]]:
     """A witness on the remainder, which has no positive diagonal, or None
     when the remainder is zero."""
     for p in active:

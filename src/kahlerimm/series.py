@@ -324,41 +324,82 @@ def hermitian_defect(coeffs: Coeffs) -> Optional[Tuple[int, int]]:
                  if coeffs.get((k, j), zero) != c.conj()), None)
 
 
-# a Hermitian matrix as one dict per row of its nonzero entries (re, im),
-# im the int 0 when real
-Rows = Dict[int, Dict[int, Tuple[Fraction, "Fraction | int"]]]
+# A Hermitian matrix of Gaussian integers as one dict per row of its
+# nonzero entries (re, im, scale), a positive int scale: the entry stands
+# for (re + i im) / scale over a denominator the caller keeps, and its
+# conjugate entry has the same scale.  The exact LDL* stores each entry as
+# a Bareiss minor, its scale the pivot integer D of the step that wrote it;
+# the pullback norm keeps scale 1.
+Rows = Dict[int, Dict[int, Tuple[int, int, int]]]
 
 
-def hermitian_update(rows: Rows, w: Fraction, x: Mapping[int, CScalar]
-                     ) -> None:
-    """rows += w x x*, in place, for a real weight w.
+def gaussian_integers(values: Mapping[T, CScalar]
+                      ) -> Tuple[int, Dict[T, Tuple[int, int]]]:
+    """(D, {key: (D re, D im)}) for D the lcm of the denominators of
+    ``values``, so that every value is a Gaussian integer over D."""
+    den = math.lcm(*(c.re.denominator for c in values.values()),
+                   *(c.im.denominator for c in values.values()))
+    return den, {key: (c.re.numerator * (den // c.re.denominator),
+                       c.im.numerator * (den // c.im.denominator))
+                 for key, c in values.items()}
 
-    For q <= r in the sorted keys of x this adds w x_q conj(x_r) at
-    (q, r) and writes the conjugate at (r, q), k (k + 1) / 2 products for
-    k keys; entries that cancel are deleted.  This is the rank-one
-    step of the exact LDL* (w = -d, x the column of L below the pivot) and
-    of the pullback norm (w = d_h, x = f_h).
+
+def exact_div(a: int, b: int) -> int:
+    """a / b for a divisor b that must divide a; raises otherwise."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"{b} does not divide {a}")
+    return q
+
+
+def hermitian_update(rows: Rows, w: int, x: Mapping[int, Tuple[int, int]],
+                     scale: int = 1, prev: int = 1) -> None:
+    """rows <- (scale rows + w x x*) / prev over the support of x, in place.
+
+    Every entry (q, r) with q <= r in the sorted keys of x is first read
+    at scale ``prev`` (an entry stored at another scale s becomes
+    re prev / s), then replaced by (scale a_qr + w x_q conj(x_r)) / prev
+    at scale ``scale``, and its conjugate is written at (r, q); k (k + 1)
+    / 2 products for k keys, and entries that cancel are deleted.  Entries
+    outside the support are not touched: they keep the scale they were
+    written at.  Every division must be exact, and an inexact one raises
+    ArithmeticError.
+
+    The Bareiss step of the exact LDL* is w = -1, x the pivot column,
+    ``scale`` the pivot and ``prev`` the pivot before it.  The pullback
+    norm is w = d_h and x = f_h over one common denominator, with
+    scale = prev = 1.
     """
-    xs = [(q, rows.setdefault(q, {}), c.re, c.im or 0)
-          for q, c in sorted(x.items())]
+    xs = [(q, rows.setdefault(q, {}), re, im)
+          for q, (re, im) in sorted(x.items())]
     for i, (q, rq, xr, xi) in enumerate(xs):
         ar = w * xr
-        ai = w * xi if xi else 0
+        ai = w * xi
         for r, rr, br, bi in xs[i:]:
             # (ar + i ai)(br - i bi); im comes out 0 when q = r
             if bi:
-                re = ar * br + ai * bi if ai else ar * br
-                im = ai * br - ar * bi if ai else -ar * bi
+                re = ar * br + ai * bi
+                im = ai * br - ar * bi
             else:
                 re = ar * br
-                im = ai * br if ai else 0
+                im = ai * br
             cur = rq.get(r)
             if cur is not None:
-                re, im = cur[0] + re, cur[1] + im
+                cr, ci, cs = cur
+                if cs != prev:
+                    cr = exact_div(cr * prev, cs)
+                    ci = exact_div(ci * prev, cs)
+                if scale != 1:
+                    cr *= scale
+                    ci *= scale
+                re += cr
+                im += ci
+            if prev != 1:
+                re = exact_div(re, prev)
+                im = exact_div(im, prev)
             if re or im:
-                im = im or 0
-                rq[r] = (re, im)
-                rr[q] = (re, -im)  # the same entry when q = r
+                rq[r] = (re, im, scale)
+                rr[q] = (re, -im, scale)  # the same entry when q = r
             elif cur is not None:
                 del rq[r]
                 rr.pop(q, None)
@@ -666,13 +707,25 @@ class HolSeries:
 
 def norm_sum(n: int, d: int, terms: Iterable[Tuple[Fraction, HolSeries]]
              ) -> BiSeries:
-    """sum_h w_h f_h conj(f_h) through degree d: one ``hermitian_update``
-    per component on one row store."""
-    rows: Rows = {}
+    """sum_h w_h f_h conj(f_h) through degree d, fraction-free.
+
+    Each f_h is written as Gaussian integers over D_h, the lcm of its
+    coefficient denominators, with weight w_h / D_h^2; the weights are put
+    over their common denominator L, and one integer ``hermitian_update``
+    per component accumulates L times the sum.  Each output coefficient is
+    then one division by L.
+    """
+    comps = []
     for w, f in terms:
         if f.n != n:
             raise ArityMismatchError(f"arity {f.n} != {n}")
-        hermitian_update(rows, w, {j: c for j, c in f.coeffs.items()
-                                   if _ordinal_degree(n, j) <= d})
-    return BiSeries(n, d, {(j, k): CScalar(re, im) for j, row in rows.items()
-                           for k, (re, im) in row.items()})
+        den, x = gaussian_integers({j: c for j, c in f.coeffs.items()
+                                    if _ordinal_degree(n, j) <= d})
+        comps.append((Fraction(w) / (den * den), x))
+    lam = math.lcm(*(w.denominator for w, _ in comps))
+    rows: Rows = {}
+    for w, x in comps:
+        hermitian_update(rows, w.numerator * (lam // w.denominator), x)
+    return BiSeries(n, d, {
+        (j, k): CScalar(Fraction(re, lam), Fraction(im, lam))
+        for j, row in rows.items() for k, (re, im, _) in row.items()})

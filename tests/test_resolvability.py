@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kahlerimm.immersion import factor_immersion, verify_immersion
 from kahlerimm.models import (build_model, profile_inv_sqrt,
                               profile_one_minus_x_pow, profile_springer)
 from kahlerimm.resolvability import (CertifiedNotResolvable, HermMatrix,
@@ -316,15 +317,23 @@ def dense_psd_certify(matrix):
     return Psd(len(all_pivots), tuple(all_pivots))
 
 
-small_fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+small_fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 12))
 
 
 @st.composite
 def hermitian_rows(draw):
-    """Hermitian rows of size 1-7: random, Gram (often rank-deficient),
-    Gram with a negative diagonal, or Gram plus an uncoupled zero-diagonal
-    block; real or complex entries, sparse or dense."""
-    size = draw(st.integers(1, 7))
+    """Hermitian rows of size 1-12 with denominators up to 12: random, Gram
+    (often rank-deficient), Gram with a negative diagonal, Gram plus an
+    uncoupled zero-diagonal block, or block-sparse; real or complex
+    entries, sparse or dense.
+
+    A block-sparse matrix is sum_p d_p l_p l_p* over unit columns l_p of
+    at most 3 entries, one for each position p outside a set Z, plus a
+    block on Z with zero diagonal.  Its pivot rows have small support, so
+    most entries go stale over several pivots, and when the pivots are
+    the positions outside Z the remainder is the block on Z, which ends in
+    the 2x2 zero-diagonal witness."""
+    size = draw(st.integers(1, 12))
     complex_entries = draw(st.booleans())
     sparse = draw(st.booleans())
 
@@ -334,7 +343,8 @@ def hermitian_rows(draw):
         im = draw(small_fraction) if complex_entries else 0
         return CScalar(draw(small_fraction), im)
 
-    kind = draw(st.sampled_from(["random", "gram", "negative", "zero_block"]))
+    kind = draw(st.sampled_from(["random", "gram", "negative", "zero_block",
+                                 "block_sparse"]))
     rows = [[CScalar(0)] * size for _ in range(size)]
     if kind == "random":
         for i in range(size):
@@ -344,16 +354,29 @@ def hermitian_rows(draw):
                 rows[j][i] = rows[i][j].conj()
         return rows
     zero = set()
-    if kind == "zero_block" and size >= 2:
+    if kind in ("zero_block", "block_sparse") and size >= 2:
         zero = set(draw(st.lists(st.integers(0, size - 1), min_size=2,
                                  max_size=size, unique=True)))
     rest = [i for i in range(size) if i not in zero]
-    factors = [[scalar() for _ in rest]
-               for _ in range(draw(st.integers(1, size)))]
-    for a, i in enumerate(rest):
-        for b, j in enumerate(rest):
-            rows[i][j] = sum((f[a].conj() * f[b] for f in factors),
-                             CScalar(0))
+    if kind == "block_sparse":
+        for p in rest:
+            col = {p: CScalar(1)}
+            if p + 1 < size:
+                for q in draw(st.lists(st.integers(p + 1, size - 1),
+                                       max_size=2, unique=True)):
+                    col[q] = scalar()
+            weight = Fraction(draw(st.integers(1, 3)),
+                              draw(st.integers(1, 12)))
+            for i, ci in col.items():
+                for j, cj in col.items():
+                    rows[i][j] = rows[i][j] + ci * cj.conj() * weight
+    else:
+        factors = [[scalar() for _ in rest]
+                   for _ in range(draw(st.integers(1, size)))]
+        for a, i in enumerate(rest):
+            for b, j in enumerate(rest):
+                rows[i][j] = sum((f[a].conj() * f[b] for f in factors),
+                                 CScalar(0))
     if kind == "negative":
         p = draw(st.integers(0, size - 1))
         rows[p][p] = CScalar(-draw(st.integers(1, 3)))
@@ -363,8 +386,8 @@ def hermitian_rows(draw):
             v = scalar()
             if j == ordered[a + 1] and v.is_zero():
                 v = CScalar(1)
-            rows[i][j] = v
-            rows[j][i] = v.conj()
+            rows[i][j] = rows[i][j] + v
+            rows[j][i] = rows[i][j].conj()
     return rows
 
 
@@ -383,11 +406,79 @@ def test_eliminate_matches_dense_loop(rows):
 def test_circular_blocks_match_dense_loop(rows):
     # positions take the degrees of the graded basis in two variables;
     # a circular matrix has no entry between different degrees
-    basis = GradedOrder(2, 3).basis[1:len(rows) + 1]
+    basis = GradedOrder(2, 4).basis[1:len(rows) + 1]
     entries = {(r, c): v for (r, c), v in _herm_from_rows(rows).entries.items()
                if sum(basis[r]) == sum(basis[c])}
     mat = HermMatrix(len(rows), entries, basis, True)
     assert psd_certify(mat) == dense_psd_certify(mat)
+
+
+def test_zero_block_witness_after_two_pivots():
+    # 9 l0 l0* + 5 l1 l1* plus the block [[0, a], [conj(a), 0]] on
+    # positions 2 and 3: positions 0 and 1 are pivoted first, and the
+    # remainder is that block, coupled to both pivots.  The witness must
+    # see its Schur values, not the Bareiss integers, and it is lifted
+    # through both pivots.
+    third = Fraction(1, 3)
+    l0 = [CScalar(1), CScalar(third), CScalar(third, third), CScalar(third)]
+    l1 = [CScalar(0), CScalar(1), CScalar(Fraction(1, 2)),
+          CScalar(0, Fraction(1, 5))]
+    rows = [[l0[i] * l0[j].conj() * 9 + l1[i] * l1[j].conj() * 5
+             for j in range(4)] for i in range(4)]
+    rows[2][3] = rows[2][3] + CScalar(2, Fraction(-3, 7))
+    rows[3][2] = rows[2][3].conj()
+    mat = _herm_from_rows(rows)
+    verdict = psd_certify(mat)
+    assert isinstance(verdict, NotPsd)
+    assert all(not c.is_zero() for c in verdict.witness)
+    assert mat.quadratic_form(verdict.witness) == verdict.value < 0
+    assert verdict == dense_eliminate(mat.entries, list(range(4)))
+
+
+def gram_jet(seed, negative=False):
+    """sum_i |f_i|^2 over 20 unit-triangular f_i on the 34 monomials of
+    degree 1..4 in 3 variables, the leading monomials spread evenly; with
+    ``negative``, one diagonal set below minus its row's sum of |c|^2."""
+    rng = random.Random(seed)
+    size, rank = 34, 20
+    coeffs = {}
+    for i in range(rank):
+        lead = i * size // rank
+        f = {lead: CScalar(1)}
+        for q in range(lead + 1, size):
+            den = rng.choice((1, 2, 3, 4))
+            f[q] = CScalar(Fraction(rng.randint(-3, 3), den),
+                           Fraction(rng.randint(-3, 3), den))
+        for j, cj in f.items():
+            for k, ck in f.items():
+                key = (j + 1, k + 1)  # basis position -> graded ordinal
+                coeffs[key] = coeffs.get(key, CScalar(0)) + cj * ck.conj()
+    if negative:
+        p = size // 2 + 1
+        row = sum((c.abs2() for (j, _), c in coeffs.items() if j == p),
+                  Fraction(0))
+        coeffs[(p, p)] = CScalar(-row - 1)
+    return BiSeries(3, 4, coeffs)
+
+
+def test_jets_size_gram_matches_dense_loop():
+    jet = gram_jet(9)
+    mat = build_matrix(jet, 4)
+    assert mat.dimension == 34
+    verdict = psd_certify(mat)
+    assert isinstance(verdict, Psd) and verdict.rank == 20
+    assert verdict == dense_psd_certify(mat)
+    assert max(max(p.value.numerator.bit_length(),
+                   p.value.denominator.bit_length())
+               for p in verdict.pivots) > 64
+    imm = factor_immersion(jet, 0, 4)
+    assert len(imm.components) == 20
+    assert verify_immersion(imm, jet, 0, 4).ok
+
+    mat = build_matrix(gram_jet(9, negative=True), 4)
+    verdict = psd_certify(mat)
+    assert isinstance(verdict, NotPsd)
+    assert verdict == dense_psd_certify(mat)
 
 
 def test_zero_diagonal_complex_off_diagonal_witness():

@@ -4,14 +4,15 @@ from fractions import Fraction
 from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kahlerimm.immersion import Component, ImmersionMap, Target
 from kahlerimm.scalars import CScalar
 from kahlerimm.series import (
     ArityMismatchError, BiSeries, ConstantTermError, GradedOrder, HolSeries,
-    OrdinalRangeError, det_series, exp_series, index_of_ordinal, log1p_series,
-    ordinal_of_index, pow1p_series, solve_graded_fixed_point,
+    OrdinalRangeError, det_series, exp_series, hermitian_update,
+    index_of_ordinal, log1p_series, ordinal_of_index, pow1p_series,
+    solve_graded_fixed_point,
 )
 
 
@@ -230,26 +231,52 @@ def test_bucketed_product_matches_naive(data):
 
 @st.composite
 def immersion_map(draw):
+    """Up to 4 components, each with coefficient denominators up to 6 or up
+    to 60 and possibly an empty series."""
     n = draw(st.integers(1, 3))
     d = draw(st.integers(1, 3))
     size = GradedOrder(n, d).size
+    wide = st.fractions(min_value=-5, max_value=5, max_denominator=60)
+    coeff = st.one_of(coeff_st, st.builds(CScalar, wide, wide))
     components = draw(st.lists(st.builds(
         Component, st.sampled_from([1, -1]),
         st.fractions(min_value=Fraction(1, 5), max_value=5,
                      max_denominator=6),
-        st.dictionaries(st.integers(0, size - 1), coeff_st, max_size=5)
+        st.dictionaries(st.integers(0, size - 1), coeff, max_size=5)
         .map(lambda c: HolSeries(n, d, c))), max_size=4))
     return ImmersionMap(tuple(components), Target("indefinite"), d, n)
 
 
 @settings(max_examples=40, deadline=None)
 @given(immersion_map())
+@example(ImmersionMap((
+    Component(1, Fraction(2, 3), HolSeries(2, 2, {})),
+    Component(-1, Fraction(5, 4), HolSeries(2, 2, {
+        1: CScalar(Fraction(1, 60), Fraction(-7, 59)),
+        4: CScalar(Fraction(-3, 44))})),
+    Component(1, Fraction(1, 6), HolSeries(2, 2, {}))),
+    Target("indefinite"), 2, 2))
 def test_pullback_norm_matches_component_sum(imm):
     want = BiSeries.zero(imm.arity, imm.degree)
     for comp in imm.components:
         want = want + comp.series.mul_conj(comp.series).scale(
             comp.sign * comp.radicand)
     assert imm.pullback_norm() == want
+
+
+def test_hermitian_update_raises_on_inexact_division():
+    # a Bareiss step (2 * 3 - 1 * 1) / 2 that is not an integer
+    rows = {0: {0: (3, 0, 2)}}
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        hermitian_update(rows, -1, {0: (1, 0)}, 2, 2)
+    # an entry stored at scale 3 read at scale 2: 1 * 2 / 3
+    rows = {0: {0: (1, 0, 3)}}
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        hermitian_update(rows, -1, {0: (1, 0)}, 4, 2)
+    # the exact case: (2 * 3 - 1 * 1 - 1 * 1) / 2 = 2, stored at scale 2
+    rows = {0: {0: (3, 0, 2)}}
+    hermitian_update(rows, -1, {0: (1, 1)}, 2, 2)
+    assert rows == {0: {0: (2, 0, 2)}}
 
 
 def test_det_series_2x2():
