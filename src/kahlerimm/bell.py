@@ -11,9 +11,8 @@ a power series, which is exactly how they enter the cigar analysis: the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .radial import RSeries
 from .scalars import RationalLike, as_fraction
@@ -73,8 +72,7 @@ def bell_complete(n: int, x: Sequence[RationalLike]) -> Fraction:
 # cigar obstruction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CigarScan:
+class CigarScan(NamedTuple):
     first_negative_n: Optional[int]
     y_value: Optional[Fraction]            # Y_n(a~) at the first negative n
     coefficient: Optional[Fraction]        # the series coefficient there
@@ -120,8 +118,7 @@ def cigar_scan(c: RationalLike, n_max: int) -> CigarScan:
     return CigarScan(first_n, first_y, first_coeff, tuple(coefficients))
 
 
-@dataclass(frozen=True)
-class CigarLimit:
+class CigarLimit(NamedTuple):
     partial_sum: Fraction          # exact, with a rational midpoint for pi^2/6
     enclosure: Tuple[Fraction, Fraction]   # rational enclosure of pi^2/6
     float_value: float             # 1 - exp(-c pi^2/6), labeled float report

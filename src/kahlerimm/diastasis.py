@@ -1,8 +1,7 @@
 """Diastasis normalization, Bochner-form checking and the b-transform."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .scalars import CScalar, RationalLike, as_fraction
 from .series import BiSeries, MultiIndex, _ordinal_degree, exp_series, \
@@ -20,8 +19,7 @@ def normalize_to_diastasis(phi: BiSeries) -> BiSeries:
     return BiSeries(phi.n, phi.d, out)
 
 
-@dataclass(frozen=True)
-class BochnerReport:
+class BochnerReport(NamedTuple):
     is_bochner: bool
     defect: Optional[Tuple[MultiIndex, MultiIndex, CScalar]] = None
 

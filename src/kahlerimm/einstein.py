@@ -6,9 +6,8 @@ det(d^2 D / dz dzbar) = e^{-lambda D / 2}, so lambda can be read off the
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .diastasis import check_bochner_form
 from .scalars import CScalar, RationalLike, as_fraction
@@ -57,14 +56,12 @@ def hessian_det(d: BiSeries, degree: int) -> BiSeries:
     return det_series(matrix)
 
 
-@dataclass(frozen=True)
-class EinsteinResult:
+class EinsteinResult(NamedTuple):
     lam: Fraction
     flat: bool = False
 
 
-@dataclass(frozen=True)
-class NotEinstein:
+class NotEinstein(NamedTuple):
     location: Tuple[MultiIndex, MultiIndex]
     got: CScalar
     want: CScalar

@@ -8,9 +8,10 @@ which stays inside Gaussian-rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, \
+    Union
 
 from .diastasis import normalize_to_diastasis
 from .resolvability import MatrixWitness, NotPsd, calabi_matrix, \
@@ -29,36 +30,35 @@ class NotResolvableError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class Target:
+class Target(NamedTuple):
     kind: str                      # "flat" | "curved" | "indefinite"
     b: Optional[Fraction] = None   # curvature parameter for "curved"
 
 
-@dataclass(frozen=True)
-class Component:
-    sign: int                      # +1 or -1 (-1 only for indefinite targets)
-    radicand: Fraction             # positive rational
-    series: HolSeries
+class Component(namedtuple("Component", "sign radicand series")):
+    """sqrt(radicand) * series with a sign: +1, or -1 for an indefinite
+    target only; the radicand is a positive rational."""
 
-    def __post_init__(self):
-        if self.sign not in (1, -1) or not self.radicand > 0:
+    __slots__ = ()
+
+    def __new__(cls, sign: int, radicand: Fraction, series: HolSeries):
+        if sign not in (1, -1) or not radicand > 0:
             raise ValueError(f"a component needs sign +1 or -1 and a positive"
-                             f" radicand, got {self.sign} and {self.radicand}")
+                             f" radicand, got {sign} and {radicand}")
+        return super().__new__(cls, sign, radicand, series)
 
 
-@dataclass(frozen=True)
-class ImmersionMap:
-    components: Tuple[Component, ...]
-    target: Target
-    degree: int
-    arity: int
+class ImmersionMap(namedtuple("ImmersionMap",
+                              "components target degree arity")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.target.kind != "indefinite" and any(
-                c.sign < 0 for c in self.components):
+    def __new__(cls, components: Tuple[Component, ...], target: Target,
+                degree: int, arity: int):
+        if target.kind != "indefinite" and any(c.sign < 0
+                                               for c in components):
             raise ValueError(f"a sign -1 component needs an indefinite "
-                             f"target, not {self.target.kind!r}")
+                             f"target, not {target.kind!r}")
+        return super().__new__(cls, components, target, degree, arity)
 
     def pullback_norm(self) -> BiSeries:
         """sum sign * radicand * series * conj(series), exact."""
@@ -67,8 +67,7 @@ class ImmersionMap:
             (c.sign * c.radicand, c.series) for c in self.components))
 
 
-@dataclass(frozen=True)
-class NonExistence:
+class NonExistence(NamedTuple):
     reason: str
     first_negative: Optional[Tuple[MultiIndex, Fraction]] = None
 
@@ -251,8 +250,7 @@ def space_form_rank(n: int, b: RationalLike, b_target: RationalLike
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     residual: Optional[Tuple[MultiIndex, MultiIndex, CScalar, CScalar]] = None
 

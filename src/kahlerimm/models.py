@@ -9,9 +9,9 @@ entry by name.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, \
+    Sequence, Tuple
 
 from .diastasis import normalize_to_diastasis
 from .radial import RSeries
@@ -398,8 +398,7 @@ def profile_rhp_cubic(degree: int) -> RSeries:
 # registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelEntry:
+class ModelEntry(NamedTuple):
     """A catalog model.  A Hartogs-family entry also names its radial
     profile F and F's parameters; other entries hold None and ()."""
 

@@ -11,9 +11,9 @@ steps over Gaussian integers, each division checked to be exact, with one
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, \
+    Union
 
 from .diastasis import b_transform, normalize_to_diastasis
 from .radial import RSeries
@@ -31,8 +31,7 @@ class NotADiastasisError(ValueError):
 # matrix construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HermMatrix:
+class HermMatrix(NamedTuple):
     """Hermitian coefficient matrix over the graded basis (ordinals 1..M)."""
 
     dimension: int
@@ -75,8 +74,7 @@ def build_matrix(d: BiSeries, degree: int) -> HermMatrix:
 # exact PSD certification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Pivot:
+class Pivot(NamedTuple):
     """One retained LDL* step: A accumulates pivot * column * column^*."""
 
     ordinal: int                 # position in the basis (0-based)
@@ -84,14 +82,12 @@ class Pivot:
     column: Dict[int, CScalar]   # unit-diagonal column of L (position -> coeff)
 
 
-@dataclass(frozen=True)
-class Psd:
+class Psd(NamedTuple):
     rank: int
     pivots: Tuple[Pivot, ...]
 
 
-@dataclass(frozen=True)
-class NotPsd:
+class NotPsd(NamedTuple):
     witness: Tuple[CScalar, ...]  # over the full basis, first nonzero = 1
     value: Fraction               # w* A w < 0, exact
 
@@ -229,13 +225,29 @@ def _lift_witness(mat: Dict[Tuple[int, int], CScalar], positions: List[int],
 
 def _qform(entries: Dict[Tuple[int, int], CScalar],
            v: Sequence[CScalar]) -> Fraction:
-    """v* A v for the matrix dict A, exact; real for Hermitian A."""
-    total = CScalar(0)
-    for (r, c), a in entries.items():
-        total = total + v[r].conj() * a * v[c]
-    if total.im:
+    """v* A v for the matrix dict A, exact; real for Hermitian A.
+
+    A and v are put over the lcm of their denominators, Gaussian integers
+    (a_re, a_im) over den_a and (x_re, x_im) over den_v; the sum
+    s_r = sum_c a_rc x_c, then sum_r conj(x_r) s_r, is taken in ints, and
+    one ``Fraction`` is built over den_a den_v^2.
+    """
+    den_a, a = gaussian_integers(entries)
+    den_v, x = gaussian_integers(dict(enumerate(v)))
+    s: Dict[int, Tuple[int, int]] = {}
+    for (r, c), (ar, ai) in a.items():
+        xr, xi = x[c]
+        if xr or xi:
+            sr, si = s.get(r, (0, 0))
+            s[r] = (sr + ar * xr - ai * xi, si + ar * xi + ai * xr)
+    re = im = 0
+    for r, (sr, si) in s.items():
+        xr, xi = x[r]
+        re += xr * sr + xi * si
+        im += xr * si - xi * sr
+    if im:
         raise ValueError("quadratic form of a non-Hermitian matrix")
-    return total.re
+    return Fraction(re, den_a * den_v * den_v)
 
 
 def psd_certify(matrix: HermMatrix) -> PsdVerdict:
@@ -277,28 +289,24 @@ def psd_certify(matrix: HermMatrix) -> PsdVerdict:
 # verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatrixWitness:
+class MatrixWitness(NamedTuple):
     basis: Tuple[MultiIndex, ...]
     components: Tuple[CScalar, ...]
     value: Fraction
 
 
-@dataclass(frozen=True)
-class HartogsWitness:
+class HartogsWitness(NamedTuple):
     j: int
     k: int
     coefficient: Fraction
 
 
-@dataclass(frozen=True)
-class ResolvableUpTo:
+class ResolvableUpTo(NamedTuple):
     degree: int
     rank: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class CertifiedNotResolvable:
+class CertifiedNotResolvable(NamedTuple):
     degree: int
     witness: Union[MatrixWitness, HartogsWitness]
 

@@ -13,9 +13,9 @@ scalings (c+m) mu / genus for every integer m >= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, List, Mapping, Optional, Union
+from typing import Callable, List, Mapping, NamedTuple, Optional, Union
 
 from .immersion import Component, ImmersionMap, Target
 from .scalars import RationalLike, as_fraction
@@ -26,8 +26,7 @@ class MissingBaseMapError(KeyError):
     """A base immersion at a required scaling was not supplied."""
 
 
-@dataclass(frozen=True)
-class DomainInvariants:
+class DomainInvariants(namedtuple("DomainInvariants", "rank a genus dim")):
     """(rank, invariant a, genus, dimension) of a bounded symmetric domain.
 
     The (r, a) values for specific classical domains are configuration
@@ -36,18 +35,16 @@ class DomainInvariants:
     regardless of a.
     """
 
-    rank: int
-    a: Fraction
-    genus: int
-    dim: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __new__(cls, rank: int, a: Fraction, genus: int, dim: int):
+        if rank < 1:
             raise ValueError("rank must be >= 1")
-        if self.a < 0:
+        if a < 0:
             raise ValueError("invariant a must be nonnegative")
-        if self.genus < 1 or self.dim < 1:
+        if genus < 1 or dim < 1:
             raise ValueError("genus and dimension must be positive")
+        return super().__new__(cls, rank, a, genus, dim)
 
     @property
     def threshold(self) -> Fraction:
@@ -86,8 +83,7 @@ def classical_invariants(kind: str, *sizes: int) -> DomainInvariants:
 # Wallach-set decisions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(NamedTuple):
     kind: str                 # "discrete" | "continuous" | "outside"
     k: Optional[int] = None   # lattice index for the discrete part
 

@@ -1,6 +1,10 @@
-"""Every module of the package uses each name it imports, and every private
-helper the package defines is called from somewhere in the package."""
+"""Every module of the package uses each name it imports, every private
+helper the package defines is called from somewhere in the package, and a
+CLI process starts without the standard library's introspection modules."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +75,26 @@ def test_no_uncalled_private_helpers():
     dead = [f"{module}:{line} {name}" for module, tree in trees.items()
             for name, line in private_helpers(tree) if name not in referenced]
     assert not dead, f"private helpers nothing references: {dead}"
+
+
+def modules_after(code):
+    """The names in sys.modules after ``code`` runs in a fresh interpreter
+    with PYTHONPATH=src."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code + "; print(' '.join(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+def test_cli_start_up_loads_no_introspection_modules():
+    # each CLI command is a fresh process, so what its start-up imports is
+    # paid by every request; dataclasses alone pulls in inspect, ast and
+    # dis.  The bare interpreter is the baseline, so a module that a site
+    # .pth file loads is not counted against the package.
+    bare = modules_after("import sys")
+    cli = modules_after("import sys, kahlerimm.cli; "
+                        "kahlerimm.cli.build_parser()")
+    assert "kahlerimm.cli" in cli
+    extra = (cli - bare) & {"dataclasses", "inspect", "ast", "dis"}
+    assert not extra, f"CLI start-up imports {sorted(extra)}"

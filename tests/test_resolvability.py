@@ -192,6 +192,55 @@ def test_circular_block_path_matches_monolithic():
             assert mat.quadratic_form(v2.witness) == v2.value < 0
 
 
+fraction60 = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 60))
+cscalar60 = st.builds(CScalar, fraction60, fraction60)
+
+
+@st.composite
+def matrix_and_vector(draw):
+    """A sparse matrix dict of size 1-12 and a complex vector of that size,
+    denominators up to 60; the matrix is Hermitian unless drawn otherwise,
+    and the vector has some zero entries."""
+    size = draw(st.integers(1, 12))
+    hermitian = draw(st.booleans())
+    entries = {}
+    for r in range(size):
+        for c in range(r if hermitian else 0, size):
+            if not draw(st.booleans()):
+                continue
+            a = CScalar(draw(fraction60)) if hermitian and r == c \
+                else draw(cscalar60)
+            entries[(r, c)] = a
+            if hermitian:
+                entries[(c, r)] = a.conj()
+    v = draw(st.lists(st.one_of(st.just(CScalar(0)), cscalar60),
+                      min_size=size, max_size=size))
+    return entries, v
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_and_vector())
+def test_qform_matches_cscalar_sum(case):
+    entries, v = case
+    want = CScalar(0)
+    for (r, c), a in entries.items():
+        want = want + v[r].conj() * a * v[c]
+    if want.im:
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            _qform(entries, v)
+        return
+    assert _qform(entries, v) == want.re
+    basis = tuple((j + 1,) for j in range(len(v)))
+    assert HermMatrix(len(v), entries, basis, False).quadratic_form(v) \
+        == want.re
+
+
+def test_qform_of_a_non_hermitian_matrix_raises():
+    # [[0, i], [0, 0]] at v = (1, 1) has v*Av = i
+    with pytest.raises(ValueError, match="non-Hermitian"):
+        _qform({(0, 1): CScalar(0, 1)}, [CScalar(1), CScalar(1)])
+
+
 def test_non_hermitian_matrix_rejected():
     for rows in ([[1, 2], [3, 1]],
                  [[1, CScalar(1, 1)], [CScalar(1, 1), 1]],
