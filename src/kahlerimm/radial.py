@@ -3,10 +3,12 @@
 Used wherever a model is naturally a function of real quantities such as
 x = |z|^2 or r = |z + conj(z)|: Hartogs profile functions F, the implicit
 Taub-NUT inversion, and the tubular ODE solution.  Truncation is by total
-degree.
+degree.  Products and compositions run on integer numerators over one
+common denominator, as in ``series``.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add
 from typing import Callable, Dict, Sequence, Tuple
@@ -109,20 +111,22 @@ class RSeries:
     def __mul__(self, other: "RSeries") -> "RSeries":
         self._check(other)
         d = min(self.d, other.d)
-        acc: Dict[Expo, Fraction] = {}
-        mine, theirs = self._slices(), other._slices()
+        acc: Dict[Expo, int] = {}
+        (den_x, mine), (den_y, theirs) = self._slices(), other._slices()
         for s1, x in mine.items():
             for s2, y in theirs.items():
                 if s1 + s2 <= d:
                     _mul_add(acc, x, y, 1)
-        return RSeries(self.nvars, d, acc)
+        return RSeries(self.nvars, d, _fractions(den_x * den_y, acc))
 
-    def _slices(self) -> Dict[int, Dict[Expo, Fraction]]:
-        """Coefficients grouped by total degree."""
-        out: Dict[int, Dict[Expo, Fraction]] = {}
+    def _slices(self) -> Tuple[int, Dict[int, Dict[Expo, int]]]:
+        """(D, the coefficients times D grouped by total degree), for D the
+        lcm of the coefficient denominators: integer slices."""
+        den = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        out: Dict[int, Dict[Expo, int]] = {}
         for e, c in self.coeffs.items():
-            out.setdefault(sum(e), {})[e] = c
-        return out
+            out.setdefault(sum(e), {})[e] = c.numerator * (den // c.denominator)
+        return den, out
 
     def truncate(self, d: int) -> "RSeries":
         if d > self.d:
@@ -178,12 +182,13 @@ class RSeries:
         return self._compose(pow1p_rule(as_fraction(e)))
 
     def _compose(self, rule: Rule) -> "RSeries":
-        unit = {(0,) * self.nvars: Fraction(1)}
-        f = _degree_recurrence(
-            self._slices(), self.d, unit, rule, _mul_add,
-            lambda acc: {e: c for e, c in acc.items() if c})
-        return RSeries(self.nvars, self.d,
-                       {e: c for part in f for e, c in part.items()})
+        den_a, slices = self._slices()
+        f = _degree_recurrence(slices, den_a, self.d, {(0,) * self.nvars: 1},
+                               rule, _mul_add, _close)
+        coeffs: Dict[Expo, Fraction] = {}
+        for den, part in f:
+            coeffs.update(_fractions(den, part))
+        return RSeries(self.nvars, self.d, coeffs)
 
     def pow_normalized(self, e: RationalLike) -> "RSeries":
         """self^e for a series with positive rational constant term c0;
@@ -200,9 +205,10 @@ class RSeries:
         return body.pow1p(e).scale(c0 ** e.numerator)
 
 
-def _mul_add(acc: Dict[Expo, Fraction], x: Dict[Expo, Fraction],
-             y: Dict[Expo, Fraction], w: "Fraction | int") -> None:
-    """acc += w * x * y (no truncation: callers pass fitting slices)."""
+def _mul_add(acc: Dict[Expo, int], x: Dict[Expo, int],
+             y: Dict[Expo, int], w: int) -> None:
+    """acc += w * x * y over integer slices (no truncation: callers pass
+    fitting slices)."""
     scaled = w != 1
     for e1, c1 in x.items():
         if scaled:
@@ -210,3 +216,13 @@ def _mul_add(acc: Dict[Expo, Fraction], x: Dict[Expo, Fraction],
         for e2, c2 in y.items():
             e = tuple(map(add, e1, e2))
             acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def _close(acc: Dict[Expo, int], den: int) -> Tuple[int, Dict[Expo, int]]:
+    """The slice acc / den in lowest terms, zeros dropped."""
+    g = math.gcd(den, *acc.values())
+    return den // g, {e: c // g for e, c in acc.items() if c}
+
+
+def _fractions(den: int, ints: Dict[Expo, int]) -> Dict[Expo, Fraction]:
+    return {e: Fraction(c, den) for e, c in ints.items()}

@@ -7,10 +7,12 @@ rationals (retained for building immersion maps) or a rational witness
 vector w with w*Aw < 0 — a machine-checkable non-immersibility certificate.
 The elimination itself is fraction-free: Bareiss's integer-preserving
 steps over Gaussian integers, each division checked to be exact, with one
-``Fraction`` built per pivot and per column entry returned.
+``Fraction`` built per pivot and per column entry returned; the lift of a
+witness back through the pivots runs on Gaussian integers too.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, \
     Union
@@ -201,22 +203,37 @@ def _lift_witness(mat: Dict[Tuple[int, int], CScalar], positions: List[int],
                   ) -> NotPsd:
     """Lift a witness of the remainder back through the eliminations:
     y_p = -sum_q conj(l_q) y_q over the column l of each pivot p, last
-    pivot first."""
-    y = dict(witness_small)
+    pivot first.
+
+    The solve runs on Gaussian integers: y is kept up to one positive
+    factor, which the final scaling cancels.  The entries of l that meet y
+    are put over their lcm D; with s = sum_q conj(D l_q) y_q and g the gcd
+    of D and the parts of s, y_p = -s / g and every earlier entry is
+    multiplied by D / g.  The first nonzero component f is scaled to 1,
+    y_q conj(y_f) / |y_f|^2, one ``Fraction`` per part.
+    """
+    _, y = gaussian_integers(witness_small)
     for pivot in reversed(pivots):
-        acc = CScalar(0)
-        for q, coeff in y.items():
-            lq = pivot.column.get(q)
-            if lq is not None:
-                acc = acc + lq.conj() * coeff
-        y[pivot.ordinal] = -acc
+        den, col = gaussian_integers({q: pivot.column[q] for q in y
+                                      if q in pivot.column})
+        re = im = 0
+        for q, (lr, li) in col.items():
+            yr, yi = y[q]
+            # (lr - i li)(yr + i yi)
+            re += lr * yr + li * yi
+            im += lr * yi - li * yr
+        g = math.gcd(den, re, im)
+        if g != den:
+            scale = den // g
+            y = {q: (yr * scale, yi * scale) for q, (yr, yi) in y.items()}
+        y[pivot.ordinal] = (-(re // g), -(im // g))
+    fr, fi = y[min(q for q, (yr, yi) in y.items() if yr or yi)]
+    norm = fr * fr + fi * fi
     size = (max(positions) + 1) if positions else 0
     vec = [CScalar(0)] * size
-    for p, coeff in y.items():
-        vec[p] = coeff
-    # canonical scale: first nonzero component becomes 1
-    first = next(c for c in vec if not c.is_zero())
-    vec = [c / first for c in vec]
+    for q, (yr, yi) in y.items():
+        vec[q] = CScalar(Fraction(yr * fr + yi * fi, norm),
+                         Fraction(yi * fr - yr * fi, norm))
     value = _qform(mat, vec)
     if value >= 0:  # pragma: no cover - internal soundness guard
         raise AssertionError("witness failed to certify")

@@ -16,6 +16,12 @@ exp, log(1 + a) and (1 + a)^e of a ``BiSeries`` or an ``RSeries`` run one
 recurrence over total-degree slices (``_degree_recurrence``), which costs
 about one product instead of a sum of powers.  Products bucket their terms
 by bidegree and visit only bucket pairs that stay inside the truncation.
+
+The series core is fraction-free: a product, a determinant or a
+composition puts its operands over the lcm of their coefficient
+denominators, runs its inner loops on (Gaussian) integers, and builds one
+``Fraction`` per returned coefficient.  The recurrence keeps each slice
+over one integer denominator of its own.
 """
 from __future__ import annotations
 
@@ -68,24 +74,29 @@ def _block_size(n: int, deg: int) -> int:
     return math.comb(deg + n - 1, n - 1)
 
 
+@lru_cache(maxsize=None)
+def _offset(n: int, deg: int) -> int:
+    """Ordinal of the first multi-index of degree ``deg``: the number of
+    n-tuples of lower degree."""
+    return math.comb(deg + n - 1, n)
+
+
+@lru_cache(maxsize=None)
 def index_of_ordinal(n: int, ordinal: int) -> MultiIndex:
     """The multi-index at position ``ordinal`` of the graded-lex order."""
     if ordinal < 0:
         raise OrdinalRangeError("negative ordinal")
     deg = 0
-    while True:
-        size = _block_size(n, deg)
-        if ordinal < size:
-            return _degree_block(n, deg)[ordinal]
-        ordinal -= size
+    while _offset(n, deg + 1) <= ordinal:
         deg += 1
+    return _degree_block(n, deg)[ordinal - _offset(n, deg)]
 
 
 def ordinal_of_index(m: MultiIndex) -> int:
     """Position of ``m`` in the graded-lex order for its arity."""
     n = len(m)
     deg = sum(m)
-    offset = sum(_block_size(n, e) for e in range(deg))
+    offset = _offset(n, deg)
     # lexicographic rank of m among compositions of deg into n parts
     rank = 0
     remaining = deg
@@ -119,7 +130,7 @@ class GradedOrder:
 
     @property
     def size(self) -> int:
-        return sum(_block_size(self.n, e) for e in range(self.d + 1))
+        return _offset(self.n, self.d + 1)
 
     def ordinal(self, m: MultiIndex) -> int:
         if len(m) != self.n:
@@ -236,10 +247,11 @@ class BiSeries:
         self._check(other)
         n = self.n
         d = min(self.d, other.d)
+        den_x, x = gaussian_integers(self.coeffs)
+        den_y, y = gaussian_integers(other.coeffs)
         acc: Acc = {}
-        _mul_add(n, d, acc, _buckets(n, _pairs(self.coeffs)),
-                 _buckets(n, _pairs(other.coeffs)), 1)
-        return _from_acc(n, d, acc)
+        _mul_add(n, d, acc, _buckets(n, x.items()), _buckets(n, y.items()), 1)
+        return BiSeries(n, d, _coefficients(den_x * den_y, acc.items()))
 
     def truncate(self, d: int) -> "BiSeries":
         if d >= self.d:
@@ -318,10 +330,11 @@ class BiSeries:
 
 def hermitian_defect(coeffs: Coeffs) -> Optional[Tuple[int, int]]:
     """The first key (j, k) with a_jk != conj(a_kj), a missing key being 0,
-    or None when ``coeffs`` is Hermitian."""
-    zero = CScalar(0)
-    return next(((j, k) for (j, k), c in coeffs.items()
-                 if coeffs.get((k, j), zero) != c.conj()), None)
+    or None when ``coeffs`` is Hermitian; compared as Gaussian integers
+    over one common denominator."""
+    _, a = gaussian_integers(coeffs)
+    return next(((j, k) for (j, k), (re, im) in a.items()
+                 if a.get((k, j), (0, 0)) != (re, -im)), None)
 
 
 # A Hermitian matrix of Gaussian integers as one dict per row of its
@@ -406,20 +419,17 @@ def hermitian_update(rows: Rows, w: int, x: Mapping[int, Tuple[int, int]],
 
 
 # ---------------------------------------------------------------------------
-# bucketed products
+# bucketed products over the integers
 # ---------------------------------------------------------------------------
 
 # A term (j, k, re, im) of a bucket map, keyed by its bidegree
-# (|m_j|, |m_k|).  ``im`` is the int 0 for a real coefficient, so that real
-# products skip the imaginary arithmetic.
-Term = Tuple[int, int, Fraction, "Fraction | int"]
+# (|m_j|, |m_k|): the Gaussian-integer numerator of a coefficient over a
+# denominator the caller keeps.  ``im`` is 0 for a real coefficient, so
+# that real products skip the imaginary arithmetic.
+Term = Tuple[int, int, int, int]
 Buckets = Dict[Tuple[int, int], List[Term]]
 # an accumulator: (j, k) -> [re, im]
 Acc = Dict[Tuple[int, int], list]
-
-
-def _pairs(coeffs: Coeffs) -> Iterable:
-    return (((j, k), (c.re, c.im)) for (j, k), c in coeffs.items())
 
 
 def _buckets(n: int, items: Iterable) -> Buckets:
@@ -429,12 +439,25 @@ def _buckets(n: int, items: Iterable) -> Buckets:
         if not re and not im:
             continue
         key = (_ordinal_degree(n, j), _ordinal_degree(n, k))
-        out.setdefault(key, []).append((j, k, re, im or 0))
+        out.setdefault(key, []).append((j, k, re, im))
     return out
 
 
+def _bucket_items(part: Buckets) -> Iterable:
+    """The ``((j, k), (re, im))`` items of a bucket map."""
+    return (((j, k), (re, im))
+            for terms in part.values() for j, k, re, im in terms)
+
+
+def _coefficients(den: int, items: Iterable) -> Coeffs:
+    """{(j, k): (re + i im) / den} of integer ``((j, k), (re, im))`` items:
+    one ``Fraction`` per part."""
+    return {jk: CScalar(Fraction(re, den), Fraction(im, den))
+            for jk, (re, im) in items}
+
+
 def _mul_add(n: int, d: int, acc: Acc, x: Buckets, y: Buckets,
-             w: "Fraction | int") -> None:
+             w: int) -> None:
     """acc += w * x * y, truncated at |m_j|, |m_k| <= d.
 
     Only bucket pairs whose bidegrees add up inside the box are visited.
@@ -473,12 +496,7 @@ def _mul_add(n: int, d: int, acc: Acc, x: Buckets, y: Buckets,
 
 
 # the bucket map of the series 1
-_UNIT: Buckets = {(0, 0): [(0, 0, Fraction(1), 0)]}
-
-
-def _from_acc(n: int, d: int, acc: Acc) -> "BiSeries":
-    return BiSeries(n, d, {jk: CScalar(re, im)
-                           for jk, (re, im) in acc.items()})
+_UNIT: Buckets = {(0, 0): [(0, 0, 1, 0)]}
 
 
 # ---------------------------------------------------------------------------
@@ -496,15 +514,23 @@ def pow1p_rule(e: Fraction) -> Rule:
     return (1, 0, e, -1)
 
 
-def _degree_recurrence(a: Dict[int, T], top: int, unit: T, rule: Rule,
-                       mul_add: Callable[[dict, T, T, Fraction], None],
-                       close: Callable[[dict], T]) -> List[T]:
-    """Slices F_0..F_top of F = f(A), by total degree.
+def _degree_recurrence(a: Dict[int, T], den_a: int, top: int, unit: T,
+                       rule: Rule, mul_add: Callable[[dict, T, T, int], None],
+                       close: Callable[[dict, int], Tuple[int, T]]
+                       ) -> List[Tuple[int, T]]:
+    """Slices F_0..F_top of F = f(A), by total degree, over the integers.
 
-    ``a`` maps a degree t >= 1 to the slice A_t of A (A_0 must be empty),
-    ``unit`` is the slice of the series 1, ``mul_add(acc, x, y, w)`` adds
-    w * x * y, truncated, into an accumulator, and ``close`` turns an
-    accumulator into a slice.  With (F_0, alpha, beta, gamma) = ``rule``:
+    A slice is a map of integer numerators.  ``a`` maps a degree t >= 1 to
+    the slice den_a A_t, for den_a a common denominator of A (A_0 must be
+    empty); ``unit`` is the slice of the series 1; ``mul_add(acc, x, y,
+    w)`` adds w * x * y for an int w, truncated, into an accumulator; and
+    ``close(acc, den)`` returns the slice acc / den in lowest terms, as
+    (den / g, acc / g) for g the gcd of den and every numerator of acc.
+    The result holds the invariant of every slice: the t-th item is
+    (den_t, G_t) with F_t = G_t / den_t, den_t > 0 and G_t integer, and
+    den_t is the least such denominator (an empty G_t has den_t = 1).
+
+    With (F_0, alpha, beta, gamma) = ``rule``:
 
         t F_t = alpha t A_t + sum_{s=1..t} (beta s + gamma (t - s)) A_s F_{t-s}
 
@@ -515,20 +541,34 @@ def _degree_recurrence(a: Dict[int, T], top: int, unit: T, rule: Rule,
     used here keep the monomials of an ideal's complement, on which the
     Euler operator acts degree by degree, so the truncated recurrence is
     exact.  It costs about one product A * F.
+
+    In integers, for beta = p / q and L the lcm of den_{t-s} over the
+    terms that contribute, the slice q den_a L t F_t is
+
+        alpha q L t den_a A_t
+            + sum_s (p s + q gamma (t - s)) (L / den_{t-s}) den_a A_s G_{t-s}
+
+    and closes over the denominator q den_a L t.
     """
     if a.get(0):
         raise ConstantTermError("composition needs a zero constant term")
     f0, alpha, beta, gamma = rule
-    f = [unit if f0 else close({})]
+    p, q = beta.numerator, beta.denominator
+    f = [(1, unit) if f0 else close({}, 1)]
     for t in range(1, top + 1):
+        terms = []
+        for s in range(1, t + 1):
+            w = p * s + q * gamma * (t - s)
+            den, part = f[t - s]
+            if w and part and a.get(s):
+                terms.append((a[s], part, w, den))
+        lcm = math.lcm(*(den for _, _, _, den in terms))
         acc: dict = {}
         if alpha and a.get(t):
-            mul_add(acc, a[t], unit, Fraction(alpha))
-        for s in range(1, t + 1):
-            w = beta * s + gamma * (t - s)
-            if w and a.get(s) and f[t - s]:
-                mul_add(acc, a[s], f[t - s], Fraction(w) / t)
-        f.append(close(acc))
+            mul_add(acc, a[t], unit, alpha * q * lcm * t)
+        for x, part, w, den in terms:
+            mul_add(acc, x, part, w * (lcm // den))
+        f.append(close(acc, q * den_a * lcm * t))
     return f
 
 
@@ -538,16 +578,23 @@ def _compose(a: BiSeries, rule: Rule) -> BiSeries:
     Slice degree is |m_j| + |m_k| <= 2d; a slice is a bucket map.
     """
     n, d = a.n, a.d
+    den_a, ints = gaussian_integers(a.coeffs)
     slices: Dict[int, Buckets] = {}
-    for key, terms in _buckets(n, _pairs(a.coeffs)).items():
+    for key, terms in _buckets(n, ints.items()).items():
         slices.setdefault(sum(key), {})[key] = terms
+
+    def close(acc: Acc, den: int) -> Tuple[int, Buckets]:
+        g = math.gcd(den, *itertools.chain.from_iterable(acc.values()))
+        return den // g, _buckets(n, ((jk, (re // g, im // g))
+                                      for jk, (re, im) in acc.items()))
+
     f = _degree_recurrence(
-        slices, 2 * d, _UNIT, rule,
-        lambda acc, x, y, w: _mul_add(n, d, acc, x, y, w),
-        lambda acc: _buckets(n, acc.items()))
-    return BiSeries(n, d, {(j, k): CScalar(re, im)
-                           for part in f for terms in part.values()
-                           for j, k, re, im in terms})
+        slices, den_a, 2 * d, _UNIT, rule,
+        lambda acc, x, y, w: _mul_add(n, d, acc, x, y, w), close)
+    coeffs: Coeffs = {}
+    for den, part in f:
+        coeffs.update(_coefficients(den, _bucket_items(part)))
+    return BiSeries(n, d, coeffs)
 
 
 def exp_series(a: BiSeries) -> BiSeries:
@@ -572,6 +619,9 @@ def det_series(matrix: Sequence[Sequence[BiSeries]]) -> BiSeries:
     Cofactor expansion along the rows, bottom up: the minor on rows r.. and
     sorted columns S is sum_i (-1)^i a_{r,S_i} minor(r + 1, S - {S_i}), and
     each S is expanded once: size * 2^(size-1) products, not size! terms.
+    Row r is scaled to Gaussian integers by the lcm D_r of its
+    denominators, so the expansion runs in ints and the determinant is
+    divided by the product of the D_r once at the end.
     """
     size = len(matrix)
     if any(len(row) != size for row in matrix):
@@ -582,8 +632,17 @@ def det_series(matrix: Sequence[Sequence[BiSeries]]) -> BiSeries:
     if any(e.n != n for row in matrix for e in row):
         raise ArityMismatchError("matrix entries differ in arity")
     d = min(e.d for row in matrix for e in row)
-    rows = [[_buckets(n, _pairs(e.truncate(d).coeffs)) for e in row]
-            for row in matrix]
+    rows: List[List[Buckets]] = []
+    den = 1
+    for row in matrix:
+        row_den, ints = gaussian_integers({
+            (c, jk): v for c, e in enumerate(row)
+            for jk, v in e.truncate(d).coeffs.items()})
+        den *= row_den
+        entries: List[list] = [[] for _ in row]
+        for (c, jk), v in ints.items():
+            entries[c].append((jk, v))
+        rows.append([_buckets(n, items) for items in entries])
     minors: Dict[Tuple[int, ...], Buckets] = {(): _UNIT}  # by column set
     for r in range(size - 1, -1, -1):
         upper: Dict[Tuple[int, ...], Buckets] = {}
@@ -595,8 +654,7 @@ def det_series(matrix: Sequence[Sequence[BiSeries]]) -> BiSeries:
             upper[cols] = _buckets(n, acc.items())
         minors = upper
     (det,) = minors.values()
-    return BiSeries(n, d, {(j, k): CScalar(re, im) for terms in det.values()
-                           for j, k, re, im in terms})
+    return BiSeries(n, d, _coefficients(den, _bucket_items(det)))
 
 
 def solve_graded_fixed_point(step: Callable[[T], T], seed: T,

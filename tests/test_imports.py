@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every private
-helper the package defines is called from somewhere in the package, and a
-CLI process starts without the standard library's introspection modules."""
+helper the package defines is called from somewhere in the package, the
+integer inner loops read no ``Fraction``, and a CLI process starts without
+the standard library's introspection modules."""
 import ast
 import os
 import subprocess
@@ -75,6 +76,27 @@ def test_no_uncalled_private_helpers():
     dead = [f"{module}:{line} {name}" for module, tree in trees.items()
             for name, line in private_helpers(tree) if name not in referenced]
     assert not dead, f"private helpers nothing references: {dead}"
+
+
+# the inner loops of the series core and of the exact LDL*, which run on
+# integers: (module, function)
+INTEGER_LOOPS = [("series.py", "_mul_add"), ("radial.py", "_mul_add"),
+                 ("series.py", "_degree_recurrence"),
+                 ("series.py", "hermitian_update")]
+
+
+@pytest.mark.parametrize("module,name", INTEGER_LOOPS,
+                         ids=lambda v: v.removesuffix(".py"))
+def test_integer_loops_read_no_fraction(module, name):
+    # Fraction arithmetic in these loops costs a gcd per operation; their
+    # callers put the operands over one denominator instead
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    (fn,) = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == name]
+    reads = [node.lineno for stmt in fn.body for node in ast.walk(stmt)
+             if isinstance(node, ast.Name) and node.id == "Fraction"
+             or isinstance(node, ast.Attribute) and node.attr == "Fraction"]
+    assert not reads, f"{module}:{name} reads Fraction at lines {reads}"
 
 
 def modules_after(code):

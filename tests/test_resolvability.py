@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from kahlerimm.immersion import factor_immersion, verify_immersion
 from kahlerimm.models import (build_model, profile_inv_sqrt,
                               profile_one_minus_x_pow, profile_springer)
-from kahlerimm.resolvability import (CertifiedNotResolvable, HermMatrix,
+from kahlerimm.resolvability import (CertifiedNotResolvable,
+                                     HartogsWitness, HermMatrix,
                                      NotADiastasisError, NotPsd, Pivot, Psd,
                                      ResolvableUpTo, _eliminate, _qform,
                                      build_matrix, hartogs_criterion,
@@ -588,6 +589,49 @@ def test_hartogs_criterion_inv_sqrt_fails():
         - __import__("kahlerimm.radial", fromlist=["RSeries"]) \
         .RSeries.constant(1, 6, 1)
     assert g.pow1p(-(Fraction(1) + w.k)).ucoeff(w.j) == w.coefficient
+
+
+def exponential_step(e, j):
+    """h_j / h_{j-1} of e^{e x}."""
+    return e / j
+
+
+def binomial_step(e, j):
+    """h_j / h_{j-1} of (1 + x)^e."""
+    return (e - j + 1) / j
+
+
+# (profile, h_j / h_{j-1} of (F/F(0))^(-(c+k)) as a function of c + k):
+# e^{-x} gives e^{(c+k) x}, (1 + x)^(-1/2) gives (1 + x)^((c+k)/2)
+HARTOGS_ORACLES = {
+    "springer": (profile_springer, exponential_step),
+    "hartogs_inv_sqrt": (profile_inv_sqrt,
+                         lambda e, j: binomial_step(e / 2, j)),
+}
+
+
+@pytest.mark.parametrize("model", sorted(HARTOGS_ORACLES))
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(1, 3), Fraction(-5, 2),
+                               Fraction(7, 2)])
+def test_hartogs_criterion_matches_closed_form_recurrence(model, c):
+    # the full 25 x 24 scan at jmax = kmax = 24 against h_0 = 1,
+    # h_j = h_{j-1} step(c + k, j) in Fraction arithmetic
+    profile, step = HARTOGS_ORACLES[model]
+    top = 24
+    F = profile(top)
+    G = F.scale(1 / F.constant_term())
+    want = ResolvableUpTo(top)
+    for k in range(top + 1):
+        h = [Fraction(1)]
+        for j in range(1, top + 1):
+            h.append(h[-1] * step(c + k, j))
+        got = G.pow_normalized(-(c + k))
+        assert [got.ucoeff(j) for j in range(top + 1)] == h
+        if isinstance(want, ResolvableUpTo):
+            j = next((j for j in range(1, top + 1) if h[j] < 0), None)
+            if j is not None:
+                want = CertifiedNotResolvable(top, HartogsWitness(j, k, h[j]))
+    assert hartogs_criterion(F, c, top, top) == want
 
 
 def test_hartogs_criterion_requires_enough_terms():

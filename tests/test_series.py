@@ -60,6 +60,9 @@ coeff_st = st.builds(
     CScalar,
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
     st.fractions(min_value=-5, max_value=5, max_denominator=6))
+# complex coefficients with denominators up to 6 or up to 60
+wide_st = st.fractions(min_value=-5, max_value=5, max_denominator=60)
+wide_coeff_st = st.one_of(coeff_st, st.builds(CScalar, wide_st, wide_st))
 
 
 def biseries_st(n=2, d=3, min_bidegree=0):
@@ -143,11 +146,12 @@ def test_hermitian_closed_under_product(a, b):
 # ---------------------------------------------------------------------------
 
 def power_sum(a, one, coeff_at):
-    """sum_k coeff_at(k) a^k: the composition loop the recurrence replaced."""
+    """sum_k coeff_at(k) a^k: the composition loop the recurrence replaced,
+    on ``CScalar`` arithmetic throughout."""
     out = one.scale(coeff_at(0))
     power = one
     for k in range(1, 2 * a.d + 1):
-        power = power * a
+        power = naive_product(power, a)
         if not power.coeffs:
             break
         ck = coeff_at(k)
@@ -175,14 +179,15 @@ def binomial(e):
 
 @st.composite
 def complex_jet(draw, n, d, zero_constant=True):
-    """A non-circular complex BiSeries: any (j, k), not just |m_j| = |m_k|."""
+    """A non-circular complex BiSeries: any (j, k), not just |m_j| = |m_k|,
+    with coefficient denominators up to 60."""
     size = GradedOrder(n, d).size
     pairs = [(j, k) for j in range(size) for k in range(size)
              if not (zero_constant and j == k == 0)]
     if not pairs:
         return BiSeries.zero(n, d)
     return BiSeries(n, d, draw(st.dictionaries(
-        st.sampled_from(pairs), coeff_st, max_size=6)))
+        st.sampled_from(pairs), wide_coeff_st, max_size=6)))
 
 
 @st.composite
@@ -204,7 +209,26 @@ def test_recurrence_matches_power_sum(a, e):
     assert pow1p_series(a, e) == power_sum(a, one, binomial(e))
 
 
+def test_recurrence_closes_a_slice_that_cancels_midway():
+    # (1 + A)^(1/2) = (1 + w)(1 + w^3) for 1 + A = (1 + w)^2 (1 + w^3)^2
+    # and w = z + conj(z): in slice 2 the recurrence adds -w^2 and w^2,
+    # so that slice closes empty and slices 3 and 4 build on it
+    n, d = 1, 3
+    w = BiSeries.term(n, d, (1,), (0,)) + BiSeries.term(n, d, (0,), (1,))
+    one = BiSeries.one(n, d)
+    root = naive_product(one + w, one + naive_product(w, naive_product(w, w)))
+    a = naive_product(root, root) - one
+    got = pow1p_series(a, Fraction(1, 2))
+    assert got == root
+
+    def degrees(s):
+        return {sum(index_of_ordinal(n, j) + index_of_ordinal(n, k))
+                for j, k in s.coeffs}
+    assert 2 not in degrees(got) and {3, 4} <= degrees(got)
+
+
 def naive_product(a, b):
+    """a * b term by term on ``CScalar`` arithmetic."""
     n, d = a.n, min(a.d, b.d)
     out = {}
     for (j1, k1), c1 in a.coeffs.items():
@@ -299,7 +323,8 @@ def test_det_series_antisymmetry():
 
 
 def leibniz_det(matrix):
-    """The permutation sum that the memoized cofactor expansion replaced."""
+    """The permutation sum that the memoized cofactor expansion replaced,
+    on ``CScalar`` arithmetic throughout."""
     size = len(matrix)
     first = matrix[0][0]
     acc = BiSeries.zero(first.n, min(e.d for row in matrix for e in row))
@@ -308,7 +333,7 @@ def leibniz_det(matrix):
                   if perm[i] > perm[j])
         prod = matrix[0][perm[0]]
         for row in range(1, size):
-            prod = prod * matrix[row][perm[row]]
+            prod = naive_product(prod, matrix[row][perm[row]])
         acc = acc + (prod if inv % 2 == 0 else -prod)
     return acc
 
