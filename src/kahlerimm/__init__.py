@@ -12,15 +12,13 @@ from .diastasis import BochnerReport, b_transform, check_bochner_form, \
 from .resolvability import CertifiedNotResolvable, HartogsWitness, \
     HermMatrix, MatrixWitness, NotPsd, Psd, ResolvableUpTo, build_matrix, \
     hartogs_criterion, hartogs_metric_check, psd_certify, resolvability
-from .immersion import Component, ImmersionMap, NonExistence, \
-    NotResolvableError, Target, VerifyResult, factor_immersion, \
-    indefinite_immersion, space_form_classification, space_form_immersion, \
-    space_form_rank, verify_immersion
+from .immersion import Component, ImmersionMap, NotResolvableError, Target, \
+    VerifyResult, factor_immersion, indefinite_immersion, \
+    space_form_classification, space_form_rank, verify_immersion
 from .models import MODELS, build_model, hartogs_profile
 from .symmetric import DomainInvariants, Membership, \
-    bergman_scaling_decision, cartan_hartogs_decision, \
-    cartan_hartogs_failure, ch_immersion, classical_invariants, \
-    wallach_membership
+    bergman_scaling_decision, cartan_hartogs_failure, ch_immersion, \
+    classical_invariants, wallach_membership
 from .bell import CigarLimit, CigarScan, bell_complete, bell_partial, \
     cigar_limit, cigar_scan
 from .einstein import EinsteinResult, NotEinstein, einstein_estimate, \

@@ -15,13 +15,13 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from . import bell as bellmod
 from .einstein import EinsteinResult, GaugeError, NotEinstein, einstein_estimate
-from .immersion import ImmersionMap, NotResolvableError, factor_immersion, \
-    target_for, verify_immersion
+from .immersion import Component, ImmersionMap, NotResolvableError, Target, \
+    factor_immersion, target_for, verify_immersion
 from .models import MODELS, build_model, hartogs_profile
 from .resolvability import CertifiedNotResolvable, HartogsWitness, \
     MatrixWitness, ResolvableUpTo, hartogs_criterion, resolvability
 from .scalars import CScalar, as_fraction, format_fraction
-from .series import BiSeries, index_of_ordinal
+from .series import BiSeries, GradedOrder, HolSeries, index_of_ordinal
 from .symmetric import DomainInvariants, bergman_scaling_decision, \
     cartan_hartogs_failure, classical_invariants, wallach_membership
 
@@ -475,8 +475,6 @@ def _check_verdict_form(doc: Mapping[str, Any], want: str) -> None:
 
 
 def _immersion_from_json(doc: Mapping[str, Any]) -> ImmersionMap:
-    from .immersion import Component, Target
-    from .series import GradedOrder, HolSeries
     degree = _integer(doc.get("degree"), "the immersion degree")
     arity = _integer(doc.get("arity"), "the immersion arity")
     order = GradedOrder(arity, degree)

@@ -4,8 +4,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Tuple
 
 from .scalars import CScalar, RationalLike, as_fraction
-from .series import BiSeries, MultiIndex, _ordinal_degree, exp_series, \
-    index_of_ordinal
+from .series import BiSeries, MultiIndex, _ordinal_degree, _compose, \
+    expm1_rule, index_of_ordinal
 
 
 def normalize_to_diastasis(phi: BiSeries) -> BiSeries:
@@ -63,14 +63,10 @@ def b_transform(d: BiSeries, b: RationalLike) -> BiSeries:
 
     Realizes the generalized stereographic projection linking the flat
     criterion to the curvature-4b one; degree is preserved and zero pure
-    rows are preserved.
+    rows are preserved.  One degree recurrence (``expm1_rule``); ``d``
+    needs a zero constant term.
     """
     b = as_fraction(b)
     if not b:
         return d
-    if not d.get(0, 0).is_zero():
-        raise ValueError("b_transform needs a zero constant term")
-    e = exp_series(d.scale(b))
-    shifted = BiSeries(
-        e.n, e.d, {jk: c for jk, c in e.coeffs.items() if jk != (0, 0)})
-    return shifted.scale(CScalar(1 / b))
+    return _compose(d, expm1_rule(b))

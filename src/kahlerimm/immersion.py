@@ -1,4 +1,4 @@
-"""Explicit truncated immersion maps from PSD certificates and closed forms.
+"""Explicit truncated immersion maps from PSD certificates.
 
 A map is stored as components (sign, radicand, holomorphic series): the
 component function is sqrt(radicand) * series, but the square root is never
@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, \
-    Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .diastasis import normalize_to_diastasis
 from .resolvability import MatrixWitness, NotPsd, calabi_matrix, \
@@ -65,11 +64,6 @@ class ImmersionMap(namedtuple("ImmersionMap",
         d = min([self.degree] + [c.series.d for c in self.components])
         return norm_sum(self.arity, d, (
             (c.sign * c.radicand, c.series) for c in self.components))
-
-
-class NonExistence(NamedTuple):
-    reason: str
-    first_negative: Optional[Tuple[MultiIndex, Fraction]] = None
 
 
 def target_for(b: Fraction) -> Target:
@@ -157,28 +151,8 @@ def indefinite_immersion(d: BiSeries, r: Sequence[RationalLike],
 
 
 # ---------------------------------------------------------------------------
-# closed-form space-form maps
+# closed-form space-form classification and rank
 # ---------------------------------------------------------------------------
-
-def _diag_coefficient(m: MultiIndex, b: Fraction, b_target: Fraction
-                      ) -> Fraction:
-    """Diagonal coefficient of (e^{b' D_b} - 1)/b' over the graded basis.
-
-    For a multi-index m of degree p this is prod_{l=1}^{p-1}(b' - l b) / m!;
-    for a flat target (b' = 0) it degenerates to (p-1)! (-b)^{p-1} / m!,
-    the diagonal of D_b itself.
-    """
-    p = sum(m)
-    m_fact = 1
-    for e in m:
-        m_fact *= math.factorial(e)
-    if not b_target:
-        return Fraction(math.factorial(p - 1) * (-b) ** (p - 1), m_fact)
-    num = Fraction(1)
-    for l in range(1, p):
-        num *= (b_target - l * b)
-    return num / m_fact
-
 
 def space_form_classification(b: Fraction, b_target: Fraction
                               ) -> Tuple[bool, Optional[int], str]:
@@ -199,37 +173,6 @@ def space_form_classification(b: Fraction, b_target: Fraction
     if b < 0 or (not b and b_target > 0):
         return True, None, "nonpositive source curvature, infinite rank"
     return False, None, "b_target not a positive integer multiple of b"
-
-
-def space_form_immersion(n: int, b: RationalLike, b_target: RationalLike,
-                         degree: int) -> Union[ImmersionMap, NonExistence]:
-    """Monomial immersion between space forms, or the obstruction.
-
-    When the map exists, components are sqrt(s_m) z^m with the closed-form
-    diagonal coefficients s_m (see ``_diag_coefficient``); the pullback
-    reproduces b_transform(D_b, b_target) through ``degree``.
-    """
-    b = as_fraction(b)
-    b_target = as_fraction(b_target)
-    exists, k, reason = space_form_classification(b, b_target)
-    order = GradedOrder(n, degree)
-    if not exists:
-        first_neg = None
-        for j in range(1, order.size):
-            m = order.basis[j]
-            s = _diag_coefficient(m, b, b_target)
-            if s < 0:
-                first_neg = (m, s)
-                break
-        return NonExistence(reason, first_neg)
-    components: List[Component] = []
-    for j in range(1, order.size):
-        m = order.basis[j]
-        s = _diag_coefficient(m, b, b_target)
-        if s > 0:
-            components.append(Component(
-                +1, s, HolSeries.monomial(n, degree, m)))
-    return ImmersionMap(tuple(components), target_for(b_target), degree, n)
 
 
 def space_form_rank(n: int, b: RationalLike, b_target: RationalLike

@@ -17,7 +17,8 @@ from .diastasis import normalize_to_diastasis
 from .radial import RSeries
 from .scalars import CScalar, RationalLike, as_fraction
 from .series import BiSeries, MultiIndex, det_series, exp_series, \
-    log1p_series, ordinal_of_index, solve_graded_fixed_point
+    index_of_ordinal, log1p_series, ordinal_of_index, \
+    solve_graded_fixed_point
 
 
 def _unit(n: int, which: int, power: int = 1) -> MultiIndex:
@@ -194,7 +195,6 @@ def cartan_hartogs_diastasis(minus_log_n: BiSeries, mu: RationalLike,
 
 
 def _lift_index(n: int, ordinal: int) -> MultiIndex:
-    from .series import index_of_ordinal
     return index_of_ordinal(n, ordinal) + (0,)
 
 

@@ -514,6 +514,11 @@ def pow1p_rule(e: Fraction) -> Rule:
     return (1, 0, e, -1)
 
 
+def expm1_rule(b: Fraction) -> Rule:
+    """The rule of (exp(b a) - 1)/b, for b != 0."""
+    return (0, 1, b, 0)
+
+
 def _degree_recurrence(a: Dict[int, T], den_a: int, top: int, unit: T,
                        rule: Rule, mul_add: Callable[[dict, T, T, int], None],
                        close: Callable[[dict, int], Tuple[int, T]]
@@ -534,13 +539,14 @@ def _degree_recurrence(a: Dict[int, T], den_a: int, top: int, unit: T,
 
         t F_t = alpha t A_t + sum_{s=1..t} (beta s + gamma (t - s)) A_s F_{t-s}
 
-    which is exp (1, 0, 1, 0), log(1 + A) (0, 1, 0, -1) and (1 + A)^e
-    (1, 0, e, -1): apply the Euler operator t (degree) to F' = A' F,
-    (1 + A) F' = A' and (1 + A) F' = e A' F (J.C.P. Miller's recurrence;
-    Knuth, TAOCP vol. 2, 4.7; Brent & Kung, J. ACM 1978).  The truncations
-    used here keep the monomials of an ideal's complement, on which the
-    Euler operator acts degree by degree, so the truncated recurrence is
-    exact.  It costs about one product A * F.
+    which is exp (1, 0, 1, 0), log(1 + A) (0, 1, 0, -1), (1 + A)^e
+    (1, 0, e, -1) and (exp(bA) - 1)/b (0, 1, b, 0): apply the Euler
+    operator t (degree) to F' = A' F, (1 + A) F' = A', (1 + A) F' = e A' F
+    and F' = A' exp(bA) = A' (1 + b F) (J.C.P. Miller's recurrence; Knuth,
+    TAOCP vol. 2, 4.7; Brent & Kung, J. ACM 1978).  The truncations used
+    here keep the monomials of an ideal's complement, on which the Euler
+    operator acts degree by degree, so the truncated recurrence is exact.
+    It costs about one product A * F.
 
     In integers, for beta = p / q and L the lcm of den_{t-s} over the
     terms that contribute, the slice q den_a L t F_t is

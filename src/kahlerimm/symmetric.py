@@ -116,19 +116,15 @@ def bergman_scaling_decision(inv: DomainInvariants, c: RationalLike) -> bool:
     return wallach_membership(inv, eta).kind != "outside"
 
 
-def cartan_hartogs_decision(inv: DomainInvariants, mu: RationalLike,
-                            c: RationalLike) -> bool:
-    """Is c * g(mu) on the Cartan-Hartogs domain projectively induced?
-
-    Equivalent to (c+m) mu in W \\ {0} for every integer m >= 0; the loop
-    is finite because everything above the threshold is continuous.
-    """
-    return cartan_hartogs_failure(inv, mu, c) is None
-
-
 def cartan_hartogs_failure(inv: DomainInvariants, mu: RationalLike,
                            c: RationalLike) -> Optional[int]:
-    """The smallest failing m of the reduction, or None when all pass."""
+    """The smallest failing m of the reduction, or None when all pass.
+
+    c * g(mu) on the Cartan-Hartogs domain is projectively induced iff
+    (c+m) mu is in W \\ {0} for every integer m >= 0, i.e. iff this is
+    None; the loop is finite because everything above the threshold is
+    continuous.
+    """
     mu = as_fraction(mu)
     c = as_fraction(c)
     if mu <= 0 or c <= 0:

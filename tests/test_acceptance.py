@@ -252,7 +252,7 @@ def test_criterion_9():
                 conj = False
                 break
             m += 1
-        assert K.cartan_hartogs_decision(inv, mu, c) == conj
+        assert (K.cartan_hartogs_failure(inv, mu, c) is None) == conj
 
 
 @criterion(10, "tubular ODE metric jet")

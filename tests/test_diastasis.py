@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from kahlerimm.diastasis import b_transform, check_bochner_form, \
     normalize_to_diastasis
 from kahlerimm.scalars import CScalar
-from kahlerimm.series import BiSeries, GradedOrder, HolSeries, log1p_series, \
-    ordinal_of_index
+from kahlerimm.series import BiSeries, GradedOrder, HolSeries, exp_series, \
+    log1p_series
 
 
 def test_normalize_drops_pure_rows():
@@ -98,6 +98,37 @@ def test_b_transform_inverse(coeffs, b):
     # inverse: log(1 + b t)/b
     back = log1p_series(t.scale(b)).scale(CScalar(1 / b))
     assert back == d
+
+
+@st.composite
+def fraction(draw, bound, max_den):
+    q = draw(st.integers(1, max_den))
+    return Fraction(draw(st.integers(-bound * q, bound * q)), q)
+
+
+@st.composite
+def complex_jet(draw):
+    """A non-circular complex jet with zero constant term: any (j, k), with
+    coefficient denominators up to 60."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    size = GradedOrder(n, d).size
+    pairs = [(j, k) for j in range(size) for k in range(size) if j or k]
+    coeff = st.builds(CScalar, fraction(5, 60), fraction(5, 60))
+    if not pairs:
+        return BiSeries.zero(n, d)
+    return BiSeries(n, d, draw(st.dictionaries(
+        st.sampled_from(pairs), coeff, max_size=6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(complex_jet(), fraction(3, 9).filter(bool))
+def test_b_transform_matches_exp_reference(d, b):
+    """The one-recurrence b-transform equals exp(b d), less its constant
+    term, over b."""
+    e = exp_series(d.scale(b))
+    shifted = BiSeries(d.n, d.d, {jk: c for jk, c in e.coeffs.items()
+                                  if jk != (0, 0)})
+    assert b_transform(d, b) == shifted.scale(CScalar(1 / b))
 
 
 def test_b_transform_requires_zero_constant():

@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 
 from kahlerimm.diastasis import b_transform, normalize_to_diastasis
-from kahlerimm.immersion import (Component, ImmersionMap, NonExistence,
+from kahlerimm.immersion import (Component, ImmersionMap,
                                  NotResolvableError, Target,
                                  factor_immersion, indefinite_immersion,
-                                 space_form_classification,
-                                 space_form_immersion, space_form_rank,
-                                 verify_immersion)
+                                 space_form_classification, space_form_rank,
+                                 target_for, verify_immersion)
 from kahlerimm.models import build_model, space_form_diastasis
 from kahlerimm.scalars import CScalar
 from kahlerimm.series import BiSeries, GradedOrder, HolSeries, \
@@ -141,31 +140,86 @@ def test_indefinite_works_where_psd_fails():
 # space-form maps
 # ---------------------------------------------------------------------------
 
+def closed_form_diagonal(m, b, b_target):
+    """prod_{l=1}^{p-1} (b' - l b) / m! for |m| = p: the coefficient of
+    |z^m|^2 in (e^{b' D_b} - 1)/b', and in D_b itself at b' = 0."""
+    s = Fraction(1)
+    for l in range(1, sum(m)):
+        s *= b_target - l * b
+    return s / _mfact(m)
+
+
+def closed_form_map(n, b, b_target, degree):
+    """The monomial radicands of the space-form map, or None and the first
+    negative (m, s) in graded order."""
+    rads = {}
+    for m in GradedOrder(n, degree).basis[1:]:
+        s = closed_form_diagonal(m, b, b_target)
+        if s < 0:
+            return None, (m, s)
+        if s:
+            rads[m] = s
+    return rads, None
+
+
+def _witness_diagonal(witness):
+    """(m, value) of a witness that is one basis vector."""
+    (i,) = [i for i, c in enumerate(witness.components) if not c.is_zero()]
+    return witness.basis[i], witness.value
+
+
+CURVATURES = [-1, Fraction(-1, 2), 0, Fraction(1, 2), 1]
+TARGETS = [-1, 0, 1, 2, 3, Fraction(1, 3), Fraction(3, 2)]
+
+
+@pytest.mark.parametrize("b_target", TARGETS, ids=str)
+@pytest.mark.parametrize("b", CURVATURES, ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_space_form_maps_match_closed_form(n, b, b_target):
+    """factor_immersion on a space-form diastasis builds the closed-form
+    monomial map, and refuses exactly where Calabi's classification says
+    no map exists, with the first negative diagonal as its witness."""
+    degree = 4
+    d = space_form_diastasis(n, b, degree)
+    rads, first_negative = closed_form_map(n, b, b_target, degree)
+    exists = space_form_classification(Fraction(b), Fraction(b_target))[0]
+    assert (rads is not None) == exists
+    if rads is None:
+        with pytest.raises(NotResolvableError) as err:
+            factor_immersion(d, b_target, degree)
+        assert _witness_diagonal(err.value.witness) == first_negative
+        return
+    imm = factor_immersion(d, b_target, degree)
+    assert _radicands_by_monomial(imm) == rads
+    assert imm.target == target_for(Fraction(b_target))
+
+
 def test_projective_degree_doubling():
     # CP^1 with b = 1 into b = 2: radicands 1 and 1/2 (Veronese-type)
-    imm = space_form_immersion(1, 1, 2, 3)
+    d = space_form_diastasis(1, 1, 3)
+    imm = factor_immersion(d, 2, 3)
     rads = _radicands_by_monomial(imm)
     assert rads == {(1,): Fraction(1), (2,): Fraction(1, 2)}
-    d = space_form_diastasis(1, 1, 3)
     assert verify_immersion(imm, d, 2, 3).ok
 
 
 def test_projective_needs_integer_ratio():
-    result = space_form_immersion(1, 1, Fraction(1, 2), 3)
-    assert isinstance(result, NonExistence)
-    assert result.first_negative == ((2,), Fraction(-1, 4))
+    d = space_form_diastasis(1, 1, 3)
+    with pytest.raises(NotResolvableError) as err:
+        factor_immersion(d, Fraction(1, 2), 3)
+    assert _witness_diagonal(err.value.witness) == ((2,), Fraction(-1, 4))
 
 
 def test_positive_into_flat_impossible():
-    result = space_form_immersion(2, 1, 0, 2)
-    assert isinstance(result, NonExistence)
+    with pytest.raises(NotResolvableError):
+        factor_immersion(space_form_diastasis(2, 1, 2), 0, 2)
 
 
 def test_flat_and_hyperbolic_targets():
     for n, b, bt in [(1, 0, 0), (2, -1, 0), (1, -1, 1), (2, 0, 1),
                      (1, Fraction(-1, 2), Fraction(3, 2))]:
-        imm = space_form_immersion(n, b, bt, 3)
         d = space_form_diastasis(n, b, 3)
+        imm = factor_immersion(d, bt, 3)
         assert verify_immersion(imm, d, bt, 3).ok, (n, b, bt)
 
 

@@ -56,12 +56,18 @@ def test_ordinals_stable_across_truncation():
 # BiSeries ring
 # ---------------------------------------------------------------------------
 
-coeff_st = st.builds(
-    CScalar,
-    st.fractions(min_value=-5, max_value=5, max_denominator=6),
-    st.fractions(min_value=-5, max_value=5, max_denominator=6))
+@st.composite
+def fractions(draw, low, high, max_den):
+    """A fraction in [low, high] with denominator at most max_den: the
+    support of ``st.fractions``, drawn as q in 1..max_den, then p."""
+    q = draw(st.integers(1, max_den))
+    p = draw(st.integers(math.ceil(low * q), math.floor(high * q)))
+    return Fraction(p, q)
+
+
+coeff_st = st.builds(CScalar, fractions(-5, 5, 6), fractions(-5, 5, 6))
 # complex coefficients with denominators up to 6 or up to 60
-wide_st = st.fractions(min_value=-5, max_value=5, max_denominator=60)
+wide_st = fractions(-5, 5, 60)
 wide_coeff_st = st.one_of(coeff_st, st.builds(CScalar, wide_st, wide_st))
 
 
@@ -111,8 +117,7 @@ def test_exp_log_inverse(a):
 
 @settings(max_examples=25)
 @given(biseries_st(min_bidegree=1),
-       st.fractions(min_value=-3, max_value=3, max_denominator=4),
-       st.fractions(min_value=-3, max_value=3, max_denominator=4))
+       fractions(-3, 3, 4), fractions(-3, 3, 4))
 def test_pow1p_additive_in_exponent(a, e1, e2):
     assert pow1p_series(a, e1) * pow1p_series(a, e2) == \
         pow1p_series(a, e1 + e2)
@@ -197,7 +202,7 @@ def jet_with_shape(draw, zero_constant=True):
     return draw(complex_jet(n, d, zero_constant))
 
 
-exponent_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+exponent_st = fractions(-3, 3, 4)
 
 
 @settings(max_examples=40, deadline=None)
@@ -260,13 +265,9 @@ def immersion_map(draw):
     n = draw(st.integers(1, 3))
     d = draw(st.integers(1, 3))
     size = GradedOrder(n, d).size
-    wide = st.fractions(min_value=-5, max_value=5, max_denominator=60)
-    coeff = st.one_of(coeff_st, st.builds(CScalar, wide, wide))
     components = draw(st.lists(st.builds(
-        Component, st.sampled_from([1, -1]),
-        st.fractions(min_value=Fraction(1, 5), max_value=5,
-                     max_denominator=6),
-        st.dictionaries(st.integers(0, size - 1), coeff, max_size=5)
+        Component, st.sampled_from([1, -1]), fractions(Fraction(1, 5), 5, 6),
+        st.dictionaries(st.integers(0, size - 1), wide_coeff_st, max_size=5)
         .map(lambda c: HolSeries(n, d, c))), max_size=4))
     return ImmersionMap(tuple(components), Target("indefinite"), d, n)
 

@@ -8,7 +8,6 @@ from kahlerimm.models import (build_model, cartan_hartogs_diastasis,
                               minus_log_norm, space_form_diastasis)
 from kahlerimm.symmetric import (DomainInvariants, MissingBaseMapError,
                                  bergman_scaling_decision,
-                                 cartan_hartogs_decision,
                                  cartan_hartogs_failure, ch_immersion,
                                  classical_invariants, wallach_membership)
 
@@ -69,7 +68,6 @@ def test_cartan_hartogs_failure_values():
     inv = DomainInvariants(2, Fraction(2), 5, 6)  # threshold 1, lattice {0,1}
     # mu = 1, c = 2: eta = 2 > 1 immediately -> all pass
     assert cartan_hartogs_failure(inv, 1, 2) is None
-    assert cartan_hartogs_decision(inv, 1, 2)
     # mu = 1/2, c = 1: eta = 1/2 not in lattice -> m = 0 fails
     assert cartan_hartogs_failure(inv, Fraction(1, 2), 1) == 0
     # mu = 1, c = 1: eta = 1 discrete, then m = 1 -> eta = 2 continuous
@@ -97,7 +95,7 @@ def test_cartan_hartogs_equals_naive_conjunction():
                 ok = False
                 break
             m += 1
-        assert cartan_hartogs_decision(inv, mu, c) == ok
+        assert (cartan_hartogs_failure(inv, mu, c) is None) == ok
 
 
 # ---------------------------------------------------------------------------
