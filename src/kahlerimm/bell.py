@@ -1,12 +1,16 @@
 """Exact Bell polynomials and the cigar-metric obstruction scan.
 
 The partial Bell polynomials B_{n,k} are computed by the standard
-convolution recurrence, one table per argument list; the complete
-polynomials Y_n = sum_k B_{n,k} govern the Taylor coefficients of exp of
-a power series, which is exactly how they enter the cigar analysis: the
-|z|^{2n} coefficient of e^{c D} - 1 for the cigar diastasis equals
-(-1)^n Y_n(a~)/n! with a~_j = -c j!/j^2.  The scan computes that coefficient along both routes
-(Bell recurrence and direct series exponentiation) and insists they agree.
+convolution recurrence in one integer table per argument list: the
+arguments are put over their common denominator D, and since B_{n,k} is
+homogeneous of degree k the table holds the integers D^k B_{n,k}(x); one
+``Fraction`` is built per returned value.  The complete polynomials
+Y_n = sum_k B_{n,k} govern the Taylor coefficients of exp of a power
+series, which is exactly how they enter the cigar analysis: the |z|^{2n}
+coefficient of e^{c D} - 1 for the cigar diastasis equals
+(-1)^n Y_n(a~)/n! with a~_j = -c j!/j^2.  The scan computes that
+coefficient along both routes (Bell recurrence and direct series
+exponentiation) and insists they agree.
 """
 from __future__ import annotations
 
@@ -18,25 +22,39 @@ from .radial import RSeries
 from .scalars import RationalLike, as_fraction
 
 
-def bell_table(n: int, x: Sequence[RationalLike]) -> List[List[Fraction]]:
-    """Rows of partial Bell polynomials: ``rows[m][k] = B_{m,k}(x)``.
+def _bell_rows(n: int, xs: Sequence[Fraction], kmax: Optional[int] = None
+               ) -> Tuple[int, List[List[int]]]:
+    """Integer partial Bell table ``(D, rows)`` over one denominator.
 
-    Recurrence: B_{m,k} = sum_{i=1}^{m-k+1} C(m-1, i-1) x_i B_{m-i,k-1},
-    with B_{0,0} = 1 and B_{m,0} = 0 for m >= 1, for 0 <= k <= m <= n.
-    B_{m,k} reads x_1..x_{m-k+1} only; terms past the end of ``x`` are
-    left out, so ``rows[m][k]`` is exact whenever m - k < len(x).
+    D is the lcm of the denominators of ``xs`` and X_i = D x_i; then
+    ``rows[m][k] = B_{m,k}(X) = D^k B_{m,k}(x)`` for 0 <= k <= min(m, kmax).
+    Recurrence: B_{m,k} = sum_{i=1}^{m-k+1} C(m-1, i-1) X_i B_{m-i,k-1},
+    with B_{0,0} = 1 and B_{m,0} = 0 for m >= 1.  B_{m,k} reads
+    X_1..X_{m-k+1} only; terms past the end of ``xs`` are left out, so
+    ``rows[m][k]`` is exact whenever m - k < len(xs).
     """
-    xs = [as_fraction(v) for v in x]
-    rows: List[List[Fraction]] = [[Fraction(1)]]
+    den = math.lcm(*(x.denominator for x in xs))
+    big = [x.numerator * (den // x.denominator) for x in xs]
+    top = n if kmax is None else kmax
+    rows: List[List[int]] = [[1]]
     for m in range(1, n + 1):
-        row = [Fraction(0)]
-        for k in range(1, m + 1):
-            row.append(sum((math.comb(m - 1, i - 1) * xs[i - 1]
-                            * rows[m - i][k - 1]
-                            for i in range(1, min(m - k + 1, len(xs)) + 1)),
-                           Fraction(0)))
+        # the weights C(m-1, i-1) X_i, shared by every column k of row m
+        weights = [math.comb(m - 1, i) * big[i]
+                   for i in range(min(m, len(big)))]
+        row = [0]
+        for k in range(1, min(m, top) + 1):
+            row.append(sum(w * rows[m - 1 - i][k - 1]
+                           for i, w in enumerate(weights[:m - k + 1])))
         rows.append(row)
-    return rows
+    return den, rows
+
+
+def _complete_numerator(row: Sequence[int], den: int) -> int:
+    """sum_{k>=1} row[k] D^(n-k) for a full row n: D^n Y_n(x) as an int."""
+    total = 0
+    for value in row[1:]:
+        total = total * den + value
+    return total
 
 
 def bell_partial(n: int, k: int, x: Sequence[RationalLike]) -> Fraction:
@@ -48,7 +66,8 @@ def bell_partial(n: int, k: int, x: Sequence[RationalLike]) -> Fraction:
     xs = [as_fraction(v) for v in x]
     if k >= 1 and len(xs) < n - k + 1:
         raise ValueError(f"need at least {n - k + 1} arguments")
-    return bell_table(n, xs)[n][k]
+    den, rows = _bell_rows(n, xs, k)
+    return Fraction(rows[n][k], den ** k)
 
 
 def bell_complete(n: int, x: Sequence[RationalLike]) -> Fraction:
@@ -65,7 +84,8 @@ def bell_complete(n: int, x: Sequence[RationalLike]) -> Fraction:
     xs = [as_fraction(v) for v in x]
     if len(xs) < n:
         raise ValueError(f"need at least {n} arguments")
-    return sum(bell_table(n, xs)[n][1:], Fraction(0))
+    den, rows = _bell_rows(n, xs)
+    return Fraction(_complete_numerator(rows[n], den), den ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -99,17 +119,18 @@ def cigar_scan(c: RationalLike, n_max: int) -> CigarScan:
     diag = RSeries(1, n_max, {(j,): Fraction((-1) ** (j + 1), j * j) * c
                               for j in range(1, n_max + 1)})
     expd = diag.exp()
-    # route 1: Y_1..Y_{n_max} from one table of partial Bell polynomials
-    rows = bell_table(n_max, a_tilde)
+    # route 1: Y_1..Y_{n_max} from one integer table of partial Bell
+    # polynomials, D^n Y_n(a~) = sum_k rows[n][k] D^(n-k)
+    den, rows = _bell_rows(n_max, a_tilde)
     coefficients: List[Fraction] = []
     first_n = None
     first_y = None
     first_coeff = None
     for n in range(1, n_max + 1):
-        y = sum(rows[n][1:], Fraction(0))
+        y = Fraction(_complete_numerator(rows[n], den), den ** n)
         via_bell = Fraction((-1) ** n) * y / math.factorial(n)
         via_exp = expd.ucoeff(n)
-        if via_bell != via_exp:  # pragma: no cover - internal oracle
+        if via_bell != via_exp:  # internal oracle
             raise AssertionError(
                 f"dual-path disagreement at n={n}: {via_bell} vs {via_exp}")
         coefficients.append(via_exp)
@@ -145,6 +166,8 @@ def cigar_limit(c: RationalLike, terms: int) -> CigarLimit:
     of pi^2/6; the float report evaluates the closed-form limit.
     """
     c = as_fraction(c)
+    if c <= 0:
+        raise ValueError("c must be positive")
     if terms < 1:
         raise ValueError("terms must be >= 1")
     lo, hi = _pi2_over_6_enclosure()
@@ -153,5 +176,10 @@ def cigar_limit(c: RationalLike, terms: int) -> CigarLimit:
     for k in range(1, terms + 1):
         total += Fraction((-1) ** (k + 1)) * (c ** k) * (q ** k) \
             / math.factorial(k)
-    float_value = 1.0 - math.exp(-float(c) * (math.pi ** 2) / 6.0)
+    try:
+        scale = float(c)
+    except OverflowError:  # c past the float range
+        scale = math.inf
+    # e^(-c pi^2/6) underflows to 0.0 for large c, so the report is 1.0
+    float_value = 1.0 - math.exp(-scale * (math.pi ** 2) / 6.0)
     return CigarLimit(total, (lo, hi), float_value)

@@ -4,6 +4,7 @@ All arithmetic is over ``fractions.Fraction``; nothing here ever rounds.
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -25,8 +26,18 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 
 def format_fraction(q: Fraction) -> str:
-    """Canonical ``p/q`` (or ``p`` when the denominator is 1)."""
-    return str(q)
+    """Canonical ``p/q`` (or ``p`` when the denominator is 1), exact at any
+    size: past the interpreter's int-to-str digit limit (4300 by default)
+    the limit is lifted for this one conversion."""
+    try:
+        return str(q)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(q)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class CScalar:

@@ -4,10 +4,56 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kahlerimm.bell import (bell_complete, bell_partial, cigar_limit,
                             cigar_scan)
 from kahlerimm.radial import RSeries
+
+
+def bell_table_reference(n, xs):
+    """The Fraction recurrence as a reference: rows[m][k] = B_{m,k}(xs),
+    B_{m,k} = sum_{i=1}^{m-k+1} C(m-1, i-1) x_i B_{m-i,k-1}, with terms
+    past the end of ``xs`` left out."""
+    rows = [[Fraction(1)]]
+    for m in range(1, n + 1):
+        row = [Fraction(0)]
+        for k in range(1, m + 1):
+            row.append(sum((math.comb(m - 1, i - 1) * xs[i - 1]
+                            * rows[m - i][k - 1]
+                            for i in range(1, min(m - k + 1, len(xs)) + 1)),
+                           Fraction(0)))
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def small_rationals(draw):
+    return Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 60)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.tuples(st.just(n),
+                        st.lists(small_rationals(), max_size=n + 1))))
+def test_bell_matches_fraction_reference(case):
+    # argument lists run from empty to one past n, so most are shorter
+    # than n and exercise the truncation rule
+    n, xs = case
+    rows = bell_table_reference(n, xs)
+    for k in range(n + 2):
+        if k > n:
+            assert bell_partial(n, k, xs) == 0
+        elif k >= 1 and len(xs) < n - k + 1:
+            with pytest.raises(ValueError):
+                bell_partial(n, k, xs)
+        else:
+            assert bell_partial(n, k, xs) == rows[n][k]
+    if len(xs) >= n:
+        assert bell_complete(n, xs) == sum(rows[n][1:], Fraction(0))
+    else:
+        with pytest.raises(ValueError):
+            bell_complete(n, xs)
 
 
 def test_partial_examples():
@@ -84,6 +130,19 @@ def test_exponential_formula():
             assert e.ucoeff(n) == bell_complete(n, args) / math.factorial(n)
 
 
+def test_complete_bell_at_size_30():
+    # independent O(n^2) recurrence Y_{m+1} = sum_k C(m, k) x_{k+1} Y_{m-k},
+    # Y_0 = 1; the integers of the table run to hundreds of digits here
+    xs = [Fraction((-1) ** j, j) for j in range(1, 31)]
+    ys = [Fraction(1)]
+    for m in range(30):
+        ys.append(sum((math.comb(m, k) * xs[k] * ys[m - k]
+                       for k in range(m + 1)), Fraction(0)))
+    assert bell_complete(30, xs) == ys[30]
+    assert bell_partial(30, 30, xs) == xs[0] ** 30
+    assert bell_partial(30, 1, xs) == xs[29]
+
+
 def test_bell_input_validation():
     with pytest.raises(ValueError):
         bell_partial(-1, 0, [])
@@ -104,6 +163,37 @@ def test_cigar_scan_unit_scale():
     assert scan.coefficient == Fraction(-1, 288)
     assert scan.coefficients[0] == 1
     assert len(scan.coefficients) == 6
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(1, 2)])
+def test_cigar_scan_at_size_24_matches_exp_recurrence(c):
+    # n E_n = sum_k k a_k E_{n-k} for E = exp(c D), D = sum (-1)^{j+1} x^j/j^2
+    a = [Fraction(0)] + [c * (-1) ** (j + 1) / (j * j) for j in range(1, 25)]
+    e = [Fraction(1)]
+    for n in range(1, 25):
+        e.append(sum((k * a[k] * e[n - k] for k in range(1, n + 1)),
+                     Fraction(0)) / n)
+    first = next(n for n in range(1, 25) if e[n] < 0)
+    scan = cigar_scan(c, 24)
+    assert scan.coefficients == tuple(e[1:])
+    assert scan.first_negative_n == first
+    assert scan.coefficient == e[first]
+    assert scan.y_value == (-1) ** first * math.factorial(first) * e[first]
+
+
+def test_cigar_scan_raises_when_the_routes_disagree(monkeypatch):
+    class PerturbedExp(RSeries):
+        __slots__ = ()
+
+        def exp(self):
+            e = RSeries.exp(self)
+            coeffs = dict(e.coeffs)
+            coeffs[(3,)] += Fraction(1, 10 ** 9)
+            return RSeries(e.nvars, e.d, coeffs)
+
+    monkeypatch.setattr("kahlerimm.bell.RSeries", PerturbedExp)
+    with pytest.raises(AssertionError, match="n=3"):
+        cigar_scan(1, 6)
 
 
 def test_cigar_scan_small_scale_has_no_low_negative():
@@ -132,3 +222,8 @@ def test_cigar_limit():
     assert abs(float(lim.partial_sum) - lim.float_value) < 1e-6
     with pytest.raises(ValueError):
         cigar_limit(1, 0)
+    with pytest.raises(ValueError):
+        cigar_limit(-1000, 2)
+    # float(10**400) overflows; e^(-c pi^2/6) has long underflowed to 0
+    assert cigar_limit(10 ** 400, 2).float_value == 1.0
+    assert cigar_limit(Fraction(1, 10 ** 400), 2).float_value == 0.0

@@ -165,6 +165,18 @@ def test_cigar_command(capsys):
     assert abs(doc["limit"]["float_value"] - 0.8069747108) < 1e-9
 
 
+def test_cigar_command_past_the_float_range(capsys):
+    # c = 10^400 is past the float range and the exact partial sum has
+    # more digits than the interpreter prints by default
+    code, out, err = run(capsys, "cigar", "--c", "1e400", "--nmax", "2")
+    assert err == ""
+    doc = json.loads(out)
+    assert code == 0 and doc["first_negative_n"] is None
+    assert doc["c"] == "1" + "0" * 400
+    assert doc["limit"]["float_value"] == 1.0
+    assert "Infinity" not in out and "NaN" not in out
+
+
 def test_bell_command(capsys):
     code, doc = run_json(capsys, "bell", "--n", "4",
                          "--x=-1,-1/2,-2/3,-3/2")

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,13 @@ def test_mul_conjugation_compatibility(a, b, c, d):
 def test_format_fraction():
     assert format_fraction(Fraction(3)) == "3"
     assert format_fraction(Fraction(-1, 8)) == "-1/8"
+
+
+def test_format_fraction_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    text = format_fraction(Fraction(-10 ** 5000, 3))
+    assert text == "-1" + "0" * 5000 + "/3"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_as_fraction_zero_denominator():
