@@ -7,11 +7,12 @@ Exit codes: 0 = pass/resolvable-up-to, 1 = certified negative verdict,
 """
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, \
+    Optional, Tuple
 
 from . import bell as bellmod
 from .einstein import EinsteinResult, GaugeError, NotEinstein, einstein_estimate
@@ -404,8 +405,8 @@ def _rebuild_from_source(source: Any, degree: int, profile: bool = False
         make = hartogs_profile if profile else build_model
         try:
             return source, make(source["model"], source["parameters"], degree)
-        except KeyError as exc:
-            raise InputError(str(exc)) from exc
+        except KeyError as exc:  # its message, not the repr str() gives
+            raise InputError(*exc.args) from exc
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad parameters for {source['model']}: {exc}"
                              ) from exc
@@ -500,94 +501,196 @@ def _immersion_from_json(doc: Mapping[str, Any]) -> ImmersionMap:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: one command table, one pass over argv
 # ---------------------------------------------------------------------------
 
-def _add_source_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", help="catalog model name (see 'models')")
-    p.add_argument("--spec", help="JSON model spec file")
-    p.add_argument("--series", help="series text file (m_j ; m_k ; re ; im)")
-    p.add_argument("--param", action="append", metavar="KEY=VALUE",
-                   help="model parameter (repeatable)")
-    p.add_argument("--n", type=int, help="arity shortcut")
-    p.add_argument("--scale", help="rational metric scale c")
+HELP = ("-h", "--help")
+REQUIRED = object()  # the default of an option every request must give
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kahlerimm",
-        description="Exact truncated-series decisions for local Kahler "
-                    "immersions into complex space forms")
-    sub = parser.add_subparsers(dest="command", required=True)
+class Option(NamedTuple):
+    """A ``--name`` option: ``kind`` is ``str``, ``int`` or ``list`` (a
+    repeatable string option whose values are kept in order), and
+    ``default`` is the value when absent, or ``REQUIRED``."""
+    kind: type
+    default: Any
+    help: str
 
-    p = sub.add_parser("analyze", help="resolvability verdict + certificate")
-    _add_source_args(p)
-    p.add_argument("--b", default="0", help="target curvature parameter p/q")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--c", help="profile-criterion exponent (Hartogs models)")
-    p.add_argument("--jmax", type=int, help="Hartogs criterion j bound")
-    p.add_argument("--kmax", type=int, help="Hartogs criterion k bound")
-    p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("emit-immersion", help="explicit verified map")
-    _add_source_args(p)
-    p.add_argument("--b", default="0")
-    p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(func=_cmd_emit_immersion)
+class Command(NamedTuple):
+    """A command: its handler, help line, options by name, and the names of
+    its positional arguments."""
+    func: Callable[[SimpleNamespace], int]
+    help: str
+    options: Dict[str, Option]
+    positional: Tuple[str, ...] = ()
 
-    p = sub.add_parser("wallach", help="scaled-Bergman / Cartan-Hartogs "
-                                       "projective-inducedness decision")
-    p.add_argument("--r", type=int, help="domain rank")
-    p.add_argument("--a", help="domain invariant a (rational)")
-    p.add_argument("--gamma", type=int, help="genus")
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--domain", help="named domain kind omega1..omega4")
-    p.add_argument("--sizes", help="comma-separated sizes for --domain")
-    p.add_argument("--c", required=True, help="metric scale (rational)")
-    p.add_argument("--mu", help="Cartan-Hartogs exponent (rational)")
-    p.set_defaults(func=_cmd_wallach)
 
-    p = sub.add_parser("cigar", help="cigar obstruction scan")
-    p.add_argument("--c", required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--terms", type=int, default=12)
-    p.set_defaults(func=_cmd_cigar)
+def build_parser() -> Dict[str, Command]:
+    """The command table ``main`` parses argv with, by command name."""
+    degree = Option(int, REQUIRED, "truncation degree >= 1")
+    b = Option(str, "0", "target curvature parameter p/q")
+    source = {
+        "--model": Option(str, None, "catalog model name (see 'models')"),
+        "--spec": Option(str, None, "JSON model spec file"),
+        "--series": Option(str, None,
+                           "series text file (m_j ; m_k ; re ; im)"),
+        "--param": Option(list, None, "model parameter KEY=VALUE"),
+        "--n": Option(int, None, "arity shortcut"),
+        "--scale": Option(str, None, "rational metric scale c"),
+    }
+    return {
+        "analyze": Command(
+            _cmd_analyze, "resolvability verdict + certificate", {
+                **source, "--b": b, "--degree": degree,
+                "--c": Option(str, None, "profile-criterion exponent "
+                                         "(Hartogs models)"),
+                "--jmax": Option(int, None, "Hartogs criterion j bound"),
+                "--kmax": Option(int, None, "Hartogs criterion k bound")}),
+        "emit-immersion": Command(
+            _cmd_emit_immersion, "explicit verified map",
+            {**source, "--b": b, "--degree": degree}),
+        "wallach": Command(
+            _cmd_wallach, "scaled-Bergman / Cartan-Hartogs "
+                          "projective-inducedness decision", {
+                "--r": Option(int, None, "domain rank"),
+                "--a": Option(str, None, "domain invariant a (rational)"),
+                "--gamma": Option(int, None, "genus"),
+                "--dim": Option(int, 1, "domain dimension"),
+                "--domain": Option(str, None,
+                                   "named domain kind omega1..omega4"),
+                "--sizes": Option(str, None,
+                                  "comma-separated sizes for --domain"),
+                "--c": Option(str, REQUIRED, "metric scale (rational)"),
+                "--mu": Option(str, None,
+                               "Cartan-Hartogs exponent (rational)")}),
+        "cigar": Command(_cmd_cigar, "cigar obstruction scan", {
+            "--c": Option(str, REQUIRED, "metric scale (rational)"),
+            "--nmax": Option(int, REQUIRED, "last coefficient scanned"),
+            "--terms": Option(int, 12, "terms of the limit partial sum")}),
+        "bell": Command(_cmd_bell, "Bell polynomial values", {
+            "--n": Option(int, REQUIRED, "polynomial degree"),
+            "--k": Option(int, None, "partial polynomial B(n,k)"),
+            "--x": Option(str, None, "comma-separated rational arguments")}),
+        "einstein": Command(_cmd_einstein, "Einstein-constant estimate", {
+            "--model": Option(str, "spaceform", "catalog model name"),
+            "--param": source["--param"], "--n": source["--n"],
+            "--b": Option(str, None, "space-form curvature parameter"),
+            "--degree": degree}),
+        "models": Command(_cmd_models, "list the model catalog", {}),
+        "check-certificate": Command(
+            _cmd_check_certificate,
+            "re-validate an emitted certificate/immersion", {}, ("file",)),
+    }
 
-    p = sub.add_parser("bell", help="Bell polynomial values")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--x", help="comma-separated rational arguments")
-    p.set_defaults(func=_cmd_bell)
 
-    p = sub.add_parser("einstein", help="Einstein-constant estimate")
-    p.add_argument("--model", default="spaceform")
-    p.add_argument("--param", action="append", metavar="KEY=VALUE")
-    p.add_argument("--n", type=int)
-    p.add_argument("--b", help="space-form curvature parameter")
-    p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(func=_cmd_einstein)
+def _usage(table: Mapping[str, Command], name: Optional[str] = None) -> str:
+    """The help text of the whole table, or of the command ``name``."""
+    if name is None:
+        return "\n".join([
+            "usage: kahlerimm COMMAND [OPTIONS]", "",
+            "Exact truncated-series decisions for local Kahler immersions "
+            "into complex space forms", "",
+            "commands:", *(f"  {key:<18} {c.help}" for key, c in table.items()),
+            "", "kahlerimm COMMAND --help lists the options of COMMAND."])
+    command = table[name]
+    lines = [" ".join(["usage: kahlerimm", name,
+                       *(p.upper() for p in command.positional),
+                       "[OPTIONS]" if command.options else ""]).rstrip(),
+             "", command.help]
+    if command.options:
+        lines += ["", "options:"]
+    for key, option in command.options.items():
+        metavar = "N" if option.kind is int else "VALUE"
+        note = ("required" if option.default is REQUIRED
+                else "repeatable" if option.kind is list
+                else "" if option.default is None
+                else f"default {option.default}")
+        lines.append(f"  {key + ' ' + metavar:<16} {option.help}"
+                     + (f" ({note})" if note else ""))
+    return "\n".join(lines)
 
-    p = sub.add_parser("models", help="list the model catalog")
-    p.set_defaults(func=_cmd_models)
 
-    p = sub.add_parser("check-certificate",
-                       help="re-validate an emitted certificate/immersion")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check_certificate)
+def _print_usage(args: SimpleNamespace) -> int:
+    print(args.usage)
+    return 0
 
-    return parser
+
+def _parse_argv(table: Mapping[str, Command], argv: List[str]
+                ) -> SimpleNamespace:
+    """The handler and argument values ``argv`` gives, read in one pass.
+
+    ``--opt value`` and ``--opt=value`` both work, and the token after an
+    option is its value even if it starts with '-'.  Only exact option
+    names are known, and only a ``list`` option may be given twice.
+    """
+    if not argv:
+        raise InputError("a command is required: " + ", ".join(table))
+    if argv[0] in HELP:
+        return SimpleNamespace(func=_print_usage, usage=_usage(table))
+    name, tokens = argv[0], iter(argv[1:])
+    command = table.get(name)
+    if command is None:
+        raise InputError(f"unknown command {name!r}; one of "
+                         + ", ".join(table))
+    given: Dict[str, Any] = {}
+    positional = []
+    for token in tokens:
+        if token in HELP:
+            return SimpleNamespace(func=_print_usage,
+                                   usage=_usage(table, name))
+        if not token.startswith("-"):
+            positional.append(token)
+            continue
+        key, eq, value = token.partition("=")
+        option = command.options.get(key)
+        if option is None:
+            raise InputError(f"unknown option {key!r} for {name}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise InputError(f"{key} needs a value")
+        if option.kind is list:
+            given.setdefault(key, []).append(value)
+            continue
+        if key in given:
+            raise InputError(f"{key} given twice")
+        if option.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise InputError(f"{key} needs an integer, got {value!r}"
+                                 ) from None
+        given[key] = value
+    if len(positional) > len(command.positional):
+        raise InputError(f"unexpected argument "
+                         f"{positional[len(command.positional)]!r}")
+    if len(positional) < len(command.positional):
+        raise InputError(f"{name} needs "
+                         f"{command.positional[len(positional)].upper()}")
+    args = SimpleNamespace(func=command.func,
+                           **dict(zip(command.positional, positional)))
+    for key, option in command.options.items():
+        value = given.get(key, option.default)
+        if value is REQUIRED:
+            raise InputError(f"{name} needs {key}")
+        setattr(args, key[2:], value)
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    table = build_parser()
     try:
+        args = _parse_argv(table, sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except InputError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError) as exc:
-        print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}),
+        # str() of a KeyError is the repr of its message
+        detail = exc.args[0] if isinstance(exc, KeyError) and exc.args \
+            else exc
+        print(json.dumps({"error": f"{type(exc).__name__}: {detail}"}),
               file=sys.stderr)
         return 2
 

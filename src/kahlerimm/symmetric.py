@@ -52,6 +52,11 @@ class DomainInvariants(namedtuple("DomainInvariants", "rank a genus dim")):
         return Fraction(self.rank - 1) * self.a / 2
 
 
+# the sizes each classical domain kind is given by
+SIZE_NAMES = {"omega1": ("m", "n"), "omega2": ("n",), "omega3": ("n",),
+              "omega4": ("n",)}
+
+
 def classical_invariants(kind: str, *sizes: int) -> DomainInvariants:
     """Reference (r, a, genus, dim) for the classical domains.
 
@@ -60,6 +65,11 @@ def classical_invariants(kind: str, *sizes: int) -> DomainInvariants:
     determinant-kernel exponent used by the model catalog.
     """
     kind = kind.lower()
+    names = SIZE_NAMES.get(kind)
+    if names is not None and len(sizes) != len(names):
+        raise ValueError(f"{kind} needs {len(names)} "
+                         f"size{'s' * (len(names) > 1)} {','.join(names)}, "
+                         f"got {len(sizes)}")
     if kind == "omega1":
         m, n = sizes
         if m > n:

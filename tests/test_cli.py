@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kahlerimm.cli import main
+from kahlerimm.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -45,8 +45,22 @@ def test_analyze_positive_exit_zero(capsys):
 def test_analyze_bad_model_exit_two(capsys):
     code, out, err = run(capsys, "analyze", "--model", "nope",
                          "--degree", "2")
-    assert code == 2
-    assert "error" in json.loads(err)
+    assert code == 2 and out == ""
+    assert one_json_line(err) == {
+        "error": "unknown model 'nope'; see the 'models' listing"}
+
+
+def test_hartogs_certificate_of_a_model_without_profile(capsys, tmp_path):
+    code, out, _ = run(capsys, "analyze", "--model", "hartogs_inv_sqrt",
+                       "--c", "1", "--degree", "3")
+    assert code in (0, 1)
+    doc = json.loads(out)
+    doc["source"] = {"kind": "model", "model": "cp", "parameters": {}}
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-certificate", str(cert))
+    assert code == 2 and out == ""
+    assert one_json_line(err) == {"error": "model 'cp' has no radial profile"}
 
 
 def test_analyze_requires_one_source(capsys):
@@ -706,3 +720,163 @@ def test_edited_document_never_validates(tmp_path_factory, kind, how, value,
         # the edit named another request, and this is its very document
         assert printed_for(doc) == json.dumps(doc, indent=2,
                                               sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# argv: one pass over the command table
+# ---------------------------------------------------------------------------
+
+def test_value_after_a_space_may_start_with_a_dash(capsys):
+    base = ("analyze", "--model", "ch", "--n", "2", "--degree", "3")
+    code, spaced, _ = run(capsys, *base, "--b", "-1/2")
+    assert code == 0 and json.loads(spaced)["rank"] == 9
+    assert run(capsys, *base, "--b=-1/2") == (0, spaced, "")
+    code, doc = run_json(capsys, "bell", "--n", "4",
+                         "--x", "-1,-1/2,-2/3,-3/2")
+    assert code == 0 and doc["value"] == "-1/12"
+    # the sizes reach the domain table, which rejects rank -1
+    code, out, err = run(capsys, "wallach", "--domain", "omega1",
+                         "--sizes", "-1,2", "--c", "1")
+    assert code == 2 and "rank must be >= 1" in one_json_line(err)["error"]
+
+
+@pytest.mark.parametrize("default,explicit", [
+    (("analyze", "--model", "cp", "--n", "1", "--degree", "3"),
+     ("--b", "0")),
+    (("emit-immersion", "--model", "ch", "--n", "1", "--degree", "2"),
+     ("--b", "0")),
+    (("wallach", "--r", "2", "--a", "2", "--gamma", "5", "--c", "1/10"),
+     ("--dim", "1")),
+    (("cigar", "--c", "1", "--nmax", "4"), ("--terms", "12")),
+    (("einstein", "--n", "1", "--degree", "3"), ("--model", "spaceform")),
+])
+def test_option_defaults(capsys, default, explicit):
+    code, out, err = run(capsys, *default)
+    assert code in (0, 1) and err == ""
+    assert run(capsys, *default, *explicit) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv,message", [
+    ((), "a command is required: analyze, "),
+    (("nope",), "unknown command 'nope'"),
+    (("analyze", "--degree", "x"), "--degree needs an integer, got 'x'"),
+    (("analyze", "--model", "cp", "--degree=2.5"),
+     "--degree needs an integer, got '2.5'"),
+    (("cigar", "--c", "1", "--nmax", ""), "--nmax needs an integer"),
+    (("analyze", "--model", "cp", "--deg", "2"),
+     "unknown option '--deg' for analyze"),
+    (("analyze", "--model", "cp", "-d", "2"), "unknown option '-d'"),
+    (("analyze", "--model", "cp", "--degree"), "--degree needs a value"),
+    (("analyze", "--model", "cp", "--degree", "2", "--degree", "2"),
+     "--degree given twice"),
+    (("analyze", "--model", "cp", "--degree", "2", "--b=1", "--b", "1"),
+     "--b given twice"),
+    (("analyze", "--model", "cp"), "analyze needs --degree"),
+    (("analyze", "cp", "--degree", "2"), "unexpected argument 'cp'"),
+    (("models", "--n", "1"), "unknown option '--n' for models"),
+    (("check-certificate",), "check-certificate needs FILE"),
+    (("check-certificate", "a.json", "b.json"),
+     "unexpected argument 'b.json'"),
+    (("cigar", "--nmax", "3"), "cigar needs --c"),
+])
+def test_argv_error_exit_two(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in one_json_line(err)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("-h",), ("--help",), ("--help", "analyze"), ("analyze", "-h"),
+    ("analyze", "--model", "cp", "--help"), ("check-certificate", "-h"),
+    ("models", "--help"),
+])
+def test_help_prints_usage_from_the_table(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out.startswith("usage: kahlerimm")
+    table = build_parser()
+    if argv[0] in table:
+        assert all(f"  {key} " in out for key in table[argv[0]].options)
+    else:
+        assert all(f"  {name} " in out for name in table)
+
+
+# the README's example requests with degrees <= 3; "@jet" and "@cert" name
+# a series file and a certificate that ``fuzz_files`` writes
+README_ARGVS = [
+    ("analyze", "--model", "cp", "--n", "1", "--scale", "1/2", "--b", "1",
+     "--degree", "3"),
+    ("analyze", "--series", "@jet", "--b", "1", "--degree", "3"),
+    ("analyze", "--model", "hartogs_inv_sqrt", "--c", "1", "--degree", "3",
+     "--jmax", "3", "--kmax", "3"),
+    ("emit-immersion", "--model", "ch", "--n", "2", "--b", "-1",
+     "--degree", "3"),
+    ("analyze", "--model", "omega4", "--n", "3", "--b", "0", "--degree", "2"),
+    ("check-certificate", "@cert"),
+    ("wallach", "--domain", "omega1", "--sizes", "2,3", "--c", "1/5"),
+    ("wallach", "--r", "2", "--a", "2", "--gamma", "5", "--c", "1",
+     "--mu", "1/2"),
+    ("cigar", "--c", "1", "--nmax", "8"),
+    ("bell", "--n", "4", "--x", "-1,-1/2,-2/3,-3/2"),
+    ("einstein", "--model", "cp", "--n", "2", "--b", "1", "--degree", "3"),
+    ("models",),
+]
+# tokens the fuzz inserts: every option name, negative rationals, values
+# that are not integers, unknown options, and no integer above 3
+OPTION_NAMES = sorted({key for command in build_parser().values()
+                       for key in command.options})
+FUZZ_TOKENS = OPTION_NAMES + [
+    "-1/2", "-1", "-2/3", "-1,2", "0", "1", "2", "3", "1/3", "2,3", "x",
+    "1.5", "", "-", "--", "-h", "--help", "--bogus", "--deg", "n=1", "cp",
+    "omega1", "models", "--b=-1/2", "--degree=x", "--param=n=1"]
+
+
+@st.composite
+def mutated_argv(draw):
+    """A README argv after one to three edits: a token dropped, doubled,
+    inserted or replaced, or an ``--opt value`` pair joined as
+    ``--opt=value``."""
+    argv = list(draw(st.sampled_from(README_ARGVS)))
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["drop", "double", "insert", "replace",
+                                    "join"]))
+        i = draw(st.integers(0, len(argv)))
+        token = draw(st.sampled_from(FUZZ_TOKENS))
+        if how == "insert":
+            argv.insert(i, token)
+        elif i == len(argv):
+            continue
+        elif how == "drop":
+            del argv[i]
+        elif how == "double":
+            argv.insert(i, argv[i])
+        elif how == "replace":
+            argv[i] = token
+        elif argv[i].startswith("--") and i + 1 < len(argv):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """{"@jet": series file, "@cert": certificate} for README_ARGVS."""
+    base = tmp_path_factory.mktemp("argv")
+    jet = base / "jet.txt"
+    jet.write_text("1 ; 1 ; 1 ; 0\n2 ; 2 ; -1/2 ; 0\n")
+    cert = base / "cert.json"
+    cert.write_text(call(*README_ARGVS[4])[1])
+    return {"@jet": str(jet), "@cert": str(cert)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=mutated_argv())
+def test_mutated_readme_argv(fuzz_files, argv):
+    argv = [fuzz_files.get(token, token) for token in argv]
+    try:
+        code, out, err = call(*argv)
+    except SystemExit as exc:  # pragma: no cover - the failure reported
+        pytest.fail(f"SystemExit({exc.code}) escaped main for {argv}")
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out == "" and "error" in one_json_line(err), argv
+    else:
+        assert err == "" and out, argv

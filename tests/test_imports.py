@@ -1,7 +1,7 @@
 """Every module of the package uses each name it imports, every private
 helper the package defines is called from somewhere in the package, the
 integer inner loops read no ``Fraction``, and a CLI process starts without
-the standard library's introspection modules."""
+the standard library's introspection and argparse modules."""
 import ast
 import os
 import subprocess
@@ -111,12 +111,14 @@ def modules_after(code):
 
 def test_cli_start_up_loads_no_introspection_modules():
     # each CLI command is a fresh process, so what its start-up imports is
-    # paid by every request; dataclasses alone pulls in inspect, ast and
-    # dis.  The bare interpreter is the baseline, so a module that a site
-    # .pth file loads is not counted against the package.
+    # paid by every request: dataclasses alone pulls in inspect, ast and
+    # dis, and argparse pulls in gettext, whose lookups import locale.
+    # The bare interpreter is the baseline, so a module that a site .pth
+    # file loads is not counted against the package.
     bare = modules_after("import sys")
     cli = modules_after("import sys, kahlerimm.cli; "
                         "kahlerimm.cli.build_parser()")
     assert "kahlerimm.cli" in cli
-    extra = (cli - bare) & {"dataclasses", "inspect", "ast", "dis"}
+    extra = (cli - bare) & {"dataclasses", "inspect", "ast", "dis",
+                            "argparse", "gettext", "locale"}
     assert not extra, f"CLI start-up imports {sorted(extra)}"

@@ -28,6 +28,18 @@ def test_classical_invariants():
         classical_invariants("omega9", 1)
 
 
+@pytest.mark.parametrize("kind,sizes,needs", [
+    ("omega1", (), "2 sizes m,n, got 0"),
+    ("omega1", (2,), "2 sizes m,n, got 1"),
+    ("omega2", (1, 2), "1 size n, got 2"),
+    ("omega3", (), "1 size n, got 0"),
+    ("omega4", (1, 2), "1 size n, got 2"),
+])
+def test_classical_invariants_size_count(kind, sizes, needs):
+    with pytest.raises(ValueError, match=rf"^{kind} needs {needs}$"):
+        classical_invariants(kind, *sizes)
+
+
 def test_threshold():
     assert DomainInvariants(2, Fraction(2), 4, 1).threshold == 1
     assert DomainInvariants(1, Fraction(2), 2, 1).threshold == 0
