@@ -104,6 +104,20 @@ def _rational(value: Any, what: str) -> Fraction:
     return as_fraction(value)
 
 
+def _list_option(text: Optional[str], option: str,
+                 parse: Callable[[str], Any]) -> List[Any]:
+    """The comma-separated elements of ``option``'s value ``text``, each
+    read by ``parse``; a bad element is an input error that names the
+    option and the element."""
+    out = []
+    for item in text.split(",") if text else ():
+        try:
+            out.append(parse(item))
+        except ValueError as exc:
+            raise InputError(f"{option} element {item!r}: {exc}") from None
+    return out
+
+
 def _model_source(name: Any, params: Any) -> Dict[str, Any]:
     params = _object(params, "the model parameters")
     return {"kind": "model", "model": name,
@@ -277,9 +291,8 @@ def _cmd_emit_immersion(args) -> int:
 
 def _cmd_wallach(args) -> int:
     if args.domain is not None:
-        sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes \
-            else ()
-        inv = classical_invariants(args.domain, *sizes)
+        inv = classical_invariants(args.domain,
+                                   *_list_option(args.sizes, "--sizes", int))
     else:
         if args.r is None or args.a is None or args.gamma is None:
             raise InputError("need --domain or all of --r/--a/--gamma")
@@ -333,7 +346,7 @@ def _cmd_cigar(args) -> int:
 
 
 def _cmd_bell(args) -> int:
-    xs = [as_fraction(t) for t in args.x.split(",")] if args.x else []
+    xs = _list_option(args.x, "--x", as_fraction)
     if args.k is not None:
         value = bellmod.bell_partial(args.n, args.k, xs)
         which = f"B({args.n},{args.k})"
@@ -484,13 +497,17 @@ def _immersion_from_json(doc: Mapping[str, Any]) -> ImmersionMap:
         target = Target(target["kind"], as_fraction(target["b"])
                         if "b" in target else None)
         comps = []
+        ordinals: Dict[Tuple[int, ...], int] = {}
         for comp in doc["components"]:
             coeffs = {}
             for term in comp["series"]:
                 m = tuple(term["m"])
                 if not all(isinstance(e, int) and e >= 0 for e in m):
                     raise InputError(f"bad multi-index {list(m)}")
-                coeffs[order.ordinal(m)] = CScalar(term["re"], term["im"])
+                j = ordinals.get(m)
+                if j is None:
+                    j = ordinals[m] = order.ordinal(m)
+                coeffs[j] = CScalar(term["re"], term["im"])
             comps.append(Component(_integer(comp["sign"], "a sign", -1),
                                    as_fraction(comp["radicand"]),
                                    HolSeries(arity, degree, coeffs)))

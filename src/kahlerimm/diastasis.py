@@ -16,7 +16,7 @@ def normalize_to_diastasis(phi: BiSeries) -> BiSeries:
     (constant term included).  Idempotent; preserves Hermitian symmetry.
     """
     out = {jk: c for jk, c in phi.coeffs.items() if jk[0] != 0 and jk[1] != 0}
-    return BiSeries(phi.n, phi.d, out)
+    return BiSeries._of(phi.n, phi.d, out)
 
 
 class BochnerReport(NamedTuple):

@@ -16,8 +16,8 @@ from .diastasis import normalize_to_diastasis
 from .resolvability import MatrixWitness, NotPsd, calabi_matrix, \
     calabi_series, psd_certify
 from .scalars import CScalar, RationalLike, as_fraction
-from .series import BiSeries, GradedOrder, HolSeries, MultiIndex, \
-    index_of_ordinal, norm_sum
+from .series import BiSeries, GradedOrder, HolSeries, MultiIndex, Rows, \
+    gaussian_integers, index_of_ordinal, norm_rows
 
 
 class NotResolvableError(ValueError):
@@ -61,9 +61,17 @@ class ImmersionMap(namedtuple("ImmersionMap",
 
     def pullback_norm(self) -> BiSeries:
         """sum sign * radicand * series * conj(series), exact."""
+        d, lam, rows = self._pullback_rows()
+        return BiSeries(self.arity, d, {
+            (j, k): CScalar(Fraction(re, lam), Fraction(im, lam))
+            for j, row in rows.items() for k, (re, im, _) in row.items()})
+
+    def _pullback_rows(self) -> Tuple[int, int, Rows]:
+        """(d, L, rows): the pullback norm through degree d, the least
+        degree of the map and its components, is rows / L (``norm_rows``)."""
         d = min([self.degree] + [c.series.d for c in self.components])
-        return norm_sum(self.arity, d, (
-            (c.sign * c.radicand, c.series) for c in self.components))
+        return (d, *norm_rows(self.arity, d, (
+            (c.sign * c.radicand, c.series) for c in self.components)))
 
 
 def target_for(b: Fraction) -> Target:
@@ -94,7 +102,7 @@ def factor_immersion(d: BiSeries, b: RationalLike, degree: int) -> ImmersionMap:
         components.append(Component(
             +1, pivot.value, HolSeries(n, degree, coeffs)))
     imm = ImmersionMap(tuple(components), target_for(b), degree, n)
-    check = verify_immersion(imm, transformed, 0, degree)
+    check = _pullback_residual(imm, transformed, degree)
     if not check.ok:  # pragma: no cover - internal soundness guard
         raise AssertionError(f"factored map failed verification: {check}")
     return imm
@@ -207,18 +215,51 @@ def verify_immersion(imm: ImmersionMap, d: BiSeries, b: RationalLike,
     """
     if imm.arity != d.n:
         raise ValueError(f"arity mismatch: map {imm.arity} vs series {d.n}")
-    want = calabi_series(d, b)
-    got = imm.pullback_norm()
-    deg = min(degree, got.d, want.d)
-    got = got.truncate(deg) if got.d > deg else got
-    want = want.truncate(deg) if want.d > deg else want
-    if got == want:
+    return _pullback_residual(imm, calabi_series(d, b), degree)
+
+
+def _pullback_residual(imm: ImmersionMap, want: BiSeries, degree: int
+                       ) -> VerifyResult:
+    """``verify_immersion`` against the already transformed ``want``.
+
+    The pullback stays Gaussian integers over its denominator L and
+    ``want`` is put over the lcm D of its own denominators, so the two are
+    compared by cross-multiplication; a ``CScalar`` is built only for the
+    residual reported.
+    """
+    n = imm.arity
+    d, lam, rows = imm._pullback_rows()
+    den, target = gaussian_integers(want.coeffs)
+    size = GradedOrder(n, min(degree, d, want.d)).size
+    key = _first_mismatch(size, lam, rows, den, target)
+    if key is None:
         return VerifyResult(True)
-    keys = sorted(set(got.coeffs) | set(want.coeffs))
-    for (j, k) in keys:
-        g = got.get(j, k)
-        w = want.get(j, k)
-        if g != w:
-            return VerifyResult(False, (
-                index_of_ordinal(d.n, j), index_of_ordinal(d.n, k), g, w))
-    return VerifyResult(True)  # pragma: no cover - unreachable
+    j, k = key
+    re, im, _ = rows.get(j, {}).get(k, (0, 0, 1))
+    return VerifyResult(False, (
+        index_of_ordinal(n, j), index_of_ordinal(n, k),
+        CScalar(Fraction(re, lam), Fraction(im, lam)), want.get(j, k)))
+
+
+def _first_mismatch(size: int, lam: int, rows: Rows, den: int,
+                    want: Dict[Tuple[int, int], Tuple[int, int]]
+                    ) -> Optional[Tuple[int, int]]:
+    """The least key (j, k) with both ordinals below ``size`` at which
+    rows / lam and want / den differ, or None.
+
+    ``rows`` (scale 1) and ``want`` hold Gaussian-integer numerators and
+    no zero entries; a / lam = c / den is tested as a den = c lam.
+    """
+    bad = []
+    for j, row in rows.items():
+        if j >= size:
+            continue
+        for k, (re, im, _) in row.items():
+            if k >= size:
+                continue
+            w = want.get((j, k))
+            if w is None or re * den != w[0] * lam or im * den != w[1] * lam:
+                bad.append((j, k))
+    bad += [(j, k) for j, k in want
+            if j < size and k < size and k not in rows.get(j, ())]
+    return min(bad, default=None)

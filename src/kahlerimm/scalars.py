@@ -11,6 +11,23 @@ from typing import Union
 RationalLike = Union[int, str, Fraction]
 
 
+def parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)``: the same value, or the same exception.
+
+    A token ``[-]digits[/digits]`` of ASCII digits, the form every rational
+    kahlerimm prints takes, is read with ``int()``, which skips the regular
+    expression ``Fraction`` matches a string with.  Any other token (a '+'
+    sign, spaces, a decimal point, an exponent, '_' separators, non-ASCII
+    digits, or no digits) is handed to ``Fraction(text)``, so the accepted
+    grammar and every error are those of ``Fraction``.
+    """
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if text.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return Fraction(text)
+
+
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ints, Fractions and ``p/q`` strings to an exact Fraction."""
     if isinstance(value, Fraction):
@@ -19,7 +36,7 @@ def as_fraction(value: RationalLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            return parse_fraction(value.strip())
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")

@@ -17,11 +17,16 @@ recurrence over total-degree slices (``_degree_recurrence``), which costs
 about one product instead of a sum of powers.  Products bucket their terms
 by bidegree and visit only bucket pairs that stay inside the truncation.
 
-The series core is fraction-free: a product, a determinant or a
-composition puts its operands over the lcm of their coefficient
+The series core is fraction-free: a product, a scaling, a determinant or
+a composition puts its operands over the lcm of their coefficient
 denominators, runs its inner loops on (Gaussian) integers, and builds one
 ``Fraction`` per returned coefficient.  The recurrence keeps each slice
-over one integer denominator of its own.
+over one integer denominator of its own.  So is the check path:
+``BiSeries.loads`` reads each distinct token once with ``int()``
+(``scalars.parse_fraction``), and ``norm_rows`` gives the pullback norm
+of a map as Gaussian-integer rows over one denominator, which
+``immersion.verify_immersion`` compares with the transformed potential by
+cross-multiplication.
 """
 from __future__ import annotations
 
@@ -32,7 +37,8 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, \
     Sequence, Tuple, TypeVar
 
-from .scalars import CScalar, RationalLike, as_fraction, format_fraction
+from .scalars import CScalar, RationalLike, as_fraction, \
+    format_fraction, parse_fraction
 
 MultiIndex = Tuple[int, ...]
 T = TypeVar("T")
@@ -191,6 +197,18 @@ class BiSeries:
 
     # -- constructors -------------------------------------------------
     @classmethod
+    def _of(cls, n: int, d: int, coeffs: Coeffs) -> "BiSeries":
+        """A series of ``coeffs``, each already a nonzero ``CScalar`` at
+        ordinals of degree <= d, so they are not checked again."""
+        if n < 1 or d < 0:
+            raise ValueError("need arity >= 1, degree >= 0")
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "d", d)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
+
+    @classmethod
     def zero(cls, n: int, d: int) -> "BiSeries":
         return cls(n, d, {})
 
@@ -239,9 +257,27 @@ class BiSeries:
         return self + (-other)
 
     def scale(self, factor: "CScalar | RationalLike") -> "BiSeries":
+        """factor * self; a factor of 1 returns ``self``.
+
+        Fraction-free: the coefficients are Gaussian integers over their
+        lcm D and the factor is (p + i q) / F, so each product is one
+        integer product over D F, and one ``Fraction`` per part.
+        """
         f = CScalar.of(factor)
-        return BiSeries(self.n, self.d,
-                        {jk: c * f for jk, c in self.coeffs.items()})
+        if f == 1:
+            return self
+        if f.is_zero():
+            return BiSeries.zero(self.n, self.d)
+        den_f, ints = gaussian_integers({0: f})
+        p, q = ints[0]
+        den, x = gaussian_integers(self.coeffs)
+        if q:
+            x = {jk: (re * p - im * q, re * q + im * p)
+                 for jk, (re, im) in x.items()}
+        else:
+            x = {jk: (re * p, im * p) for jk, (re, im) in x.items()}
+        return BiSeries._of(self.n, self.d, _coefficients(den * den_f,
+                                                          x.items()))
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
         self._check(other)
@@ -280,48 +316,86 @@ class BiSeries:
     def dumps(self) -> str:
         """One line per coefficient: ``m_j ; m_k ; re ; im``, graded order."""
         n = self.n
+        text: Dict[int, str] = {}  # ordinal -> "e_1,...,e_n"
         lines = []
-        for (j, k) in sorted(self.coeffs, key=lambda jk: (jk[0], jk[1])):
-            c = self.coeffs[(j, k)]
-            mj = ",".join(map(str, index_of_ordinal(n, j)))
-            mk = ",".join(map(str, index_of_ordinal(n, k)))
-            lines.append(f"{mj} ; {mk} ; {format_fraction(c.re)} ; "
+        for (j, k), c in sorted(self.coeffs.items()):
+            for o in (j, k):
+                if o not in text:
+                    text[o] = ",".join(map(str, index_of_ordinal(n, o)))
+            lines.append(f"{text[j]} ; {text[k]} ; {format_fraction(c.re)} ; "
                          f"{format_fraction(c.im)}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
     def loads(cls, text: str, degree: int | None = None) -> "BiSeries":
-        """Parse the text format; ``degree`` defaults to the max degree seen."""
-        entries: List[Tuple[MultiIndex, MultiIndex, CScalar]] = []
+        """Parse the text format; ``degree`` defaults to the max degree seen.
+
+        A line is ``m_j ; m_k ; re ; im``: two comma-separated multi-indices
+        of non-negative ints and two scalars; blank lines and lines that
+        start with '#' are skipped, and a later line for the same (m_j, m_k)
+        replaces an earlier one.  A scalar is read as ``Fraction(str)``
+        reads it (``parse_fraction``), so a file accepts exactly the
+        grammar of ``Fraction(str)``, and a line it rejects raises
+        ``ValueError`` with the line number and ``Fraction``'s message.
+        Each distinct multi-index and scalar token is parsed once, and
+        the coefficients are built in the same pass.
+        """
+        indices: Dict[str, Tuple[int, int, int]] = {}
+        scalars: Dict[str, Fraction] = {}
+
+        def index(token: str) -> Tuple[int, int, int]:
+            out = indices.get(token)
+            if out is None:
+                out = indices[token] = _index_token(token)
+            return out
+
+        def scalar(token: str) -> Fraction:
+            out = scalars.get(token)
+            if out is None:
+                out = scalars[token] = parse_fraction(token.strip())
+            return out
+
+        coeffs: Coeffs = {}
         arity = None
+        top = 0
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = [p.strip() for p in line.split(";")]
+            parts = line.split(";")
             if len(parts) != 4:
-                raise ValueError(f"line {lineno}: expected 'm_j ; m_k ; re ; im'")
+                raise ValueError(
+                    f"line {lineno}: expected 'm_j ; m_k ; re ; im'")
             try:
-                mj = tuple(int(t) for t in parts[0].split(","))
-                mk = tuple(int(t) for t in parts[1].split(","))
-                c = CScalar(Fraction(parts[2]), Fraction(parts[3]))
+                dj, nj, j = index(parts[0])
+                dk, nk, k = index(parts[1])
+                re = scalar(parts[2])
+                im = scalar(parts[3])
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
             if arity is None:
-                arity = len(mj)
-            if len(mj) != arity or len(mk) != arity:
+                arity = nj
+            if nj != arity or nk != arity:
                 raise ValueError(f"line {lineno}: inconsistent arity")
-            entries.append((mj, mk, c))
+            top = max(top, dj, dk)
+            if degree is not None and (dj > degree or dk > degree):
+                continue
+            if re or im:
+                coeffs[(j, k)] = CScalar(re, im)
+            else:
+                coeffs.pop((j, k), None)
         if arity is None:
             raise ValueError("empty series file")
-        maxdeg = max((max(sum(mj), sum(mk)) for mj, mk, _ in entries), default=0)
-        d = maxdeg if degree is None else degree
-        coeffs: Coeffs = {}
-        for mj, mk, c in entries:
-            if sum(mj) > d or sum(mk) > d:
-                continue
-            coeffs[(ordinal_of_index(mj), ordinal_of_index(mk))] = c
-        return cls(arity, d, coeffs)
+        return cls._of(arity, top if degree is None else degree, coeffs)
+
+
+def _index_token(token: str) -> Tuple[int, int, int]:
+    """(|m|, arity, ordinal) of the multi-index ``token``, ``e_1,...,e_n``;
+    a negative exponent is a ValueError."""
+    m = tuple(int(t) for t in token.strip().split(","))
+    if min(m) < 0:
+        raise ValueError(f"negative exponent in {token.strip()!r}")
+    return sum(m), len(m), ordinal_of_index(m)
 
 
 # ---------------------------------------------------------------------------
@@ -769,15 +843,16 @@ class HolSeries:
         return BiSeries(self.n, d, out)
 
 
-def norm_sum(n: int, d: int, terms: Iterable[Tuple[Fraction, HolSeries]]
-             ) -> BiSeries:
-    """sum_h w_h f_h conj(f_h) through degree d, fraction-free.
+def norm_rows(n: int, d: int, terms: Iterable[Tuple[Fraction, HolSeries]]
+              ) -> Tuple[int, Rows]:
+    """(L, rows): sum_h w_h f_h conj(f_h) through degree d is rows / L,
+    fraction-free.
 
     Each f_h is written as Gaussian integers over D_h, the lcm of its
     coefficient denominators, with weight w_h / D_h^2; the weights are put
     over their common denominator L, and one integer ``hermitian_update``
-    per component accumulates L times the sum.  Each output coefficient is
-    then one division by L.
+    per component accumulates L times the sum into rows of scale 1 that
+    hold no zero entry.
     """
     comps = []
     for w, f in terms:
@@ -790,6 +865,4 @@ def norm_sum(n: int, d: int, terms: Iterable[Tuple[Fraction, HolSeries]]
     rows: Rows = {}
     for w, x in comps:
         hermitian_update(rows, w.numerator * (lam // w.denominator), x)
-    return BiSeries(n, d, {
-        (j, k): CScalar(Fraction(re, lam), Fraction(im, lam))
-        for j, row in rows.items() for k, (re, im, _) in row.items()})
+    return lam, rows

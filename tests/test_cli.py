@@ -252,6 +252,22 @@ def test_non_hermitian_series_rejected(capsys, tmp_path):
         assert "Hermitian" in one_json_line(err)["error"]
 
 
+@pytest.mark.parametrize("text,message", [
+    ("1 ; 1 ; 1 ; 0\n2 ; 2 ; 1/0 ; 0\n",
+     "ValueError: line 2: Fraction(1, 0)"),
+    ("1,0 ; 1,0 ; 1 ; 0\n2,-1 ; 1,0 ; 1 ; 0\n3,0 ; 0,3 ; 1 ; 0\n",
+     "ValueError: line 2: negative exponent in '2,-1'"),
+])
+def test_malformed_series_file_exit_two(capsys, tmp_path, text, message):
+    f = tmp_path / "series.txt"
+    f.write_text(text)
+    for command in ("analyze", "emit-immersion"):
+        code, out, err = run(capsys, command, "--series", str(f),
+                             "--degree", "1")
+        assert code == 2 and out == ""
+        assert one_json_line(err) == {"error": message}
+
+
 def test_hartogs_arity_zero_rejected(capsys):
     for extra in ((), ("--c", "1")):
         code, out, err = run(capsys, "analyze", "--model", "springer",
@@ -778,6 +794,14 @@ def test_option_defaults(capsys, default, explicit):
     (("check-certificate", "a.json", "b.json"),
      "unexpected argument 'b.json'"),
     (("cigar", "--nmax", "3"), "cigar needs --c"),
+    (("wallach", "--domain", "omega1", "--sizes", "2,x", "--c", "1"),
+     "--sizes element 'x': invalid literal for int()"),
+    (("wallach", "--domain", "omega1", "--sizes", "2,", "--c", "1"),
+     "--sizes element '': invalid literal for int()"),
+    (("bell", "--n", "3", "--x", "1,,2"),
+     "--x element '': Invalid literal for Fraction: ''"),
+    (("bell", "--n", "3", "--x", "1,2/0"),
+     "--x element '2/0': zero denominator in '2/0'"),
 ])
 def test_argv_error_exit_two(capsys, argv, message):
     code, out, err = run(capsys, *argv)

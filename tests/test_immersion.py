@@ -252,6 +252,40 @@ def test_verify_reports_first_difference():
     assert got == CScalar(0) and want == CScalar(Fraction(1, 2))
 
 
+def perturbed(imm, h, position=None, radicand=1):
+    """``imm`` with component h's coefficient at ``position`` moved by
+    1/3 + i, or its radicand multiplied by ``radicand``."""
+    comp = imm.components[h]
+    coeffs = dict(comp.series.coeffs)
+    if position is not None:
+        coeffs[position] = coeffs.get(position, CScalar(0)) \
+            + CScalar(Fraction(1, 3), 1)
+    comps = list(imm.components)
+    comps[h] = Component(comp.sign, comp.radicand * radicand,
+                         HolSeries(comp.series.n, comp.series.d, coeffs))
+    return ImmersionMap(tuple(comps), imm.target, imm.degree, imm.arity)
+
+
+@pytest.mark.parametrize("h,position,radicand,residual", [
+    (0, 4, 1, ((0, 1), (1, 1), CScalar(Fraction(1, 3), -1), CScalar(0))),
+    (2, 7, 1, ((1, 1), (1, 2), CScalar(Fraction(1, 6), Fraction(-1, 2)),
+               CScalar(0))),
+    (4, 9, 1, ((2, 0), (3, 0), CScalar(Fraction(1, 12), Fraction(-1, 4)),
+               CScalar(0))),
+    (0, None, 2, ((0, 1), (0, 1), CScalar(2), CScalar(1))),
+    (3, None, 2, ((0, 2), (0, 2), CScalar(Fraction(1, 2)),
+                  CScalar(Fraction(1, 4)))),
+])
+def test_verify_residual_of_a_perturbed_component(h, position, radicand,
+                                                   residual):
+    # (m_j, m_k, got, want) of the first differing coefficient, pinned
+    d = space_form_diastasis(2, Fraction(-1, 2), 3)
+    imm = factor_immersion(d, 0, 3)
+    assert verify_immersion(imm, d, 0, 3).ok
+    res = verify_immersion(perturbed(imm, h, position, radicand), d, 0, 3)
+    assert not res.ok and res.residual == residual
+
+
 @pytest.mark.parametrize("sign,radicand", [
     (7, 1), (0, 1), (1, 0), (1, Fraction(-1, 2)), (-1, -1)])
 def test_component_needs_unit_sign_and_positive_radicand(sign, radicand):

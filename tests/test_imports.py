@@ -78,11 +78,12 @@ def test_no_uncalled_private_helpers():
     assert not dead, f"private helpers nothing references: {dead}"
 
 
-# the inner loops of the series core and of the exact LDL*, which run on
-# integers: (module, function)
+# the inner loops of the series core, of the exact LDL* and of the
+# pullback comparison, which run on integers: (module, function)
 INTEGER_LOOPS = [("series.py", "_mul_add"), ("radial.py", "_mul_add"),
                  ("series.py", "_degree_recurrence"),
-                 ("series.py", "hermitian_update")]
+                 ("series.py", "hermitian_update"),
+                 ("immersion.py", "_first_mismatch")]
 
 
 @pytest.mark.parametrize("module,name", INTEGER_LOOPS,

@@ -2,9 +2,10 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from kahlerimm.scalars import CScalar, as_fraction, format_fraction
+from kahlerimm.scalars import CScalar, as_fraction, format_fraction, \
+    parse_fraction
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50)
@@ -63,3 +64,42 @@ def test_format_fraction_past_the_digit_limit():
 def test_as_fraction_zero_denominator():
     with pytest.raises(ValueError, match="zero denominator"):
         as_fraction("1/0")
+
+
+def outcome(parse, text):
+    """(value, None) or (None, exception class and message) of parse(text)."""
+    try:
+        return parse(text), None
+    except (ValueError, ZeroDivisionError) as exc:
+        return None, (type(exc), str(exc))
+
+
+# tokens over the characters of Fraction's grammar and its neighbours:
+# signs, '/', a decimal point, exponents, '_', spaces, non-ASCII digits
+tokens = st.text(alphabet="0123456789-+/._eE \u0661\u00b2", max_size=8) | \
+    st.builds(lambda p, q, slash: f"{p}/{q}" if slash else str(p),
+              st.integers(-10 ** 6, 10 ** 6), st.integers(0, 10 ** 6),
+              st.booleans())
+
+
+@given(tokens)
+@example("+3")
+@example(" 3 ")
+@example("0.5")
+@example("1e3")
+@example("1_0")
+@example("\u0661")
+@example("\u00b2")
+@example("1/0")
+@example("-5/0")
+@example("1/-2")
+@example("--1")
+@example("-")
+@example("")
+@example("1/")
+@example("/2")
+@example("007/010")
+@example("9" * 5000)
+def test_parse_fraction_is_fraction_of_str(text):
+    # the same value, or the same exception class and message
+    assert outcome(parse_fraction, text) == outcome(Fraction, text)

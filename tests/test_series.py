@@ -413,12 +413,110 @@ def test_loads_infers_degree_and_skips_comments():
 
 
 def test_loads_rejects_garbage():
-    with pytest.raises(ValueError):
-        BiSeries.loads("1,0 ; 1,0 ; 1\n")
-    with pytest.raises(ValueError):
-        BiSeries.loads("")
-    with pytest.raises(ValueError):
-        BiSeries.loads("1,0 ; 1 ; 1 ; 0\n")
+    for text, message in [
+            ("1,0 ; 1,0 ; 1\n", "line 1: expected 'm_j ; m_k ; re ; im'"),
+            ("", "empty series file"),
+            ("1,0 ; 1 ; 1 ; 0\n", "line 1: inconsistent arity"),
+            ("1 ; 1 ; 1/0 ; 0", "line 1: Fraction(1, 0)")]:
+        with pytest.raises(ValueError) as info:
+            BiSeries.loads(text)
+        assert str(info.value) == message
+
+
+def test_loads_rejects_a_negative_exponent():
+    # (2, -1) has degree 1 and once read silently as the ordinal of (0, 2)
+    text = "1,0 ; 1,0 ; 1 ; 0\n2,-1 ; 1,0 ; 1 ; 0\n3,0 ; 0,3 ; 1 ; 0\n"
+    with pytest.raises(ValueError) as info:
+        BiSeries.loads(text)
+    assert str(info.value) == "line 2: negative exponent in '2,-1'"
+
+
+def reference_loads(text, degree=None):
+    """The series file reader on ``Fraction(str)``, one token at a time and
+    with no memo: the oracle of ``BiSeries.loads``."""
+    entries = []
+    arity = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(";")]
+        if len(parts) != 4:
+            raise ValueError(f"line {lineno}: expected 'm_j ; m_k ; re ; im'")
+        try:
+            indices = []
+            for part in parts[:2]:
+                m = tuple(int(t) for t in part.split(","))
+                if min(m) < 0:
+                    raise ValueError(f"negative exponent in {part!r}")
+                indices.append(m)
+            c = CScalar(Fraction(parts[2]), Fraction(parts[3]))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+        mj, mk = indices
+        if arity is None:
+            arity = len(mj)
+        if len(mj) != arity or len(mk) != arity:
+            raise ValueError(f"line {lineno}: inconsistent arity")
+        entries.append((mj, mk, c))
+    if arity is None:
+        raise ValueError("empty series file")
+    d = max(max(sum(mj), sum(mk)) for mj, mk, _ in entries) \
+        if degree is None else degree
+    coeffs = {}
+    for mj, mk, c in entries:
+        if sum(mj) <= d and sum(mk) <= d:
+            coeffs[(ordinal_of_index(mj), ordinal_of_index(mk))] = c
+    return BiSeries(arity, d, coeffs)
+
+
+# series-file lines: mostly well formed, with comments, blank lines,
+# repeated keys, zero coefficients, every scalar spelling Fraction(str)
+# reads, and now and then a wrong field count, arity or token
+_exponents = st.integers(0, 3) | st.just(-1)
+_index = st.lists(_exponents, min_size=2, max_size=2).map(
+    lambda m: ",".join(map(str, m))) | st.sampled_from(["0", "1,0,0", "1,x",
+                                                        "", " 1 , 0"])
+_scalar = st.sampled_from(["0", "1", "-1", "2/3", "-5/4", "0/7", "+3",
+                           " 4 ", "0.5", "1e1", "1_0", "\u0661"]) | \
+    st.sampled_from(["x", "", "1/0", "1/-2", "--1"])
+_line = st.one_of(
+    st.builds(lambda mj, mk, re, im, sep: sep.join([mj, mk, re, im]),
+              _index, _index, _scalar, _scalar,
+              st.sampled_from([" ; ", ";", "; ", " ;"])),
+    st.sampled_from(["", "   ", "\t", "# comment", "  # 1 ; 1 ; 1 ; 1",
+                     "1,0 ; 1,0 ; 1", "1,0 ; 1,0 ; 1 ; 0 ; 0"]))
+
+
+@settings(max_examples=300)
+@given(st.lists(_line, max_size=12), st.none() | st.integers(0, 4))
+@example(["1,0 ; 1,0 ; 1 ; 0", "1,0 ; 1,0 ; 0 ; 0"], None)
+@example(["# only a comment", ""], None)
+def test_loads_matches_the_fraction_reader(lines, degree):
+    # the same series, or the same exception class and message
+    text = "\n".join(lines)
+    try:
+        want = reference_loads(text, degree)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as info:
+            BiSeries.loads(text, degree)
+        assert str(info.value) == str(exc)
+        return
+    got = BiSeries.loads(text, degree)
+    assert (got.n, got.d, got.coeffs) == (want.n, want.d, want.coeffs)
+
+
+@given(biseries_st(), st.one_of(
+    wide_coeff_st, wide_st, st.integers(-3, 3),
+    st.sampled_from([1, CScalar(1), Fraction(1), CScalar(0, 1)])))
+def test_scale_matches_the_cscalar_product(a, factor):
+    out = a.scale(factor)
+    assert (out.n, out.d) == (a.n, a.d)
+    assert set(out.coeffs) <= set(a.coeffs)
+    for jk, c in a.coeffs.items():
+        assert out.get(*jk) == c * CScalar.of(factor), jk
+    if CScalar.of(factor) == 1:
+        assert out is a
 
 
 # ---------------------------------------------------------------------------
