@@ -1,6 +1,10 @@
 """Exact truncated-series decisions for local Kahler immersions into
 complex space forms: resolvability certificates, explicit maps, model
-catalog, Wallach-set decisions and obstruction scans."""
+catalog, Wallach-set decisions and obstruction scans.
+
+Every public function is one the ``kahlerimm`` command line reaches,
+save a few that ``tests/test_imports.py`` names with their reasons.
+"""
 
 from .scalars import CScalar, as_fraction, format_fraction
 from .series import BiSeries, GradedOrder, HolSeries, det_series, \
@@ -11,17 +15,16 @@ from .diastasis import BochnerReport, b_transform, check_bochner_form, \
     normalize_to_diastasis
 from .resolvability import CertifiedNotResolvable, HartogsWitness, \
     HermMatrix, MatrixWitness, NotPsd, Psd, ResolvableUpTo, build_matrix, \
-    hartogs_criterion, hartogs_metric_check, psd_certify, resolvability
+    hartogs_criterion, psd_certify, resolvability
 from .immersion import Component, ImmersionMap, NotResolvableError, Target, \
-    VerifyResult, factor_immersion, indefinite_immersion, \
-    space_form_classification, space_form_rank, verify_immersion
+    VerifyResult, factor_immersion, verify_immersion
 from .models import MODELS, build_model, hartogs_profile
 from .symmetric import DomainInvariants, Membership, \
-    bergman_scaling_decision, cartan_hartogs_failure, ch_immersion, \
-    classical_invariants, wallach_membership
+    bergman_scaling_decision, cartan_hartogs_failure, classical_invariants, \
+    wallach_membership
 from .bell import CigarLimit, CigarScan, bell_complete, bell_partial, \
     cigar_limit, cigar_scan
 from .einstein import EinsteinResult, NotEinstein, einstein_estimate, \
-    hessian_det, rescale_bochner
+    hessian_det
 
 __version__ = "0.1.0"

@@ -193,7 +193,7 @@ def _immersion_json(imm: ImmersionMap, source: Dict[str, Any], b: Fraction
                 "im": format_fraction(c.im),
             })
         comps.append({
-            "sign": comp.sign,
+            "sign": 1,
             "radicand": format_fraction(comp.radicand),
             "series": series,
         })
@@ -494,22 +494,24 @@ def _immersion_from_json(doc: Mapping[str, Any]) -> ImmersionMap:
     order = GradedOrder(arity, degree)
     try:
         target = _object(doc["target"], "the immersion target")
-        target = Target(target["kind"], as_fraction(target["b"])
+        target = Target(target["kind"], _rational(target["b"], "the target b")
                         if "b" in target else None)
         comps = []
         ordinals: Dict[Tuple[int, ...], int] = {}
         for comp in doc["components"]:
+            # the format keeps a sign field; every component has sign 1
+            sign = comp["sign"]
+            if type(sign) is not int or sign != 1:
+                raise InputError(f"a component sign must be 1, got {sign!r}")
             coeffs = {}
             for term in comp["series"]:
-                m = tuple(term["m"])
-                if not all(isinstance(e, int) and e >= 0 for e in m):
-                    raise InputError(f"bad multi-index {list(m)}")
+                m = tuple(_integer(e, "an exponent") for e in term["m"])
                 j = ordinals.get(m)
                 if j is None:
                     j = ordinals[m] = order.ordinal(m)
-                coeffs[j] = CScalar(term["re"], term["im"])
-            comps.append(Component(_integer(comp["sign"], "a sign", -1),
-                                   as_fraction(comp["radicand"]),
+                coeffs[j] = CScalar(_rational(term["re"], "a real part"),
+                                    _rational(term["im"], "an imaginary part"))
+            comps.append(Component(_rational(comp["radicand"], "a radicand"),
                                    HolSeries(arity, degree, coeffs)))
     except (AttributeError, IndexError, KeyError, TypeError) as exc:
         raise InputError(f"malformed immersion document: "

@@ -10,9 +10,9 @@ from fractions import Fraction
 from typing import Dict, NamedTuple, Tuple
 
 from .diastasis import check_bochner_form
-from .scalars import CScalar, RationalLike, as_fraction
-from .series import BiSeries, MultiIndex, _ordinal_degree, det_series, \
-    index_of_ordinal, log1p_series, ordinal_of_index
+from .scalars import CScalar
+from .series import BiSeries, MultiIndex, det_series, index_of_ordinal, \
+    log1p_series, ordinal_of_index
 
 
 class GaugeError(ValueError):
@@ -99,24 +99,3 @@ def einstein_estimate(d: BiSeries, degree: int):
         (index_of_ordinal(n, j), index_of_ordinal(n, k)),
         logdet.get(j, k),
         -(d.get(j, k) * CScalar(lam / 2)))
-
-
-def rescale_bochner(d: BiSeries, c: RationalLike) -> BiSeries:
-    """c * d followed by z -> z/sqrt(c), expressed on coefficients.
-
-    Sends a_{jk} to a_{jk} * c^{1 - (|m_j|+|m_k|)/2}; requires every
-    nonzero coefficient to sit at even total bidegree (circular metrics
-    qualify), so the exponent stays integral and the arithmetic rational.
-    """
-    c = as_fraction(c)
-    if c <= 0:
-        raise ValueError("c must be positive")
-    out: Dict[Tuple[int, int], CScalar] = {}
-    n = d.n
-    for (j, k), coeff in d.coeffs.items():
-        total = _ordinal_degree(n, j) + _ordinal_degree(n, k)
-        if total % 2:
-            raise ValueError("odd total bidegree: sqrt(c) rescale is not "
-                             "rational for this series")
-        out[(j, k)] = coeff * CScalar(c ** (1 - total // 2))
-    return BiSeries(n, d.d, out)

@@ -1,18 +1,16 @@
 """Explicit truncated immersion maps from PSD certificates.
 
-A map is stored as components (sign, radicand, holomorphic series): the
-component function is sqrt(radicand) * series, but the square root is never
-materialized — all verification happens on sign * radicand * |series|^2,
-which stays inside Gaussian-rational arithmetic.
+A map is stored as components (radicand, holomorphic series): the component
+function is sqrt(radicand) * series, but the square root is never
+materialized — all verification happens on radicand * |series|^2, which
+stays inside Gaussian-rational arithmetic.
 """
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .diastasis import normalize_to_diastasis
 from .resolvability import MatrixWitness, NotPsd, calabi_matrix, \
     calabi_series, psd_certify
 from .scalars import CScalar, RationalLike, as_fraction
@@ -30,37 +28,28 @@ class NotResolvableError(ValueError):
 
 
 class Target(NamedTuple):
-    kind: str                      # "flat" | "curved" | "indefinite"
+    kind: str                      # "flat" | "curved"
     b: Optional[Fraction] = None   # curvature parameter for "curved"
 
 
-class Component(namedtuple("Component", "sign radicand series")):
-    """sqrt(radicand) * series with a sign: +1, or -1 for an indefinite
-    target only; the radicand is a positive rational."""
+class Component(namedtuple("Component", "radicand series")):
+    """sqrt(radicand) * series; the radicand is a positive rational."""
 
     __slots__ = ()
 
-    def __new__(cls, sign: int, radicand: Fraction, series: HolSeries):
-        if sign not in (1, -1) or not radicand > 0:
-            raise ValueError(f"a component needs sign +1 or -1 and a positive"
-                             f" radicand, got {sign} and {radicand}")
-        return super().__new__(cls, sign, radicand, series)
+    def __new__(cls, radicand: Fraction, series: HolSeries):
+        if not radicand > 0:
+            raise ValueError(f"a component needs a positive radicand, "
+                             f"got {radicand}")
+        return super().__new__(cls, radicand, series)
 
 
 class ImmersionMap(namedtuple("ImmersionMap",
                               "components target degree arity")):
     __slots__ = ()
 
-    def __new__(cls, components: Tuple[Component, ...], target: Target,
-                degree: int, arity: int):
-        if target.kind != "indefinite" and any(c.sign < 0
-                                               for c in components):
-            raise ValueError(f"a sign -1 component needs an indefinite "
-                             f"target, not {target.kind!r}")
-        return super().__new__(cls, components, target, degree, arity)
-
     def pullback_norm(self) -> BiSeries:
-        """sum sign * radicand * series * conj(series), exact."""
+        """sum radicand * series * conj(series), exact."""
         d, lam, rows = self._pullback_rows()
         return BiSeries(self.arity, d, {
             (j, k): CScalar(Fraction(re, lam), Fraction(im, lam))
@@ -68,10 +57,10 @@ class ImmersionMap(namedtuple("ImmersionMap",
 
     def _pullback_rows(self) -> Tuple[int, int, Rows]:
         """(d, L, rows): the pullback norm through degree d, the least
-        degree of the map and its components, is rows / L (``norm_rows``)."""
+        degree of the map and its components, is rows / L (``norm_rows``,
+        which reads each component as its (radicand, series) pair)."""
         d = min([self.degree] + [c.series.d for c in self.components])
-        return (d, *norm_rows(self.arity, d, (
-            (c.sign * c.radicand, c.series) for c in self.components)))
+        return (d, *norm_rows(self.arity, d, self.components))
 
 
 def target_for(b: Fraction) -> Target:
@@ -100,101 +89,12 @@ def factor_immersion(d: BiSeries, b: RationalLike, degree: int) -> ImmersionMap:
         for position, c in pivot.column.items():
             coeffs[position + 1] = c  # basis position -> graded ordinal
         components.append(Component(
-            +1, pivot.value, HolSeries(n, degree, coeffs)))
+            pivot.value, HolSeries(n, degree, coeffs)))
     imm = ImmersionMap(tuple(components), target_for(b), degree, n)
     check = _pullback_residual(imm, transformed, degree)
     if not check.ok:  # pragma: no cover - internal soundness guard
         raise AssertionError(f"factored map failed verification: {check}")
     return imm
-
-
-def indefinite_immersion(d: BiSeries, r: Sequence[RationalLike],
-                         degree: int) -> ImmersionMap:
-    """The indefinite-space factorization: pairs (f_j, f_{-j}) for any
-    Hermitian diastasis, PSD or not.
-
-    With a = (a_{jk}) and r^{m} = prod r_alpha^{m_alpha}:
-
-        f_{+j} = (a_{jj} r^{m_j} + 1/r^{m_j})/2 * z^{m_j}
-                 + sum_{k>j} a_{jk} r^{m_j} z^{m_k}
-        f_{-j} = same with the minus sign inside the first parenthesis.
-
-    The displayed per-pair identity only telescopes in aggregate; the
-    construction is validated by sum_j (|f_j|^2 - |f_{-j}|^2) = d, which
-    holds exactly at every truncation (tested, and checkable via
-    ``verify_immersion`` with b = 0 on the indefinite map).
-    """
-    rs = [as_fraction(v) for v in r]
-    if len(rs) != d.n:
-        raise ValueError(f"r must have arity {d.n}")
-    if any(v <= 0 for v in rs):
-        raise ValueError("all r_alpha must be positive")
-    dd = normalize_to_diastasis(d)
-    order = GradedOrder(d.n, degree)
-    components: List[Component] = []
-    for j in range(1, order.size):
-        m = order.basis[j]
-        r_m = Fraction(1)
-        for alpha, e in enumerate(m):
-            r_m *= rs[alpha] ** e
-        a_jj = dd.get(j, j)
-        if a_jj.im:
-            raise ValueError("non-Hermitian diagonal coefficient")
-        tail: Dict[int, CScalar] = {}
-        for k in range(j + 1, order.size):
-            # the cross term lands at (j, k) via conjugation, so the
-            # holomorphic tail carries a_{kj} = conj(a_{jk})
-            a_kj = dd.get(k, j)
-            if not a_kj.is_zero():
-                tail[k] = a_kj * r_m
-        plus = dict(tail)
-        minus = dict(tail)
-        plus[j] = CScalar((a_jj.re * r_m + 1 / r_m) / 2)
-        minus[j] = CScalar((a_jj.re * r_m - 1 / r_m) / 2)
-        components.append(Component(
-            +1, Fraction(1), HolSeries(d.n, degree, plus)))
-        components.append(Component(
-            -1, Fraction(1), HolSeries(d.n, degree, minus)))
-    return ImmersionMap(tuple(components), Target("indefinite"), degree, d.n)
-
-
-# ---------------------------------------------------------------------------
-# closed-form space-form classification and rank
-# ---------------------------------------------------------------------------
-
-def space_form_classification(b: Fraction, b_target: Fraction
-                              ) -> Tuple[bool, Optional[int], str]:
-    """(exists, k or None for infinite rank, reason) per the case split
-    b <= b'; b <= 0 with infinite rank; b' = k b for a positive integer k."""
-    if not b_target:
-        if b > 0:
-            return False, None, "positively curved source admits no flat target"
-        if not b:
-            return True, 1, "flat into flat: identity"
-        return True, None, "nonpositive curvature into flat, infinite rank"
-    if b > b_target:
-        return False, None, "requires b <= b_target"
-    if b:
-        k = b_target / b
-        if k.denominator == 1 and k > 0:
-            return True, int(k), "b_target = k*b with k a positive integer"
-    if b < 0 or (not b and b_target > 0):
-        return True, None, "nonpositive source curvature, infinite rank"
-    return False, None, "b_target not a positive integer multiple of b"
-
-
-def space_form_rank(n: int, b: RationalLike, b_target: RationalLike
-                    ) -> Optional[int]:
-    """Global rank of the space-form immersion: finite C(n+k,k)-1 when
-    b_target = k b, None for infinite rank; raises if no map exists."""
-    b = as_fraction(b)
-    b_target = as_fraction(b_target)
-    exists, k, reason = space_form_classification(b, b_target)
-    if not exists:
-        raise ValueError(f"no immersion: {reason}")
-    if k is None:
-        return None
-    return math.comb(n + k, k) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,8 @@ def cartan_bergman_diastasis(kind: str, sizes: Sequence[int], degree: int
     Returns (series, genus) where genus is the determinant-kernel exponent:
     omega1: n+m, omega2: n+1, omega3: n-1, omega4: n.  Types I-III are
     -genus * log det(I - Z Z*) over the matrix Z of the domain's variables.
+    For omega3, det(I - Z Z*) = h^2 in the generic norm h, so the exponent
+    n-1 is half the genus 2(n-1) that ``classical_invariants`` reports.
     """
     kind = kind.lower()
     if kind == "omega1":
@@ -313,19 +315,6 @@ def calabi_tube(n: int, degree: int) -> Tuple[RSeries, BiSeries]:
     for k in range(degree, -1, -1):  # Horner's rule
         acc = acc * p2 + one.scale(y.ucoeff(2 * k))
     return y, normalize_to_diastasis(acc)
-
-
-def calabi_tube_residual(n: int, y: RSeries) -> RSeries:
-    """(y'/r)^{n-1} y'' - e^y; zero through y's degree minus 2."""
-    yp = y.derivative()
-    yp_over_r = RSeries(1, y.d, {(max(j - 1, 0),): c
-                                 for (j,), c in yp.coeffs.items() if j >= 1})
-    ypp = yp.derivative()
-    if n == 1:
-        lhs = ypp
-    else:
-        lhs = yp_over_r.pow_normalized(n - 1) * ypp
-    return (lhs - y.exp()).truncate(max(y.d - 2, 0))
 
 
 # ---------------------------------------------------------------------------

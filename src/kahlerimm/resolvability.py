@@ -404,16 +404,3 @@ def hartogs_criterion(F: RSeries, c: RationalLike, jmax: int, kmax: int
             if coeff < 0:
                 return CertifiedNotResolvable(jmax, HartogsWitness(j, k, coeff))
     return ResolvableUpTo(jmax)
-
-
-def hartogs_metric_check(F: RSeries, degree: int) -> bool:
-    """Positivity of the radial metric density at the origin jet.
-
-    Checks that -(x F'(x)/F(x))' has a strictly positive constant term.
-    Only the origin jet of this open condition is formally decidable from
-    a truncation; nothing beyond it is asserted.
-    """
-    F = F.truncate(min(F.d, degree))
-    g = F.derivative().shift_up() * F.pow_normalized(-1)
-    h = -g.derivative()
-    return h.constant_term() > 0

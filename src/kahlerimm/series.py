@@ -784,11 +784,6 @@ class HolSeries:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("HolSeries is immutable")
 
-    @classmethod
-    def monomial(cls, n: int, d: int, m: MultiIndex,
-                 coeff: "CScalar | RationalLike" = 1) -> "HolSeries":
-        return cls(n, d, {ordinal_of_index(tuple(m)): CScalar.of(coeff)})
-
     def get(self, j: int) -> CScalar:
         return self.coeffs.get(j, CScalar(0))
 
@@ -802,45 +797,6 @@ class HolSeries:
 
     def __repr__(self):
         return f"HolSeries(n={self.n}, d={self.d}, {len(self.coeffs)} terms)"
-
-    def mul_monomial(self, m: MultiIndex,
-                     coeff: "CScalar | RationalLike" = 1) -> "HolSeries":
-        """Multiply by coeff * z^m, dropping terms beyond the degree."""
-        f = CScalar.of(coeff)
-        shift = ordinal_of_index(tuple(m))
-        deg = sum(m)
-        out: Dict[int, CScalar] = {}
-        for j, c in self.coeffs.items():
-            if _ordinal_degree(self.n, j) + deg > self.d:
-                continue
-            out[_ordinal_sum(self.n, j, shift)] = c * f
-        return HolSeries(self.n, self.d, out)
-
-    def lift_arity(self, extra: int) -> "HolSeries":
-        """Reinterpret in ``n + extra`` variables (new vars appended, unused)."""
-        if extra == 0:
-            return self
-        out: Dict[int, CScalar] = {}
-        zeros = (0,) * extra
-        for j, c in self.coeffs.items():
-            m = index_of_ordinal(self.n, j) + zeros
-            out[ordinal_of_index(m)] = c
-        return HolSeries(self.n + extra, self.d, out)
-
-    def mul_conj(self, other: "HolSeries") -> BiSeries:
-        """self * conj(other) as a BiSeries (no truncation loss occurs)."""
-        if self.n != other.n:
-            raise ArityMismatchError(f"arity {self.n} != {other.n}")
-        d = min(self.d, other.d)
-        out: Coeffs = {}
-        for j, cj in self.coeffs.items():
-            if _ordinal_degree(self.n, j) > d:
-                continue
-            for k, ck in other.coeffs.items():
-                if _ordinal_degree(self.n, k) > d:
-                    continue
-                out[(j, k)] = out.get((j, k), CScalar(0)) + cj * ck.conj()
-        return BiSeries(self.n, d, out)
 
 
 def norm_rows(n: int, d: int, terms: Iterable[Tuple[Fraction, HolSeries]]

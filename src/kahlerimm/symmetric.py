@@ -1,5 +1,5 @@
 """Wallach-set decisions for scaled Bergman metrics and the
-Cartan-Hartogs reduction with its explicit immersion.
+Cartan-Hartogs reduction.
 
 The Wallach set of a bounded symmetric domain is
 
@@ -12,18 +12,11 @@ scalings (c+m) mu / genus for every integer m >= 0.
 """
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, List, Mapping, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
-from .immersion import Component, ImmersionMap, Target
 from .scalars import RationalLike, as_fraction
-from .series import HolSeries, _ordinal_degree
-
-
-class MissingBaseMapError(KeyError):
-    """A base immersion at a required scaling was not supplied."""
 
 
 class DomainInvariants(namedtuple("DomainInvariants", "rank a genus dim")):
@@ -61,8 +54,11 @@ def classical_invariants(kind: str, *sizes: int) -> DomainInvariants:
     """Reference (r, a, genus, dim) for the classical domains.
 
     Values for r and a come from the general bounded-symmetric-domain
-    literature (configuration data, flagged as such); genus matches the
-    determinant-kernel exponent used by the model catalog.
+    literature (configuration data, flagged as such).  The genus p is the
+    exponent of the generic norm h in the Bergman kernel h^-p, the unit the
+    lattice a/2 is measured in.  It equals the determinant-kernel exponent
+    of the model catalog except for omega3: there det(I - ZZ*) = h^2 for
+    skew Z, so the catalog's exponent n-1 of the determinant is p = 2(n-1).
     """
     kind = kind.lower()
     names = SIZE_NAMES.get(kind)
@@ -80,7 +76,8 @@ def classical_invariants(kind: str, *sizes: int) -> DomainInvariants:
         return DomainInvariants(n, Fraction(1), n + 1, n * (n + 1) // 2)
     if kind == "omega3":
         (n,) = sizes
-        return DomainInvariants(n // 2, Fraction(4), n - 1, n * (n - 1) // 2)
+        return DomainInvariants(n // 2, Fraction(4), 2 * (n - 1),
+                                n * (n - 1) // 2)
     if kind == "omega4":
         (n,) = sizes
         if n == 2:
@@ -147,83 +144,3 @@ def cartan_hartogs_failure(inv: DomainInvariants, mu: RationalLike,
         if wallach_membership(inv, eta).kind != "discrete" or eta == 0:
             return m
         m += 1
-
-
-# ---------------------------------------------------------------------------
-# Cartan-Hartogs immersion
-# ---------------------------------------------------------------------------
-
-def _pochhammer_over_fact(alpha: Fraction, m: int) -> Fraction:
-    """alpha (alpha+1) ... (alpha+m-1) / m!, rational alpha."""
-    num = Fraction(1)
-    for i in range(m):
-        num *= (alpha + i)
-    return num / math.factorial(m)
-
-
-BaseMaps = Union[Mapping[Fraction, ImmersionMap],
-                 Callable[[Fraction], ImmersionMap]]
-
-
-def ch_immersion(base_maps: BaseMaps, mu: RationalLike, gamma: int,
-                 alpha: RationalLike, degree: int) -> ImmersionMap:
-    """Assemble the Cartan-Hartogs projective immersion at scaling alpha.
-
-    ``base_maps`` supplies, for each needed scaling k = mu (alpha+m)/gamma,
-    a base map h_k whose squared norm is exp(k * gamma * (-log N)) - 1 —
-    i.e. factor_immersion of k * (Bergman diastasis of the base) with b=1.
-    Components:
-      * w-only: sqrt(poch(alpha,m)/m!) w^m  for m >= 1;
-      * z-only: the components of h_{mu alpha/gamma};
-      * mixed:  sqrt(poch(alpha,m)/m!) * h_{mu(alpha+m)/gamma} * w^m.
-    Any two components with different w-degree have disjoint support in w.
-    """
-    mu = as_fraction(mu)
-    alpha = as_fraction(alpha)
-    if mu <= 0 or alpha <= 0:
-        raise ValueError("mu and alpha must be positive")
-
-    def lookup(k: Fraction) -> ImmersionMap:
-        if callable(base_maps):
-            return base_maps(k)
-        try:
-            return base_maps[k]
-        except KeyError as exc:
-            raise MissingBaseMapError(
-                f"no base map supplied for scaling {k}") from exc
-
-    base0 = lookup(mu * alpha / gamma)
-    nz = base0.arity
-    n = nz + 1
-    components: List[Component] = []
-    # w-only tower
-    for m in range(1, degree + 1):
-        rad = _pochhammer_over_fact(alpha, m)
-        wm = tuple([0] * nz + [m])
-        components.append(Component(
-            +1, rad, HolSeries.monomial(n, degree, wm)))
-    # z-blocks tensored with w^m
-    for m in range(0, degree):
-        k = mu * (alpha + m) / gamma
-        base = lookup(k)
-        if base.arity != nz:
-            raise ValueError("base maps must share one arity")
-        factor = _pochhammer_over_fact(alpha, m) if m else Fraction(1)
-        wm = tuple([0] * nz + [m])
-        for comp in base.components:
-            if comp.sign != +1:
-                raise ValueError("base maps must be definite")
-            series = comp.series.lift_arity(1)
-            if series.d < degree:
-                raise ValueError("base map truncated below the total degree")
-            if series.d > degree:
-                series = HolSeries(n, degree, {
-                    j: c for j, c in series.coeffs.items()
-                    if _ordinal_degree(n, j) <= degree})
-            series = series.mul_monomial(wm)
-            if not series.coeffs:
-                continue
-            components.append(Component(
-                +1, comp.radicand * factor, series))
-    return ImmersionMap(tuple(components), Target("curved", Fraction(1)),
-                        degree, n)

@@ -1,0 +1,187 @@
+"""Exact constructions the tests compare the package against.
+
+None of these is reached from the command line, so none is package code:
+
+* ``space_form_classification`` and ``space_form_rank``: Calabi's closed
+  form for which space forms immerse into which, and with what rank;
+* ``ch_immersion``: the Cartan-Hartogs immersion assembled from base maps
+  (Loi & Zedda, Math. Ann. 350, 2011), an oracle for ``factor_immersion``;
+* ``mul_conj``: f conj(g) term by term, the oracle of ``norm_rows``;
+* ``calabi_tube_residual``: the ODE residual of the tubular metric jet.
+"""
+import math
+from fractions import Fraction
+
+from kahlerimm.immersion import Component, ImmersionMap, Target
+from kahlerimm.radial import RSeries
+from kahlerimm.scalars import CScalar, as_fraction
+from kahlerimm.series import BiSeries, HolSeries, index_of_ordinal, \
+    ordinal_of_index
+
+
+# ---------------------------------------------------------------------------
+# space forms
+# ---------------------------------------------------------------------------
+
+def space_form_classification(b, b_target):
+    """(exists, k or None for infinite rank, reason) per the case split
+    b <= b'; b <= 0 with infinite rank; b' = k b for a positive integer k."""
+    if not b_target:
+        if b > 0:
+            return False, None, "positively curved source admits no flat target"
+        if not b:
+            return True, 1, "flat into flat: identity"
+        return True, None, "nonpositive curvature into flat, infinite rank"
+    if b > b_target:
+        return False, None, "requires b <= b_target"
+    if b:
+        k = b_target / b
+        if k.denominator == 1 and k > 0:
+            return True, int(k), "b_target = k*b with k a positive integer"
+    if b < 0 or (not b and b_target > 0):
+        return True, None, "nonpositive source curvature, infinite rank"
+    return False, None, "b_target not a positive integer multiple of b"
+
+
+def space_form_rank(n, b, b_target):
+    """Global rank of the space-form immersion: finite C(n+k,k)-1 when
+    b_target = k b, None for infinite rank; raises if no map exists."""
+    exists, k, reason = space_form_classification(as_fraction(b),
+                                                  as_fraction(b_target))
+    if not exists:
+        raise ValueError(f"no immersion: {reason}")
+    if k is None:
+        return None
+    return math.comb(n + k, k) - 1
+
+
+# ---------------------------------------------------------------------------
+# holomorphic series
+# ---------------------------------------------------------------------------
+
+def degree_of(n, ordinal):
+    return sum(index_of_ordinal(n, ordinal))
+
+
+def monomial(n, d, m, coeff=1):
+    """coeff * z^m as a HolSeries of arity n truncated at degree d."""
+    return HolSeries(n, d, {ordinal_of_index(tuple(m)): CScalar.of(coeff)})
+
+
+def mul_monomial(f, m):
+    """f * z^m, dropping terms beyond f's degree."""
+    out = {}
+    for j, c in f.coeffs.items():
+        e = tuple(a + b for a, b in zip(index_of_ordinal(f.n, j), m))
+        if sum(e) <= f.d:
+            out[ordinal_of_index(e)] = c
+    return HolSeries(f.n, f.d, out)
+
+
+def lift_arity(f, extra):
+    """f in n + extra variables, the new ones appended and unused."""
+    zeros = (0,) * extra
+    return HolSeries(f.n + extra, f.d, {
+        ordinal_of_index(index_of_ordinal(f.n, j) + zeros): c
+        for j, c in f.coeffs.items()})
+
+
+def mul_conj(f, g):
+    """f * conj(g) as a BiSeries truncated at the lesser degree."""
+    if f.n != g.n:
+        raise ValueError(f"arity {f.n} != {g.n}")
+    d = min(f.d, g.d)
+    out = {}
+    for j, cj in f.coeffs.items():
+        if degree_of(f.n, j) > d:
+            continue
+        for k, ck in g.coeffs.items():
+            if degree_of(f.n, k) > d:
+                continue
+            out[(j, k)] = out.get((j, k), CScalar(0)) + cj * ck.conj()
+    return BiSeries(f.n, d, out)
+
+
+# ---------------------------------------------------------------------------
+# Cartan-Hartogs immersion
+# ---------------------------------------------------------------------------
+
+class MissingBaseMapError(KeyError):
+    """A base immersion at a required scaling was not supplied."""
+
+
+def pochhammer_over_fact(alpha, m):
+    """alpha (alpha+1) ... (alpha+m-1) / m!, rational alpha."""
+    num = Fraction(1)
+    for i in range(m):
+        num *= alpha + i
+    return num / math.factorial(m)
+
+
+def ch_immersion(base_maps, mu, gamma, alpha, degree):
+    """Assemble the Cartan-Hartogs projective immersion at scaling alpha.
+
+    ``base_maps`` (a mapping or a callable) supplies, for each needed
+    scaling k = mu (alpha+m)/gamma, a base map h_k whose squared norm is
+    exp(k * gamma * (-log N)) - 1 — i.e. factor_immersion of
+    k * (Bergman diastasis of the base) with b=1.  Components:
+      * w-only: sqrt(poch(alpha,m)/m!) w^m  for m >= 1;
+      * z-only: the components of h_{mu alpha/gamma};
+      * mixed:  sqrt(poch(alpha,m)/m!) * h_{mu(alpha+m)/gamma} * w^m.
+    Any two components with different w-degree have disjoint support in w.
+    """
+    mu = as_fraction(mu)
+    alpha = as_fraction(alpha)
+    if mu <= 0 or alpha <= 0:
+        raise ValueError("mu and alpha must be positive")
+
+    def lookup(k):
+        if callable(base_maps):
+            return base_maps(k)
+        try:
+            return base_maps[k]
+        except KeyError as exc:
+            raise MissingBaseMapError(
+                f"no base map supplied for scaling {k}") from exc
+
+    nz = lookup(mu * alpha / gamma).arity
+    n = nz + 1
+    components = []
+    # w-only tower
+    for m in range(1, degree + 1):
+        components.append(Component(pochhammer_over_fact(alpha, m),
+                                    monomial(n, degree, (0,) * nz + (m,))))
+    # z-blocks tensored with w^m
+    for m in range(0, degree):
+        base = lookup(mu * (alpha + m) / gamma)
+        if base.arity != nz:
+            raise ValueError("base maps must share one arity")
+        factor = pochhammer_over_fact(alpha, m)
+        for comp in base.components:
+            if comp.series.d < degree:
+                raise ValueError("base map truncated below the total degree")
+            series = HolSeries(nz, degree, {
+                j: c for j, c in comp.series.coeffs.items()
+                if degree_of(nz, j) <= degree})
+            series = mul_monomial(lift_arity(series, 1), (0,) * nz + (m,))
+            if series.coeffs:
+                components.append(Component(comp.radicand * factor, series))
+    return ImmersionMap(tuple(components), Target("curved", Fraction(1)),
+                        degree, n)
+
+
+# ---------------------------------------------------------------------------
+# criterion 10: the tubular ODE
+# ---------------------------------------------------------------------------
+
+def calabi_tube_residual(n, y):
+    """(y'/r)^{n-1} y'' - e^y; zero through y's degree minus 2."""
+    yp = y.derivative()
+    yp_over_r = RSeries(1, y.d, {(max(j - 1, 0),): c
+                                 for (j,), c in yp.coeffs.items() if j >= 1})
+    ypp = yp.derivative()
+    if n == 1:
+        lhs = ypp
+    else:
+        lhs = yp_over_r.pow_normalized(n - 1) * ypp
+    return (lhs - y.exp()).truncate(max(y.d - 2, 0))

@@ -13,7 +13,7 @@ import pytest
 
 import kahlerimm as K
 from kahlerimm.diastasis import b_transform, normalize_to_diastasis
-from kahlerimm.models import (build_model, calabi_tube, calabi_tube_residual,
+from kahlerimm.models import (build_model, calabi_tube,
                               profile_inv_one_plus_x_pow,
                               profile_one_minus_x_pow, profile_rhp_cubic,
                               space_form_diastasis, taubnut_potential)
@@ -23,6 +23,7 @@ from kahlerimm.resolvability import (CertifiedNotResolvable, ResolvableUpTo,
                                      resolvability)
 from kahlerimm.scalars import CScalar
 from kahlerimm.series import GradedOrder, index_of_ordinal
+from oracles import calabi_tube_residual
 
 _NEGATIVE_CERTIFICATES = []   # (series, b, degree, verdict) for criterion 11
 _IMMERSIONS = []              # (immersion, series, b, degree)

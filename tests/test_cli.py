@@ -164,6 +164,26 @@ def test_wallach_command(capsys):
     assert code == 1 and doc["decision"] is False
 
 
+# omega3 n=5 has rank 2, a = 4 and genus 2(n - 1) = 8, the exponent of the
+# generic norm h: det(I - ZZ*) = h^2 for skew Z.  So c * g_B is induced iff
+# 8c lies in {0, 2} u (2, oo), and the matrix engine agrees at degree 2: 60
+# = 10 + 50 is the dimension of the Schmid K-types with one part
+@pytest.mark.parametrize("c,membership,rank", [
+    ("1/8", "outside", None), ("1/4", "discrete", 60),
+    ("3/8", "continuous", 65), ("1/2", "continuous", 65)])
+def test_wallach_decision_matches_the_matrix_verdict_on_omega3(
+        capsys, c, membership, rank):
+    code, doc = run_json(capsys, "wallach", "--domain", "omega3",
+                         "--sizes", "5", "--c", c)
+    assert doc["invariants"]["gamma"] == 8
+    assert doc["membership"]["class"] == membership
+    matrix_code, verdict = run_json(
+        capsys, "analyze", "--model", "omega3", "--n", "5", "--scale", c,
+        "--b", "1", "--degree", "2")
+    assert code == matrix_code == (0 if rank else 1)
+    assert verdict["rank"] == rank
+
+
 def test_wallach_cartan_hartogs_mode(capsys):
     code, doc = run_json(capsys, "wallach", "--r", "2", "--a", "2",
                          "--gamma", "5", "--c", "1", "--mu", "1/2")
@@ -388,6 +408,18 @@ def each_term(doc, change):
     emitted_by(POSITIVE_HARTOGS, lambda doc: dict(doc, jmax=0, degree=0)),
     emitted_by(HARTOGS, lambda doc: dict(doc, witness=dict(doc["witness"],
                                                            j="2"))),
+    # JSON true is not the integer 1: exponents, radicands and parts
+    emitted_by(IMMERSION_FLAT, lambda doc: each_term(
+        doc, lambda t: dict(t, m=[True if e == 1 else e for e in t["m"]]))),
+    emitted_by(IMMERSION_FLAT, lambda doc: dict(doc, components=[
+        dict(doc["components"][0], radicand=True)] + doc["components"][1:])),
+    emitted_by(IMMERSION_FLAT, lambda doc: each_term(
+        doc, lambda t: dict(t, re=True))),
+    # every component's sign is the JSON integer 1
+    forged_immersion(0, "1/2"),
+    forged_immersion(7, "1/2"),
+    forged_immersion(True, "1/2"),
+    forged_immersion("1", "1/2"),
 ])
 def test_malformed_certificate_exit_two(capsys, tmp_path, mutate):
     expected, *request = getattr(mutate, "request", MATRIX)

@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 
 from kahlerimm.einstein import (EinsteinResult, GaugeError, NotEinstein,
-                                einstein_estimate, hessian_det,
-                                rescale_bochner)
+                                einstein_estimate, hessian_det)
 from kahlerimm.models import build_model, space_form_diastasis
 from kahlerimm.scalars import CScalar
 from kahlerimm.series import BiSeries
@@ -34,8 +33,9 @@ def test_hessian_det_degree_validation():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("b", [1, -1])
+@pytest.mark.parametrize("b", [1, -1, Fraction(1, 2), 3])
 def test_space_forms_einstein_constant(n, b):
+    # b = 1/c is c * FS with z rescaled by 1/sqrt(c): lambda = 4/c at n = 1
     d = space_form_diastasis(n, b, 4)
     result = einstein_estimate(d, 4)
     assert result == EinsteinResult(Fraction(2 * b * (n + 1)), flat=False)
@@ -58,19 +58,3 @@ def test_requires_bochner_gauge():
     half = space_form_diastasis(1, 1, 4).scale(Fraction(1, 2))
     with pytest.raises(GaugeError):
         einstein_estimate(half, 4)
-
-
-def test_rescale_bochner_recovers_gauge():
-    # c * FS is Einstein with lambda = 4/c after rescaling coordinates
-    for c in (Fraction(2), Fraction(1, 3)):
-        fixed = rescale_bochner(space_form_diastasis(1, 1, 4), c)
-        result = einstein_estimate(fixed, 4)
-        assert result == EinsteinResult(Fraction(4) / c, flat=False)
-
-
-def test_rescale_bochner_rejects_odd_bidegree():
-    d = BiSeries.term(1, 3, (2,), (1,)) + BiSeries.term(1, 3, (1,), (2,))
-    with pytest.raises(ValueError):
-        rescale_bochner(d, 2)
-    with pytest.raises(ValueError):
-        rescale_bochner(space_form_diastasis(1, 1, 2), 0)

@@ -1,19 +1,17 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
 
-from kahlerimm.diastasis import b_transform, normalize_to_diastasis
+from kahlerimm.cli import _immersion_from_json
 from kahlerimm.immersion import (Component, ImmersionMap,
-                                 NotResolvableError, Target,
-                                 factor_immersion, indefinite_immersion,
-                                 space_form_classification, space_form_rank,
+                                 NotResolvableError, factor_immersion,
                                  target_for, verify_immersion)
 from kahlerimm.models import build_model, space_form_diastasis
 from kahlerimm.scalars import CScalar
 from kahlerimm.series import BiSeries, GradedOrder, HolSeries, \
     index_of_ordinal
+from oracles import space_form_classification, space_form_rank
 
 
 def _mfact(m):
@@ -94,49 +92,6 @@ def test_factor_off_diagonal_example():
 
 
 # ---------------------------------------------------------------------------
-# indefinite factorization
-# ---------------------------------------------------------------------------
-
-def test_indefinite_reproduces_any_hermitian_diastasis():
-    rng = random.Random(3)
-    for _ in range(10):
-        n = rng.choice([1, 2])
-        degree = rng.choice([2, 3])
-        order = GradedOrder(n, degree)
-        coeffs = {}
-        for j in range(1, order.size):
-            coeffs[(j, j)] = CScalar(
-                Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-            for k in range(j + 1, order.size):
-                if rng.random() < 0.3:
-                    c = CScalar(Fraction(rng.randint(-2, 2)),
-                                Fraction(rng.randint(-2, 2), 2))
-                    coeffs[(j, k)] = c
-                    coeffs[(k, j)] = c.conj()
-        d = BiSeries(n, degree, coeffs)
-        r = [Fraction(rng.randint(1, 3), rng.randint(1, 2))
-             for _ in range(n)]
-        imm = indefinite_immersion(d, r, degree)
-        assert verify_immersion(imm, d, 0, degree).ok
-
-
-def test_indefinite_rejects_bad_r():
-    d = BiSeries.term(1, 2, (1,), (1,))
-    with pytest.raises(ValueError):
-        indefinite_immersion(d, [0], 2)
-    with pytest.raises(ValueError):
-        indefinite_immersion(d, [1, 1], 2)
-
-
-def test_indefinite_works_where_psd_fails():
-    d = build_model("cigar", {}, 3)
-    imm = indefinite_immersion(d, [1], 3)
-    assert verify_immersion(imm, d, 0, 3).ok
-    signs = {c.sign for c in imm.components}
-    assert signs == {1, -1}
-
-
-# ---------------------------------------------------------------------------
 # space-form maps
 # ---------------------------------------------------------------------------
 
@@ -192,6 +147,15 @@ def test_space_form_maps_match_closed_form(n, b, b_target):
     imm = factor_immersion(d, b_target, degree)
     assert _radicands_by_monomial(imm) == rads
     assert imm.target == target_for(Fraction(b_target))
+    # Calabi's rank: C(n+k, k) - 1 components for b_target = k b once the
+    # degree reaches k; infinite rank takes every monomial of degree <= 4
+    k = space_form_classification(Fraction(b), Fraction(b_target))[1]
+    rank = space_form_rank(n, b, b_target)
+    if k is None:
+        assert rank is None
+        assert len(imm.components) == math.comb(n + degree, degree) - 1
+    elif k <= degree:
+        assert len(imm.components) == rank == math.comb(n + k, k) - 1
 
 
 def test_projective_degree_doubling():
@@ -261,7 +225,7 @@ def perturbed(imm, h, position=None, radicand=1):
         coeffs[position] = coeffs.get(position, CScalar(0)) \
             + CScalar(Fraction(1, 3), 1)
     comps = list(imm.components)
-    comps[h] = Component(comp.sign, comp.radicand * radicand,
+    comps[h] = Component(comp.radicand * radicand,
                          HolSeries(comp.series.n, comp.series.d, coeffs))
     return ImmersionMap(tuple(comps), imm.target, imm.degree, imm.arity)
 
@@ -289,15 +253,13 @@ def test_verify_residual_of_a_perturbed_component(h, position, radicand,
 @pytest.mark.parametrize("sign,radicand", [
     (7, 1), (0, 1), (1, 0), (1, Fraction(-1, 2)), (-1, -1)])
 def test_component_needs_unit_sign_and_positive_radicand(sign, radicand):
-    z = HolSeries.monomial(1, 2, (1,))
-    with pytest.raises(ValueError, match="positive radicand"):
-        Component(sign, Fraction(radicand), z)
-
-
-@pytest.mark.parametrize("target", [Target("flat"),
-                                    Target("curved", Fraction(1))])
-def test_negative_component_needs_indefinite_target(target):
-    minus = Component(-1, Fraction(1), HolSeries.monomial(1, 2, (1,)))
-    with pytest.raises(ValueError, match="indefinite"):
-        ImmersionMap((minus,), target, 2, 1)
-    ImmersionMap((minus,), Target("indefinite"), 2, 1)
+    # an immersion document stores each component as (sign, radicand,
+    # series); its sign field must be 1 and its radicand positive
+    with pytest.raises(ValueError, match="sign|positive radicand"):
+        _immersion_from_json({
+            "degree": 2, "arity": 1, "target": {"kind": "flat"},
+            "components": [{"sign": sign, "radicand": str(radicand),
+                            "series": [{"m": [1], "re": "1", "im": "0"}]}]})
+    if radicand <= 0:
+        with pytest.raises(ValueError, match="positive radicand"):
+            Component(Fraction(radicand), HolSeries(1, 2, {1: CScalar(1)}))

@@ -1,7 +1,9 @@
 """Every module of the package uses each name it imports, every private
-helper the package defines is called from somewhere in the package, the
-integer inner loops read no ``Fraction``, and a CLI process starts without
-the standard library's introspection and argparse modules."""
+helper and every public function, class and method the package defines is
+referenced from somewhere in the package (a public one from a module other
+than ``__init__``, save a few named exceptions), the integer inner loops
+read no ``Fraction``, and a CLI process starts without the standard
+library's introspection and argparse modules."""
 import ast
 import os
 import subprocess
@@ -76,6 +78,53 @@ def test_no_uncalled_private_helpers():
     dead = [f"{module}:{line} {name}" for module, tree in trees.items()
             for name, line in private_helpers(tree) if name not in referenced]
     assert not dead, f"private helpers nothing references: {dead}"
+
+
+def public_definitions(tree):
+    """(qualified name, name, line) of each module-level function and class
+    and each method whose name does not start with an underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            yield node.name, node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) \
+                        and not fn.name.startswith("_"):
+                    yield f"{node.name}.{fn.name}", fn.name, fn.lineno
+
+
+# public names that no package module references, and why each stays
+UNREFERENCED_PUBLIC = {
+    # perfbench/tracer.py wraps these by name, so each must keep existing
+    "series.py:pow1p_series": "traced as series.compose",
+    "radial.py:RSeries.log1p": "traced as radial.compose",
+    "immersion.py:ImmersionMap.pullback_norm": "traced as immersion.pullback",
+    # accessors that tests read results through
+    "series.py:BiSeries.get_index": "reads a coefficient by multi-index",
+    "resolvability.py:HermMatrix.quadratic_form": "evaluates a witness",
+    "radial.py:RSeries.univariate": "builds a profile from a coefficient list",
+    # operations the oracles in tests/ are written in
+    "scalars.py:CScalar.conj": "conjugation in the Hermitian oracles",
+    "radial.py:RSeries.derivative": "y' and y'' of the criterion-10 residual",
+}
+
+
+def test_every_public_name_is_referenced_by_the_package():
+    # a public function only __init__ exports is library surface that no
+    # command runs: route it, move it into tests/ as an oracle, or delete it
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+    referenced = set().union(*map(referenced_names, trees.values()))
+    unreferenced = {f"{module}:{qualified}": line
+                    for module, tree in trees.items()
+                    for qualified, name, line in public_definitions(tree)
+                    if name not in referenced}
+    dead = [f"{key} (line {line})" for key, line in unreferenced.items()
+            if key not in UNREFERENCED_PUBLIC]
+    assert not dead, f"public names nothing in the package references: {dead}"
+    stale = sorted(set(UNREFERENCED_PUBLIC) - set(unreferenced))
+    assert not stale, f"exceptions that are referenced or gone: {stale}"
 
 
 # the inner loops of the series core, of the exact LDL* and of the

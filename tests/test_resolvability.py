@@ -12,8 +12,7 @@ from kahlerimm.resolvability import (CertifiedNotResolvable,
                                      NotADiastasisError, NotPsd, Pivot, Psd,
                                      ResolvableUpTo, _eliminate, _qform,
                                      build_matrix, hartogs_criterion,
-                                     hartogs_metric_check, psd_certify,
-                                     resolvability)
+                                     psd_certify, resolvability)
 from kahlerimm.scalars import CScalar
 from kahlerimm.series import BiSeries, GradedOrder
 
@@ -644,12 +643,3 @@ def test_hartogs_criterion_rejects_empty_scan(jmax, kmax):
     # an empty scan finds no negative coefficient; it must not pass
     with pytest.raises(ValueError, match="jmax >= 1 and kmax >= 0"):
         hartogs_criterion(profile_inv_sqrt(6), 1, jmax, kmax)
-
-
-def test_hartogs_metric_check():
-    assert hartogs_metric_check(profile_inv_sqrt(4), 4)
-    assert hartogs_metric_check(profile_springer(4), 4)
-    # F = 1 + x has increasing density: -(xF'/F)' starts negative
-    from kahlerimm.radial import RSeries
-    growing = RSeries.univariate([1, 1], 4)
-    assert not hartogs_metric_check(growing, 4)

@@ -14,6 +14,7 @@ from kahlerimm.series import (
     index_of_ordinal, log1p_series, ordinal_of_index, pow1p_series,
     solve_graded_fixed_point,
 )
+from oracles import lift_arity, monomial, mul_conj, mul_monomial
 
 
 # ---------------------------------------------------------------------------
@@ -266,26 +267,25 @@ def immersion_map(draw):
     d = draw(st.integers(1, 3))
     size = GradedOrder(n, d).size
     components = draw(st.lists(st.builds(
-        Component, st.sampled_from([1, -1]), fractions(Fraction(1, 5), 5, 6),
+        Component, fractions(Fraction(1, 5), 5, 6),
         st.dictionaries(st.integers(0, size - 1), wide_coeff_st, max_size=5)
         .map(lambda c: HolSeries(n, d, c))), max_size=4))
-    return ImmersionMap(tuple(components), Target("indefinite"), d, n)
+    return ImmersionMap(tuple(components), Target("flat"), d, n)
 
 
 @settings(max_examples=40, deadline=None)
 @given(immersion_map())
 @example(ImmersionMap((
-    Component(1, Fraction(2, 3), HolSeries(2, 2, {})),
-    Component(-1, Fraction(5, 4), HolSeries(2, 2, {
+    Component(Fraction(2, 3), HolSeries(2, 2, {})),
+    Component(Fraction(5, 4), HolSeries(2, 2, {
         1: CScalar(Fraction(1, 60), Fraction(-7, 59)),
         4: CScalar(Fraction(-3, 44))})),
-    Component(1, Fraction(1, 6), HolSeries(2, 2, {}))),
-    Target("indefinite"), 2, 2))
+    Component(Fraction(1, 6), HolSeries(2, 2, {}))),
+    Target("flat"), 2, 2))
 def test_pullback_norm_matches_component_sum(imm):
     want = BiSeries.zero(imm.arity, imm.degree)
     for comp in imm.components:
-        want = want + comp.series.mul_conj(comp.series).scale(
-            comp.sign * comp.radicand)
+        want = want + mul_conj(comp.series, comp.series).scale(comp.radicand)
     assert imm.pullback_norm() == want
 
 
@@ -526,7 +526,7 @@ def test_scale_matches_the_cscalar_product(a, factor):
 def test_holseries_mul_conj():
     f = HolSeries(2, 2, {ordinal_of_index((1, 0)): CScalar(1),
                          ordinal_of_index((0, 1)): CScalar(0, 1)})
-    sq = f.mul_conj(f)
+    sq = mul_conj(f, f)
     assert sq.get_index((1, 0), (1, 0)) == CScalar(1)
     assert sq.get_index((0, 1), (0, 1)) == CScalar(1)
     assert sq.get_index((1, 0), (0, 1)) == CScalar(0, -1)
@@ -534,11 +534,11 @@ def test_holseries_mul_conj():
 
 
 def test_holseries_lift_and_shift():
-    f = HolSeries.monomial(1, 3, (2,), CScalar(Fraction(1, 2)))
-    g = f.lift_arity(1)
+    f = monomial(1, 3, (2,), CScalar(Fraction(1, 2)))
+    g = lift_arity(f, 1)
     assert g.n == 2
     assert g.get(ordinal_of_index((2, 0))) == CScalar(Fraction(1, 2))
-    h = g.mul_monomial((0, 1))
+    h = mul_monomial(g, (0, 1))
     assert h.get(ordinal_of_index((2, 1))) == CScalar(Fraction(1, 2))
     # overflow past the truncation is dropped
-    assert g.mul_monomial((0, 2)).coeffs == {}
+    assert mul_monomial(g, (0, 2)).coeffs == {}

@@ -6,10 +6,10 @@ import pytest
 from kahlerimm.immersion import factor_immersion, verify_immersion
 from kahlerimm.models import (build_model, cartan_hartogs_diastasis,
                               minus_log_norm, space_form_diastasis)
-from kahlerimm.symmetric import (DomainInvariants, MissingBaseMapError,
-                                 bergman_scaling_decision,
-                                 cartan_hartogs_failure, ch_immersion,
+from kahlerimm.symmetric import (DomainInvariants, bergman_scaling_decision,
+                                 cartan_hartogs_failure,
                                  classical_invariants, wallach_membership)
+from oracles import MissingBaseMapError, ch_immersion
 
 
 def test_classical_invariants():
@@ -19,7 +19,7 @@ def test_classical_invariants():
     inv2 = classical_invariants("omega2", 3)
     assert (inv2.rank, inv2.a, inv2.genus, inv2.dim) == (3, 1, 4, 6)
     inv3 = classical_invariants("omega3", 4)
-    assert (inv3.rank, inv3.a, inv3.genus, inv3.dim) == (2, 4, 3, 6)
+    assert (inv3.rank, inv3.a, inv3.genus, inv3.dim) == (2, 4, 6, 6)
     inv4 = classical_invariants("omega4", 5)
     assert (inv4.rank, inv4.a, inv4.genus, inv4.dim) == (2, 3, 5, 5)
     with pytest.raises(ValueError):
@@ -111,7 +111,7 @@ def test_cartan_hartogs_equals_naive_conjunction():
 
 
 # ---------------------------------------------------------------------------
-# explicit Cartan-Hartogs immersion
+# the assembled Cartan-Hartogs immersion as an oracle
 # ---------------------------------------------------------------------------
 
 def _disc_base_map(degree):
@@ -140,6 +140,23 @@ def test_ch_immersion_fractional_alpha():
     imm = ch_immersion(_disc_base_map(degree), mu=2, gamma=2,
                        alpha=Fraction(3, 2), degree=degree)
     assert verify_immersion(imm, d, 1, degree).ok
+
+
+@pytest.mark.parametrize("alpha,degree,components", [
+    (1, 3, 9), (1, 4, 14), (Fraction(3, 2), 3, 9)])
+def test_factor_immersion_matches_the_assembled_map(alpha, degree,
+                                                    components):
+    # on the Cartan-Hartogs diastasis over the disc (mu = 2), the map
+    # factor_immersion builds and the one assembled from base maps have the
+    # same number of components and the same pullback
+    base = minus_log_norm("omega1", (1, 1), degree)
+    d = cartan_hartogs_diastasis(base, 2, degree).scale(alpha)
+    factored = factor_immersion(d, 1, degree)
+    assembled = ch_immersion(_disc_base_map(degree), mu=2, gamma=2,
+                             alpha=alpha, degree=degree)
+    assert len(factored.components) == len(assembled.components) \
+        == components
+    assert factored.pullback_norm() == assembled.pullback_norm()
 
 
 def test_ch_immersion_w_support_disjoint():
