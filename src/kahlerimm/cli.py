@@ -22,7 +22,7 @@ from .models import MODELS, build_model, hartogs_profile
 from .resolvability import CertifiedNotResolvable, HartogsWitness, \
     MatrixWitness, ResolvableUpTo, hartogs_criterion, resolvability
 from .scalars import CScalar, as_fraction, format_fraction
-from .series import BiSeries, GradedOrder, HolSeries, index_of_ordinal
+from .series import BiSeries, HolSeries, graded_order, ordinal_of_index
 from .symmetric import DomainInvariants, bergman_scaling_decision, \
     cartan_hartogs_failure, classical_invariants, wallach_membership
 
@@ -185,10 +185,11 @@ def _immersion_json(imm: ImmersionMap, source: Dict[str, Any], b: Fraction
     comps = []
     for comp in imm.components:
         series = []
+        basis = graded_order(comp.series.n, comp.series.d).basis
         for j in sorted(comp.series.coeffs):
             c = comp.series.coeffs[j]
             series.append({
-                "m": list(index_of_ordinal(comp.series.n, j)),
+                "m": list(basis[j]),
                 "re": format_fraction(c.re),
                 "im": format_fraction(c.im),
             })
@@ -490,8 +491,7 @@ def _check_verdict_form(doc: Mapping[str, Any], want: str) -> None:
 
 def _immersion_from_json(doc: Mapping[str, Any]) -> ImmersionMap:
     degree = _integer(doc.get("degree"), "the immersion degree")
-    arity = _integer(doc.get("arity"), "the immersion arity")
-    order = GradedOrder(arity, degree)
+    arity = _integer(doc.get("arity"), "the immersion arity", 1)
     try:
         target = _object(doc["target"], "the immersion target")
         target = Target(target["kind"], _rational(target["b"], "the target b")
@@ -508,7 +508,11 @@ def _immersion_from_json(doc: Mapping[str, Any]) -> ImmersionMap:
                 m = tuple(_integer(e, "an exponent") for e in term["m"])
                 j = ordinals.get(m)
                 if j is None:
-                    j = ordinals[m] = order.ordinal(m)
+                    if len(m) != arity or sum(m) > degree:
+                        raise InputError(
+                            f"the multi-index {list(m)} is not of arity "
+                            f"{arity} and degree <= {degree}")
+                    j = ordinals[m] = ordinal_of_index(m)
                 coeffs[j] = CScalar(_rational(term["re"], "a real part"),
                                     _rational(term["im"], "an imaginary part"))
             comps.append(Component(_rational(comp["radicand"], "a radicand"),

@@ -4,8 +4,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Tuple
 
 from .scalars import CScalar, RationalLike, as_fraction
-from .series import BiSeries, MultiIndex, _ordinal_degree, _compose, \
-    expm1_rule, index_of_ordinal
+from .series import BiSeries, MultiIndex, _compose, expm1_rule, \
+    index_of_ordinal
 
 
 def normalize_to_diastasis(phi: BiSeries) -> BiSeries:
@@ -32,20 +32,21 @@ def check_bochner_form(d: BiSeries) -> BochnerReport:
     offending coefficient (graded order on (j, k)) is reported as defect.
     """
     n = d.n
-    # expected identity entries on the (1,1) block
+    # expected identity entries on the (1,1) block; ordinal 0 is the
+    # constant and ordinals 1..n are the monomials of degree 1
     defects = []
     seen_linear = set()
     for (j, k), c in d.coeffs.items():
-        dj = _ordinal_degree(n, j)
-        dk = _ordinal_degree(n, k)
-        if dj == 0 or dk == 0:
+        linear_j = j <= n
+        linear_k = k <= n
+        if j == 0 or k == 0:
             defects.append((j, k, c))
-        elif dj == 1 and dk == 1:
+        elif linear_j and linear_k:
             seen_linear.add((j, k))
             want = CScalar(1) if j == k else CScalar(0)
             if c != want:
                 defects.append((j, k, c))
-        elif dj == 1 or dk == 1:
+        elif linear_j or linear_k:
             defects.append((j, k, c))
     if d.d >= 1:
         for j in range(1, n + 1):

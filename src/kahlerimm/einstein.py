@@ -11,8 +11,8 @@ from typing import Dict, NamedTuple, Tuple
 
 from .diastasis import check_bochner_form
 from .scalars import CScalar
-from .series import BiSeries, MultiIndex, det_series, index_of_ordinal, \
-    log1p_series, ordinal_of_index
+from .series import BiSeries, MultiIndex, det_series, graded_order, \
+    index_of_ordinal, log1p_series, ordinal_of_index
 
 
 class GaugeError(ValueError):
@@ -23,10 +23,11 @@ def _mixed_second_derivative(d: BiSeries, alpha: int, beta: int) -> BiSeries:
     """d^2 d / dz_alpha dzbar_beta as a BiSeries of degree d.d - 1."""
     n = d.n
     deg = d.d - 1
+    order = graded_order(n, d.d)
     out: Dict[Tuple[int, int], CScalar] = {}
     for (j, k), c in d.coeffs.items():
-        mj = index_of_ordinal(n, j)
-        mk = index_of_ordinal(n, k)
+        mj = order.basis[j]
+        mk = order.basis[k]
         if mj[alpha] == 0 or mk[beta] == 0:
             continue
         mj2 = list(mj)
@@ -35,7 +36,7 @@ def _mixed_second_derivative(d: BiSeries, alpha: int, beta: int) -> BiSeries:
         mk2[beta] -= 1
         if sum(mj2) > deg or sum(mk2) > deg:
             continue
-        key = (ordinal_of_index(tuple(mj2)), ordinal_of_index(tuple(mk2)))
+        key = (order.ordinal(tuple(mj2)), order.ordinal(tuple(mk2)))
         out[key] = out.get(key, CScalar(0)) + c * (mj[alpha] * mk[beta])
     return BiSeries(n, deg, out)
 

@@ -14,7 +14,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .resolvability import MatrixWitness, NotPsd, calabi_matrix, \
     calabi_series, psd_certify
 from .scalars import CScalar, RationalLike, as_fraction
-from .series import BiSeries, GradedOrder, HolSeries, MultiIndex, Rows, \
+from .series import BiSeries, HolSeries, MultiIndex, Rows, _order_size, \
     gaussian_integers, index_of_ordinal, norm_rows
 
 
@@ -130,7 +130,7 @@ def _pullback_residual(imm: ImmersionMap, want: BiSeries, degree: int
     n = imm.arity
     d, lam, rows = imm._pullback_rows()
     den, target = gaussian_integers(want.coeffs)
-    size = GradedOrder(n, min(degree, d, want.d)).size
+    size = _order_size(n, min(degree, d, want.d))
     key = _first_mismatch(size, lam, rows, den, target)
     if key is None:
         return VerifyResult(True)

@@ -17,8 +17,7 @@ from .diastasis import normalize_to_diastasis
 from .radial import RSeries
 from .scalars import CScalar, RationalLike, as_fraction
 from .series import BiSeries, MultiIndex, det_series, exp_series, \
-    index_of_ordinal, log1p_series, ordinal_of_index, \
-    solve_graded_fixed_point
+    graded_order, log1p_series, ordinal_of_index, solve_graded_fixed_point
 
 
 def _unit(n: int, which: int, power: int = 1) -> MultiIndex:
@@ -159,8 +158,13 @@ def cartan_bergman_diastasis(kind: str, sizes: Sequence[int], degree: int
 
 
 def minus_log_norm(kind: str, sizes: Sequence[int], degree: int) -> BiSeries:
-    """-log N for a classical domain (the diastasis divided by its genus)."""
-    series, genus = cartan_bergman_diastasis(kind, sizes, degree)
+    """-log h for the generic norm h of a classical domain: the Bergman
+    diastasis divided by its genus, the exponent of h in the Bergman kernel
+    (``symmetric.classical_invariants``).  That is the determinant exponent
+    of ``cartan_bergman_diastasis`` except for omega3, where det(I - ZZ*)
+    = h^2 and the genus is twice the exponent."""
+    series, exponent = cartan_bergman_diastasis(kind, sizes, degree)
+    genus = 2 * exponent if kind.lower() == "omega3" else exponent
     return series.scale(Fraction(1, genus))
 
 
@@ -182,22 +186,19 @@ def cartan_hartogs_diastasis(minus_log_n: BiSeries, mu: RationalLike,
     if base.d < degree:
         raise ValueError("base series truncated below the requested degree")
     n = base.n + 1
-    lifted: Dict[Tuple[int, int], CScalar] = {}
-    for (j, k), c in base.coeffs.items():
-        mj = _lift_index(base.n, j)
-        mk = _lift_index(base.n, k)
-        if sum(mj) > degree or sum(mk) > degree:
-            continue
-        lifted[(ordinal_of_index(mj), ordinal_of_index(mk))] = c
+    # z^m of the base is z^(m, 0) of C^n: the same ordinal pairs of degree
+    # <= degree, re-ranked in arity n
+    below = graded_order(base.n, degree)
+    order = graded_order(n, degree)
+    lifted = {(order.ordinal(below.basis[j] + (0,)),
+               order.ordinal(below.basis[k] + (0,))): c
+              for (j, k), c in base.coeffs.items()
+              if j < below.size and k < below.size}
     base_l = BiSeries(n, degree, lifted)
     n_mu = exp_series(base_l.scale(CScalar(-mu)))
     w2 = _rho(n, degree, n - 1)
     inner = n_mu - BiSeries.one(n, degree) - w2
     return normalize_to_diastasis(-log1p_series(inner))
-
-
-def _lift_index(n: int, ordinal: int) -> MultiIndex:
-    return index_of_ordinal(n, ordinal) + (0,)
 
 
 def fbh_diastasis(n: int, m: int, mu: RationalLike, nu: RationalLike,

@@ -4,18 +4,19 @@ Used wherever a model is naturally a function of real quantities such as
 x = |z|^2 or r = |z + conj(z)|: Hartogs profile functions F, the implicit
 Taub-NUT inversion, and the tubular ODE solution.  Truncation is by total
 degree.  Products and compositions run on integer numerators over one
-common denominator, as in ``series``.
+common denominator, as in ``series``, and key a monomial by the Kronecker
+code of its exponents (``series.GradedOrder``), so that the exponents of
+a product are one integer addition.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
 from typing import Callable, Dict, Sequence, Tuple
 
 from .scalars import RationalLike, as_fraction
-from .series import EXP_RULE, LOG1P_RULE, Rule, _degree_recurrence, \
-    pow1p_rule
+from .series import EXP_RULE, LOG1P_RULE, GradedOrder, Rule, \
+    _degree_recurrence, _kronecker, graded_order, pow1p_rule
 
 Expo = Tuple[int, ...]
 
@@ -111,21 +112,28 @@ class RSeries:
     def __mul__(self, other: "RSeries") -> "RSeries":
         self._check(other)
         d = min(self.d, other.d)
-        acc: Dict[Expo, int] = {}
-        (den_x, mine), (den_y, theirs) = self._slices(), other._slices()
+        acc: Dict[int, int] = {}
+        (den_x, mine), (den_y, theirs) = self._slices(d), other._slices(d)
         for s1, x in mine.items():
             for s2, y in theirs.items():
                 if s1 + s2 <= d:
                     _mul_add(acc, x, y, 1)
-        return RSeries(self.nvars, d, _fractions(den_x * den_y, acc))
+        return RSeries(self.nvars, d, _fractions(
+            graded_order(self.nvars, d), den_x * den_y, acc))
 
-    def _slices(self) -> Tuple[int, Dict[int, Dict[Expo, int]]]:
-        """(D, the coefficients times D grouped by total degree), for D the
-        lcm of the coefficient denominators: integer slices."""
+    def _slices(self, d: int) -> Tuple[int, Dict[int, Dict[int, int]]]:
+        """(D, the coefficients of degree <= d times D, grouped by total
+        degree and keyed by the Kronecker codes of their exponents in base
+        d + 1), for D the lcm of the coefficient denominators: integer
+        slices, whose codes add as their exponents do while the total
+        degree stays <= d."""
         den = math.lcm(*(c.denominator for c in self.coeffs.values()))
-        out: Dict[int, Dict[Expo, int]] = {}
+        out: Dict[int, Dict[int, int]] = {}
         for e, c in self.coeffs.items():
-            out.setdefault(sum(e), {})[e] = c.numerator * (den // c.denominator)
+            s = sum(e)
+            if s <= d:
+                out.setdefault(s, {})[_kronecker(e, d + 1)] = \
+                    c.numerator * (den // c.denominator)
         return den, out
 
     def truncate(self, d: int) -> "RSeries":
@@ -182,12 +190,13 @@ class RSeries:
         return self._compose(pow1p_rule(as_fraction(e)))
 
     def _compose(self, rule: Rule) -> "RSeries":
-        den_a, slices = self._slices()
-        f = _degree_recurrence(slices, den_a, self.d, {(0,) * self.nvars: 1},
-                               rule, _mul_add, _close)
+        den_a, slices = self._slices(self.d)
+        f = _degree_recurrence(slices, den_a, self.d, {0: 1}, rule,
+                               _mul_add, _close)
+        order = graded_order(self.nvars, self.d)
         coeffs: Dict[Expo, Fraction] = {}
         for den, part in f:
-            coeffs.update(_fractions(den, part))
+            coeffs.update(_fractions(order, den, part))
         return RSeries(self.nvars, self.d, coeffs)
 
     def pow_normalized(self, e: RationalLike) -> "RSeries":
@@ -205,24 +214,29 @@ class RSeries:
         return body.pow1p(e).scale(c0 ** e.numerator)
 
 
-def _mul_add(acc: Dict[Expo, int], x: Dict[Expo, int],
-             y: Dict[Expo, int], w: int) -> None:
-    """acc += w * x * y over integer slices (no truncation: callers pass
-    fitting slices)."""
+def _mul_add(acc: Dict[int, int], x: Dict[int, int], y: Dict[int, int],
+             w: int) -> None:
+    """acc += w * x * y over integer slices keyed by Kronecker codes (no
+    truncation: callers pass fitting slices, whose codes add without a
+    carry)."""
     scaled = w != 1
     for e1, c1 in x.items():
         if scaled:
             c1 = c1 * w
         for e2, c2 in y.items():
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             acc[e] = acc.get(e, 0) + c1 * c2
 
 
-def _close(acc: Dict[Expo, int], den: int) -> Tuple[int, Dict[Expo, int]]:
+def _close(acc: Dict[int, int], den: int) -> Tuple[int, Dict[int, int]]:
     """The slice acc / den in lowest terms, zeros dropped."""
     g = math.gcd(den, *acc.values())
     return den // g, {e: c // g for e, c in acc.items() if c}
 
 
-def _fractions(den: int, ints: Dict[Expo, int]) -> Dict[Expo, Fraction]:
-    return {e: Fraction(c, den) for e, c in ints.items()}
+def _fractions(order: GradedOrder, den: int, ints: Dict[int, int]
+               ) -> Dict[Expo, Fraction]:
+    """{exponents: c / den} of integer slices keyed by the codes of
+    ``order``."""
+    basis, rank = order.basis, order.rank
+    return {basis[rank[e]]: Fraction(c, den) for e, c in ints.items()}

@@ -20,9 +20,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, \
 from .diastasis import b_transform, normalize_to_diastasis
 from .radial import RSeries
 from .scalars import CScalar, RationalLike, as_fraction
-from .series import BiSeries, GradedOrder, MultiIndex, Rows, \
-    _ordinal_degree, exact_div, gaussian_integers, hermitian_defect, \
-    hermitian_update
+from .series import BiSeries, MultiIndex, Rows, exact_div, \
+    gaussian_integers, graded_order, hermitian_defect, hermitian_update
 
 
 class NotADiastasisError(ValueError):
@@ -52,24 +51,22 @@ def build_matrix(d: BiSeries, degree: int) -> HermMatrix:
     """Coefficient matrix of ``d`` over monomials of degree 1..``degree``."""
     if degree > d.d:
         raise ValueError(f"requested degree {degree} exceeds truncation {d.d}")
-    n = d.n
-    order = GradedOrder(n, degree)
-    m = order.size - 1  # ordinal 0 (constant) excluded
+    order = graded_order(d.n, degree)
+    size, deg = order.size, order.degree
     entries: Dict[Tuple[int, int], CScalar] = {}
     circular = True
     for (j, k), c in d.coeffs.items():
-        dj = _ordinal_degree(n, j)
-        dk = _ordinal_degree(n, k)
-        if dj == 0 or dk == 0:
+        if j == 0 or k == 0:  # ordinal 0 is the constant
             raise NotADiastasisError(
                 f"nonzero pure coefficient at ordinals ({j},{k}); "
                 "normalize_to_diastasis first")
-        if dj > degree or dk > degree:
+        if j >= size or k >= size:
             continue
         entries[(j - 1, k - 1)] = c
-        if dj != dk:
+        if deg[j] != deg[k]:
             circular = False
-    return HermMatrix(m, entries, order.basis[1:], circular)
+    # ordinal 0 (constant) excluded
+    return HermMatrix(size - 1, entries, order.basis[1:], circular)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,16 @@ recurrence over total-degree slices (``_degree_recurrence``), which costs
 about one product instead of a sum of powers.  Products bucket their terms
 by bidegree and visit only bucket pairs that stay inside the truncation.
 
+Monomials are packed (Monagan & Pearce, CASC 2007): ``graded_order(n, d)``
+tabulates the order once per (arity, degree) with the Kronecker code of
+each multi-index in base d + 1, and a product term's key is the sum of its
+factors' packed keys, one integer addition, since no exponent of a product
+inside the truncation reaches d + 1.  The codes are unpacked to ordinals
+once per result coefficient.  There are no per-ordinal caches: every CLI
+request is a fresh process, so a cache that is filled one ordinal at a
+time is paid in full by every request; one table per (n, d) costs
+O(C(n + d, d) n) once, about what the matrix basis costs anyway.
+
 The series core is fraction-free: a product, a scaling, a determinant or
 a composition puts its operands over the lcm of their coefficient
 denominators, runs its inner loops on (Gaussian) integers, and builds one
@@ -64,103 +74,122 @@ class FixedPointDivergenceError(RuntimeError):
 # graded-lex enumeration (degree-major, lex ascending inside a degree)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _degree_block(n: int, deg: int) -> Tuple[MultiIndex, ...]:
-    """All n-tuples of nonnegative ints with sum ``deg``, lex ascending."""
-    if n == 1:
-        return ((deg,),)
-    out: List[MultiIndex] = []
-    for first in range(deg + 1):
-        for rest in _degree_block(n - 1, deg - first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
 def _block_size(n: int, deg: int) -> int:
+    """The number of n-tuples of nonnegative ints with sum ``deg``."""
     return math.comb(deg + n - 1, n - 1)
 
 
-@lru_cache(maxsize=None)
-def _offset(n: int, deg: int) -> int:
-    """Ordinal of the first multi-index of degree ``deg``: the number of
-    n-tuples of lower degree."""
-    return math.comb(deg + n - 1, n)
-
-
-@lru_cache(maxsize=None)
-def index_of_ordinal(n: int, ordinal: int) -> MultiIndex:
-    """The multi-index at position ``ordinal`` of the graded-lex order."""
-    if ordinal < 0:
-        raise OrdinalRangeError("negative ordinal")
-    deg = 0
-    while _offset(n, deg + 1) <= ordinal:
-        deg += 1
-    return _degree_block(n, deg)[ordinal - _offset(n, deg)]
+def _order_size(n: int, d: int) -> int:
+    """The number of n-tuples of degree <= d: ordinals 0 .. size - 1."""
+    return math.comb(n + d, n)
 
 
 def ordinal_of_index(m: MultiIndex) -> int:
     """Position of ``m`` in the graded-lex order for its arity."""
     n = len(m)
     deg = sum(m)
-    offset = _offset(n, deg)
-    # lexicographic rank of m among compositions of deg into n parts
-    rank = 0
+    # lexicographic rank of m among compositions of deg into n parts,
+    # after the n-tuples of lower degree
+    rank = _order_size(n, deg - 1)
     remaining = deg
     for pos in range(n - 1):
         for smaller in range(m[pos]):
             rank += _block_size(n - pos - 1, remaining - smaller)
         remaining -= m[pos]
-    return offset + rank
+    return rank
+
+
+def index_of_ordinal(n: int, ordinal: int) -> MultiIndex:
+    """The multi-index at position ``ordinal`` of the graded-lex order, the
+    inverse of ``ordinal_of_index``; computed without a table."""
+    if ordinal < 0:
+        raise OrdinalRangeError("negative ordinal")
+    deg = 0
+    while _order_size(n, deg) <= ordinal:
+        deg += 1
+    rank = ordinal - _order_size(n, deg - 1)
+    out: List[int] = []
+    remaining = deg
+    for pos in range(n - 1):
+        first = 0
+        while rank >= _block_size(n - pos - 1, remaining - first):
+            rank -= _block_size(n - pos - 1, remaining - first)
+            first += 1
+        out.append(first)
+        remaining -= first
+    out.append(remaining)
+    return tuple(out)
+
+
+def _kronecker(m: MultiIndex, base: int) -> int:
+    """The Kronecker code m_1 base^(n-1) + ... + m_n of ``m``."""
+    code = 0
+    for e in m:
+        code = code * base + e
+    return code
 
 
 class GradedOrder:
-    """Finite view of the graded-lex order: arity ``n``, max degree ``d``."""
+    """The graded-lex order of arity ``n`` through degree ``d``, tabulated.
 
-    __slots__ = ("n", "d", "_basis")
+    For each ordinal o, ``basis[o]`` is its multi-index m, ``degree[o]``
+    is |m| and ``code[o]`` the Kronecker code of m in base d + 1; ``rank``
+    maps a code back to its ordinal.  An exponent of the order is at most
+    d, so the digits of a code are the exponents, and
+
+        code(m1) + code(m2) = code(m1 + m2)    whenever |m1| + |m2| <= d:
+
+    no digit carries, and a product of two monomials is one integer
+    addition (Kronecker substitution; Monagan & Pearce, CASC 2007).  A
+    pair of ordinals (j, k) packs into the one int code[j] * shift +
+    code[k], shift = (d + 1)^n, which adds the same way.  Built in
+    O(C(n + d, d) n); ``graded_order`` keeps one table per (n, d).
+    """
+
+    __slots__ = ("n", "d", "basis", "degree", "code", "rank", "shift")
 
     def __init__(self, n: int, d: int):
         if n < 1 or d < 0:
             raise ValueError("need arity >= 1, degree >= 0")
+        base = d + 1
+        # blocks[t]: the tuples of sum t, lex ascending, for arity 1 .. n
+        blocks = [[(t,)] for t in range(base)]
+        for _ in range(n - 1):
+            blocks = [[(first,) + rest for first in range(t + 1)
+                       for rest in blocks[t - first]] for t in range(base)]
         self.n = n
         self.d = d
-        self._basis: Tuple[MultiIndex, ...] | None = None
-
-    @property
-    def basis(self) -> Tuple[MultiIndex, ...]:
-        if self._basis is None:
-            out: List[MultiIndex] = []
-            for deg in range(self.d + 1):
-                out.extend(_degree_block(self.n, deg))
-            self._basis = tuple(out)
-        return self._basis
+        self.basis: Tuple[MultiIndex, ...] = tuple(
+            itertools.chain.from_iterable(blocks))
+        self.degree: Tuple[int, ...] = tuple(
+            t for t, block in enumerate(blocks) for _ in block)
+        self.code: Tuple[int, ...] = tuple(_kronecker(m, base)
+                                           for m in self.basis)
+        self.rank: Dict[int, int] = {c: o for o, c in enumerate(self.code)}
+        self.shift = base ** n
 
     @property
     def size(self) -> int:
-        return _offset(self.n, self.d + 1)
+        return len(self.basis)
 
     def ordinal(self, m: MultiIndex) -> int:
         if len(m) != self.n:
             raise ArityMismatchError(f"index arity {len(m)} != {self.n}")
-        if sum(m) > self.d:
-            raise OrdinalRangeError(f"|{m}| exceeds truncation degree {self.d}")
-        return ordinal_of_index(m)
+        if sum(m) > self.d or min(m) < 0:
+            raise OrdinalRangeError(f"{m} is outside truncation degree "
+                                    f"{self.d}")
+        return self.rank[_kronecker(m, self.d + 1)]
 
     def index(self, ordinal: int) -> MultiIndex:
         if not 0 <= ordinal < self.size:
             raise OrdinalRangeError(f"ordinal {ordinal} out of range")
-        return index_of_ordinal(self.n, ordinal)
+        return self.basis[ordinal]
 
 
 @lru_cache(maxsize=None)
-def _ordinal_degree(n: int, ordinal: int) -> int:
-    return sum(index_of_ordinal(n, ordinal))
-
-
-@lru_cache(maxsize=None)
-def _ordinal_sum(n: int, j1: int, j2: int) -> int:
-    m1 = index_of_ordinal(n, j1)
-    m2 = index_of_ordinal(n, j2)
-    return ordinal_of_index(tuple(a + b for a, b in zip(m1, m2)))
+def graded_order(n: int, d: int) -> GradedOrder:
+    """The one table of the graded order per (arity, degree)."""
+    return GradedOrder(n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +208,12 @@ class BiSeries:
         if n < 1 or d < 0:
             raise ValueError("need arity >= 1, degree >= 0")
         clean: Coeffs = {}
+        size = _order_size(n, d)
         for (j, k), c in (coeffs or {}).items():
             c = CScalar.of(c)
             if c.is_zero():
                 continue
-            if _ordinal_degree(n, j) > d or _ordinal_degree(n, k) > d:
+            if not (0 <= j < size and 0 <= k < size):
                 raise OrdinalRangeError(
                     f"coefficient at ordinals ({j},{k}) exceeds degree {d}"
                 )
@@ -242,10 +272,11 @@ class BiSeries:
     def __add__(self, other: "BiSeries") -> "BiSeries":
         self._check(other)
         d = min(self.d, other.d)
+        size = _order_size(self.n, d)
         out: Coeffs = {}
         for src in (self.coeffs, other.coeffs):
             for (j, k), c in src.items():
-                if _ordinal_degree(self.n, j) > d or _ordinal_degree(self.n, k) > d:
+                if j >= size or k >= size:
                     continue
                 out[(j, k)] = out.get((j, k), CScalar(0)) + c
         return BiSeries(self.n, d, out)
@@ -283,21 +314,24 @@ class BiSeries:
         self._check(other)
         n = self.n
         d = min(self.d, other.d)
+        order = graded_order(n, d)
         den_x, x = gaussian_integers(self.coeffs)
         den_y, y = gaussian_integers(other.coeffs)
         acc: Acc = {}
-        _mul_add(n, d, acc, _buckets(n, x.items()), _buckets(n, y.items()), 1)
-        return BiSeries(n, d, _coefficients(den_x * den_y, acc.items()))
+        _mul_add(d, acc, _buckets(order, _packed(order, x.items())),
+                 _buckets(order, _packed(order, y.items())), 1)
+        return BiSeries._of(n, d, _coefficients(den_x * den_y, _unpacked(
+            order, ((key, v) for key, v in acc.items() if any(v)))))
 
     def truncate(self, d: int) -> "BiSeries":
         if d >= self.d:
             if d == self.d:
                 return self
             raise ValueError("cannot extend truncation degree")
-        n = self.n
+        size = _order_size(self.n, d)
         out = {jk: c for jk, c in self.coeffs.items()
-               if _ordinal_degree(n, jk[0]) <= d and _ordinal_degree(n, jk[1]) <= d}
-        return BiSeries(n, d, out)
+               if jk[0] < size and jk[1] < size}
+        return BiSeries._of(self.n, d, out)
 
     # -- comparisons --------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -496,59 +530,84 @@ def hermitian_update(rows: Rows, w: int, x: Mapping[int, Tuple[int, int]],
 # bucketed products over the integers
 # ---------------------------------------------------------------------------
 
-# A term (j, k, re, im) of a bucket map, keyed by its bidegree
-# (|m_j|, |m_k|): the Gaussian-integer numerator of a coefficient over a
-# denominator the caller keeps.  ``im`` is 0 for a real coefficient, so
-# that real products skip the imaginary arithmetic.
-Term = Tuple[int, int, int, int]
+# A term (key, re, im) of a bucket map, keyed by its bidegree
+# (|m_j|, |m_k|): the packed ordinal pair key = code_j * shift + code_k of
+# a ``GradedOrder`` and the Gaussian-integer numerator of a coefficient
+# over a denominator the caller keeps.  ``im`` is 0 for a real
+# coefficient, so that real products skip the imaginary arithmetic.
+Term = Tuple[int, int, int]
 Buckets = Dict[Tuple[int, int], List[Term]]
-# an accumulator: (j, k) -> [re, im]
-Acc = Dict[Tuple[int, int], list]
+# an accumulator: packed key -> [re, im]
+Acc = Dict[int, list]
 
 
-def _buckets(n: int, items: Iterable) -> Buckets:
-    """Bucket ``((j, k), (re, im))`` items by bidegree, dropping zeros."""
+def _packed(order: GradedOrder, items: Iterable) -> Iterable:
+    """``(key, value)`` of ``((j, k), value)`` items, packed in ``order``;
+    items at an ordinal outside ``order`` are dropped."""
+    code, shift, size = order.code, order.shift, order.size
+    return ((code[j] * shift + code[k], v) for (j, k), v in items
+            if j < size and k < size)
+
+
+def _unpacked(order: GradedOrder, items: Iterable) -> Iterable:
+    """``((j, k), value)`` of packed ``(key, value)`` items."""
+    rank, shift = order.rank, order.shift
+    for key, v in items:
+        cj, ck = divmod(key, shift)
+        yield (rank[cj], rank[ck]), v
+
+
+def _buckets(order: GradedOrder, items: Iterable) -> Buckets:
+    """Bucket packed ``(key, (re, im))`` items by bidegree, dropping
+    zeros."""
+    rank, degree, shift = order.rank, order.degree, order.shift
     out: Buckets = {}
-    for (j, k), (re, im) in items:
+    for key, (re, im) in items:
         if not re and not im:
             continue
-        key = (_ordinal_degree(n, j), _ordinal_degree(n, k))
-        out.setdefault(key, []).append((j, k, re, im))
+        cj, ck = divmod(key, shift)
+        out.setdefault((degree[rank[cj]], degree[rank[ck]]), []).append(
+            (key, re, im))
     return out
 
 
 def _bucket_items(part: Buckets) -> Iterable:
-    """The ``((j, k), (re, im))`` items of a bucket map."""
-    return (((j, k), (re, im))
-            for terms in part.values() for j, k, re, im in terms)
+    """The packed ``(key, (re, im))`` items of a bucket map."""
+    return ((key, (re, im)) for terms in part.values()
+            for key, re, im in terms)
+
+
+_ZERO = Fraction(0)
 
 
 def _coefficients(den: int, items: Iterable) -> Coeffs:
     """{(j, k): (re + i im) / den} of integer ``((j, k), (re, im))`` items:
-    one ``Fraction`` per part."""
-    return {jk: CScalar(Fraction(re, den), Fraction(im, den))
+    one ``Fraction`` per nonzero part."""
+    return {jk: CScalar(Fraction(re, den) if re else _ZERO,
+                        Fraction(im, den) if im else _ZERO)
             for jk, (re, im) in items}
 
 
-def _mul_add(n: int, d: int, acc: Acc, x: Buckets, y: Buckets,
-             w: int) -> None:
+def _mul_add(d: int, acc: Acc, x: Buckets, y: Buckets, w: int) -> None:
     """acc += w * x * y, truncated at |m_j|, |m_k| <= d.
 
-    Only bucket pairs whose bidegrees add up inside the box are visited.
+    Only bucket pairs whose bidegrees add up inside the box are visited,
+    so |m_j1| + |m_j2| <= d and |m_k1| + |m_k2| <= d for every product,
+    and the key of a product is the sum of the packed keys: no digit of a
+    code carries in base d + 1 (``GradedOrder``).
     """
     scaled = w != 1
-    osum = _ordinal_sum
     for (dj1, dk1), xs in x.items():
         fits = [ys for (dj2, dk2), ys in y.items()
                 if dj1 + dj2 <= d and dk1 + dk2 <= d]
         if not fits:
             continue
-        for j1, k1, ar, ai in xs:
+        for key1, ar, ai in xs:
             if scaled:
                 ar = ar * w
                 ai = ai * w if ai else 0
             for ys in fits:
-                for j2, k2, br, bi in ys:
+                for key2, br, bi in ys:
                     if bi:
                         if ai:
                             re = ar * br - ai * bi
@@ -559,7 +618,7 @@ def _mul_add(n: int, d: int, acc: Acc, x: Buckets, y: Buckets,
                     else:
                         re = ar * br
                         im = ai * br if ai else 0
-                    key = (osum(n, j1, j2), osum(n, k1, k2))
+                    key = key1 + key2
                     cur = acc.get(key)
                     if cur is None:
                         acc[key] = [re, im]
@@ -570,7 +629,7 @@ def _mul_add(n: int, d: int, acc: Acc, x: Buckets, y: Buckets,
 
 
 # the bucket map of the series 1
-_UNIT: Buckets = {(0, 0): [(0, 0, 1, 0)]}
+_UNIT: Buckets = {(0, 0): [(0, 1, 0)]}
 
 
 # ---------------------------------------------------------------------------
@@ -658,23 +717,25 @@ def _compose(a: BiSeries, rule: Rule) -> BiSeries:
     Slice degree is |m_j| + |m_k| <= 2d; a slice is a bucket map.
     """
     n, d = a.n, a.d
+    order = graded_order(n, d)
     den_a, ints = gaussian_integers(a.coeffs)
     slices: Dict[int, Buckets] = {}
-    for key, terms in _buckets(n, ints.items()).items():
+    for key, terms in _buckets(order, _packed(order, ints.items())).items():
         slices.setdefault(sum(key), {})[key] = terms
 
     def close(acc: Acc, den: int) -> Tuple[int, Buckets]:
         g = math.gcd(den, *itertools.chain.from_iterable(acc.values()))
-        return den // g, _buckets(n, ((jk, (re // g, im // g))
-                                      for jk, (re, im) in acc.items()))
+        return den // g, _buckets(order, ((key, (re // g, im // g))
+                                          for key, (re, im) in acc.items()))
 
     f = _degree_recurrence(
         slices, den_a, 2 * d, _UNIT, rule,
-        lambda acc, x, y, w: _mul_add(n, d, acc, x, y, w), close)
+        lambda acc, x, y, w: _mul_add(d, acc, x, y, w), close)
     coeffs: Coeffs = {}
     for den, part in f:
-        coeffs.update(_coefficients(den, _bucket_items(part)))
-    return BiSeries(n, d, coeffs)
+        coeffs.update(_coefficients(den, _unpacked(order,
+                                                   _bucket_items(part))))
+    return BiSeries._of(n, d, coeffs)  # a bucket map holds no zero
 
 
 def exp_series(a: BiSeries) -> BiSeries:
@@ -712,17 +773,19 @@ def det_series(matrix: Sequence[Sequence[BiSeries]]) -> BiSeries:
     if any(e.n != n for row in matrix for e in row):
         raise ArityMismatchError("matrix entries differ in arity")
     d = min(e.d for row in matrix for e in row)
+    order = graded_order(n, d)
     rows: List[List[Buckets]] = []
     den = 1
     for row in matrix:
         row_den, ints = gaussian_integers({
             (c, jk): v for c, e in enumerate(row)
-            for jk, v in e.truncate(d).coeffs.items()})
+            for jk, v in e.coeffs.items()})
         den *= row_den
         entries: List[list] = [[] for _ in row]
         for (c, jk), v in ints.items():
             entries[c].append((jk, v))
-        rows.append([_buckets(n, items) for items in entries])
+        rows.append([_buckets(order, _packed(order, items))
+                     for items in entries])
     minors: Dict[Tuple[int, ...], Buckets] = {(): _UNIT}  # by column set
     for r in range(size - 1, -1, -1):
         upper: Dict[Tuple[int, ...], Buckets] = {}
@@ -730,11 +793,12 @@ def det_series(matrix: Sequence[Sequence[BiSeries]]) -> BiSeries:
             acc: Acc = {}
             for i, c in enumerate(cols):
                 rest = minors[cols[:i] + cols[i + 1:]]
-                _mul_add(n, d, acc, rows[r][c], rest, (-1) ** i)
-            upper[cols] = _buckets(n, acc.items())
+                _mul_add(d, acc, rows[r][c], rest, (-1) ** i)
+            upper[cols] = _buckets(order, acc.items())
         minors = upper
     (det,) = minors.values()
-    return BiSeries(n, d, _coefficients(den, _bucket_items(det)))
+    return BiSeries._of(n, d, _coefficients(den, _unpacked(
+        order, _bucket_items(det))))  # a bucket map holds no zero
 
 
 def solve_graded_fixed_point(step: Callable[[T], T], seed: T,
@@ -770,11 +834,12 @@ class HolSeries:
         if n < 1 or d < 0:
             raise ValueError("need arity >= 1, degree >= 0")
         clean: Dict[int, CScalar] = {}
+        size = _order_size(n, d)
         for j, c in (coeffs or {}).items():
             c = CScalar.of(c)
             if c.is_zero():
                 continue
-            if _ordinal_degree(n, j) > d:
+            if not 0 <= j < size:
                 raise OrdinalRangeError(f"ordinal {j} exceeds degree {d}")
             clean[j] = c
         object.__setattr__(self, "n", n)
@@ -811,11 +876,12 @@ def norm_rows(n: int, d: int, terms: Iterable[Tuple[Fraction, HolSeries]]
     hold no zero entry.
     """
     comps = []
+    size = _order_size(n, d)
     for w, f in terms:
         if f.n != n:
             raise ArityMismatchError(f"arity {f.n} != {n}")
         den, x = gaussian_integers({j: c for j, c in f.coeffs.items()
-                                    if _ordinal_degree(n, j) <= d})
+                                    if j < size})
         comps.append((Fraction(w) / (den * den), x))
     lam = math.lcm(*(w.denominator for w, _ in comps))
     rows: Rows = {}

@@ -7,16 +7,22 @@ None of these is reached from the command line, so none is package code:
 * ``ch_immersion``: the Cartan-Hartogs immersion assembled from base maps
   (Loi & Zedda, Math. Ann. 350, 2011), an oracle for ``factor_immersion``;
 * ``mul_conj``: f conj(g) term by term, the oracle of ``norm_rows``;
-* ``calabi_tube_residual``: the ODE residual of the tubular metric jet.
+* ``calabi_tube_residual``: the ODE residual of the tubular metric jet;
+* ``hua_schmid_prediction``: the inertia of the coefficient matrix of
+  h^-eta on a classical domain, from the Hua-Schmid decomposition, an
+  oracle for ``resolvability`` on the scaled Bergman models.
 """
+import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 from kahlerimm.immersion import Component, ImmersionMap, Target
 from kahlerimm.radial import RSeries
 from kahlerimm.scalars import CScalar, as_fraction
 from kahlerimm.series import BiSeries, HolSeries, index_of_ordinal, \
     ordinal_of_index
+from kahlerimm.symmetric import classical_invariants
 
 
 # ---------------------------------------------------------------------------
@@ -185,3 +191,96 @@ def calabi_tube_residual(n, y):
     else:
         lhs = yp_over_r.pow_normalized(n - 1) * ypp
     return (lhs - y.exp()).truncate(max(y.d - 2, 0))
+
+
+# ---------------------------------------------------------------------------
+# Hua-Schmid: the Wallach set from the K-types of a classical domain
+# ---------------------------------------------------------------------------
+
+def gl_dimension(weight):
+    """dim of the GL(len(weight)) module of highest weight ``weight``, a
+    non-increasing tuple of ints (Weyl's dimension formula)."""
+    out = Fraction(1)
+    for i, j in itertools.combinations(range(len(weight)), 2):
+        out *= Fraction(weight[i] - weight[j] + j - i, j - i)
+    assert out.denominator == 1
+    return int(out)
+
+
+def schmid_dimension(kind, sizes, m):
+    """dim P_m, the Schmid K-type of the signature m (r parts, m_1 >= ...
+    >= m_r >= 0) in the polynomials on the domain (Schmid, Invent. Math. 9,
+    1969); its polynomials have degree |m|."""
+    if kind == "omega1":
+        p, q = sizes
+        return gl_dimension(m + (0,) * (p - len(m))) \
+            * gl_dimension(m + (0,) * (q - len(m)))
+    (n,) = sizes
+    if kind == "omega2":
+        return gl_dimension(tuple(2 * e for e in m) + (0,) * (n - len(m)))
+    if kind == "omega3":
+        doubled = tuple(e for e in m for _ in range(2))
+        return gl_dimension(doubled + (0,) * (n - len(doubled)))
+    if kind == "omega4":
+        # P_m = q^{m_2} H_j: the harmonic polynomials of degree j = m_1 - m_2
+        j = m[0] - m[1]
+        return math.comb(n + j - 1, j) - (math.comb(n + j - 3, j - 2)
+                                          if j >= 2 else 0)
+    raise ValueError(kind)
+
+
+def signatures(rank, t):
+    """The partitions of t into at most ``rank`` parts, as non-increasing
+    tuples of length ``rank``."""
+    def parts(left, slots, top):
+        if slots == 0:
+            if left == 0:
+                yield ()
+            return
+        for first in range(min(left, top), -1, -1):
+            for rest in parts(left - first, slots - 1, first):
+                yield (first,) + rest
+    return list(parts(t, rank, t))
+
+
+def generalized_pochhammer(eta, m, a):
+    """(eta)_m = prod_j (eta - (j - 1) a / 2)_{m_j} (Faraut & Koranyi,
+    J. Funct. Anal. 88, 1990)."""
+    out = Fraction(1)
+    for j, mj in enumerate(m):
+        for i in range(mj):
+            out *= eta - Fraction(j * a, 2) + i
+    return out
+
+
+class HuaSchmid(NamedTuple):
+    psd: bool
+    rank: int                      # the number of positive eigenvalues
+    witness_degree: Optional[int]  # the least degree of a negative one
+
+
+def hua_schmid_prediction(kind, sizes, eta, degree):
+    """The inertia of the coefficient matrix of h^-eta - 1 through
+    ``degree`` on the classical domain ``kind``, h its generic norm.
+
+    h^-eta = sum_m (eta)_m K_m, and K_m, the reproducing kernel of P_m,
+    has a PSD coefficient matrix of rank dim P_m.  The P_m of one degree
+    t split the polynomials of degree t, so the degree-t block is
+    congruent to the diagonal of the (eta)_m, each dim P_m times.
+    """
+    inv = classical_invariants(kind, *sizes)
+    eta = Fraction(eta)
+    rank, witness = 0, None
+    for t in range(1, degree + 1):
+        block = 0
+        for m in signatures(inv.rank, t):
+            dim = schmid_dimension(kind, sizes, m)
+            block += dim
+            value = generalized_pochhammer(eta, m, inv.a)
+            if value > 0:
+                rank += dim
+            elif value < 0 and witness is None:
+                witness = t
+        # the K-types of degree t span the polynomials of degree t
+        assert block == math.comb(inv.dim + t - 1, t), (kind, sizes, t)
+    return HuaSchmid(witness is None, rank, witness)

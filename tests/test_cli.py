@@ -2,11 +2,17 @@ import contextlib
 import functools
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kahlerimm.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -182,6 +188,25 @@ def test_wallach_decision_matches_the_matrix_verdict_on_omega3(
         "--b", "1", "--degree", "2")
     assert code == matrix_code == (0 if rank else 1)
     assert verdict["rank"] == rank
+
+
+# the Cartan-Hartogs fiber is |w|^2 < h^mu for the generic norm h, the unit
+# of the Wallach set: at n = 4 the two paths agree on every (mu, c), and
+# with N = det(I - ZZ*) = h^2 they differed at (1, 1) and (2, 1/2)
+@pytest.mark.parametrize("mu", ["1/2", "1", "2"])
+@pytest.mark.parametrize("c", ["1/2", "1"])
+def test_wallach_decision_matches_the_matrix_verdict_on_omega3_cartan_hartogs(
+        capsys, mu, c):
+    code, doc = run_json(capsys, "wallach", "--domain", "omega3",
+                         "--sizes", "4", "--mu", mu, "--c", c)
+    matrix_code, verdict = run_json(
+        capsys, "analyze", "--model", "cartan_hartogs", "--param",
+        "base=omega3", "--n", "4", "--param", f"mu={mu}", "--scale", c,
+        "--b", "1", "--degree", "3")
+    assert doc["decision"] == (matrix_code == 0)
+    assert code == matrix_code
+    assert verdict["verdict"] == ("resolvable-up-to" if doc["decision"]
+                                  else "certified-not-resolvable")
 
 
 def test_wallach_cartan_hartogs_mode(capsys):
@@ -926,13 +951,117 @@ def fuzz_files(tmp_path_factory):
 @settings(max_examples=200, deadline=None)
 @given(argv=mutated_argv())
 def test_mutated_readme_argv(fuzz_files, argv):
-    argv = [fuzz_files.get(token, token) for token in argv]
+    assert_clean_exit([fuzz_files.get(token, token) for token in argv])
+
+
+def assert_clean_exit(argv):
+    """main(argv) exits 0, 1 or 2, raises nothing, and prints one JSON line
+    on stderr and nothing on stdout for exit 2, stdout alone otherwise."""
     try:
         code, out, err = call(*argv)
-    except SystemExit as exc:  # pragma: no cover - the failure reported
-        pytest.fail(f"SystemExit({exc.code}) escaped main for {argv}")
+    except (Exception, SystemExit) as exc:  # pragma: no cover - reported
+        pytest.fail(f"{type(exc).__name__} escaped main for {argv}: {exc}")
     assert code in (0, 1, 2), argv
     if code == 2:
         assert out == "" and "error" in one_json_line(err), argv
     else:
         assert err == "" and out, argv
+
+
+# ---------------------------------------------------------------------------
+# cold and warm processes print the same bytes
+# ---------------------------------------------------------------------------
+
+COLD_REQUESTS = [
+    ("analyze", "--model", "omega1", "--param", "m=2", "--param", "n=2",
+     "--scale", "1/2", "--b", "1", "--degree", "3"),
+    ("analyze", "--model", "springer", "--n", "3", "--b", "1",
+     "--degree", "4"),
+    ("analyze", "--model", "taubnut_full", "--param", "m=1",
+     "--degree", "4"),
+]
+
+
+def test_a_fresh_process_prints_what_a_warm_one_does():
+    # each request is a fresh process, and a warm one has every graded
+    # table of every request built: no output may depend on which tables
+    # a process holds
+    for argv in COLD_REQUESTS:
+        call(*argv)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv in COLD_REQUESTS:
+        warm = call(*argv)
+        cold = subprocess.run([sys.executable, "-m", "kahlerimm.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert (cold.returncode, cold.stdout, cold.stderr) == warm, argv
+        assert warm[1]
+
+
+# ---------------------------------------------------------------------------
+# file fuzz: a mutated series file or spec file exits 0, 1 or 2, and exit 2
+# prints nothing on stdout and one JSON line on stderr
+# ---------------------------------------------------------------------------
+
+SERIES_TEXT = ("# a two-variable jet\n1,0 ; 1,0 ; 1 ; 0\n0,1 ; 0,1 ; 1 ; 0\n"
+               "1,0 ; 0,1 ; 1/3 ; 1/4\n0,1 ; 1,0 ; 1/3 ; -1/4\n"
+               "1,1 ; 1,1 ; 1/2 ; 0\n2,0 ; 2,0 ; 1/5 ; 0\n"
+               "2,1 ; 2,1 ; 1/7 ; 0\n")
+SPEC = {"name": "cp", "parameters": {"n": 1, "scale": "1/2"}, "degree": 3}
+# characters an edit inserts: the separators of both formats, signs,
+# letters and whitespace; digits only in the series text, so a spec edit
+# cannot grow a size or a degree
+SERIES_CHARS = list(",;/-+#.e 01239\n\t")
+SPEC_CHARS = list('{}[]",:/-. \nxn')
+
+
+@st.composite
+def mutated_text(draw, text, chars):
+    """``text`` after one to three edits: a character dropped, inserted or
+    replaced, or a line dropped or doubled."""
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["drop", "insert", "replace", "line"]))
+        i = draw(st.integers(0, len(text)))
+        if how == "insert":
+            text = text[:i] + draw(st.sampled_from(chars)) + text[i:]
+        elif how == "line":
+            lines = text.split("\n")
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[k:k + 1] = draw(st.sampled_from([[], [lines[k]] * 2]))
+            text = "\n".join(lines)
+        elif i < len(text):
+            text = text[:i] + (draw(st.sampled_from(chars))
+                               if how == "replace" else "") + text[i + 1:]
+    return text
+
+
+@st.composite
+def mutated_spec(draw):
+    """The spec file after an edit of its JSON (a leaf replaced, a key
+    added or dropped) or of its text."""
+    if draw(st.booleans()):
+        return draw(mutated_text(json.dumps(SPEC), SPEC_CHARS))
+    how = draw(st.sampled_from(["leaf", "add", "drop"]))
+    doc = json.loads(json.dumps(SPEC))
+    path = draw(st.sampled_from(edit_spots(doc, how)))
+    return json.dumps(edited(doc, path, how, draw(st.sampled_from(LEAVES))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=mutated_text(SERIES_TEXT, SERIES_CHARS),
+       command=st.sampled_from(["analyze", "emit-immersion"]),
+       b=st.sampled_from(["0", "1", "-1"]), degree=st.integers(1, 3))
+def test_mutated_series_file(tmp_path_factory, text, command, b, degree):
+    path = tmp_path_factory.getbasetemp() / "mutated.txt"
+    path.write_text(text)
+    assert_clean_exit([command, "--series", str(path), "--b", b,
+                       "--degree", str(degree)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=mutated_spec(),
+       command=st.sampled_from(["analyze", "emit-immersion"]))
+def test_mutated_spec_file(tmp_path_factory, text, command):
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(text)
+    assert_clean_exit([command, "--spec", str(path), "--b", "1",
+                       "--degree", "2"])

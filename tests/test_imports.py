@@ -2,8 +2,9 @@
 helper and every public function, class and method the package defines is
 referenced from somewhere in the package (a public one from a module other
 than ``__init__``, save a few named exceptions), the integer inner loops
-read no ``Fraction``, and a CLI process starts without the standard
-library's introspection and argparse modules."""
+read no ``Fraction``, the innermost loops of the series products make no
+call but the accumulator lookup, and a CLI process starts without the
+standard library's introspection and argparse modules."""
 import ast
 import os
 import subprocess
@@ -147,6 +148,32 @@ def test_integer_loops_read_no_fraction(module, name):
              if isinstance(node, ast.Name) and node.id == "Fraction"
              or isinstance(node, ast.Attribute) and node.attr == "Fraction"]
     assert not reads, f"{module}:{name} reads Fraction at lines {reads}"
+
+
+def innermost_loops(fn):
+    """The ``for`` loops of ``fn`` that hold no other loop."""
+    loops = [node for node in ast.walk(fn) if isinstance(node, ast.For)]
+    return [loop for loop in loops
+            if not any(isinstance(node, ast.For) and node is not loop
+                       for node in ast.walk(loop))]
+
+
+@pytest.mark.parametrize("module", ["series.py", "radial.py"],
+                         ids=lambda v: v.removesuffix(".py"))
+def test_product_inner_loops_call_nothing_but_the_accumulator(module):
+    # one product term is an integer multiply-add at a key that is the sum
+    # of two packed monomial codes: a call per term, to rank a sum of
+    # multi-indices or to build an exponent tuple, would cost more than
+    # the arithmetic itself
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    (fn,) = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "_mul_add"]
+    calls = [(node.lineno, ast.unparse(node.func))
+             for loop in innermost_loops(fn) for stmt in loop.body
+             for node in ast.walk(stmt) if isinstance(node, ast.Call)]
+    assert calls, f"{module}:_mul_add has no accumulator lookup"
+    other = [call for call in calls if call[1] != "acc.get"]
+    assert not other, f"{module}:_mul_add calls {other} per product term"
 
 
 def modules_after(code):

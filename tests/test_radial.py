@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kahlerimm.radial import RSeries
+from kahlerimm.radial import RSeries, _fractions
+from kahlerimm.series import graded_order
 
 frac_st = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 # coefficients with denominators up to 5 or up to 60
@@ -171,6 +172,21 @@ def test_product_matches_naive(data):
     a = data.draw(rseries_st(False))
     b = data.draw(rseries_st(False).filter(lambda s: s.nvars == a.nvars))
     assert a * b == naive_product(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_slices_pack_and_unpack_the_coefficients(data):
+    # the integer slices key each monomial by its Kronecker code in base
+    # d + 1; the graded table of (nvars, d) reads them back
+    a = data.draw(rseries_st(False))
+    d = data.draw(st.integers(0, a.d))
+    den, slices = a._slices(d)
+    order = graded_order(a.nvars, d)
+    for s, part in slices.items():
+        assert {order.degree[order.rank[e]] for e in part} == {s}
+    merged = {e: c for part in slices.values() for e, c in part.items()}
+    assert _fractions(order, den, merged) == a.truncate(d).coeffs
 
 
 def test_recurrence_closes_a_slice_that_cancels_midway():

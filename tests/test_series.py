@@ -10,7 +10,7 @@ from kahlerimm.immersion import Component, ImmersionMap, Target
 from kahlerimm.scalars import CScalar
 from kahlerimm.series import (
     ArityMismatchError, BiSeries, ConstantTermError, GradedOrder, HolSeries,
-    OrdinalRangeError, det_series, exp_series, hermitian_update,
+    OrdinalRangeError, det_series, exp_series, graded_order, hermitian_update,
     index_of_ordinal, log1p_series, ordinal_of_index, pow1p_series,
     solve_graded_fixed_point,
 )
@@ -51,6 +51,48 @@ def test_ordinals_stable_across_truncation():
     # the same multi-index has the same ordinal regardless of degree bound
     assert GradedOrder(3, 2).ordinal((1, 1, 0)) == \
         GradedOrder(3, 7).ordinal((1, 1, 0))
+
+
+@st.composite
+def order_pairs(draw):
+    """(n, d, m1, m2): two multi-indices of arity n <= 6 whose degrees add
+    up to at most d <= 8."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(0, 8))
+    total = draw(st.integers(0, d))
+    parts = [draw(st.integers(0, total)) for _ in range(2 * n - 1)]
+    cuts = sorted(parts)
+    exps = [hi - lo for lo, hi in zip([0] + cuts, cuts + [total])]
+    return n, d, tuple(exps[:n]), tuple(exps[n:])
+
+
+@given(order_pairs())
+@settings(max_examples=150)
+def test_graded_table_matches_the_combinatorial_rank(case):
+    n, d, m1, m2 = case
+    order = graded_order(n, d)
+    assert order.size == math.comb(n + d, n)
+    o1 = ordinal_of_index(m1)
+    assert order.basis[o1] == m1 == index_of_ordinal(n, o1)
+    assert order.degree[o1] == sum(m1)
+    assert order.rank[order.code[o1]] == o1 == order.ordinal(m1)
+    # |m1| + |m2| <= d: the codes add without a carry
+    code1, code2 = order.code[o1], order.code[ordinal_of_index(m2)]
+    assert order.rank[code1 + code2] == ordinal_of_index(
+        tuple(map(add, m1, m2)))
+
+
+@pytest.mark.parametrize("n,d", [(1, 0), (1, 5), (2, 3), (3, 4), (6, 2)])
+def test_graded_table_lists_the_order(n, d):
+    order = graded_order(n, d)
+    assert order is graded_order(n, d)  # one table per (n, d)
+    assert order.basis == tuple(index_of_ordinal(n, o)
+                                for o in range(order.size))
+    assert sorted(order.rank.values()) == list(range(order.size))
+    # the packed pair of every two ordinals unpacks to them
+    for j, k in [(0, 0), (order.size - 1, 0), (1 % order.size, order.size - 1)]:
+        assert divmod(order.code[j] * order.shift + order.code[k],
+                      order.shift) == (order.code[j], order.code[k])
 
 
 # ---------------------------------------------------------------------------
