@@ -450,7 +450,8 @@ def _cmd_check_certificate(args) -> int:
             raise InputError(f"an immersion for b = {b} maps into "
                              f"{target_for(b)}, not {imm.target}")
         printed = _immersion_json(imm, source, b) \
-            if verify_immersion(imm, series, b, degree).ok else None
+            if imm.is_pivoted_ldl() \
+            and verify_immersion(imm, series, b, degree).ok else None
     elif kind == "certificate":
         _check_verdict_form(doc, _request(doc)["criterion"])
         printed = _certificate(doc)

@@ -15,7 +15,7 @@ from .resolvability import MatrixWitness, NotPsd, calabi_matrix, \
     calabi_series, psd_certify
 from .scalars import CScalar, RationalLike, as_fraction
 from .series import BiSeries, HolSeries, MultiIndex, Rows, _order_size, \
-    gaussian_integers, index_of_ordinal, norm_rows
+    gaussian_integers, graded_order, index_of_ordinal, norm_rows
 
 
 class NotResolvableError(ValueError):
@@ -61,6 +61,38 @@ class ImmersionMap(namedtuple("ImmersionMap",
         which reads each component as its (radicand, series) pair)."""
         d = min([self.degree] + [c.series.d for c in self.components])
         return (d, *norm_rows(self.arity, d, self.components))
+
+    def is_pivoted_ldl(self) -> bool:
+        """True when the components are, in order, the columns and pivots
+        that ``psd_certify`` takes from this map's own pullback norm H.
+
+        Component h must be 1 at the position p_h that the pivot rule picks
+        from the Schur diagonal S_h(q) = sum_{i >= h} r_i |f_i(q)|^2 (the
+        largest, ties to the lowest position, within the lowest degree
+        first when every component is of one degree, as H is then
+        block-diagonal by degree), and every later component must vanish
+        at p_h.  Then the Schur complements of H are the tails of the sum,
+        so the elimination of H returns exactly these components: with H
+        verified, they are the one map ``factor_immersion`` prints, and
+        -f_h, a unitary mix or a reordering of them is not of this form.
+        """
+        d = max([self.degree] + [c.series.d for c in self.components])
+        degree = graded_order(self.arity, d).degree
+        blocked = all(len({degree[j] for j in c.series.coeffs}) <= 1
+                      for c in self.components)
+        # S_h summed from the last component back: S_h(p_i) = 0 at the
+        # pivots of i < h when component i passes, so they are not picked;
+        # S_h(p_h) = r_h says that no later component meets p_h
+        schur: Dict[int, Fraction] = {}
+        for comp in reversed(self.components):
+            rad = comp.radicand
+            for j, c in comp.series.coeffs.items():
+                schur[j] = schur.get(j, 0) + rad * c.abs2()
+            p = max(schur, default=None, key=lambda q: (
+                -degree[q] if blocked else 0, schur[q], -q))
+            if comp.series.coeffs.get(p) != CScalar(1) or schur[p] != rad:
+                return False
+        return True
 
 
 def target_for(b: Fraction) -> Target:

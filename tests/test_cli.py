@@ -795,6 +795,24 @@ def test_edited_document_never_validates(tmp_path_factory, kind, how, value,
                                               sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("edit", [
+    lambda comps: comps[0]["series"][0].update(re="-1"),
+    lambda comps: comps[1]["series"][0].update(re="0", im="1"),
+    lambda comps: comps.reverse(),
+], ids=["negated", "times-i", "swapped"])
+def test_an_equivalent_map_is_not_the_printed_one(tmp_path, edit):
+    # each edit keeps the pulled-back norm of the map z -> (z2, z1)
+    doc = json.loads(emitted("immersion"))
+    assert [c["series"] for c in doc["components"]] == [
+        [{"m": [0, 1], "re": "1", "im": "0"}],
+        [{"m": [1, 0], "re": "1", "im": "0"}]]
+    edit(doc["components"])
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    code, out, err = call("check-certificate", str(cert))
+    assert (code, err) == (1, "") and json.loads(out)["valid"] is False
+
+
 # ---------------------------------------------------------------------------
 # argv: one pass over the command table
 # ---------------------------------------------------------------------------

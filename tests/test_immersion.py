@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kahlerimm.cli import _immersion_from_json
 from kahlerimm.immersion import (Component, ImmersionMap,
@@ -263,3 +264,79 @@ def test_component_needs_unit_sign_and_positive_radicand(sign, radicand):
     if radicand <= 0:
         with pytest.raises(ValueError, match="positive radicand"):
             Component(Fraction(radicand), HolSeries(1, 2, {1: CScalar(1)}))
+
+
+# ---------------------------------------------------------------------------
+# the printed map is the only pivoted LDL* of its pullback
+# ---------------------------------------------------------------------------
+
+PARTS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
+                         Fraction(1, 2), Fraction(2), Fraction(-1, 3)])
+
+
+@st.composite
+def gram_jets(draw):
+    """(n, degree, jet): the Hermitian jet sum_i g_i conj(g_i) of one to
+    three holomorphic g_i without constant term, of arity 1 or 2 and
+    degree 2 or 3; with ``homogeneous`` each g_i is of one degree, so the
+    jet is block-diagonal by degree."""
+    n, degree = draw(st.sampled_from([1, 2])), draw(st.sampled_from([2, 3]))
+    order = GradedOrder(n, degree)
+    homogeneous = draw(st.booleans())
+    coeffs = {}
+    for _ in range(draw(st.integers(1, 3))):
+        top = draw(st.integers(1, degree))
+        g = {j: CScalar(draw(PARTS), draw(PARTS))
+             for j in range(1, order.size)
+             if order.degree[j] == top or not homogeneous}
+        for j, a in g.items():
+            for k, c in g.items():
+                coeffs[(j, k)] = coeffs.get((j, k), CScalar(0)) + a * c.conj()
+    return n, degree, BiSeries(n, degree, coeffs)
+
+
+def remade(imm, comps):
+    return ImmersionMap(tuple(comps), imm.target, imm.degree, imm.arity)
+
+
+def scaled(comp, unit):
+    return Component(comp.radicand, HolSeries(
+        comp.series.n, comp.series.d,
+        {j: c * unit for j, c in comp.series.coeffs.items()}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(jet=gram_jets(), data=st.data())
+def test_only_the_factored_map_is_a_pivoted_ldl(jet, data):
+    # -f_h, i f_h and two components swapped pull back the same norm, so
+    # verification passes them; only the printed shape tells them apart
+    n, degree, d = jet
+    imm = factor_immersion(d, 0, degree)
+    assert imm.is_pivoted_ldl()
+    comps = list(imm.components)
+    if not comps:  # the zero jet
+        return
+    h = data.draw(st.integers(0, len(comps) - 1))
+    others = [remade(imm, comps[:h] + [scaled(comps[h], unit)]
+                     + comps[h + 1:])
+              for unit in (CScalar(-1), CScalar(0, 1))]
+    if h + 1 < len(comps):
+        others.append(remade(imm, comps[:h] + [comps[h + 1], comps[h]]
+                             + comps[h + 2:]))
+    for other in others:
+        assert verify_immersion(other, d, 0, degree).ok
+        assert not other.is_pivoted_ldl()
+
+
+def test_a_later_component_at_an_earlier_pivot_is_not_the_factored_map():
+    # z and z + z^2 pull back |z|^2 + |z + z^2|^2; its elimination pivots
+    # on z with radicand 2, so z + z^2 may not reach that pivot
+    imm = ImmersionMap((Component(Fraction(1), HolSeries(1, 2, {1: 1})),
+                        Component(Fraction(1), HolSeries(1, 2, {1: 1, 2: 1}))),
+                       target_for(0), 2, 1)
+    d = imm.pullback_norm()
+    assert verify_immersion(imm, d, 0, 2).ok
+    assert not imm.is_pivoted_ldl()
+    factored = factor_immersion(d, 0, 2)
+    assert factored.is_pivoted_ldl() and factored != imm
+    assert [c.radicand for c in factored.components] == [2, Fraction(1, 2)]
