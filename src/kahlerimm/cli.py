@@ -449,9 +449,9 @@ def _cmd_check_certificate(args) -> int:
         if imm.target != target_for(b):
             raise InputError(f"an immersion for b = {b} maps into "
                              f"{target_for(b)}, not {imm.target}")
+        check = verify_immersion(imm, series, b, degree)
         printed = _immersion_json(imm, source, b) \
-            if imm.is_pivoted_ldl() \
-            and verify_immersion(imm, series, b, degree).ok else None
+            if check.ok and check.pivoted else None
     elif kind == "certificate":
         _check_verdict_form(doc, _request(doc)["criterion"])
         printed = _certificate(doc)

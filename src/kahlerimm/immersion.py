@@ -7,6 +7,7 @@ stays inside Gaussian-rational arithmetic.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -14,8 +15,9 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .resolvability import MatrixWitness, NotPsd, calabi_matrix, \
     calabi_series, psd_certify
 from .scalars import CScalar, RationalLike, as_fraction
-from .series import BiSeries, HolSeries, MultiIndex, Rows, _order_size, \
-    gaussian_integers, graded_order, index_of_ordinal, norm_rows
+from .series import ArityMismatchError, BiSeries, HolSeries, MultiIndex, \
+    Rows, _order_size, gaussian_integers, graded_order, hermitian_update, \
+    index_of_ordinal
 
 
 class NotResolvableError(ValueError):
@@ -50,49 +52,75 @@ class ImmersionMap(namedtuple("ImmersionMap",
 
     def pullback_norm(self) -> BiSeries:
         """sum radicand * series * conj(series), exact."""
-        d, lam, rows = self._pullback_rows()
+        d, lam, rows, _ = _pullback_pass(self)
         return BiSeries(self.arity, d, {
             (j, k): CScalar(Fraction(re, lam), Fraction(im, lam))
             for j, row in rows.items() for k, (re, im, _) in row.items()})
 
-    def _pullback_rows(self) -> Tuple[int, int, Rows]:
-        """(d, L, rows): the pullback norm through degree d, the least
-        degree of the map and its components, is rows / L (``norm_rows``,
-        which reads each component as its (radicand, series) pair)."""
-        d = min([self.degree] + [c.series.d for c in self.components])
-        return (d, *norm_rows(self.arity, d, self.components))
-
     def is_pivoted_ldl(self) -> bool:
         """True when the components are, in order, the columns and pivots
-        that ``psd_certify`` takes from this map's own pullback norm H.
+        that ``psd_certify`` takes from this map's own pullback norm H
+        (the shape test of ``_pullback_pass``).
 
-        Component h must be 1 at the position p_h that the pivot rule picks
-        from the Schur diagonal S_h(q) = sum_{i >= h} r_i |f_i(q)|^2 (the
-        largest, ties to the lowest position, within the lowest degree
-        first when every component is of one degree, as H is then
-        block-diagonal by degree), and every later component must vanish
-        at p_h.  Then the Schur complements of H are the tails of the sum,
-        so the elimination of H returns exactly these components: with H
+        Then the Schur complements of H are the tails of the sum, so the
+        elimination of H returns exactly these components: with H
         verified, they are the one map ``factor_immersion`` prints, and
         -f_h, a unitary mix or a reordering of them is not of this form.
         """
-        d = max([self.degree] + [c.series.d for c in self.components])
-        degree = graded_order(self.arity, d).degree
-        blocked = all(len({degree[j] for j in c.series.coeffs}) <= 1
-                      for c in self.components)
-        # S_h summed from the last component back: S_h(p_i) = 0 at the
-        # pivots of i < h when component i passes, so they are not picked;
-        # S_h(p_h) = r_h says that no later component meets p_h
-        schur: Dict[int, Fraction] = {}
-        for comp in reversed(self.components):
-            rad = comp.radicand
-            for j, c in comp.series.coeffs.items():
-                schur[j] = schur.get(j, 0) + rad * c.abs2()
-            p = max(schur, default=None, key=lambda q: (
-                -degree[q] if blocked else 0, schur[q], -q))
-            if comp.series.coeffs.get(p) != CScalar(1) or schur[p] != rad:
-                return False
-        return True
+        return _pullback_pass(self)[3]
+
+
+def _pullback_pass(imm: ImmersionMap) -> Tuple[int, int, Rows, bool]:
+    """(d, L, rows, pivoted): sum_h r_h f_h conj(f_h) through d, the least
+    degree of the map and its components, is rows / L (Gaussian integers
+    at scale 1, no zero entry), and ``pivoted`` is the pivoted-LDL* shape
+    test, taken in the same pass.
+
+    Each f_h is written as Gaussian integers over D_h, the lcm of its
+    coefficient denominators, with weight r_h / D_h^2 in lowest terms; the
+    weights are put over their common denominator L, and one integer
+    ``hermitian_update`` per component, from the last back to the first,
+    accumulates L times the sum into rows.
+
+    After component h is added, the diagonal at q is L S_h(q), for the
+    Schur diagonal S_h = sum_{i >= h} r_i |f_i|^2.  Component h must be 1
+    at the position p_h the ``psd_certify`` pivot rule picks from S_h (the
+    largest, ties to the lowest position, within the lowest degree first
+    when every component is of one degree, as H is then block-diagonal by
+    degree), and S_h(p_h) = r_h must hold: no later component meets p_h,
+    and S_h vanishes at the pivots of earlier components that pass, so
+    they are not picked.  S_h exceeds S_{h+1} on the support of f_h only,
+    so the pick is the running best or a position of that support: the
+    test costs O(support) per component, comparing integers.
+    """
+    n = imm.arity
+    d = min([imm.degree] + [c.series.d for c in imm.components])
+    size = _order_size(n, d)
+    comps = []
+    for rad, f in imm.components:
+        if f.n != n:
+            raise ArityMismatchError(f"arity {f.n} != {n}")
+        den, x = gaussian_integers({j: c for j, c in f.coeffs.items()
+                                    if j < size})
+        g = math.gcd(rad.numerator, den * den)
+        comps.append((rad, den, x, rad.numerator // g,
+                      rad.denominator * (den * den // g)))
+    lam = math.lcm(*(wden for *_, wden in comps))
+    degree = graded_order(n, d).degree
+    blocked = all(len({degree[j] for j in x}) <= 1 for _, _, x, _, _ in comps)
+    rows: Rows = {}
+    pivoted, top, best = True, None, None
+    for rad, den, x, num, wden in reversed(comps):
+        hermitian_update(rows, num * (lam // wden), x)
+        if not pivoted:
+            continue
+        for q in x:  # S_h grows on the support of f_h only
+            key = (-degree[q] if blocked else 0, rows[q][q][0], -q)
+            if top is None or key > top:
+                top, best = key, q
+        pivoted = x.get(best) == (den, 0) and \
+            rows[best][best][0] * rad.denominator == lam * rad.numerator
+    return d, lam, rows, pivoted
 
 
 def target_for(b: Fraction) -> Target:
@@ -106,7 +134,9 @@ def factor_immersion(d: BiSeries, b: RationalLike, degree: int) -> ImmersionMap:
     Component h has radicand = pivot d_h and series = the h-th unit-diagonal
     column of L, so that sum_h d_h |f_h|^2 reproduces b_transform(d, b)
     through ``degree`` exactly.  Before it is returned, the map is verified
-    against that series, the flat-target (b = 0) diastasis of the same map.
+    against that series, the flat-target (b = 0) diastasis of the same map,
+    and put to the pivoted-LDL* shape test that ``check-certificate``
+    applies, in the same pass.
     """
     b = as_fraction(b)
     transformed, matrix = calabi_matrix(d, b, degree)
@@ -124,7 +154,7 @@ def factor_immersion(d: BiSeries, b: RationalLike, degree: int) -> ImmersionMap:
             pivot.value, HolSeries(n, degree, coeffs)))
     imm = ImmersionMap(tuple(components), target_for(b), degree, n)
     check = _pullback_residual(imm, transformed, degree)
-    if not check.ok:  # pragma: no cover - internal soundness guard
+    if not (check.ok and check.pivoted):  # pragma: no cover - soundness
         raise AssertionError(f"factored map failed verification: {check}")
     return imm
 
@@ -134,8 +164,12 @@ def factor_immersion(d: BiSeries, b: RationalLike, degree: int) -> ImmersionMap:
 # ---------------------------------------------------------------------------
 
 class VerifyResult(NamedTuple):
+    """``ok``: the pullback norm equals the series; ``residual``: else the
+    first difference; ``pivoted``: the map passes the shape test of
+    ``ImmersionMap.is_pivoted_ldl``, taken in the same pass."""
     ok: bool
     residual: Optional[Tuple[MultiIndex, MultiIndex, CScalar, CScalar]] = None
+    pivoted: bool = False
 
 
 def verify_immersion(imm: ImmersionMap, d: BiSeries, b: RationalLike,
@@ -144,6 +178,7 @@ def verify_immersion(imm: ImmersionMap, d: BiSeries, b: RationalLike,
 
     Reports the first differing coefficient in graded order (j, then k);
     the stated (got, want) pair makes the residual independently checkable.
+    The one pass that computes the pullback also gives ``pivoted``.
     """
     if imm.arity != d.n:
         raise ValueError(f"arity mismatch: map {imm.arity} vs series {d.n}")
@@ -160,17 +195,18 @@ def _pullback_residual(imm: ImmersionMap, want: BiSeries, degree: int
     residual reported.
     """
     n = imm.arity
-    d, lam, rows = imm._pullback_rows()
+    d, lam, rows, pivoted = _pullback_pass(imm)
     den, target = gaussian_integers(want.coeffs)
     size = _order_size(n, min(degree, d, want.d))
     key = _first_mismatch(size, lam, rows, den, target)
     if key is None:
-        return VerifyResult(True)
+        return VerifyResult(True, None, pivoted)
     j, k = key
     re, im, _ = rows.get(j, {}).get(k, (0, 0, 1))
     return VerifyResult(False, (
         index_of_ordinal(n, j), index_of_ordinal(n, k),
-        CScalar(Fraction(re, lam), Fraction(im, lam)), want.get(j, k)))
+        CScalar(Fraction(re, lam), Fraction(im, lam)), want.get(j, k)),
+        pivoted)
 
 
 def _first_mismatch(size: int, lam: int, rows: Rows, den: int,

@@ -162,7 +162,11 @@ def minus_log_norm(kind: str, sizes: Sequence[int], degree: int) -> BiSeries:
     diastasis divided by its genus, the exponent of h in the Bergman kernel
     (``symmetric.classical_invariants``).  That is the determinant exponent
     of ``cartan_bergman_diastasis`` except for omega3, where det(I - ZZ*)
-    = h^2 and the genus is twice the exponent."""
+    = h^2 and the genus is twice the exponent.  omega4 with n = 1 is
+    rejected: its kernel (1 - |z|^2)^2 is the disc's at genus 2, not the
+    genus n = 1 of the Lie ball, so it has no generic norm of this form."""
+    if kind.lower() == "omega4" and tuple(sizes) == (1,):
+        raise ValueError("omega4 with n=1 is the disc; use base=omega1")
     series, exponent = cartan_bergman_diastasis(kind, sizes, degree)
     genus = 2 * exponent if kind.lower() == "omega3" else exponent
     return series.scale(Fraction(1, genus))
@@ -244,6 +248,12 @@ def _diag_to_biseries(series: RSeries, degree: int) -> BiSeries:
     return BiSeries(n, degree, coeffs)
 
 
+def _at_degree(y: RSeries, k: int) -> RSeries:
+    """y cut or zero-padded to truncation degree k."""
+    return RSeries(y.nvars, k, {e: c for e, c in y.coeffs.items()
+                                if sum(e) <= k})
+
+
 def taubnut_potential(m: RationalLike, mode: str, degree: int) -> BiSeries:
     """Implicit Taub-NUT potential jet as a diagonal BiSeries.
 
@@ -261,7 +271,8 @@ def taubnut_potential(m: RationalLike, mode: str, degree: int) -> BiSeries:
         def step(t: RSeries) -> RSeries:
             return x * t.scale(-2 * m).exp()
 
-        t = solve_graded_fixed_point(step, RSeries.zero(1, degree), degree + 2)
+        t = solve_graded_fixed_point(step, RSeries.zero(1, degree),
+                                     degree + 2, _at_degree, degree)
         phi = t + (t * t).scale(m)
         return _diag_to_biseries(phi, degree)
     if mode == "full":
@@ -275,7 +286,9 @@ def taubnut_potential(m: RationalLike, mode: str, degree: int) -> BiSeries:
                     x2 * diff.scale(2 * m).exp())
 
         seed = (RSeries.zero(2, degree), RSeries.zero(2, degree))
-        t, s = solve_graded_fixed_point(step2, seed, degree + 2)
+        t, s = solve_graded_fixed_point(
+            step2, seed, degree + 2,
+            lambda ts, k: (_at_degree(ts[0], k), _at_degree(ts[1], k)), degree)
         phi = t + s + (t * t + s * s).scale(m)
         return _diag_to_biseries(phi, degree)
     raise ValueError(f"unknown mode {mode!r}; use 'slice' or 'full'")
@@ -298,12 +311,13 @@ def calabi_tube(n: int, degree: int) -> Tuple[RSeries, BiSeries]:
 
     def step(y: RSeries) -> RSeries:
         e = y.exp()
-        averaged = RSeries(1, rdeg, {
+        averaged = RSeries(1, e.d, {
             (j,): c * Fraction(n, j + n) for (j,), c in e.coeffs.items()})
         root = averaged.pow_normalized(Fraction(1, n))
         return root.shift_up().integrate()
 
-    y = solve_graded_fixed_point(step, RSeries.zero(1, rdeg), rdeg + 2)
+    y = solve_graded_fixed_point(step, RSeries.zero(1, rdeg), rdeg + 2,
+                                 _at_degree, rdeg)
 
     # (sum_j (z_j + conj z_j)^2) as a BiSeries, then sum_k c_{2k} P^k
     zero = (0,) * n

@@ -33,10 +33,10 @@ denominators, runs its inner loops on (Gaussian) integers, and builds one
 ``Fraction`` per returned coefficient.  The recurrence keeps each slice
 over one integer denominator of its own.  So is the check path:
 ``BiSeries.loads`` reads each distinct token once with ``int()``
-(``scalars.parse_fraction``), and ``norm_rows`` gives the pullback norm
-of a map as Gaussian-integer rows over one denominator, which
-``immersion.verify_immersion`` compares with the transformed potential by
-cross-multiplication.
+(``scalars.parse_fraction``), and ``hermitian_update`` accumulates the
+pullback norm of a map as Gaussian-integer rows over one denominator,
+which ``immersion.verify_immersion`` compares with the transformed
+potential by cross-multiplication.
 """
 from __future__ import annotations
 
@@ -802,14 +802,27 @@ def det_series(matrix: Sequence[Sequence[BiSeries]]) -> BiSeries:
 
 
 def solve_graded_fixed_point(step: Callable[[T], T], seed: T,
-                             max_steps: int) -> T:
+                             max_steps: int,
+                             at_degree: Optional[Callable[[T, int], T]] = None,
+                             degree: int = 0) -> T:
     """Iterate ``x <- step(x)`` until it stabilizes (graded contraction).
 
     The caller asserts each application determines at least one more degree,
     so stabilization must occur within ``max_steps`` iterations; otherwise a
     :class:`FixedPointDivergenceError` is raised.
+
+    With ``at_degree`` (x cut or zero-padded to truncation degree k, at
+    which ``step`` then computes), iterations k = 0, ..., degree - 1 run at
+    truncation degree k: the k-th fixes degree k and reads nothing above
+    it, so the iterate reaches the full ``degree`` correct through
+    degree - 1, one full step fixes the last degree and one more confirms.
+    The result is still a fixed point of the full-degree step.
     """
     current = seed
+    if at_degree is not None:
+        for k in range(degree):
+            current = step(at_degree(current, k))
+        current = at_degree(current, degree)
     for _ in range(max_steps):
         nxt = step(current)
         if nxt == current:
@@ -862,29 +875,3 @@ class HolSeries:
 
     def __repr__(self):
         return f"HolSeries(n={self.n}, d={self.d}, {len(self.coeffs)} terms)"
-
-
-def norm_rows(n: int, d: int, terms: Iterable[Tuple[Fraction, HolSeries]]
-              ) -> Tuple[int, Rows]:
-    """(L, rows): sum_h w_h f_h conj(f_h) through degree d is rows / L,
-    fraction-free.
-
-    Each f_h is written as Gaussian integers over D_h, the lcm of its
-    coefficient denominators, with weight w_h / D_h^2; the weights are put
-    over their common denominator L, and one integer ``hermitian_update``
-    per component accumulates L times the sum into rows of scale 1 that
-    hold no zero entry.
-    """
-    comps = []
-    size = _order_size(n, d)
-    for w, f in terms:
-        if f.n != n:
-            raise ArityMismatchError(f"arity {f.n} != {n}")
-        den, x = gaussian_integers({j: c for j, c in f.coeffs.items()
-                                    if j < size})
-        comps.append((Fraction(w) / (den * den), x))
-    lam = math.lcm(*(w.denominator for w, _ in comps))
-    rows: Rows = {}
-    for w, x in comps:
-        hermitian_update(rows, w.numerator * (lam // w.denominator), x)
-    return lam, rows

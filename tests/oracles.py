@@ -6,7 +6,10 @@ None of these is reached from the command line, so none is package code:
   form for which space forms immerse into which, and with what rank;
 * ``ch_immersion``: the Cartan-Hartogs immersion assembled from base maps
   (Loi & Zedda, Math. Ann. 350, 2011), an oracle for ``factor_immersion``;
-* ``mul_conj``: f conj(g) term by term, the oracle of ``norm_rows``;
+* ``mul_conj``: f conj(g) term by term, the oracle of the pullback norm;
+* ``is_pivoted_ldl``: the pivoted-LDL* shape test of a map by Schur
+  diagonals in ``Fraction``, the oracle of the integer pass in
+  ``immersion``;
 * ``calabi_tube_residual``: the ODE residual of the tubular metric jet;
 * ``hua_schmid_prediction``: the inertia of the coefficient matrix of
   h^-eta on a classical domain, from the Hua-Schmid decomposition, an
@@ -20,8 +23,8 @@ from typing import NamedTuple, Optional
 from kahlerimm.immersion import Component, ImmersionMap, Target
 from kahlerimm.radial import RSeries
 from kahlerimm.scalars import CScalar, as_fraction
-from kahlerimm.series import BiSeries, HolSeries, index_of_ordinal, \
-    ordinal_of_index
+from kahlerimm.series import BiSeries, HolSeries, graded_order, \
+    index_of_ordinal, ordinal_of_index
 from kahlerimm.symmetric import classical_invariants
 
 
@@ -106,6 +109,32 @@ def mul_conj(f, g):
                 continue
             out[(j, k)] = out.get((j, k), CScalar(0)) + cj * ck.conj()
     return BiSeries(f.n, d, out)
+
+
+def is_pivoted_ldl(imm):
+    """True when the components of ``imm`` are, in order, the columns and
+    pivots that ``psd_certify`` takes from the map's own pullback norm.
+
+    Summing S_h = sum_{i >= h} r_i |f_i|^2 from the last component back,
+    component h must be 1 at the position the pivot rule picks from S_h
+    (the largest, ties to the lowest position, within the lowest degree
+    first when every component is of one degree), and S_h there must equal
+    r_h.  Every position of S_h is scanned for every component.
+    """
+    d = max([imm.degree] + [c.series.d for c in imm.components])
+    degree = graded_order(imm.arity, d).degree
+    blocked = all(len({degree[j] for j in c.series.coeffs}) <= 1
+                  for c in imm.components)
+    schur = {}
+    for comp in reversed(imm.components):
+        rad = comp.radicand
+        for j, c in comp.series.coeffs.items():
+            schur[j] = schur.get(j, 0) + rad * c.abs2()
+        p = max(schur, default=None, key=lambda q: (
+            -degree[q] if blocked else 0, schur[q], -q))
+        if comp.series.coeffs.get(p) != CScalar(1) or schur[p] != rad:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

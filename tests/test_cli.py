@@ -209,6 +209,24 @@ def test_wallach_decision_matches_the_matrix_verdict_on_omega3_cartan_hartogs(
                                   else "certified-not-resolvable")
 
 
+# omega4 at n = 1 has the kernel (1 - |z|^2)^2 of the disc at genus 2, so
+# -log of its norm would be 2|z|^2 + |z|^4 + ..., twice the disc's unit;
+# the base is refused as at n = 2, and the wallach path refuses it too.
+# The default n of cartan_hartogs is 1.
+@pytest.mark.parametrize("size", [[], ["--param", "n=1"], ["--param", "n=2"]],
+                         ids=["default", "n1", "n2"])
+def test_cartan_hartogs_refuses_omega4_bases_below_three(capsys, size):
+    code, out, err = run(capsys, "analyze", "--model", "cartan_hartogs",
+                         "--param", "base=omega4", *size, "--b", "1",
+                         "--degree", "2")
+    assert code == 2 and out == ""
+    assert "omega4 with n=" in one_json_line(err)["error"]
+    if size != ["--param", "n=2"]:
+        code, out, err = run(capsys, "wallach", "--domain", "omega4",
+                             "--sizes", "1", "--c", "1", "--mu", "1")
+        assert code == 2 and out == "" and one_json_line(err)
+
+
 def test_wallach_cartan_hartogs_mode(capsys):
     code, doc = run_json(capsys, "wallach", "--r", "2", "--a", "2",
                          "--gamma", "5", "--c", "1", "--mu", "1/2")
@@ -811,6 +829,37 @@ def test_an_equivalent_map_is_not_the_printed_one(tmp_path, edit):
     cert.write_text(json.dumps(doc))
     code, out, err = call("check-certificate", str(cert))
     assert (code, err) == (1, "") and json.loads(out)["valid"] is False
+
+
+@functools.lru_cache(maxsize=None)
+def emitted_omega1_degree_7():
+    # c * genus = 2 is in the continuous Wallach part: full rank, one
+    # component per monomial of degree 1..7 in 4 variables
+    code, out, err = call("emit-immersion", "--model", "omega1", "--param",
+                          "m=2", "--param", "n=2", "--scale", "1/2", "--b",
+                          "1", "--degree", "7")
+    assert code == 0, err
+    return out
+
+
+@pytest.mark.parametrize("edit", [
+    None,
+    # the pullback is unchanged, so the shape test alone refuses it
+    lambda comps: next(c for c in comps if len(c["series"]) == 1)[
+        "series"][0].update(re="-1"),
+    lambda comps: next(c for c in comps if len(c["series"]) > 1)[
+        "series"][1].update(re="-1"),
+], ids=["printed", "monomial-negated", "cross-term-edited"])
+def test_a_329_component_immersion_round_trip(tmp_path, edit):
+    doc = json.loads(emitted_omega1_degree_7())
+    assert len(doc["components"]) == 329
+    if edit is not None:
+        edit(doc["components"])
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    code, out, err = call("check-certificate", str(cert))
+    assert err == "" and json.loads(out)["valid"] is (edit is None)
+    assert code == (0 if edit is None else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from kahlerimm.models import build_model, space_form_diastasis
 from kahlerimm.scalars import CScalar
 from kahlerimm.series import BiSeries, GradedOrder, HolSeries, \
     index_of_ordinal
-from oracles import space_form_classification, space_form_rank
+from oracles import is_pivoted_ldl, space_form_classification, \
+    space_form_rank
 
 
 def _mfact(m):
@@ -340,3 +341,39 @@ def test_a_later_component_at_an_earlier_pivot_is_not_the_factored_map():
     factored = factor_immersion(d, 0, 2)
     assert factored.is_pivoted_ldl() and factored != imm
     assert [c.radicand for c in factored.components] == [2, Fraction(1, 2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(jet=gram_jets(), data=st.data())
+def test_the_integer_shape_test_matches_the_fraction_oracle(jet, data):
+    # the reverse pass keeps a running best over each component's support;
+    # the oracle rescans every Schur diagonal in Fraction per component
+    n, degree, d = jet
+    imm = factor_immersion(d, 0, degree)
+    comps = list(imm.components)
+    maps = [imm]
+    if comps:
+        h = data.draw(st.integers(0, len(comps) - 1))
+        comp = comps[h]
+        maps += [remade(imm, comps[:h] + [other] + comps[h + 1:])
+                 for other in (scaled(comp, CScalar(-1)),
+                               scaled(comp, CScalar(0, 1)),
+                               Component(2 * comp.radicand, comp.series))]
+    if len(comps) > 1:
+        h = data.draw(st.integers(0, len(comps) - 2))
+        maps.append(remade(imm, comps[:h] + [comps[h + 1], comps[h]]
+                           + comps[h + 2:]))
+        # a later component given a term on an earlier one's support
+        later = data.draw(st.integers(h + 1, len(comps) - 1))
+        q = data.draw(st.sampled_from(sorted(comps[h].series.coeffs)))
+        coeffs = dict(comps[later].series.coeffs)
+        coeffs[q] = coeffs.get(q, CScalar(0)) + CScalar(1)
+        series = comps[later].series
+        maps.append(remade(imm, comps[:later] + [Component(
+            comps[later].radicand, HolSeries(series.n, series.d, coeffs))]
+            + comps[later + 1:]))
+    for other in maps:
+        assert other.is_pivoted_ldl() == is_pivoted_ldl(other)
+        assert verify_immersion(other, d, 0, degree).pivoted \
+            == is_pivoted_ldl(other)
+    assert imm.is_pivoted_ldl()

@@ -104,6 +104,8 @@ UNREFERENCED_PUBLIC = {
     # accessors that tests read results through
     "series.py:BiSeries.get_index": "reads a coefficient by multi-index",
     "resolvability.py:HermMatrix.quadratic_form": "evaluates a witness",
+    "immersion.py:ImmersionMap.is_pivoted_ldl":
+        "the shape test without a series to verify against",
     "radial.py:RSeries.univariate": "builds a profile from a coefficient list",
     # operations the oracles in tests/ are written in
     "scalars.py:CScalar.conj": "conjugation in the Hermitian oracles",
@@ -128,11 +130,13 @@ def test_every_public_name_is_referenced_by_the_package():
     assert not stale, f"exceptions that are referenced or gone: {stale}"
 
 
-# the inner loops of the series core, of the exact LDL* and of the
-# pullback comparison, which run on integers: (module, function)
+# the inner loops of the series core, of the exact LDL*, of the pullback
+# with its shape test and of the pullback comparison, which run on
+# integers: (module, function)
 INTEGER_LOOPS = [("series.py", "_mul_add"), ("radial.py", "_mul_add"),
                  ("series.py", "_degree_recurrence"),
                  ("series.py", "hermitian_update"),
+                 ("immersion.py", "_pullback_pass"),
                  ("immersion.py", "_first_mismatch")]
 
 

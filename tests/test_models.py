@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from kahlerimm import models
 from kahlerimm.diastasis import normalize_to_diastasis
 from kahlerimm.models import (MODELS, build_model, calabi_tube,
                               cartan_bergman_diastasis,
@@ -12,7 +13,7 @@ from kahlerimm.models import (MODELS, build_model, calabi_tube,
 from kahlerimm.radial import RSeries
 from kahlerimm.resolvability import ResolvableUpTo, build_matrix, resolvability
 from kahlerimm.scalars import CScalar
-from kahlerimm.series import BiSeries
+from kahlerimm.series import BiSeries, solve_graded_fixed_point
 from oracles import calabi_tube_residual
 
 
@@ -190,6 +191,21 @@ def test_calabi_tube_other_dimensions(n):
     y, _ = calabi_tube(n, 2)
     assert y.ucoeff(2) == Fraction(1, 2)
     assert calabi_tube_residual(n, y) == RSeries.zero(1, max(y.d - 2, 0))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: taubnut_potential(1, "slice", 9),
+    lambda: taubnut_potential(Fraction(1, 3), "full", 6),
+    lambda: calabi_tube(2, 4), lambda: calabi_tube(3, 3)],
+    ids=["taubnut_slice", "taubnut_full", "calabi_tube_2", "calabi_tube_3"])
+def test_degree_stepped_fixed_point_builds_the_same_series(monkeypatch,
+                                                            build):
+    stepped = build()
+    monkeypatch.setattr(
+        models, "solve_graded_fixed_point",
+        lambda step, seed, max_steps, *stepping:
+            solve_graded_fixed_point(step, seed, max_steps))
+    assert build() == stepped
 
 
 # ---------------------------------------------------------------------------

@@ -433,6 +433,41 @@ def test_fixed_point_divergence():
         solve_graded_fixed_point(lambda t: t + one, RSeries.zero(1, 2), 5)
 
 
+def padded(t, k):
+    from kahlerimm.radial import RSeries
+    return RSeries(t.nvars, k, {e: c for e, c in t.coeffs.items()
+                                if sum(e) <= k})
+
+
+def test_degree_stepped_fixed_point():
+    # nine full-degree steps, or eight at degrees 0..7, one full step that
+    # fixes degree 8 and one that confirms, to the same fixed point
+    from kahlerimm.radial import RSeries
+    x = RSeries.var(1, 8)
+    degrees = []
+
+    def step(t):
+        degrees.append(t.d)
+        return x * t.scale(-2).exp()
+
+    full = solve_graded_fixed_point(step, RSeries.zero(1, 8), 10)
+    assert degrees == [8] * 9
+    degrees.clear()
+    stepped = solve_graded_fixed_point(step, RSeries.zero(1, 8), 10,
+                                       padded, 8)
+    assert stepped == full and stepped.d == 8
+    assert degrees == list(range(8)) + [8, 8]
+
+
+def test_degree_stepped_fixed_point_divergence():
+    from kahlerimm.series import FixedPointDivergenceError
+    from kahlerimm.radial import RSeries
+    one = RSeries.constant(1, 2, 1)
+    with pytest.raises(FixedPointDivergenceError):
+        solve_graded_fixed_point(lambda t: t + one, RSeries.zero(1, 2), 5,
+                                 padded, 2)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
