@@ -57,31 +57,6 @@ def _parse_params(pairs: Optional[List[str]], **shortcuts: Any
     return out
 
 
-def _model_of(args) -> Optional[Tuple[str, Dict[str, Any], int]]:
-    """(name, parameters, degree) named by --model or --spec.
-
-    Checks that exactly one source is given; None means --series.
-    """
-    chosen = [x for x in ("model", "spec", "series")
-              if getattr(args, x, None) is not None]
-    if len(chosen) != 1:
-        raise InputError("exactly one of --model, --spec, --series required")
-    if args.model is not None:
-        params = _parse_params(args.param, n=args.n, scale=args.scale)
-        return args.model, params, args.degree
-    if args.spec is not None:
-        try:
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                spec = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read spec file: {exc}") from exc
-        _object(spec, "a spec file")
-        params = _object(spec.get("parameters", {}), "spec parameters")
-        return (spec.get("name"), params,
-                _integer(spec.get("degree", args.degree), "spec degree"))
-    return None
-
-
 def _integer(value: Any, what: str, least: int = 0) -> int:
     """``value`` if it is a JSON integer >= ``least``, else an input error."""
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
@@ -124,21 +99,32 @@ def _model_source(name: Any, params: Any) -> Dict[str, Any]:
             "parameters": {k: str(params[k]) for k in sorted(params)}}
 
 
-def _load_source(args) -> Tuple[Dict[str, Any], BiSeries]:
-    """Resolve --model/--spec/--series into (source descriptor, series);
-    every source is decided at --degree >= 1."""
+def _load_source(args) -> Dict[str, Any]:
+    """The source descriptor that exactly one of --model, --spec and
+    --series names, checking --degree >= 1.  A spec names a model; its
+    "degree", the truncation it holds, must reach --degree."""
     _integer(args.degree, "degree", 1)
-    model = _model_of(args)
-    if model is not None:
-        name, params, degree = model
-        return _rebuild_from_source(_model_source(name, params), degree)
+    chosen = [x for x in ("model", "spec", "series")
+              if getattr(args, x, None) is not None]
+    if len(chosen) != 1:
+        raise InputError("exactly one of --model, --spec, --series required")
+    if args.model is not None:
+        params = _parse_params(args.param, n=args.n, scale=args.scale)
+        return _model_source(args.model, params)
     try:
-        with open(args.series, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read series file: {exc}") from exc
-    return _rebuild_from_source({"kind": "series", "series": text},
-                                args.degree)
+        with open(getattr(args, chosen[0]), "r", encoding="utf-8") as fh:
+            if args.series is not None:
+                return {"kind": "series", "series": fh.read()}
+            spec = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read {chosen[0]} file: {exc}") from exc
+    _object(spec, "a spec file")
+    params = _object(spec.get("parameters", {}), "spec parameters")
+    degree = _integer(spec.get("degree", args.degree), "spec degree")
+    if degree < args.degree:  # the text build_matrix gives for a short jet
+        raise ValueError(f"requested degree {args.degree} exceeds "
+                         f"truncation {degree}")
+    return _model_source(spec.get("name"), params)
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +197,10 @@ def _immersion_json(imm: ImmersionMap, source: Dict[str, Any], b: Fraction
 # ---------------------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
-    request: Dict[str, Any] = {"b": args.b, "degree": args.degree}
-    loaded = None
-    if args.jmax is None and args.kmax is None and args.c is None:
-        loaded = _load_source(args)
-        request.update(source=loaded[0], criterion="matrix")
-    else:
+    request: Dict[str, Any] = {"source": _load_source(args), "b": args.b,
+                               "degree": args.degree, "criterion": "matrix"}
+    if not (args.jmax is None and args.kmax is None and args.c is None):
         # the profile criterion reads F alone; the jet is never built
-        model = _model_of(args)
         entry = MODELS.get(args.model)
         if entry is None or entry.profile is None:
             raise InputError(
@@ -226,44 +208,43 @@ def _cmd_analyze(args) -> int:
                 "Hartogs profile: " + ", ".join(
                     sorted(k for k, e in MODELS.items()
                            if e.profile is not None)))
-        name, params, _ = model
         request.update(
-            source=_model_source(name, params), criterion="hartogs",
-            c=args.c, jmax=args.degree if args.jmax is None else args.jmax,
+            criterion="hartogs", c=args.c,
+            jmax=args.degree if args.jmax is None else args.jmax,
             kmax=args.degree if args.kmax is None else args.kmax)
-    doc = _certificate(request, loaded)
+    doc = _certificate(request)
     _emit(doc)
     return 1 if doc["verdict"] == "certified-not-resolvable" else 0
 
 
 def _request(fields: Mapping[str, Any]) -> Dict[str, Any]:
     """The request in ``fields``: source (checked where it is built), b,
-    degree >= 1, criterion, and for the profile criterion c, jmax >= 1 and
-    kmax >= 0."""
+    degree >= 1, criterion, and for the profile criterion c > 0, jmax >= 1
+    and kmax >= 0."""
     request = {"source": fields.get("source"),
                "b": _rational(fields.get("b"), "b"),
                "degree": _integer(fields.get("degree"), "degree", 1),
                "criterion": fields.get("criterion")}
     if request["criterion"] == "hartogs":
-        request.update(c=_rational(fields.get("c"), "c"),
-                       jmax=_integer(fields.get("jmax"), "jmax", 1),
+        c = _rational(fields.get("c"), "c")
+        if c <= 0:
+            raise InputError(f"c must be a positive rational, got "
+                             f"{format_fraction(c)}")
+        request.update(c=c, jmax=_integer(fields.get("jmax"), "jmax", 1),
                        kmax=_integer(fields.get("kmax"), "kmax", 0))
     elif request["criterion"] != "matrix":
         raise InputError(f"unknown criterion {request['criterion']!r}")
     return request
 
 
-def _certificate(fields: Mapping[str, Any],
-                 loaded: Optional[Tuple[Dict[str, Any], BiSeries]] = None
-                 ) -> Dict[str, Any]:
+def _certificate(fields: Mapping[str, Any]) -> Dict[str, Any]:
     """The certificate ``analyze`` prints for the request ``fields`` name
-    (see ``_request``); ``loaded`` is the (source, jet) pair of a matrix
-    request that the caller has read already."""
+    (see ``_request``); a matrix request builds its jet at its degree."""
     request = _request(fields)
     body = {"kind": "certificate", "criterion": request["criterion"]}
     if request["criterion"] == "matrix":
-        source, series = loaded or _rebuild_from_source(
-            request["source"], request["degree"])
+        source, series = _rebuild_from_source(request["source"],
+                                              request["degree"])
         verdict = resolvability(series, request["b"], request["degree"])
     else:
         source, F = _rebuild_from_source(
@@ -277,7 +258,7 @@ def _certificate(fields: Mapping[str, Any],
 
 
 def _cmd_emit_immersion(args) -> int:
-    source, series = _load_source(args)
+    source, series = _rebuild_from_source(_load_source(args), args.degree)
     b = as_fraction(args.b)
     try:
         imm = factor_immersion(series, b, args.degree)

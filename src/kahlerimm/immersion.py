@@ -182,7 +182,7 @@ def verify_immersion(imm: ImmersionMap, d: BiSeries, b: RationalLike,
     """
     if imm.arity != d.n:
         raise ValueError(f"arity mismatch: map {imm.arity} vs series {d.n}")
-    return _pullback_residual(imm, calabi_series(d, b), degree)
+    return _pullback_residual(imm, calabi_series(d, b, degree), degree)
 
 
 def _pullback_residual(imm: ImmersionMap, want: BiSeries, degree: int

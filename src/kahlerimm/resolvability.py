@@ -94,6 +94,10 @@ class NotPsd(NamedTuple):
 PsdVerdict = Union[Psd, NotPsd]
 
 
+# (p, B_pp, x) of a pivot step of ``_eliminate``: l_q = x_q / B_pp
+Step = Tuple[int, int, Dict[int, Tuple[int, int]]]
+
+
 def _eliminate(mat: Dict[Tuple[int, int], CScalar],
                positions: List[int]) -> PsdVerdict:
     """Pivoted LDL* on the Hermitian dict ``mat`` over ``positions``.
@@ -117,7 +121,7 @@ def _eliminate(mat: Dict[Tuple[int, int], CScalar],
     Every Schur diagonal is its integer over den D_k > 0, so the integers
     pick the same pivot.  The pivot is B_pp / (den D_k) and l_q =
     conj(B_pq) / B_pp, one ``Fraction`` per entry returned.  A witness is
-    found on the remainder's Schur values B / (den D_k).
+    found on the remainder's integers and lifted through the steps.
     """
     rows: Rows = {p: {} for p in positions}
     den, upper = gaussian_integers({
@@ -130,6 +134,7 @@ def _eliminate(mat: Dict[Tuple[int, int], CScalar],
                 rows[c][r] = (re, -im, 1)
     active = sorted(positions)
     pivots: List[Pivot] = []
+    steps: List[Step] = []
     prev = 1
 
     while True:
@@ -146,14 +151,10 @@ def _eliminate(mat: Dict[Tuple[int, int], CScalar],
             if re > bval:
                 best, bval = p, re
         if best is None:
-            remainder = {p: {q: (Fraction(re, den * scale),
-                                 Fraction(im, den * scale))
-                             for q, (re, im, scale) in rows[p].items()}
-                         for p in active}
-            witness_small = _small_witness(remainder, active)
+            witness_small = _small_witness(rows, active, den)
             if witness_small is None:
                 return Psd(len(pivots), tuple(pivots))
-            return _lift_witness(mat, positions, pivots, witness_small)
+            return _lift_witness(mat, positions, steps, witness_small)
 
         row = rows.pop(best)
         active.remove(best)
@@ -170,60 +171,59 @@ def _eliminate(mat: Dict[Tuple[int, int], CScalar],
                  for q, (re, im) in x.items()}
         pivots.append(Pivot(best, Fraction(bval, den * prev),
                             {best: CScalar(1), **below}))
+        steps.append((best, bval, x))
         hermitian_update(rows, -1, x, bval, prev)
         prev = bval
 
 
-def _small_witness(rows: Dict[int, Dict[int, Tuple[Fraction, Fraction]]],
-                   active: List[int]) -> Optional[Dict[int, CScalar]]:
-    """A witness on the remainder, which has no positive diagonal, or None
-    when the remainder is zero."""
+def _small_witness(rows: Rows, active: List[int], den: int
+                   ) -> Optional[Dict[int, Tuple[int, int]]]:
+    """A witness on the remainder, which has no positive diagonal, as
+    Gaussian integers up to a positive factor, or None when the remainder
+    is zero; an entry (re, im, s) is the Schur value (re + i im) / (den s).
+    """
     for p in active:
-        if rows[p].get(p, (0, 0))[0] < 0:
-            return {p: CScalar(1)}
+        if rows[p].get(p, (0, 0, 1))[0] < 0:
+            return {p: (1, 0)}
     for p in active:
         off = [q for q in rows[p] if q != p]
         if off:
             # every diagonal of the remainder is 0 here.  The block
-            # [[0, a], [conj(a), c]] with c >= 0: (t, 1) with t = -s a,
-            # s = (c+2)/(2|a|^2) gives value c - 2 s |a|^2 = -2 < 0.
+            # [[0, a], [conj(a), 0]]: (-a / |a|^2, 1) gives value -2 < 0;
+            # with a = A / (den s), that vector times |A|^2 is
+            # (-den s A, |A|^2).
             q = min(off)
-            a = CScalar(*rows[p][q])
-            c = rows[q].get(q, (0, 0))[0]
-            s = (c + 2) / (2 * a.abs2())
-            return {p: CScalar(0) - a * s, q: CScalar(1)}
+            ar, ai, s = rows[p][q]
+            t = den * s
+            return {p: (-t * ar, -t * ai), q: (ar * ar + ai * ai, 0)}
     return None
 
 
 def _lift_witness(mat: Dict[Tuple[int, int], CScalar], positions: List[int],
-                  pivots: List[Pivot], witness_small: Dict[int, CScalar]
-                  ) -> NotPsd:
-    """Lift a witness of the remainder back through the eliminations:
+                  steps: List[Step], y: Dict[int, Tuple[int, int]]) -> NotPsd:
+    """Lift a witness y of the remainder back through the eliminations:
     y_p = -sum_q conj(l_q) y_q over the column l of each pivot p, last
     pivot first.
 
     The solve runs on Gaussian integers: y is kept up to one positive
-    factor, which the final scaling cancels.  The entries of l that meet y
-    are put over their lcm D; with s = sum_q conj(D l_q) y_q and g the gcd
-    of D and the parts of s, y_p = -s / g and every earlier entry is
-    multiplied by D / g.  The first nonzero component f is scaled to 1,
-    y_q conj(y_f) / |y_f|^2, one ``Fraction`` per part.
+    factor, which the final scaling cancels.  With l_q = x_q / B_pp and
+    s = sum_q conj(x_q) y_q, g the gcd of B_pp and the parts of s,
+    y_p = -s / g and every earlier entry is multiplied by B_pp / g.  The
+    first nonzero component f is scaled to 1, y_q conj(y_f) / |y_f|^2,
+    one ``Fraction`` per part.
     """
-    _, y = gaussian_integers(witness_small)
-    for pivot in reversed(pivots):
-        den, col = gaussian_integers({q: pivot.column[q] for q in y
-                                      if q in pivot.column})
+    for p, pivot, x in reversed(steps):
         re = im = 0
-        for q, (lr, li) in col.items():
-            yr, yi = y[q]
-            # (lr - i li)(yr + i yi)
-            re += lr * yr + li * yi
-            im += lr * yi - li * yr
-        g = math.gcd(den, re, im)
-        if g != den:
-            scale = den // g
+        for q, (yr, yi) in y.items():
+            xr, xi = x.get(q, (0, 0))
+            # (xr - i xi)(yr + i yi)
+            re += xr * yr + xi * yi
+            im += xr * yi - xi * yr
+        g = math.gcd(pivot, re, im)
+        if g != pivot:
+            scale = pivot // g
             y = {q: (yr * scale, yi * scale) for q, (yr, yi) in y.items()}
-        y[pivot.ordinal] = (-(re // g), -(im // g))
+        y[p] = (-(re // g), -(im // g))
     fr, fi = y[min(q for q, (yr, yi) in y.items() if yr or yi)]
     norm = fr * fr + fi * fi
     size = (max(positions) + 1) if positions else 0
@@ -328,16 +328,19 @@ class CertifiedNotResolvable(NamedTuple):
 Verdict = Union[ResolvableUpTo, CertifiedNotResolvable]
 
 
-def calabi_series(d: BiSeries, b: RationalLike) -> BiSeries:
-    """The series half of the Calabi pipeline: the b-transformed diastasis.
+def calabi_series(d: BiSeries, b: RationalLike, degree: int) -> BiSeries:
+    """The series half of the Calabi pipeline: the b-transformed diastasis
+    through ``degree``.
 
-    ``d`` is normalized to a diastasis, which must be Hermitian, then
-    mapped by ``b_transform`` for the curvature-4b target.
+    ``d`` is normalized to a diastasis, which must be Hermitian as a whole,
+    cut to ``degree`` (the cut commutes with the transform, as exponents
+    only add), then mapped by ``b_transform`` for the curvature-4b target.
     """
     d = normalize_to_diastasis(d)
     if not d.is_hermitian():
         raise ValueError("the jet is not Hermitian: some a_jk differs from "
                          "conj(a_kj)")
+    d = d.truncate(min(d.d, degree))
     b = as_fraction(b)
     return b_transform(d, b) if b else d  # b = 0: the identity
 
@@ -346,11 +349,11 @@ def calabi_matrix(d: BiSeries, b: RationalLike, degree: int
                   ) -> Tuple[BiSeries, HermMatrix]:
     """The Calabi pipeline: the b-transformed diastasis and its matrix.
 
-    The series is ``calabi_series(d, b)``; the matrix is its coefficient
-    matrix through ``degree``.  Every decision of the matrix criterion
-    starts here; ``verify_immersion`` needs the series only.
+    The series is ``calabi_series(d, b, degree)``; the matrix is its
+    coefficient matrix through ``degree``.  Every decision of the matrix
+    criterion starts here; ``verify_immersion`` needs the series only.
     """
-    transformed = calabi_series(d, b)
+    transformed = calabi_series(d, b, degree)
     return transformed, build_matrix(transformed, degree)
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import importlib
 import io
 import json
 import os
@@ -307,12 +308,14 @@ def test_hartogs_alpha_defaults_alpha_to_one(capsys):
 
 def test_non_hermitian_series_rejected(capsys, tmp_path):
     f = tmp_path / "series.txt"
-    f.write_text("1 ; 2 ; 5 ; 0\n")  # a_{12} = 5 but no a_{21}
-    for command in ("analyze", "emit-immersion"):
-        code, out, err = run(capsys, command, "--series", str(f),
-                             "--degree", "2")
-        assert code == 2 and out == ""
-        assert "Hermitian" in one_json_line(err)["error"]
+    # a_{12} = 5 but no a_{21}; then a_{31} but no a_{13}, above --degree 2
+    for text in ("1 ; 2 ; 5 ; 0\n", "1 ; 1 ; 1 ; 0\n3 ; 1 ; 1/7 ; 1/2\n"):
+        f.write_text(text)
+        for command in ("analyze", "emit-immersion"):
+            code, out, err = run(capsys, command, "--series", str(f),
+                                 "--degree", "2")
+            assert code == 2 and out == "", text
+            assert "Hermitian" in one_json_line(err)["error"], text
 
 
 @pytest.mark.parametrize("text,message", [
@@ -463,6 +466,9 @@ def each_term(doc, change):
     forged_immersion(7, "1/2"),
     forged_immersion(True, "1/2"),
     forged_immersion("1", "1/2"),
+    # the profile criterion decides only c > 0
+    emitted_by(HARTOGS, lambda doc: dict(doc, c="0")),
+    emitted_by(POSITIVE_HARTOGS, lambda doc: dict(doc, c="-1/2")),
 ])
 def test_malformed_certificate_exit_two(capsys, tmp_path, mutate):
     expected, *request = getattr(mutate, "request", MATRIX)
@@ -487,6 +493,90 @@ def test_malformed_spec_exit_two(capsys, tmp_path, spec):
                          "--degree", "4")
     assert code == 2 and out == ""
     assert "error" in one_json_line(err)
+
+
+# ---------------------------------------------------------------------------
+# one request pipeline: every source is built and transformed only through
+# --degree
+# ---------------------------------------------------------------------------
+
+# an arity-2 jet through degree 2, and its terms of degree 3 and 4
+JET_LOW = ("1,0 ; 1,0 ; 1 ; 0\n0,1 ; 0,1 ; 1 ; 0\n"
+           "1,0 ; 0,1 ; 1/3 ; 1/4\n0,1 ; 1,0 ; 1/3 ; -1/4\n"
+           "1,1 ; 1,1 ; 1/2 ; 0\n2,0 ; 2,0 ; 1/5 ; 0\n")
+JET_HIGH = ("2,1 ; 1,2 ; 1/7 ; 1/2\n1,2 ; 2,1 ; 1/7 ; -1/2\n"
+            "4,0 ; 4,0 ; -9 ; 0\n")
+
+
+def test_a_series_is_transformed_only_through_degree(capsys, tmp_path,
+                                                     monkeypatch):
+    # the package re-exports the function ``resolvability`` under the name
+    resolvability = importlib.import_module("kahlerimm.resolvability")
+    seen = []
+    transform = resolvability.b_transform
+
+    def recorded(d, b):
+        seen.append(d.d)
+        return transform(d, b)
+
+    monkeypatch.setattr(resolvability, "b_transform", recorded)
+    f = tmp_path / "jet.txt"
+    f.write_text(JET_LOW + JET_HIGH)
+    code, _ = run_json(capsys, "analyze", "--series", str(f), "--b", "1",
+                       "--degree", "2")
+    assert code == 0 and seen == [2]
+
+
+@pytest.mark.parametrize("b,expected", [("1", 0), ("-1", 1)])
+def test_terms_above_degree_change_nothing(capsys, tmp_path, b, expected):
+    full, cut = tmp_path / "full.txt", tmp_path / "cut.txt"
+    full.write_text(JET_LOW + JET_HIGH)
+    cut.write_text(JET_LOW)
+    for command in ("analyze", "emit-immersion"):
+        docs = []
+        for f in (full, cut):
+            code, out, _ = run(capsys, command, "--series", str(f),
+                               "--b", b, "--degree", "2")
+            assert code == expected, (command, f.name)
+            docs.append(json.loads(out))
+            (tmp_path / "doc.json").write_text(out)
+            code, checked = run_json(capsys, "check-certificate",
+                                     str(tmp_path / "doc.json"))
+            assert code == 0 and checked["valid"] is True, (command, f.name)
+        assert docs[0].pop("source") != docs[1].pop("source")
+        assert docs[0] == docs[1], command
+
+
+@pytest.mark.parametrize("model", [
+    {"name": "cp", "parameters": {"n": 1, "scale": "1/2"}, "b": "1"},
+    {"name": "ch", "parameters": {"n": 2}, "b": "-1"},
+])
+def test_a_spec_degree_is_a_truncation_not_a_build_degree(capsys, tmp_path,
+                                                          model):
+    outputs = {}
+    for degree in (5, 3, 2):
+        f = tmp_path / f"spec{degree}.json"
+        f.write_text(json.dumps({"name": model["name"], "degree": degree,
+                                 "parameters": model["parameters"]}))
+        for command in ("analyze", "emit-immersion"):
+            outputs[degree, command] = run(capsys, command, "--spec", str(f),
+                                           "--b", model["b"], "--degree", "3")
+    for command in ("analyze", "emit-immersion"):
+        assert outputs[5, command] == outputs[3, command]
+        assert outputs[3, command][0] in (0, 1) and outputs[3, command][1]
+        code, out, err = outputs[2, command]
+        assert code == 2 and out == ""
+        assert one_json_line(err) == {
+            "error": "ValueError: requested degree 3 exceeds truncation 2"}
+
+
+@pytest.mark.parametrize("c", ["0", "-1", "-1/2"])
+def test_analyze_c_must_be_positive(capsys, c):
+    code, out, err = run(capsys, "analyze", "--model", "springer", "--c", c,
+                         "--degree", "3")
+    assert code == 2 and out == ""
+    assert one_json_line(err) == {
+        "error": f"c must be a positive rational, got {c}"}
 
 
 def test_degree_zero_rejected_for_every_model(capsys):

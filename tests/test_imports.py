@@ -137,7 +137,8 @@ INTEGER_LOOPS = [("series.py", "_mul_add"), ("radial.py", "_mul_add"),
                  ("series.py", "_degree_recurrence"),
                  ("series.py", "hermitian_update"),
                  ("immersion.py", "_pullback_pass"),
-                 ("immersion.py", "_first_mismatch")]
+                 ("immersion.py", "_first_mismatch"),
+                 ("resolvability.py", "_small_witness")]
 
 
 @pytest.mark.parametrize("module,name", INTEGER_LOOPS,

@@ -11,8 +11,10 @@ from kahlerimm.resolvability import (CertifiedNotResolvable,
                                      HartogsWitness, HermMatrix,
                                      NotADiastasisError, NotPsd, Pivot, Psd,
                                      ResolvableUpTo, _eliminate, _qform,
-                                     build_matrix, hartogs_criterion,
-                                     psd_certify, resolvability)
+                                     build_matrix, calabi_series,
+                                     hartogs_criterion, psd_certify,
+                                     resolvability)
+from kahlerimm.diastasis import b_transform, normalize_to_diastasis
 from kahlerimm.scalars import CScalar
 from kahlerimm.series import BiSeries, GradedOrder
 
@@ -564,6 +566,39 @@ def test_resolvability_normalizes_input():
     # a potential with pure rows is accepted and normalized internally
     phi = BiSeries.term(1, 2, (1,), (1,)) + BiSeries.term(1, 2, (1,), (0,))
     assert isinstance(resolvability(phi, 0, 2), ResolvableUpTo)
+
+
+@st.composite
+def hermitian_jet(draw):
+    """A Hermitian jet of arity 2 through degree 2..4, pure rows included,
+    with its degree (at most its truncation) to decide at."""
+    top = draw(st.integers(2, 4))
+    size = GradedOrder(2, top).size
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    coeffs = {}
+    for _ in range(draw(st.integers(1, 8))):
+        j, k = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        c = CScalar(draw(part), 0 if j == k else draw(part))
+        coeffs[(j, k)], coeffs[(k, j)] = c, c.conj()
+    return BiSeries(2, top, coeffs), draw(st.integers(1, top))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitian_jet(), st.sampled_from(["0", "1", "-1/2"]))
+def test_calabi_series_cuts_before_the_transform(case, b):
+    # exponents only add, so the cut commutes with the b-transform
+    jet, degree = case
+    got = calabi_series(jet, b, degree)
+    assert got.d == degree
+    assert got == b_transform(normalize_to_diastasis(jet), b).truncate(degree)
+
+
+def test_calabi_series_checks_the_whole_jet():
+    # a_{jk} of bidegree (3, 1) without its conjugate, above degree 2
+    jet = BiSeries(1, 3, {(1, 1): CScalar(1), (3, 1): CScalar(1)})
+    for degree in (2, 3):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            calabi_series(jet, 1, degree)
 
 
 # ---------------------------------------------------------------------------
