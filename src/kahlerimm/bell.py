@@ -15,8 +15,9 @@ exponentiation) and insists they agree.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .radial import RSeries
 from .scalars import RationalLike, as_fraction
@@ -92,11 +93,14 @@ def bell_complete(n: int, x: Sequence[RationalLike]) -> Fraction:
 # cigar obstruction
 # ---------------------------------------------------------------------------
 
-class CigarScan(NamedTuple):
-    first_negative_n: Optional[int]
-    y_value: Optional[Fraction]            # Y_n(a~) at the first negative n
-    coefficient: Optional[Fraction]        # the series coefficient there
-    coefficients: Tuple[Fraction, ...]     # |z|^{2n} coefficients, n = 1..n_max
+class CigarScan(namedtuple("CigarScan", "first_negative_n y_value "
+                                        "coefficient coefficients")):
+    """first_negative_n (int or None); y_value (Fraction or None): Y_n(a~)
+    at the first negative n; coefficient (Fraction or None): the series
+    coefficient there; coefficients (tuple of Fraction): the |z|^{2n}
+    coefficients, n = 1..n_max."""
+
+    __slots__ = ()
 
 
 def cigar_scan(c: RationalLike, n_max: int) -> CigarScan:
@@ -139,10 +143,13 @@ def cigar_scan(c: RationalLike, n_max: int) -> CigarScan:
     return CigarScan(first_n, first_y, first_coeff, tuple(coefficients))
 
 
-class CigarLimit(NamedTuple):
-    partial_sum: Fraction          # exact, with a rational midpoint for pi^2/6
-    enclosure: Tuple[Fraction, Fraction]   # rational enclosure of pi^2/6
-    float_value: float             # 1 - exp(-c pi^2/6), labeled float report
+class CigarLimit(namedtuple("CigarLimit",
+                            "partial_sum enclosure float_value")):
+    """partial_sum (Fraction): exact, with a rational midpoint for pi^2/6;
+    enclosure (pair of Fraction): a rational enclosure of pi^2/6;
+    float_value (float): 1 - exp(-c pi^2/6), a labeled float report."""
+
+    __slots__ = ()
 
 
 def _pi2_over_6_enclosure(terms: int = 40) -> Tuple[Fraction, Fraction]:

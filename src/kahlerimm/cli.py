@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, \
-    Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from . import bell as bellmod
 from .einstein import EinsteinResult, GaugeError, NotEinstein, einstein_estimate
@@ -21,7 +21,7 @@ from .immersion import Component, ImmersionMap, NotResolvableError, Target, \
 from .models import MODELS, build_model, hartogs_profile
 from .resolvability import CertifiedNotResolvable, HartogsWitness, \
     MatrixWitness, ResolvableUpTo, hartogs_criterion, resolvability
-from .scalars import CScalar, as_fraction, format_fraction
+from .scalars import CScalar, as_fraction, format_fraction, format_ratio
 from .series import BiSeries, HolSeries, graded_order, ordinal_of_index
 from .symmetric import DomainInvariants, bergman_scaling_decision, \
     cartan_hartogs_failure, classical_invariants, wallach_membership
@@ -171,13 +171,13 @@ def _immersion_json(imm: ImmersionMap, source: Dict[str, Any], b: Fraction
     comps = []
     for comp in imm.components:
         series = []
-        basis = graded_order(comp.series.n, comp.series.d).basis
-        for j in sorted(comp.series.coeffs):
-            c = comp.series.coeffs[j]
+        f = comp.series
+        basis = graded_order(f.n, f.d).basis
+        for j, (re, im) in sorted(f.nums.items()):
             series.append({
                 "m": list(basis[j]),
-                "re": format_fraction(c.re),
-                "im": format_fraction(c.im),
+                "re": format_ratio(re, f.den),
+                "im": format_ratio(im, f.den),
             })
         comps.append({
             "sign": 1,
@@ -197,11 +197,14 @@ def _immersion_json(imm: ImmersionMap, source: Dict[str, Any], b: Fraction
 # ---------------------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
-    request: Dict[str, Any] = {"source": _load_source(args), "b": args.b,
+    source = _load_source(args)
+    request: Dict[str, Any] = {"source": source, "b": args.b,
                                "degree": args.degree, "criterion": "matrix"}
     if not (args.jmax is None and args.kmax is None and args.c is None):
-        # the profile criterion reads F alone; the jet is never built
-        entry = MODELS.get(args.model)
+        # the profile criterion reads F alone; the jet is never built.  A
+        # --model or a --spec names the model; a --series names none
+        name = source.get("model")
+        entry = MODELS.get(name) if isinstance(name, str) else None
         if entry is None or entry.profile is None:
             raise InputError(
                 "--c/--jmax/--kmax apply only to --model with a radial "
@@ -513,22 +516,22 @@ HELP = ("-h", "--help")
 REQUIRED = object()  # the default of an option every request must give
 
 
-class Option(NamedTuple):
+class Option(namedtuple("Option", "kind default help")):
     """A ``--name`` option: ``kind`` is ``str``, ``int`` or ``list`` (a
-    repeatable string option whose values are kept in order), and
-    ``default`` is the value when absent, or ``REQUIRED``."""
-    kind: type
-    default: Any
-    help: str
+    repeatable string option whose values are kept in order), ``default``
+    is the value when absent, or ``REQUIRED``, and ``help`` its help
+    line."""
+
+    __slots__ = ()
 
 
-class Command(NamedTuple):
-    """A command: its handler, help line, options by name, and the names of
-    its positional arguments."""
-    func: Callable[[SimpleNamespace], int]
-    help: str
-    options: Dict[str, Option]
-    positional: Tuple[str, ...] = ()
+class Command(namedtuple("Command", "func help options positional",
+                         defaults=((),))):
+    """A command: its handler (callable SimpleNamespace -> exit code), help
+    line, options (dict name -> ``Option``), and the names of its
+    positional arguments (tuple of str)."""
+
+    __slots__ = ()
 
 
 def build_parser() -> Dict[str, Command]:

@@ -1,11 +1,10 @@
 """Diastasis normalization, Bochner-form checking and the b-transform."""
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from collections import namedtuple
 
-from .scalars import CScalar, RationalLike, as_fraction
-from .series import BiSeries, MultiIndex, _compose, expm1_rule, \
-    index_of_ordinal
+from .scalars import RationalLike, as_fraction
+from .series import BiSeries, _compose, expm1_rule, index_of_ordinal
 
 
 def normalize_to_diastasis(phi: BiSeries) -> BiSeries:
@@ -15,13 +14,18 @@ def normalize_to_diastasis(phi: BiSeries) -> BiSeries:
     potential of the same metric with a_{j0} = a_{0k} = 0 for every j, k
     (constant term included).  Idempotent; preserves Hermitian symmetry.
     """
-    out = {jk: c for jk, c in phi.coeffs.items() if jk[0] != 0 and jk[1] != 0}
-    return BiSeries._of(phi.n, phi.d, out)
+    out = {jk: v for jk, v in phi.nums.items() if jk[0] != 0 and jk[1] != 0}
+    if len(out) == len(phi.nums):
+        return phi
+    return BiSeries._reduced(phi.n, phi.d, phi.den, out)
 
 
-class BochnerReport(NamedTuple):
-    is_bochner: bool
-    defect: Optional[Tuple[MultiIndex, MultiIndex, CScalar]] = None
+class BochnerReport(namedtuple("BochnerReport", "is_bochner defect",
+                               defaults=(None,))):
+    """is_bochner (bool) and defect (None, or (m_j, m_k, coefficient) with
+    a ``CScalar`` coefficient): the first offending coefficient."""
+
+    __slots__ = ()
 
 
 def check_bochner_form(d: BiSeries) -> BochnerReport:
@@ -33,30 +37,31 @@ def check_bochner_form(d: BiSeries) -> BochnerReport:
     """
     n = d.n
     # expected identity entries on the (1,1) block; ordinal 0 is the
-    # constant and ordinals 1..n are the monomials of degree 1
+    # constant and ordinals 1..n are the monomials of degree 1.  A stored
+    # coefficient is nonzero, and it is 1 when it is (den, 0) over den.
+    one = (d.den, 0)
     defects = []
     seen_linear = set()
-    for (j, k), c in d.coeffs.items():
+    for (j, k), v in d.nums.items():
         linear_j = j <= n
         linear_k = k <= n
         if j == 0 or k == 0:
-            defects.append((j, k, c))
+            defects.append((j, k))
         elif linear_j and linear_k:
             seen_linear.add((j, k))
-            want = CScalar(1) if j == k else CScalar(0)
-            if c != want:
-                defects.append((j, k, c))
+            if j != k or v != one:
+                defects.append((j, k))
         elif linear_j or linear_k:
-            defects.append((j, k, c))
+            defects.append((j, k))
     if d.d >= 1:
         for j in range(1, n + 1):
             if (j, j) not in seen_linear:
-                defects.append((j, j, CScalar(0)))
+                defects.append((j, j))
     if not defects:
         return BochnerReport(True)
-    j, k, c = min(defects, key=lambda t: (t[0], t[1]))
+    j, k = min(defects)
     return BochnerReport(
-        False, (index_of_ordinal(n, j), index_of_ordinal(n, k), c))
+        False, (index_of_ordinal(n, j), index_of_ordinal(n, k), d.get(j, k)))
 
 
 def b_transform(d: BiSeries, b: RationalLike) -> BiSeries:

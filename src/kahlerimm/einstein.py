@@ -6,12 +6,11 @@ det(d^2 D / dz dzbar) = e^{-lambda D / 2}, so lambda can be read off the
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, NamedTuple, Tuple
 
 from .diastasis import check_bochner_form
-from .scalars import CScalar
-from .series import BiSeries, MultiIndex, det_series, graded_order, \
+from .series import BiSeries, Nums, det_series, graded_order, \
     index_of_ordinal, log1p_series, ordinal_of_index
 
 
@@ -24,8 +23,8 @@ def _mixed_second_derivative(d: BiSeries, alpha: int, beta: int) -> BiSeries:
     n = d.n
     deg = d.d - 1
     order = graded_order(n, d.d)
-    out: Dict[Tuple[int, int], CScalar] = {}
-    for (j, k), c in d.coeffs.items():
+    out: Nums = {}
+    for (j, k), (re, im) in d.nums.items():
         mj = order.basis[j]
         mk = order.basis[k]
         if mj[alpha] == 0 or mk[beta] == 0:
@@ -36,9 +35,11 @@ def _mixed_second_derivative(d: BiSeries, alpha: int, beta: int) -> BiSeries:
         mk2[beta] -= 1
         if sum(mj2) > deg or sum(mk2) > deg:
             continue
-        key = (order.ordinal(tuple(mj2)), order.ordinal(tuple(mk2)))
-        out[key] = out.get(key, CScalar(0)) + c * (mj[alpha] * mk[beta])
-    return BiSeries(n, deg, out)
+        # (mj, mk) -> (mj2, mk2) is one to one: no two terms meet
+        w = mj[alpha] * mk[beta]
+        out[(order.ordinal(tuple(mj2)), order.ordinal(tuple(mk2)))] = \
+            (re * w, im * w)
+    return BiSeries._reduced(n, deg, d.den, out)
 
 
 def hessian_det(d: BiSeries, degree: int) -> BiSeries:
@@ -57,15 +58,19 @@ def hessian_det(d: BiSeries, degree: int) -> BiSeries:
     return det_series(matrix)
 
 
-class EinsteinResult(NamedTuple):
-    lam: Fraction
-    flat: bool = False
+class EinsteinResult(namedtuple("EinsteinResult", "lam flat",
+                                defaults=(False,))):
+    """lam (Fraction): the Einstein constant; flat (bool): log det H
+    vanishes through the degree."""
+
+    __slots__ = ()
 
 
-class NotEinstein(NamedTuple):
-    location: Tuple[MultiIndex, MultiIndex]
-    got: CScalar
-    want: CScalar
+class NotEinstein(namedtuple("NotEinstein", "location got want")):
+    """location ((m_j, m_k)) and got, want (``CScalar``): the first
+    coefficient at which log det H + (lambda/2) d is not 0."""
+
+    __slots__ = ()
 
 
 def einstein_estimate(d: BiSeries, degree: int):
@@ -84,19 +89,19 @@ def einstein_estimate(d: BiSeries, degree: int):
             "renormalize coordinates first")
     h = hessian_det(d, degree)
     logdet = log1p_series(h - BiSeries.one(h.n, h.d))
-    if not logdet.coeffs:
+    if not logdet.nums:
         return EinsteinResult(Fraction(0), flat=True)
     n = d.n
     e1 = ordinal_of_index((1,) + (0,) * (n - 1))
-    l11 = logdet.get(e1, e1)
-    if not l11.is_real():
+    re, im = logdet.nums.get((e1, e1), (0, 0))
+    if im:
         raise ValueError("non-real (1,1) coefficient")
-    lam = -2 * l11.re
-    residual = logdet + d.truncate(logdet.d).scale(CScalar(lam / 2))
-    if not residual.coeffs:
+    lam = Fraction(-2 * re, logdet.den)
+    gauge = d.truncate(logdet.d).scale(lam / 2)
+    residual = logdet + gauge
+    if not residual.nums:
         return EinsteinResult(lam)
-    j, k = min(residual.coeffs, key=lambda jk: (jk[0], jk[1]))
+    j, k = min(residual.nums)
     return NotEinstein(
         (index_of_ordinal(n, j), index_of_ordinal(n, k)),
-        logdet.get(j, k),
-        -(d.get(j, k) * CScalar(lam / 2)))
+        logdet.get(j, k), -gauge.get(j, k))

@@ -3,21 +3,20 @@
 A map is stored as components (radicand, holomorphic series): the component
 function is sqrt(radicand) * series, but the square root is never
 materialized — all verification happens on radicand * |series|^2, which
-stays inside Gaussian-rational arithmetic.
+stays inside Gaussian-integer arithmetic over one denominator.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .resolvability import MatrixWitness, NotPsd, calabi_matrix, \
     calabi_series, psd_certify
 from .scalars import CScalar, RationalLike, as_fraction
-from .series import ArityMismatchError, BiSeries, HolSeries, MultiIndex, \
-    Rows, _order_size, gaussian_integers, graded_order, hermitian_update, \
-    index_of_ordinal
+from .series import ArityMismatchError, BiSeries, HolSeries, Nums, Rows, \
+    _order_size, graded_order, hermitian_update, index_of_ordinal
 
 
 class NotResolvableError(ValueError):
@@ -29,9 +28,11 @@ class NotResolvableError(ValueError):
         self.witness = witness
 
 
-class Target(NamedTuple):
-    kind: str                      # "flat" | "curved"
-    b: Optional[Fraction] = None   # curvature parameter for "curved"
+class Target(namedtuple("Target", "kind b", defaults=(None,))):
+    """kind (str): "flat" or "curved"; b (Fraction or None): the curvature
+    parameter of a "curved" target."""
+
+    __slots__ = ()
 
 
 class Component(namedtuple("Component", "radicand series")):
@@ -53,8 +54,8 @@ class ImmersionMap(namedtuple("ImmersionMap",
     def pullback_norm(self) -> BiSeries:
         """sum radicand * series * conj(series), exact."""
         d, lam, rows, _ = _pullback_pass(self)
-        return BiSeries(self.arity, d, {
-            (j, k): CScalar(Fraction(re, lam), Fraction(im, lam))
+        return BiSeries._reduced(self.arity, d, lam, {
+            (j, k): (re, im)
             for j, row in rows.items() for k, (re, im, _) in row.items()})
 
     def is_pivoted_ldl(self) -> bool:
@@ -76,11 +77,10 @@ def _pullback_pass(imm: ImmersionMap) -> Tuple[int, int, Rows, bool]:
     at scale 1, no zero entry), and ``pivoted`` is the pivoted-LDL* shape
     test, taken in the same pass.
 
-    Each f_h is written as Gaussian integers over D_h, the lcm of its
-    coefficient denominators, with weight r_h / D_h^2 in lowest terms; the
-    weights are put over their common denominator L, and one integer
-    ``hermitian_update`` per component, from the last back to the first,
-    accumulates L times the sum into rows.
+    Each f_h is Gaussian integers over its denominator D_h, with weight
+    r_h / D_h^2 in lowest terms; the weights are put over their common
+    denominator L, and one integer ``hermitian_update`` per component,
+    from the last back to the first, accumulates L times the sum into rows.
 
     After component h is added, the diagonal at q is L S_h(q), for the
     Schur diagonal S_h = sum_{i >= h} r_i |f_i|^2.  Component h must be 1
@@ -100,8 +100,9 @@ def _pullback_pass(imm: ImmersionMap) -> Tuple[int, int, Rows, bool]:
     for rad, f in imm.components:
         if f.n != n:
             raise ArityMismatchError(f"arity {f.n} != {n}")
-        den, x = gaussian_integers({j: c for j, c in f.coeffs.items()
-                                    if j < size})
+        den = f.den
+        x = f.nums if f.d <= d else {j: v for j, v in f.nums.items()
+                                     if j < size}
         g = math.gcd(rad.numerator, den * den)
         comps.append((rad, den, x, rad.numerator // g,
                       rad.denominator * (den * den // g)))
@@ -147,11 +148,13 @@ def factor_immersion(d: BiSeries, b: RationalLike, degree: int) -> ImmersionMap:
     n = d.n
     components: List[Component] = []
     for pivot in verdict.pivots:
-        coeffs: Dict[int, CScalar] = {}
-        for position, c in pivot.column.items():
-            coeffs[position + 1] = c  # basis position -> graded ordinal
+        # the column l = (B_pp at p, x below) / B_pp; basis position ->
+        # graded ordinal
+        nums: Nums = {pivot.ordinal + 1: (pivot.bareiss, 0)}
+        for position, v in pivot.x.items():
+            nums[position + 1] = v
         components.append(Component(
-            pivot.value, HolSeries(n, degree, coeffs)))
+            pivot.value, HolSeries._reduced(n, degree, pivot.bareiss, nums)))
     imm = ImmersionMap(tuple(components), target_for(b), degree, n)
     check = _pullback_residual(imm, transformed, degree)
     if not (check.ok and check.pivoted):  # pragma: no cover - soundness
@@ -163,13 +166,14 @@ def factor_immersion(d: BiSeries, b: RationalLike, degree: int) -> ImmersionMap:
 # verification
 # ---------------------------------------------------------------------------
 
-class VerifyResult(NamedTuple):
-    """``ok``: the pullback norm equals the series; ``residual``: else the
-    first difference; ``pivoted``: the map passes the shape test of
+class VerifyResult(namedtuple("VerifyResult", "ok residual pivoted",
+                              defaults=(None, False))):
+    """``ok`` (bool): the pullback norm equals the series; ``residual``
+    (None, or (m_j, m_k, got, want) with ``CScalar`` values): else the
+    first difference; ``pivoted`` (bool): the map passes the shape test of
     ``ImmersionMap.is_pivoted_ldl``, taken in the same pass."""
-    ok: bool
-    residual: Optional[Tuple[MultiIndex, MultiIndex, CScalar, CScalar]] = None
-    pivoted: bool = False
+
+    __slots__ = ()
 
 
 def verify_immersion(imm: ImmersionMap, d: BiSeries, b: RationalLike,
@@ -190,23 +194,21 @@ def _pullback_residual(imm: ImmersionMap, want: BiSeries, degree: int
     """``verify_immersion`` against the already transformed ``want``.
 
     The pullback stays Gaussian integers over its denominator L and
-    ``want`` is put over the lcm D of its own denominators, so the two are
-    compared by cross-multiplication; a ``CScalar`` is built only for the
-    residual reported.
+    ``want`` is Gaussian integers over its own denominator D, so the two
+    are compared by cross-multiplication; a ``CScalar`` is built only for
+    the residual reported.
     """
     n = imm.arity
     d, lam, rows, pivoted = _pullback_pass(imm)
-    den, target = gaussian_integers(want.coeffs)
     size = _order_size(n, min(degree, d, want.d))
-    key = _first_mismatch(size, lam, rows, den, target)
+    key = _first_mismatch(size, lam, rows, want.den, want.nums)
     if key is None:
         return VerifyResult(True, None, pivoted)
     j, k = key
     re, im, _ = rows.get(j, {}).get(k, (0, 0, 1))
     return VerifyResult(False, (
         index_of_ordinal(n, j), index_of_ordinal(n, k),
-        CScalar(Fraction(re, lam), Fraction(im, lam)), want.get(j, k)),
-        pivoted)
+        CScalar.of_integers(re, im, lam), want.get(j, k)), pivoted)
 
 
 def _first_mismatch(size: int, lam: int, rows: Rows, den: int,

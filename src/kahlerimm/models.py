@@ -9,13 +9,13 @@ entry by name.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, \
-    Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .diastasis import normalize_to_diastasis
 from .radial import RSeries
-from .scalars import CScalar, RationalLike, as_fraction
+from .scalars import RationalLike, as_fraction
 from .series import BiSeries, MultiIndex, det_series, exp_series, \
     graded_order, log1p_series, ordinal_of_index, solve_graded_fixed_point
 
@@ -31,7 +31,7 @@ def _polynomial(n: int, d: int,
     """sum c z^m_hol conj(z)^m_anti over distinct monomials, dropping those
     outside the truncation box (so a degree-1 jet of a quadratic builds)."""
     return BiSeries(n, d, {
-        (ordinal_of_index(mh), ordinal_of_index(mk)): CScalar.of(c)
+        (ordinal_of_index(mh), ordinal_of_index(mk)): c
         for mh, mk, c in terms if sum(mh) <= d and sum(mk) <= d})
 
 
@@ -51,7 +51,7 @@ def space_form_diastasis(n: int, b: RationalLike, degree: int) -> BiSeries:
     rho = _rho(n, degree)
     if not b:
         return rho
-    return log1p_series(rho.scale(b)).scale(CScalar(1 / b))
+    return log1p_series(rho.scale(b)).scale(1 / b)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def hartogs_diastasis(F: RSeries, n: int, degree: int) -> BiSeries:
     f_of_x0 = BiSeries(n, degree, {(j, j): F.ucoeff(k)
                                    for k, j in enumerate(diagonal)})
     rho = _rho(n, degree, first=1)
-    inner = (f_of_x0 - rho).scale(CScalar(1 / f0)) - one
+    inner = (f_of_x0 - rho).scale(1 / f0) - one
     return normalize_to_diastasis(-log1p_series(inner))
 
 
@@ -95,11 +95,11 @@ def _one_minus_zzstar(z: Sequence[Sequence[Optional[Tuple[int, int]]]],
     for i, zi in enumerate(z):
         row: List[BiSeries] = []
         for k, zk in enumerate(z):
-            coeffs = {(0, 0): CScalar(1)} if i == k else {}
+            coeffs = {(0, 0): 1} if i == k else {}
             for a, b in zip(zi, zk):
                 if a is not None and b is not None:
                     key = (unit[a[0]], unit[b[0]])
-                    coeffs[key] = coeffs.get(key, CScalar(0)) - a[1] * b[1]
+                    coeffs[key] = coeffs.get(key, 0) - a[1] * b[1]
             row.append(BiSeries(n_vars, degree, coeffs))
         mat.append(row)
     return mat
@@ -195,11 +195,11 @@ def cartan_hartogs_diastasis(minus_log_n: BiSeries, mu: RationalLike,
     below = graded_order(base.n, degree)
     order = graded_order(n, degree)
     lifted = {(order.ordinal(below.basis[j] + (0,)),
-               order.ordinal(below.basis[k] + (0,))): c
-              for (j, k), c in base.coeffs.items()
+               order.ordinal(below.basis[k] + (0,))): v
+              for (j, k), v in base.nums.items()
               if j < below.size and k < below.size}
-    base_l = BiSeries(n, degree, lifted)
-    n_mu = exp_series(base_l.scale(CScalar(-mu)))
+    base_l = BiSeries._reduced(n, degree, base.den, lifted)
+    n_mu = exp_series(base_l.scale(-mu))
     w2 = _rho(n, degree, n - 1)
     inner = n_mu - BiSeries.one(n, degree) - w2
     return normalize_to_diastasis(-log1p_series(inner))
@@ -219,9 +219,8 @@ def fbh_diastasis(n: int, m: int, mu: RationalLike, nu: RationalLike,
     total = n + m
     z2 = _rho(total, degree, 0, n)
     w2 = _rho(total, degree, n, total)
-    inner = exp_series(z2.scale(CScalar(-mu))) - BiSeries.one(total, degree) \
-        - w2
-    phi = z2.scale(CScalar(nu * mu)) - log1p_series(inner)
+    inner = exp_series(z2.scale(-mu)) - BiSeries.one(total, degree) - w2
+    phi = z2.scale(nu * mu) - log1p_series(inner)
     return normalize_to_diastasis(phi)
 
 
@@ -231,7 +230,7 @@ def fbh_diastasis(n: int, m: int, mu: RationalLike, nu: RationalLike,
 
 def cigar_diastasis(degree: int) -> BiSeries:
     """n=1 diagonal diastasis with entries (-1)^{j+1}/j^2 on |z|^{2j}."""
-    coeffs = {(j, j): CScalar(Fraction((-1) ** (j + 1), j * j))
+    coeffs = {(j, j): Fraction((-1) ** (j + 1), j * j)
               for j in range(1, degree + 1)}
     return BiSeries(1, degree, coeffs)
 
@@ -239,12 +238,12 @@ def cigar_diastasis(degree: int) -> BiSeries:
 def _diag_to_biseries(series: RSeries, degree: int) -> BiSeries:
     """Map a radial series in (x_1..x_n) = (|z_1|^2..) to a diagonal jet."""
     n = series.nvars
-    coeffs: Dict[Tuple[int, int], CScalar] = {}
+    coeffs: Dict[Tuple[int, int], Fraction] = {}
     for e, c in series.coeffs.items():
         if sum(e) == 0 or sum(e) > degree:
             continue
         j = ordinal_of_index(tuple(e))
-        coeffs[(j, j)] = CScalar(c)
+        coeffs[(j, j)] = c
     return BiSeries(n, degree, coeffs)
 
 
@@ -402,15 +401,15 @@ def profile_rhp_cubic(degree: int) -> RSeries:
 # registry
 # ---------------------------------------------------------------------------
 
-class ModelEntry(NamedTuple):
-    """A catalog model.  A Hartogs-family entry also names its radial
-    profile F and F's parameters; other entries hold None and ()."""
+class ModelEntry(namedtuple("ModelEntry",
+                            "build schema doc profile profile_params")):
+    """A catalog model: build (callable degree, **parameters -> BiSeries),
+    schema (mapping parameter name -> description), doc (str).  A
+    Hartogs-family entry also names its radial profile F (callable
+    *profile_params, degree -> RSeries) and F's parameters (tuple of str);
+    other entries hold None and ()."""
 
-    build: Callable[..., BiSeries]
-    schema: Mapping[str, str]
-    doc: str
-    profile: Optional[Callable[..., RSeries]]
-    profile_params: Tuple[str, ...]
+    __slots__ = ()
 
 
 def _hartogs_parameters(entry: ModelEntry,
@@ -554,7 +553,7 @@ def build_model(name: str, parameters: Mapping[str, RationalLike],
         raise KeyError(f"unknown model {name!r}; see the 'models' listing")
     entry = MODELS[name]
     scale, rest = _parameters(entry, parameters)
-    return entry.build(degree, **rest).scale(CScalar(scale))
+    return entry.build(degree, **rest).scale(scale)
 
 
 def hartogs_profile(name: str, parameters: Mapping[str, RationalLike],

@@ -1,27 +1,29 @@
 """Graded coefficient matrices and exact positive-semidefiniteness verdicts.
 
 The central object is the Hermitian matrix (a_{jk}) of a diastasis over the
-graded monomial basis (constant excluded).  ``psd_certify`` runs an exact
-pivoted LDL* elimination and returns either a factorization over Gaussian
-rationals (retained for building immersion maps) or a rational witness
-vector w with w*Aw < 0 — a machine-checkable non-immersibility certificate.
-The elimination itself is fraction-free: Bareiss's integer-preserving
-steps over Gaussian integers, each division checked to be exact, with one
-``Fraction`` built per pivot and per column entry returned; the lift of a
-witness back through the pivots runs on Gaussian integers too.
+graded monomial basis (constant excluded), held as its series is: Gaussian
+integers over one denominator.  ``psd_certify`` runs an exact pivoted LDL*
+elimination and returns either the factorization (retained for building
+immersion maps) or a rational witness vector w with w*Aw < 0 — a
+machine-checkable non-immersibility certificate.  The elimination is
+fraction-free: Bareiss's integer-preserving steps over Gaussian integers,
+each division checked to be exact.  A pivot keeps its Bareiss step, from
+which its value and its column of L are read on demand; the lift of a
+witness back through the pivots runs on Gaussian integers too, and only
+the witness and its value are built as exact rationals, to be printed.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, \
-    Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .diastasis import b_transform, normalize_to_diastasis
 from .radial import RSeries
 from .scalars import CScalar, RationalLike, as_fraction
-from .series import BiSeries, MultiIndex, Rows, exact_div, \
-    gaussian_integers, graded_order, hermitian_defect, hermitian_update
+from .series import BiSeries, Nums, Rows, as_scalars, exact_div, \
+    graded_order, hermitian_defect, hermitian_update, integer_form, reduced
 
 
 class NotADiastasisError(ValueError):
@@ -32,19 +34,31 @@ class NotADiastasisError(ValueError):
 # matrix construction
 # ---------------------------------------------------------------------------
 
-class HermMatrix(NamedTuple):
-    """Hermitian coefficient matrix over the graded basis (ordinals 1..M)."""
+class HermMatrix(namedtuple("HermMatrix",
+                            "dimension den nums basis circular_flag")):
+    """Hermitian coefficient matrix over the graded basis (ordinals 1..M).
 
-    dimension: int
-    entries: Dict[Tuple[int, int], CScalar]
-    basis: Tuple[MultiIndex, ...]
-    circular_flag: bool
+    dimension (int): M; den (int) and nums (dict (row, col) -> (re, im)):
+    entry (row, col) is (re + i im) / den, in the canonical integer form
+    of a ``BiSeries``; basis (tuple of multi-indices): the monomial of
+    each position; circular_flag (bool): no entry couples two degrees.
+    """
+
+    __slots__ = ()
+
+    @property
+    def entries(self) -> Dict[Tuple[int, int], CScalar]:
+        """The nonzero entries as ``CScalar`` values, built on access."""
+        return as_scalars(self.den, self.nums)
 
     def get(self, row: int, col: int) -> CScalar:
-        return self.entries.get((row, col), CScalar(0))
+        re, im = self.nums.get((row, col), (0, 0))
+        return CScalar.of_integers(re, im, self.den)
 
     def quadratic_form(self, v: Sequence[CScalar]) -> Fraction:
-        return _qform(self.entries, v)
+        """v* A v, exact, for a vector of exact values."""
+        den_v, x = integer_form(dict(enumerate(v)))
+        return Fraction(_qform(self.nums, x), self.den * den_v * den_v)
 
 
 def build_matrix(d: BiSeries, degree: int) -> HermMatrix:
@@ -53,54 +67,72 @@ def build_matrix(d: BiSeries, degree: int) -> HermMatrix:
         raise ValueError(f"requested degree {degree} exceeds truncation {d.d}")
     order = graded_order(d.n, degree)
     size, deg = order.size, order.degree
-    entries: Dict[Tuple[int, int], CScalar] = {}
+    nums: Nums = {}
     circular = True
-    for (j, k), c in d.coeffs.items():
+    for (j, k), v in d.nums.items():
         if j == 0 or k == 0:  # ordinal 0 is the constant
             raise NotADiastasisError(
                 f"nonzero pure coefficient at ordinals ({j},{k}); "
                 "normalize_to_diastasis first")
         if j >= size or k >= size:
             continue
-        entries[(j - 1, k - 1)] = c
+        nums[(j - 1, k - 1)] = v
         if deg[j] != deg[k]:
             circular = False
-    # ordinal 0 (constant) excluded
-    return HermMatrix(size - 1, entries, order.basis[1:], circular)
+    # ordinal 0 (constant) excluded; a cut may leave a common factor
+    den_nums = reduced(d.den, nums) if len(nums) < len(d.nums) \
+        else (d.den, nums)
+    return HermMatrix(size - 1, *den_nums, order.basis[1:], circular)
 
 
 # ---------------------------------------------------------------------------
 # exact PSD certification
 # ---------------------------------------------------------------------------
 
-class Pivot(NamedTuple):
-    """One retained LDL* step: A accumulates pivot * column * column^*."""
+class Pivot(namedtuple("Pivot", "ordinal bareiss x den")):
+    """One retained LDL* step, A accumulating value * column * column^*,
+    kept as the Bareiss step that found it.
 
-    ordinal: int                 # position in the basis (0-based)
-    value: Fraction              # positive pivot
-    column: Dict[int, CScalar]   # unit-diagonal column of L (position -> coeff)
+    ordinal (int): the pivot's position p in the basis (0-based);
+    bareiss (int): its Bareiss integer B_pp; x (dict position -> (re, im)):
+    the Gaussian integers of the unit-diagonal column of L below the
+    pivot, l_q = x_q / B_pp; den (int): value = B_pp / den > 0.
+    """
+
+    __slots__ = ()
+
+    @property
+    def value(self) -> Fraction:
+        """The positive pivot, built on access."""
+        return Fraction(self.bareiss, self.den)
+
+    @property
+    def column(self) -> Dict[int, CScalar]:
+        """The column of L (position -> coefficient), built on access."""
+        out = {self.ordinal: CScalar(1)}
+        for q, (re, im) in self.x.items():
+            out[q] = CScalar.of_integers(re, im, self.bareiss)
+        return out
 
 
-class Psd(NamedTuple):
-    rank: int
-    pivots: Tuple[Pivot, ...]
+class Psd(namedtuple("Psd", "rank pivots")):
+    """rank (int) and pivots (tuple of ``Pivot``), in elimination order."""
+
+    __slots__ = ()
 
 
-class NotPsd(NamedTuple):
-    witness: Tuple[CScalar, ...]  # over the full basis, first nonzero = 1
-    value: Fraction               # w* A w < 0, exact
+class NotPsd(namedtuple("NotPsd", "witness value")):
+    """witness (tuple of ``CScalar``): over the full basis, first nonzero
+    = 1; value (Fraction): w* A w < 0, exact."""
+
+    __slots__ = ()
 
 
 PsdVerdict = Union[Psd, NotPsd]
 
 
-# (p, B_pp, x) of a pivot step of ``_eliminate``: l_q = x_q / B_pp
-Step = Tuple[int, int, Dict[int, Tuple[int, int]]]
-
-
-def _eliminate(mat: Dict[Tuple[int, int], CScalar],
-               positions: List[int]) -> PsdVerdict:
-    """Pivoted LDL* on the Hermitian dict ``mat`` over ``positions``.
+def _eliminate(den: int, nums: Nums, positions: List[int]) -> PsdVerdict:
+    """Pivoted LDL* on the Hermitian matrix nums / den over ``positions``.
 
     Pivot rule: largest positive diagonal entry, ties broken by lowest
     position.  When no positive diagonal remains: a negative diagonal gives
@@ -109,32 +141,28 @@ def _eliminate(mat: Dict[Tuple[int, int], CScalar],
     and the matrix is PSD.
 
     The elimination is Bareiss's fraction-free one over Gaussian integers.
-    Only the upper triangle of ``mat`` is read, scaled by den, the lcm of
-    its denominators, into a ``series.Rows`` store.  After k pivots
-    p_1..p_k, let D_k be the integer of the k-th pivot (D_0 = 1): entry
-    (q, r) is then the minor of rows p_1..p_k, q and columns p_1..p_k, r of
-    the scaled matrix, den D_k times the Schur complement entry.  A pivot
-    step is ``hermitian_update`` with w = -1, x the pivot column, scale =
-    the new pivot's integer and prev = D_k.  It visits only the pairs
-    q <= r in the support of the pivot row; the entries it leaves keep the
-    D they were written at and are rescaled by D_now / D_then when read.
-    Every Schur diagonal is its integer over den D_k > 0, so the integers
-    pick the same pivot.  The pivot is B_pp / (den D_k) and l_q =
-    conj(B_pq) / B_pp, one ``Fraction`` per entry returned.  A witness is
-    found on the remainder's integers and lifted through the steps.
+    Only the upper triangle of ``nums`` is read, into a ``series.Rows``
+    store.  After k pivots p_1..p_k, let D_k be the integer of the k-th
+    pivot (D_0 = 1): entry (q, r) is then the minor of rows p_1..p_k, q
+    and columns p_1..p_k, r of ``nums``, den D_k times the Schur
+    complement entry.  A pivot step is ``hermitian_update`` with w = -1, x
+    the pivot column, scale = the new pivot's integer and prev = D_k.  It
+    visits only the pairs q <= r in the support of the pivot row; the
+    entries it leaves keep the D they were written at and are rescaled by
+    D_now / D_then when read.  Every Schur diagonal is its integer over
+    den D_k > 0, so the integers pick the same pivot.  The pivot is
+    B_pp / (den D_k) and l_q = conj(B_pq) / B_pp: the ``Pivot`` keeps
+    (p, B_pp, x, den D_k).  A witness is found on the remainder's integers
+    and lifted through the steps.
     """
     rows: Rows = {p: {} for p in positions}
-    den, upper = gaussian_integers({
-        (r, c): a for (r, c), a in mat.items()
-        if r <= c and r in rows and c in rows})
-    for (r, c), (re, im) in upper.items():
-        if re or im:
+    for (r, c), (re, im) in nums.items():
+        if r <= c and r in rows and c in rows:
             rows[r][c] = (re, im, 1)
             if r != c:
                 rows[c][r] = (re, -im, 1)
     active = sorted(positions)
     pivots: List[Pivot] = []
-    steps: List[Step] = []
     prev = 1
 
     while True:
@@ -154,7 +182,7 @@ def _eliminate(mat: Dict[Tuple[int, int], CScalar],
             witness_small = _small_witness(rows, active, den)
             if witness_small is None:
                 return Psd(len(pivots), tuple(pivots))
-            return _lift_witness(mat, positions, steps, witness_small)
+            return _lift_witness(den, nums, positions, pivots, witness_small)
 
         row = rows.pop(best)
         active.remove(best)
@@ -167,11 +195,7 @@ def _eliminate(mat: Dict[Tuple[int, int], CScalar],
                 re = exact_div(re * prev, scale)
                 im = exact_div(im * prev, scale)
             x[q] = (re, -im)
-        below = {q: CScalar(Fraction(re, bval), Fraction(im, bval))
-                 for q, (re, im) in x.items()}
-        pivots.append(Pivot(best, Fraction(bval, den * prev),
-                            {best: CScalar(1), **below}))
-        steps.append((best, bval, x))
+        pivots.append(Pivot(best, bval, x, den * prev))
         hermitian_update(rows, -1, x, bval, prev)
         prev = bval
 
@@ -199,8 +223,9 @@ def _small_witness(rows: Rows, active: List[int], den: int
     return None
 
 
-def _lift_witness(mat: Dict[Tuple[int, int], CScalar], positions: List[int],
-                  steps: List[Step], y: Dict[int, Tuple[int, int]]) -> NotPsd:
+def _lift_witness(den: int, nums: Nums, positions: List[int],
+                  pivots: List[Pivot], y: Dict[int, Tuple[int, int]]
+                  ) -> NotPsd:
     """Lift a witness y of the remainder back through the eliminations:
     y_p = -sum_q conj(l_q) y_q over the column l of each pivot p, last
     pivot first.
@@ -209,10 +234,11 @@ def _lift_witness(mat: Dict[Tuple[int, int], CScalar], positions: List[int],
     factor, which the final scaling cancels.  With l_q = x_q / B_pp and
     s = sum_q conj(x_q) y_q, g the gcd of B_pp and the parts of s,
     y_p = -s / g and every earlier entry is multiplied by B_pp / g.  The
-    first nonzero component f is scaled to 1, y_q conj(y_f) / |y_f|^2,
-    one ``Fraction`` per part.
+    first nonzero component f is scaled to 1, w = y conj(y_f) / |y_f|^2,
+    so w* A w = y* A y / |y_f|^2, taken in integers; the witness and its
+    value are the one place exact rationals are built, to be printed.
     """
-    for p, pivot, x in reversed(steps):
+    for p, pivot, x, _ in reversed(pivots):
         re = im = 0
         for q, (yr, yi) in y.items():
             xr, xi = x.get(q, (0, 0))
@@ -226,42 +252,39 @@ def _lift_witness(mat: Dict[Tuple[int, int], CScalar], positions: List[int],
         y[p] = (-(re // g), -(im // g))
     fr, fi = y[min(q for q, (yr, yi) in y.items() if yr or yi)]
     norm = fr * fr + fi * fi
+    value = Fraction(_qform(nums, y), den * norm)
+    if value >= 0:  # pragma: no cover - internal soundness guard
+        raise AssertionError("witness failed to certify")
     size = (max(positions) + 1) if positions else 0
     vec = [CScalar(0)] * size
     for q, (yr, yi) in y.items():
-        vec[q] = CScalar(Fraction(yr * fr + yi * fi, norm),
-                         Fraction(yi * fr - yr * fi, norm))
-    value = _qform(mat, vec)
-    if value >= 0:  # pragma: no cover - internal soundness guard
-        raise AssertionError("witness failed to certify")
+        vec[q] = CScalar.of_integers(yr * fr + yi * fi, yi * fr - yr * fi,
+                                     norm)
     return NotPsd(tuple(vec), value)
 
 
-def _qform(entries: Dict[Tuple[int, int], CScalar],
-           v: Sequence[CScalar]) -> Fraction:
-    """v* A v for the matrix dict A, exact; real for Hermitian A.
-
-    A and v are put over the lcm of their denominators, Gaussian integers
-    (a_re, a_im) over den_a and (x_re, x_im) over den_v; the sum
-    s_r = sum_c a_rc x_c, then sum_r conj(x_r) s_r, is taken in ints, and
-    one ``Fraction`` is built over den_a den_v^2.
+def _qform(nums: Nums, x: Dict[int, Tuple[int, int]]) -> int:
+    """x* A x for the Gaussian integers A = ``nums`` and x (a missing
+    position being 0): s_r = sum_c a_rc x_c, then sum_r conj(x_r) s_r, in
+    ints; real for Hermitian A, and a non-real result raises ValueError.
     """
-    den_a, a = gaussian_integers(entries)
-    den_v, x = gaussian_integers(dict(enumerate(v)))
     s: Dict[int, Tuple[int, int]] = {}
-    for (r, c), (ar, ai) in a.items():
-        xr, xi = x[c]
+    for (r, c), (ar, ai) in nums.items():
+        xc = x.get(c)
+        if xc is None:
+            continue
+        xr, xi = xc
         if xr or xi:
             sr, si = s.get(r, (0, 0))
             s[r] = (sr + ar * xr - ai * xi, si + ar * xi + ai * xr)
     re = im = 0
     for r, (sr, si) in s.items():
-        xr, xi = x[r]
+        xr, xi = x.get(r, (0, 0))
         re += xr * sr + xi * si
         im += xr * si - xi * sr
     if im:
         raise ValueError("quadratic form of a non-Hermitian matrix")
-    return Fraction(re, den_a * den_v * den_v)
+    return re
 
 
 def psd_certify(matrix: HermMatrix) -> PsdVerdict:
@@ -272,25 +295,29 @@ def psd_certify(matrix: HermMatrix) -> PsdVerdict:
 
     With ``circular_flag`` the matrix splits into independent per-degree
     principal blocks, which are factored separately (same verdict as the
-    monolithic elimination; pivot sets identical up to ordering by degree).
+    monolithic elimination; pivot sets identical up to ordering by degree),
+    each over the least denominator of its own entries.
     """
-    bad = hermitian_defect(matrix.entries)
+    bad = hermitian_defect(matrix.nums)
     if bad is not None:
         r, c = bad
         raise ValueError(f"the matrix is not Hermitian: entry ({r},{c}) "
                          f"is not the conjugate of entry ({c},{r})")
     positions = list(range(matrix.dimension))
     if not matrix.circular_flag:
-        return _eliminate(matrix.entries, positions)
+        return _eliminate(matrix.den, matrix.nums, positions)
+    degree = [sum(m) for m in matrix.basis]
     by_degree: Dict[int, List[int]] = {}
     for p in positions:
-        by_degree.setdefault(sum(matrix.basis[p]), []).append(p)
+        by_degree.setdefault(degree[p], []).append(p)
+    blocks: Dict[int, Nums] = {}
+    for (r, c), v in matrix.nums.items():
+        if degree[r] == degree[c]:
+            blocks.setdefault(degree[r], {})[(r, c)] = v
     all_pivots: List[Pivot] = []
-    for deg in sorted(by_degree):
-        block_pos = by_degree[deg]
-        block = {(r, c): v for (r, c), v in matrix.entries.items()
-                 if r in block_pos and c in block_pos}
-        verdict = _eliminate(block, block_pos)
+    for deg in sorted(blocks):
+        verdict = _eliminate(*reduced(matrix.den, blocks[deg]),
+                             by_degree[deg])
         if isinstance(verdict, NotPsd):
             vec = list(verdict.witness)
             vec += [CScalar(0)] * (matrix.dimension - len(vec))
@@ -303,26 +330,32 @@ def psd_certify(matrix: HermMatrix) -> PsdVerdict:
 # verdicts
 # ---------------------------------------------------------------------------
 
-class MatrixWitness(NamedTuple):
-    basis: Tuple[MultiIndex, ...]
-    components: Tuple[CScalar, ...]
-    value: Fraction
+class MatrixWitness(namedtuple("MatrixWitness", "basis components value")):
+    """basis (tuple of multi-indices), components (tuple of ``CScalar``,
+    one per basis element) and value (Fraction): w* A w < 0."""
+
+    __slots__ = ()
 
 
-class HartogsWitness(NamedTuple):
-    j: int
-    k: int
-    coefficient: Fraction
+class HartogsWitness(namedtuple("HartogsWitness", "j k coefficient")):
+    """j, k (int) and coefficient (Fraction): the negative x^j coefficient
+    of (F/F(0))^(-(c+k))."""
+
+    __slots__ = ()
 
 
-class ResolvableUpTo(NamedTuple):
-    degree: int
-    rank: Optional[int] = None
+class ResolvableUpTo(namedtuple("ResolvableUpTo", "degree rank",
+                                defaults=(None,))):
+    """degree (int) and rank (int, or None when no matrix was factored)."""
+
+    __slots__ = ()
 
 
-class CertifiedNotResolvable(NamedTuple):
-    degree: int
-    witness: Union[MatrixWitness, HartogsWitness]
+class CertifiedNotResolvable(namedtuple("CertifiedNotResolvable",
+                                        "degree witness")):
+    """degree (int) and witness (``MatrixWitness`` or ``HartogsWitness``)."""
+
+    __slots__ = ()
 
 
 Verdict = Union[ResolvableUpTo, CertifiedNotResolvable]

@@ -1,31 +1,48 @@
-"""Exact Gaussian-rational scalars, the coefficient field for every series.
+"""Exact Gaussian-rational scalars: the values a caller passes in and reads
+out.
 
-All arithmetic is over ``fractions.Fraction``; nothing here ever rounds.
+A series or a matrix stores its values as Gaussian integers over one
+denominator (``series.integer_form``); a ``CScalar`` is the form a value
+takes where it is parsed from a caller or printed back, with exact
+``fractions.Fraction`` parts.  Nothing here ever rounds.
 """
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 RationalLike = Union[int, str, Fraction]
 
 
-def parse_fraction(text: str) -> Fraction:
-    """``Fraction(text)``: the same value, or the same exception.
+def parse_ratio(text: str) -> Tuple[int, int]:
+    """(p, q) with q > 0 and p / q the value ``Fraction(text)`` reads, not
+    always in lowest terms; or the exception ``Fraction(text)`` raises.
 
     A token ``[-]digits[/digits]`` of ASCII digits, the form every rational
-    kahlerimm prints takes, is read with ``int()``, which skips the regular
-    expression ``Fraction`` matches a string with.  Any other token (a '+'
-    sign, spaces, a decimal point, an exponent, '_' separators, non-ASCII
-    digits, or no digits) is handed to ``Fraction(text)``, so the accepted
-    grammar and every error are those of ``Fraction``.
+    kahlerimm prints takes, with a nonzero denominator, is read with
+    ``int()``, which skips the regular expression ``Fraction`` matches a
+    string with, and the gcd that puts it in lowest terms.  Any other
+    token (a '+' sign, spaces, a decimal point, an exponent, '_'
+    separators, non-ASCII digits, no digits, or a zero denominator) is
+    handed to ``Fraction(text)``, so the accepted grammar and every error
+    are those of ``Fraction``.
     """
     num, slash, den = text.partition("/")
     digits = num[1:] if num[:1] == "-" else num
     if text.isascii() and digits.isdigit() and (den.isdigit() or not slash):
-        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-    return Fraction(text)
+        q = int(den) if slash else 1
+        if q:
+            return int(num), q
+    value = Fraction(text)
+    return value.numerator, value.denominator
+
+
+def parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)``: the same value, or the same exception
+    (``parse_ratio``)."""
+    return Fraction(*parse_ratio(text))
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -44,15 +61,27 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 def format_fraction(q: Fraction) -> str:
     """Canonical ``p/q`` (or ``p`` when the denominator is 1), exact at any
-    size: past the interpreter's int-to-str digit limit (4300 by default)
-    the limit is lifted for this one conversion."""
+    size: ``str(q)``, see ``format_ratio``."""
+    return format_ratio(q.numerator, q.denominator)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for a positive ``den`` without building
+    the Fraction: num / den in lowest terms, ``p/q``, or ``p`` when the
+    denominator is 1.  Exact at any size: past the interpreter's int-to-str
+    digit limit (4300 by default) the limit is lifted for this one
+    conversion."""
+    g = math.gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
     try:
-        return str(q)
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            return str(q)
+            return str(num) if den == 1 else f"{num}/{den}"
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -76,12 +105,15 @@ class CScalar:
             return value
         return cls(value)
 
+    @classmethod
+    def of_integers(cls, re: int, im: int, den: int) -> "CScalar":
+        """(re + i im) / den for a positive ``den``: the value of one entry
+        of a table in integer form."""
+        return cls(Fraction(re, den), Fraction(im, den))
+
     # -- predicates ---------------------------------------------------
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    def is_real(self) -> bool:
-        return not self.im
 
     # -- field operations ---------------------------------------------
     def __add__(self, other: "CScalar") -> "CScalar":

@@ -7,7 +7,19 @@ A ``BiSeries`` stores a Hermitian-symmetric jet
 sparsely, keyed by ordinal pairs of the graded-lexicographic multi-index
 order (degree-major, lexicographically ascending within each degree;
 ordinal 0 is the constant term).  ``HolSeries`` is the purely holomorphic
-analogue.  All coefficients are :class:`~kahlerimm.scalars.CScalar`.
+analogue.
+
+Coefficients are stored in integer form, as FLINT's ``fmpq_poly`` stores
+an integer polynomial over one denominator: one positive integer ``den``
+and a dict ``nums`` of Gaussian-integer numerators (re, im), each
+coefficient (re + i im) / den.  The form is canonical: ``den`` is the lcm
+of the reduced denominators, so gcd(den, every part) = 1, and no entry is
+(0, 0); equal series have equal ``den`` and ``nums``, and compare and hash
+as integers.  Every operation reads and returns this form, so the stages
+of a request pass integers to each other.  ``CScalar``/``Fraction`` values
+enter only where a caller builds a series from them (the constructors,
+``loads``) and leave only where one is read back (``coeffs``, ``get``,
+``dumps``).
 
 Every operation documents its output truncation degree; results never
 silently lose degree information.
@@ -27,16 +39,14 @@ request is a fresh process, so a cache that is filled one ordinal at a
 time is paid in full by every request; one table per (n, d) costs
 O(C(n + d, d) n) once, about what the matrix basis costs anyway.
 
-The series core is fraction-free: a product, a scaling, a determinant or
-a composition puts its operands over the lcm of their coefficient
-denominators, runs its inner loops on (Gaussian) integers, and builds one
-``Fraction`` per returned coefficient.  The recurrence keeps each slice
+The series core is fraction-free: a sum, a product, a scaling, a
+determinant or a composition puts its operands over a common denominator,
+runs its inner loops on Gaussian integers, and divides the result by one
+gcd to put it back in canonical form.  The recurrence keeps each slice
 over one integer denominator of its own.  So is the check path:
-``BiSeries.loads`` reads each distinct token once with ``int()``
-(``scalars.parse_fraction``), and ``hermitian_update`` accumulates the
-pullback norm of a map as Gaussian-integer rows over one denominator,
-which ``immersion.verify_immersion`` compares with the transformed
-potential by cross-multiplication.
+``hermitian_update`` accumulates the pullback norm of a map as
+Gaussian-integer rows over one denominator, which ``immersion`` compares
+with the transformed potential by cross-multiplication.
 """
 from __future__ import annotations
 
@@ -47,8 +57,8 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, \
     Sequence, Tuple, TypeVar
 
-from .scalars import CScalar, RationalLike, as_fraction, \
-    format_fraction, parse_fraction
+from .scalars import CScalar, RationalLike, as_fraction, format_ratio, \
+    parse_ratio
 
 MultiIndex = Tuple[int, ...]
 T = TypeVar("T")
@@ -193,6 +203,75 @@ def graded_order(n: int, d: int) -> GradedOrder:
 
 
 # ---------------------------------------------------------------------------
+# the integer form of a table of exact values
+# ---------------------------------------------------------------------------
+
+# Gaussian-integer numerators (re, im) by key, over a denominator kept
+# beside them
+Nums = Dict[T, Tuple[int, int]]
+
+
+def integer_form(values: Mapping[T, "CScalar | RationalLike"]
+                 ) -> Tuple[int, Nums]:
+    """The canonical (den, nums) of exact ``values``: den the lcm of their
+    reduced denominators and nums[key] = (den re, den im), zeros dropped.
+    The constructors put caller values in the stored form with it."""
+    ratios = {}
+    for key, value in values.items():
+        c = CScalar.of(value)
+        if c.re or c.im:
+            ratios[key] = ((c.re.numerator, c.re.denominator),
+                           (c.im.numerator, c.im.denominator))
+    return _ratio_form(ratios)
+
+
+Ratio = Tuple[int, int]  # (p, q): p / q, q > 0
+
+
+def _ratio_form(ratios: Mapping[T, Tuple[Ratio, Ratio]]
+                ) -> Tuple[int, Nums]:
+    """The canonical (den, nums) of nonzero values (re, im), each part a
+    ratio (p, q) in any terms."""
+    den = math.lcm(*(q for (_, q), _ in ratios.values()),
+                   *(q for _, (_, q) in ratios.values()))
+    return reduced(den, {key: (rp * (den // rq), ip * (den // iq))
+                         for key, ((rp, rq), (ip, iq)) in ratios.items()})
+
+
+def reduced(den: int, nums: Nums) -> Tuple[int, Nums]:
+    """(den, nums) divided by g = gcd(den, every part): the canonical form
+    of a table that holds no (0, 0) entry."""
+    if den == 1:
+        return den, nums
+    g = math.gcd(den, *itertools.chain.from_iterable(nums.values()))
+    if g == 1:
+        return den, nums
+    return den // g, {key: (re // g, im // g)
+                      for key, (re, im) in nums.items()}
+
+
+def _factor_form(factor: "CScalar | RationalLike") -> Tuple[int, int, int]:
+    """(p, q, F) with factor = (p + i q) / F, F > 0."""
+    if isinstance(factor, int):
+        return factor, 0, 1
+    if not isinstance(factor, CScalar):
+        factor = as_fraction(factor)
+        return factor.numerator, 0, factor.denominator
+    re, im = factor.re, factor.im
+    f = math.lcm(re.denominator, im.denominator)
+    return (re.numerator * (f // re.denominator),
+            im.numerator * (f // im.denominator), f)
+
+
+def as_scalars(den: int, nums: Mapping[T, Tuple[int, int]]
+               ) -> Dict[T, CScalar]:
+    """{key: (re + i im) / den}: a table in integer form read back as
+    ``CScalar`` values."""
+    return {key: CScalar.of_integers(re, im, den)
+            for key, (re, im) in nums.items()}
+
+
+# ---------------------------------------------------------------------------
 # BiSeries
 # ---------------------------------------------------------------------------
 
@@ -200,128 +279,151 @@ Coeffs = Dict[Tuple[int, int], CScalar]
 
 
 class BiSeries:
-    """Truncated jet sum a_{jk} z^{m_j} conj(z)^{m_k}; immutable value."""
+    """Truncated jet sum a_{jk} z^{m_j} conj(z)^{m_k}; immutable value.
 
-    __slots__ = ("n", "d", "coeffs")
+    ``den`` and ``nums`` are the canonical integer form of the
+    coefficients: a_jk = (re + i im) / den for nums[(j, k)] = (re, im).
+    """
 
-    def __init__(self, n: int, d: int, coeffs: Coeffs | None = None):
+    __slots__ = ("n", "d", "den", "nums")
+
+    def __init__(self, n: int, d: int,
+                 coeffs: "Mapping[Tuple[int, int], CScalar | RationalLike]"
+                 " | None" = None):
         if n < 1 or d < 0:
             raise ValueError("need arity >= 1, degree >= 0")
-        clean: Coeffs = {}
+        den, nums = integer_form(coeffs or {})
         size = _order_size(n, d)
-        for (j, k), c in (coeffs or {}).items():
-            c = CScalar.of(c)
-            if c.is_zero():
-                continue
+        for j, k in nums:
             if not (0 <= j < size and 0 <= k < size):
                 raise OrdinalRangeError(
                     f"coefficient at ordinals ({j},{k}) exceeds degree {d}"
                 )
-            clean[(j, k)] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("BiSeries is immutable")
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def _of(cls, n: int, d: int, coeffs: Coeffs) -> "BiSeries":
-        """A series of ``coeffs``, each already a nonzero ``CScalar`` at
-        ordinals of degree <= d, so they are not checked again."""
+    def _of(cls, n: int, d: int, den: int, nums: Nums) -> "BiSeries":
+        """The series of a canonical (den, nums) at ordinals of degree
+        <= d, which is not checked again."""
         if n < 1 or d < 0:
             raise ValueError("need arity >= 1, degree >= 0")
         out = object.__new__(cls)
         object.__setattr__(out, "n", n)
         object.__setattr__(out, "d", d)
-        object.__setattr__(out, "coeffs", coeffs)
+        object.__setattr__(out, "den", den)
+        object.__setattr__(out, "nums", nums)
         return out
 
     @classmethod
+    def _reduced(cls, n: int, d: int, den: int, nums: Nums) -> "BiSeries":
+        """``_of`` of nums / den with no (0, 0) entry, put in lowest
+        terms."""
+        return cls._of(n, d, *reduced(den, nums))
+
+    @classmethod
     def zero(cls, n: int, d: int) -> "BiSeries":
-        return cls(n, d, {})
+        return cls._of(n, d, 1, {})
 
     @classmethod
     def one(cls, n: int, d: int) -> "BiSeries":
-        return cls(n, d, {(0, 0): CScalar(1)})
+        return cls._of(n, d, 1, {(0, 0): (1, 0)})
 
     @classmethod
     def term(cls, n: int, d: int, m_hol: MultiIndex, m_anti: MultiIndex,
              coeff: "CScalar | RationalLike" = 1) -> "BiSeries":
         j = ordinal_of_index(tuple(m_hol))
         k = ordinal_of_index(tuple(m_anti))
-        return cls(n, d, {(j, k): CScalar.of(coeff)})
+        return cls(n, d, {(j, k): coeff})
 
     # -- access -------------------------------------------------------
+    @property
+    def coeffs(self) -> Coeffs:
+        """The nonzero coefficients as ``CScalar`` values, built on each
+        access: a read-back view, which no operation uses."""
+        return as_scalars(self.den, self.nums)
+
     def get(self, j: int, k: int) -> CScalar:
-        return self.coeffs.get((j, k), CScalar(0))
+        re, im = self.nums.get((j, k), (0, 0))
+        return CScalar.of_integers(re, im, self.den)
 
     def get_index(self, m_hol: MultiIndex, m_anti: MultiIndex) -> CScalar:
         return self.get(ordinal_of_index(tuple(m_hol)),
                         ordinal_of_index(tuple(m_anti)))
 
     def is_hermitian(self) -> bool:
-        return hermitian_defect(self.coeffs) is None
+        return hermitian_defect(self.nums) is None
 
     # -- ring operations ----------------------------------------------
     def _check(self, other: "BiSeries") -> None:
         if self.n != other.n:
             raise ArityMismatchError(f"arity {self.n} != {other.n}")
 
-    def __add__(self, other: "BiSeries") -> "BiSeries":
+    def _combine(self, other: "BiSeries", sign: int) -> "BiSeries":
+        """self + sign * other over the lcm of the two denominators."""
         self._check(other)
         d = min(self.d, other.d)
         size = _order_size(self.n, d)
-        out: Coeffs = {}
-        for src in (self.coeffs, other.coeffs):
-            for (j, k), c in src.items():
-                if j >= size or k >= size:
+        den = math.lcm(self.den, other.den)
+        out: Nums = {}
+        for src, w in ((self, den // self.den),
+                       (other, sign * (den // other.den))):
+            cut = src.d > d
+            for jk, (re, im) in src.nums.items():
+                if cut and (jk[0] >= size or jk[1] >= size):
                     continue
-                out[(j, k)] = out.get((j, k), CScalar(0)) + c
-        return BiSeries(self.n, d, out)
+                cur = out.get(jk)
+                if cur is None:
+                    out[jk] = (re * w, im * w)
+                else:
+                    out[jk] = (cur[0] + re * w, cur[1] + im * w)
+        return BiSeries._reduced(self.n, d, den, {
+            jk: v for jk, v in out.items() if v[0] or v[1]})
+
+    def __add__(self, other: "BiSeries") -> "BiSeries":
+        return self._combine(other, 1)
 
     def __neg__(self) -> "BiSeries":
-        return BiSeries(self.n, self.d, {jk: -c for jk, c in self.coeffs.items()})
+        return BiSeries._of(self.n, self.d, self.den, {
+            jk: (-re, -im) for jk, (re, im) in self.nums.items()})
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def scale(self, factor: "CScalar | RationalLike") -> "BiSeries":
         """factor * self; a factor of 1 returns ``self``.
 
-        Fraction-free: the coefficients are Gaussian integers over their
-        lcm D and the factor is (p + i q) / F, so each product is one
-        integer product over D F, and one ``Fraction`` per part.
+        With factor = (p + i q) / F, each coefficient is one Gaussian
+        integer product over den F.
         """
-        f = CScalar.of(factor)
-        if f == 1:
+        p, q, f = _factor_form(factor)
+        if p == f and not q:
             return self
-        if f.is_zero():
+        if not p and not q:
             return BiSeries.zero(self.n, self.d)
-        den_f, ints = gaussian_integers({0: f})
-        p, q = ints[0]
-        den, x = gaussian_integers(self.coeffs)
         if q:
             x = {jk: (re * p - im * q, re * q + im * p)
-                 for jk, (re, im) in x.items()}
+                 for jk, (re, im) in self.nums.items()}
         else:
-            x = {jk: (re * p, im * p) for jk, (re, im) in x.items()}
-        return BiSeries._of(self.n, self.d, _coefficients(den * den_f,
-                                                          x.items()))
+            x = {jk: (re * p, im * p) for jk, (re, im) in self.nums.items()}
+        return BiSeries._reduced(self.n, self.d, self.den * f, x)
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
         self._check(other)
         n = self.n
         d = min(self.d, other.d)
         order = graded_order(n, d)
-        den_x, x = gaussian_integers(self.coeffs)
-        den_y, y = gaussian_integers(other.coeffs)
         acc: Acc = {}
-        _mul_add(d, acc, _buckets(order, _packed(order, x.items())),
-                 _buckets(order, _packed(order, y.items())), 1)
-        return BiSeries._of(n, d, _coefficients(den_x * den_y, _unpacked(
-            order, ((key, v) for key, v in acc.items() if any(v)))))
+        _mul_add(d, acc, _buckets(order, _packed(order, self.nums.items())),
+                 _buckets(order, _packed(order, other.nums.items())), 1)
+        return BiSeries._reduced(n, d, self.den * other.den, dict(_unpacked(
+            order, ((key, tuple(v)) for key, v in acc.items() if any(v)))))
 
     def truncate(self, d: int) -> "BiSeries":
         if d >= self.d:
@@ -329,35 +431,37 @@ class BiSeries:
                 return self
             raise ValueError("cannot extend truncation degree")
         size = _order_size(self.n, d)
-        out = {jk: c for jk, c in self.coeffs.items()
+        out = {jk: v for jk, v in self.nums.items()
                if jk[0] < size and jk[1] < size}
-        return BiSeries._of(self.n, d, out)
+        return BiSeries._reduced(self.n, d, self.den, out)
 
     # -- comparisons --------------------------------------------------
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiSeries):
             return NotImplemented
-        return (self.n, self.d) == (other.n, other.d) and self.coeffs == other.coeffs
+        return (self.n, self.d, self.den) == (other.n, other.d, other.den) \
+            and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.n, self.d, frozenset(self.coeffs.items())))
+        return hash((self.n, self.d, self.den, frozenset(self.nums.items())))
 
     def __repr__(self):
-        terms = len(self.coeffs)
+        terms = len(self.nums)
         return f"BiSeries(n={self.n}, d={self.d}, {terms} terms)"
 
     # -- serialization ------------------------------------------------
     def dumps(self) -> str:
-        """One line per coefficient: ``m_j ; m_k ; re ; im``, graded order."""
-        n = self.n
+        """One line per coefficient: ``m_j ; m_k ; re ; im``, graded order,
+        each part in lowest terms as ``format_fraction`` prints it."""
+        n, den = self.n, self.den
         text: Dict[int, str] = {}  # ordinal -> "e_1,...,e_n"
         lines = []
-        for (j, k), c in sorted(self.coeffs.items()):
+        for (j, k), (re, im) in sorted(self.nums.items()):
             for o in (j, k):
                 if o not in text:
                     text[o] = ",".join(map(str, index_of_ordinal(n, o)))
-            lines.append(f"{text[j]} ; {text[k]} ; {format_fraction(c.re)} ; "
-                         f"{format_fraction(c.im)}")
+            lines.append(f"{text[j]} ; {text[k]} ; {format_ratio(re, den)} ; "
+                         f"{format_ratio(im, den)}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
@@ -368,14 +472,14 @@ class BiSeries:
         of non-negative ints and two scalars; blank lines and lines that
         start with '#' are skipped, and a later line for the same (m_j, m_k)
         replaces an earlier one.  A scalar is read as ``Fraction(str)``
-        reads it (``parse_fraction``), so a file accepts exactly the
-        grammar of ``Fraction(str)``, and a line it rejects raises
-        ``ValueError`` with the line number and ``Fraction``'s message.
-        Each distinct multi-index and scalar token is parsed once, and
-        the coefficients are built in the same pass.
+        reads it (``parse_ratio``), so a file accepts exactly the grammar
+        of ``Fraction(str)``, and a line it rejects raises ``ValueError``
+        with the line number and ``Fraction``'s message.  Each distinct
+        multi-index and scalar token is parsed once, to integers, and the
+        coefficients are put in canonical form once, at the end.
         """
         indices: Dict[str, Tuple[int, int, int]] = {}
-        scalars: Dict[str, Fraction] = {}
+        scalars: Dict[str, Ratio] = {}
 
         def index(token: str) -> Tuple[int, int, int]:
             out = indices.get(token)
@@ -383,13 +487,13 @@ class BiSeries:
                 out = indices[token] = _index_token(token)
             return out
 
-        def scalar(token: str) -> Fraction:
+        def scalar(token: str) -> Ratio:
             out = scalars.get(token)
             if out is None:
-                out = scalars[token] = parse_fraction(token.strip())
+                out = scalars[token] = parse_ratio(token.strip())
             return out
 
-        coeffs: Coeffs = {}
+        ratios: Dict[Tuple[int, int], Tuple[Ratio, Ratio]] = {}
         arity = None
         top = 0
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -414,13 +518,14 @@ class BiSeries:
             top = max(top, dj, dk)
             if degree is not None and (dj > degree or dk > degree):
                 continue
-            if re or im:
-                coeffs[(j, k)] = CScalar(re, im)
+            if re[0] or im[0]:
+                ratios[(j, k)] = (re, im)
             else:
-                coeffs.pop((j, k), None)
+                ratios.pop((j, k), None)
         if arity is None:
             raise ValueError("empty series file")
-        return cls._of(arity, top if degree is None else degree, coeffs)
+        return cls._of(arity, top if degree is None else degree,
+                       *_ratio_form(ratios))
 
 
 def _index_token(token: str) -> Tuple[int, int, int]:
@@ -436,13 +541,12 @@ def _index_token(token: str) -> Tuple[int, int, int]:
 # Hermitian matrices: the predicate and the rank-one update
 # ---------------------------------------------------------------------------
 
-def hermitian_defect(coeffs: Coeffs) -> Optional[Tuple[int, int]]:
+def hermitian_defect(nums: Nums) -> Optional[Tuple[int, int]]:
     """The first key (j, k) with a_jk != conj(a_kj), a missing key being 0,
-    or None when ``coeffs`` is Hermitian; compared as Gaussian integers
-    over one common denominator."""
-    _, a = gaussian_integers(coeffs)
-    return next(((j, k) for (j, k), (re, im) in a.items()
-                 if a.get((k, j), (0, 0)) != (re, -im)), None)
+    or None when the table is Hermitian: ``nums`` holds the numerators of
+    a_jk over one common denominator, and no (0, 0) entry."""
+    return next(((j, k) for (j, k), (re, im) in nums.items()
+                 if nums.get((k, j)) != (re, -im)), None)
 
 
 # A Hermitian matrix of Gaussian integers as one dict per row of its
@@ -452,17 +556,6 @@ def hermitian_defect(coeffs: Coeffs) -> Optional[Tuple[int, int]]:
 # a Bareiss minor, its scale the pivot integer D of the step that wrote it;
 # the pullback norm keeps scale 1.
 Rows = Dict[int, Dict[int, Tuple[int, int, int]]]
-
-
-def gaussian_integers(values: Mapping[T, CScalar]
-                      ) -> Tuple[int, Dict[T, Tuple[int, int]]]:
-    """(D, {key: (D re, D im)}) for D the lcm of the denominators of
-    ``values``, so that every value is a Gaussian integer over D."""
-    den = math.lcm(*(c.re.denominator for c in values.values()),
-                   *(c.im.denominator for c in values.values()))
-    return den, {key: (c.re.numerator * (den // c.re.denominator),
-                       c.im.numerator * (den // c.im.denominator))
-                 for key, c in values.items()}
 
 
 def exact_div(a: int, b: int) -> int:
@@ -575,17 +668,6 @@ def _bucket_items(part: Buckets) -> Iterable:
     """The packed ``(key, (re, im))`` items of a bucket map."""
     return ((key, (re, im)) for terms in part.values()
             for key, re, im in terms)
-
-
-_ZERO = Fraction(0)
-
-
-def _coefficients(den: int, items: Iterable) -> Coeffs:
-    """{(j, k): (re + i im) / den} of integer ``((j, k), (re, im))`` items:
-    one ``Fraction`` per nonzero part."""
-    return {jk: CScalar(Fraction(re, den) if re else _ZERO,
-                        Fraction(im, den) if im else _ZERO)
-            for jk, (re, im) in items}
 
 
 def _mul_add(d: int, acc: Acc, x: Buckets, y: Buckets, w: int) -> None:
@@ -718,9 +800,8 @@ def _compose(a: BiSeries, rule: Rule) -> BiSeries:
     """
     n, d = a.n, a.d
     order = graded_order(n, d)
-    den_a, ints = gaussian_integers(a.coeffs)
     slices: Dict[int, Buckets] = {}
-    for key, terms in _buckets(order, _packed(order, ints.items())).items():
+    for key, terms in _buckets(order, _packed(order, a.nums.items())).items():
         slices.setdefault(sum(key), {})[key] = terms
 
     def close(acc: Acc, den: int) -> Tuple[int, Buckets]:
@@ -729,13 +810,18 @@ def _compose(a: BiSeries, rule: Rule) -> BiSeries:
                                           for key, (re, im) in acc.items()))
 
     f = _degree_recurrence(
-        slices, den_a, 2 * d, _UNIT, rule,
+        slices, a.den, 2 * d, _UNIT, rule,
         lambda acc, x, y, w: _mul_add(d, acc, x, y, w), close)
-    coeffs: Coeffs = {}
-    for den, part in f:
-        coeffs.update(_coefficients(den, _unpacked(order,
-                                                   _bucket_items(part))))
-    return BiSeries._of(n, d, coeffs)  # a bucket map holds no zero
+    # each slice is in lowest terms, so over the lcm of the slice
+    # denominators the whole is too; a bucket map holds no zero
+    den = math.lcm(*(den_t for den_t, _ in f))
+    nums: Nums = {}
+    for den_t, part in f:
+        w = den // den_t
+        items = _unpacked(order, _bucket_items(part))
+        nums.update(items if w == 1 else
+                    ((jk, (re * w, im * w)) for jk, (re, im) in items))
+    return BiSeries._of(n, d, den, nums)
 
 
 def exp_series(a: BiSeries) -> BiSeries:
@@ -760,9 +846,9 @@ def det_series(matrix: Sequence[Sequence[BiSeries]]) -> BiSeries:
     Cofactor expansion along the rows, bottom up: the minor on rows r.. and
     sorted columns S is sum_i (-1)^i a_{r,S_i} minor(r + 1, S - {S_i}), and
     each S is expanded once: size * 2^(size-1) products, not size! terms.
-    Row r is scaled to Gaussian integers by the lcm D_r of its
-    denominators, so the expansion runs in ints and the determinant is
-    divided by the product of the D_r once at the end.
+    Row r is put over the lcm D_r of its entries' denominators, so the
+    expansion runs in ints and the determinant is over the product of the
+    D_r, reduced once at the end.
     """
     size = len(matrix)
     if any(len(row) != size for row in matrix):
@@ -777,15 +863,12 @@ def det_series(matrix: Sequence[Sequence[BiSeries]]) -> BiSeries:
     rows: List[List[Buckets]] = []
     den = 1
     for row in matrix:
-        row_den, ints = gaussian_integers({
-            (c, jk): v for c, e in enumerate(row)
-            for jk, v in e.coeffs.items()})
+        row_den = math.lcm(*(e.den for e in row))
         den *= row_den
-        entries: List[list] = [[] for _ in row]
-        for (c, jk), v in ints.items():
-            entries[c].append((jk, v))
-        rows.append([_buckets(order, _packed(order, items))
-                     for items in entries])
+        rows.append([_buckets(order, _packed(order, (
+            e.nums.items() if e.den == row_den else
+            ((jk, (re * (row_den // e.den), im * (row_den // e.den)))
+             for jk, (re, im) in e.nums.items())))) for e in row])
     minors: Dict[Tuple[int, ...], Buckets] = {(): _UNIT}  # by column set
     for r in range(size - 1, -1, -1):
         upper: Dict[Tuple[int, ...], Buckets] = {}
@@ -797,7 +880,7 @@ def det_series(matrix: Sequence[Sequence[BiSeries]]) -> BiSeries:
             upper[cols] = _buckets(order, acc.items())
         minors = upper
     (det,) = minors.values()
-    return BiSeries._of(n, d, _coefficients(den, _unpacked(
+    return BiSeries._reduced(n, d, den, dict(_unpacked(
         order, _bucket_items(det))))  # a bucket map holds no zero
 
 
@@ -839,39 +922,59 @@ def solve_graded_fixed_point(step: Callable[[T], T], seed: T,
 # ---------------------------------------------------------------------------
 
 class HolSeries:
-    """Purely holomorphic truncated series sum c_j z^{m_j}."""
+    """Purely holomorphic truncated series sum c_j z^{m_j}, in the integer
+    form of a ``BiSeries``: c_j = (re + i im) / den for nums[j] = (re, im).
+    """
 
-    __slots__ = ("n", "d", "coeffs")
+    __slots__ = ("n", "d", "den", "nums")
 
-    def __init__(self, n: int, d: int, coeffs: Dict[int, CScalar] | None = None):
+    def __init__(self, n: int, d: int,
+                 coeffs: "Mapping[int, CScalar | RationalLike] | None" = None):
         if n < 1 or d < 0:
             raise ValueError("need arity >= 1, degree >= 0")
-        clean: Dict[int, CScalar] = {}
+        den, nums = integer_form(coeffs or {})
         size = _order_size(n, d)
-        for j, c in (coeffs or {}).items():
-            c = CScalar.of(c)
-            if c.is_zero():
-                continue
+        for j in nums:
             if not 0 <= j < size:
                 raise OrdinalRangeError(f"ordinal {j} exceeds degree {d}")
-            clean[j] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("HolSeries is immutable")
 
+    @classmethod
+    def _reduced(cls, n: int, d: int, den: int, nums: Nums) -> "HolSeries":
+        """The series of nums / den, at ordinals of degree <= d and with no
+        (0, 0) entry, put in lowest terms."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "d", d)
+        den, nums = reduced(den, nums)
+        object.__setattr__(out, "den", den)
+        object.__setattr__(out, "nums", nums)
+        return out
+
+    @property
+    def coeffs(self) -> Dict[int, CScalar]:
+        """The nonzero coefficients as ``CScalar`` values, built on each
+        access: a read-back view."""
+        return as_scalars(self.den, self.nums)
+
     def get(self, j: int) -> CScalar:
-        return self.coeffs.get(j, CScalar(0))
+        re, im = self.nums.get(j, (0, 0))
+        return CScalar.of_integers(re, im, self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HolSeries):
             return NotImplemented
-        return (self.n, self.d) == (other.n, other.d) and self.coeffs == other.coeffs
+        return (self.n, self.d, self.den) == (other.n, other.d, other.den) \
+            and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.n, self.d, frozenset(self.coeffs.items())))
+        return hash((self.n, self.d, self.den, frozenset(self.nums.items())))
 
     def __repr__(self):
-        return f"HolSeries(n={self.n}, d={self.d}, {len(self.coeffs)} terms)"
+        return f"HolSeries(n={self.n}, d={self.d}, {len(self.nums)} terms)"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .scalars import RationalLike, as_fraction
 
@@ -90,9 +90,11 @@ def classical_invariants(kind: str, *sizes: int) -> DomainInvariants:
 # Wallach-set decisions
 # ---------------------------------------------------------------------------
 
-class Membership(NamedTuple):
-    kind: str                 # "discrete" | "continuous" | "outside"
-    k: Optional[int] = None   # lattice index for the discrete part
+class Membership(namedtuple("Membership", "kind k", defaults=(None,))):
+    """kind (str): "discrete", "continuous" or "outside"; k (int or None):
+    the lattice index for the discrete part."""
+
+    __slots__ = ()
 
 
 def wallach_membership(inv: DomainInvariants, eta: RationalLike) -> Membership:

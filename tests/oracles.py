@@ -4,6 +4,10 @@ None of these is reached from the command line, so none is package code:
 
 * ``space_form_classification`` and ``space_form_rank``: Calabi's closed
   form for which space forms immerse into which, and with what rank;
+* ``cs_add``, ``cs_scale``, ``cs_product``, ``cs_power_sum``, ``cs_det``
+  and ``cs_dumps``: the series operations term by term in ``CScalar``
+  arithmetic, on dicts of coefficients, the oracles of the integer form
+  that ``BiSeries`` stores;
 * ``ch_immersion``: the Cartan-Hartogs immersion assembled from base maps
   (Loi & Zedda, Math. Ann. 350, 2011), an oracle for ``factor_immersion``;
 * ``mul_conj``: f conj(g) term by term, the oracle of the pullback norm;
@@ -62,6 +66,102 @@ def space_form_rank(n, b, b_target):
     if k is None:
         return None
     return math.comb(n + k, k) - 1
+
+
+# ---------------------------------------------------------------------------
+# series values in CScalar arithmetic
+# ---------------------------------------------------------------------------
+
+def exp_coefficient(k):
+    return Fraction(1, math.factorial(k))
+
+
+def log1p_coefficient(k):
+    return Fraction((-1) ** (k + 1), k) if k else Fraction(0)
+
+
+def binomial(e):
+    def coefficient(k):
+        num = Fraction(1)
+        for i in range(k):
+            num *= e - i
+        return num / math.factorial(k)
+    return coefficient
+
+
+def cs_nonzero(coeffs):
+    return {key: c for key, c in coeffs.items() if not c.is_zero()}
+
+
+def cs_truncate(n, d, a):
+    """The coefficients of ``a`` at both ordinals of degree <= d."""
+    size = math.comb(n + d, n)
+    return {(j, k): c for (j, k), c in a.items() if j < size and k < size}
+
+
+def cs_add(n, d, a, b, sign=1):
+    """a + sign * b truncated at degree d."""
+    out = {}
+    for src, w in ((a, 1), (b, sign)):
+        for jk, c in cs_truncate(n, d, src).items():
+            out[jk] = out.get(jk, CScalar(0)) + c * w
+    return cs_nonzero(out)
+
+
+def cs_scale(a, factor):
+    return cs_nonzero({jk: c * CScalar.of(factor) for jk, c in a.items()})
+
+
+def cs_product(n, d, a, b):
+    """a * b term by term, truncated at degree d on each side."""
+    out = {}
+    for (j1, k1), c1 in a.items():
+        for (j2, k2), c2 in b.items():
+            mj = tuple(map(sum, zip(index_of_ordinal(n, j1),
+                                    index_of_ordinal(n, j2))))
+            mk = tuple(map(sum, zip(index_of_ordinal(n, k1),
+                                    index_of_ordinal(n, k2))))
+            if sum(mj) > d or sum(mk) > d:
+                continue
+            key = (ordinal_of_index(mj), ordinal_of_index(mk))
+            out[key] = out.get(key, CScalar(0)) + c1 * c2
+    return cs_nonzero(out)
+
+
+def cs_power_sum(n, d, a, coeff_at):
+    """sum_k coeff_at(k) a^k truncated at degree d, for ``a`` with no
+    constant term: a^k vanishes once k > 2d."""
+    out = cs_scale({(0, 0): CScalar(1)}, coeff_at(0))
+    power = {(0, 0): CScalar(1)}
+    for k in range(1, 2 * d + 1):
+        power = cs_product(n, d, power, a)
+        out = cs_add(n, d, out, cs_scale(power, coeff_at(k)))
+    return out
+
+
+def cs_det(n, d, matrix):
+    """The Leibniz permutation sum of a square matrix of coefficient
+    dicts."""
+    size = len(matrix)
+    out = {}
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(1 for i in range(size) for j in range(i + 1, size)
+                         if perm[i] > perm[j])
+        prod = {(0, 0): CScalar(1)}
+        for row, col in enumerate(perm):
+            prod = cs_product(n, d, prod, matrix[row][col])
+        out = cs_add(n, d, out, prod, (-1) ** inversions)
+    return out
+
+
+def cs_dumps(n, a):
+    """The series text of the coefficients ``a``: one line
+    ``m_j ; m_k ; re ; im`` per coefficient in graded order, each part as
+    ``str(Fraction)`` prints it."""
+    def text(o):
+        return ",".join(map(str, index_of_ordinal(n, o)))
+    return "".join(f"{text(j)} ; {text(k)} ; {c.re} ; {c.im}\n"
+                   for (j, k), c in sorted(a.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,47 @@ def test_spec_file_source(capsys, tmp_path):
     assert doc["source"]["parameters"]["scale"] == "1/2"
 
 
+PROFILE_ONLY = ("--c/--jmax/--kmax apply only to --model with a radial "
+                "Hartogs profile: hartogs_alpha, hartogs_inv_one_plus_xp, "
+                "hartogs_inv_sqrt, hartogs_one_minus_xp, rhp_cubic, springer")
+
+
+def test_spec_source_decides_the_profile_criterion(capsys, tmp_path):
+    # a spec that names a Hartogs model is the request of that --model
+    spec = tmp_path / "springer.json"
+    spec.write_text(json.dumps(
+        {"name": "springer", "parameters": {}, "degree": 3}))
+    want = run(capsys, "analyze", "--model", "springer", "--c", "1",
+               "--degree", "3")
+    got = run(capsys, "analyze", "--spec", str(spec), "--c", "1",
+              "--degree", "3")
+    assert got == want and want[0] == 0
+    cert = tmp_path / "cert.json"
+    cert.write_text(got[1])
+    code, doc = run_json(capsys, "check-certificate", str(cert))
+    assert code == 0 and doc["valid"] is True
+
+
+@pytest.mark.parametrize("name", ["cp", "nope", ["springer"]])
+def test_spec_source_without_a_profile_rejects_c(capsys, tmp_path, name):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": name, "parameters": {},
+                                "degree": 3}))
+    code, out, err = run(capsys, "analyze", "--spec", str(spec), "--c", "1",
+                         "--degree", "3")
+    assert code == 2 and out == ""
+    assert one_json_line(err) == {"error": PROFILE_ONLY}
+
+
+def test_series_source_rejects_c(capsys, tmp_path):
+    series = tmp_path / "series.txt"
+    series.write_text("1 ; 1 ; 1 ; 0\n")
+    code, out, err = run(capsys, "analyze", "--series", str(series), "--c",
+                         "1", "--degree", "1")
+    assert code == 2 and out == ""
+    assert one_json_line(err) == {"error": PROFILE_ONLY}
+
+
 def test_wallach_command(capsys):
     code, doc = run_json(capsys, "wallach", "--domain", "omega1",
                          "--sizes", "2,3", "--c", "1/5")

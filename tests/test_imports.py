@@ -1,10 +1,11 @@
 """Every module of the package uses each name it imports, every private
 helper and every public function, class and method the package defines is
 referenced from somewhere in the package (a public one from a module other
-than ``__init__``, save a few named exceptions), the integer inner loops
-read no ``Fraction``, the innermost loops of the series products make no
-call but the accumulator lookup, and a CLI process starts without the
-standard library's introspection and argparse modules."""
+than ``__init__``, save a few named exceptions), the integer kernels read
+no ``Fraction`` or ``CScalar``, the innermost loops of the series products
+make no call but the accumulator lookup, no record is a
+``typing.NamedTuple``, and a CLI process starts without the standard
+library's introspection and argparse modules."""
 import ast
 import os
 import subprocess
@@ -101,6 +102,11 @@ UNREFERENCED_PUBLIC = {
     "series.py:pow1p_series": "traced as series.compose",
     "radial.py:RSeries.log1p": "traced as radial.compose",
     "immersion.py:ImmersionMap.pullback_norm": "traced as immersion.pullback",
+    # read-back views the tracer's counts read, built on access from the
+    # integer form that every stage keeps
+    "resolvability.py:HermMatrix.entries": "counted as matrix_nnz",
+    "resolvability.py:Pivot.column": "read for max_coeff_bits",
+    "scalars.py:CScalar.is_zero": "counts witness_support",
     # accessors that tests read results through
     "series.py:BiSeries.get_index": "reads a coefficient by multi-index",
     "resolvability.py:HermMatrix.quadratic_form": "evaluates a witness",
@@ -130,29 +136,59 @@ def test_every_public_name_is_referenced_by_the_package():
     assert not stale, f"exceptions that are referenced or gone: {stale}"
 
 
-# the inner loops of the series core, of the exact LDL*, of the pullback
-# with its shape test and of the pullback comparison, which run on
-# integers: (module, function)
+# the kernels that run on Gaussian integers over one denominator: the
+# series core and the operations on the stored integer form, the matrix
+# build, the exact LDL* and its witness search, the pullback with its
+# shape test and the pullback comparison, and the readers that compute on
+# a series: (module, function or Class.method)
 INTEGER_LOOPS = [("series.py", "_mul_add"), ("radial.py", "_mul_add"),
                  ("series.py", "_degree_recurrence"),
                  ("series.py", "hermitian_update"),
+                 ("series.py", "hermitian_defect"),
+                 ("series.py", "reduced"),
+                 ("series.py", "_compose"),
+                 ("series.py", "det_series"),
+                 ("series.py", "BiSeries._combine"),
+                 ("series.py", "BiSeries.scale"),
+                 ("series.py", "BiSeries.__mul__"),
+                 ("series.py", "BiSeries.truncate"),
+                 ("diastasis.py", "normalize_to_diastasis"),
+                 ("einstein.py", "_mixed_second_derivative"),
+                 ("resolvability.py", "build_matrix"),
+                 ("resolvability.py", "_eliminate"),
+                 ("resolvability.py", "_qform"),
+                 ("resolvability.py", "_small_witness"),
                  ("immersion.py", "_pullback_pass"),
-                 ("immersion.py", "_first_mismatch"),
-                 ("resolvability.py", "_small_witness")]
+                 ("immersion.py", "_first_mismatch")]
+
+
+def definition(tree, name):
+    """The function ``name`` (or ``Class.method``) defined in ``tree``."""
+    body = tree.body
+    *owner, name = name.split(".")
+    for cls in owner:
+        (body,) = [node.body for node in body
+                   if isinstance(node, ast.ClassDef) and node.name == cls]
+    (fn,) = [node for node in body
+             if isinstance(node, ast.FunctionDef) and node.name == name]
+    return fn
 
 
 @pytest.mark.parametrize("module,name", INTEGER_LOOPS,
                          ids=lambda v: v.removesuffix(".py"))
 def test_integer_loops_read_no_fraction(module, name):
-    # Fraction arithmetic in these loops costs a gcd per operation; their
-    # callers put the operands over one denominator instead
+    # Fraction arithmetic in these loops costs a gcd per operation, and a
+    # CScalar two Fractions; their callers keep the operands over one
+    # denominator instead, and values are built only to be printed
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
-    (fn,) = [node for node in tree.body
-             if isinstance(node, ast.FunctionDef) and node.name == name]
+    fn = definition(tree, name)
     reads = [node.lineno for stmt in fn.body for node in ast.walk(stmt)
-             if isinstance(node, ast.Name) and node.id == "Fraction"
-             or isinstance(node, ast.Attribute) and node.attr == "Fraction"]
-    assert not reads, f"{module}:{name} reads Fraction at lines {reads}"
+             if isinstance(node, ast.Name)
+             and node.id in ("Fraction", "CScalar")
+             or isinstance(node, ast.Attribute)
+             and node.attr in ("Fraction", "CScalar")]
+    assert not reads, \
+        f"{module}:{name} reads Fraction or CScalar at lines {reads}"
 
 
 def innermost_loops(fn):
@@ -179,6 +215,21 @@ def test_product_inner_loops_call_nothing_but_the_accumulator(module):
     assert calls, f"{module}:_mul_add has no accumulator lookup"
     other = [call for call in calls if call[1] != "acc.get"]
     assert not other, f"{module}:_mul_add calls {other} per product term"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_record_is_a_typing_named_tuple(path):
+    # under ``from __future__ import annotations`` each typing.NamedTuple
+    # field compiles a ForwardRef when the module is imported, which every
+    # CLI request pays; a record is a collections.namedtuple subclass with
+    # __slots__ = () and its field types in its docstring
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    named = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "typing"
+             and any(alias.name == "NamedTuple" for alias in node.names)
+             or isinstance(node, ast.Attribute) and node.attr == "NamedTuple"]
+    assert not named, f"{path.name} uses typing.NamedTuple at lines {named}"
 
 
 def modules_after(code):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kahlerimm.radial import RSeries, _fractions
 from kahlerimm.series import graded_order
+from oracles import binomial
 
 frac_st = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 # coefficients with denominators up to 5 or up to 60
@@ -131,15 +132,6 @@ def power_sum(a, coeff_at):
         if ck:
             out = out + power.scale(ck)
     return out
-
-
-def binomial(e):
-    def coefficient(k):
-        num = Fraction(1)
-        for i in range(k):
-            num *= e - i
-        return num / math.factorial(k)
-    return coefficient
 
 
 @st.composite

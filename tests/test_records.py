@@ -18,10 +18,10 @@ from kahlerimm.series import HolSeries
 from kahlerimm.symmetric import DomainInvariants, Membership
 
 SERIES = HolSeries(1, 2, {1: CScalar(1)})
-PIVOT = Pivot(0, Fraction(2), {0: CScalar(1)})
+PIVOT = Pivot(0, 2, {}, 1)
 HARTOGS = HartogsWitness(2, 0, Fraction(-1, 4))
 RECORDS = [
-    HermMatrix(1, {(0, 0): CScalar(1)}, ((1,),), True),
+    HermMatrix(1, 1, {(0, 0): (1, 0)}, ((1,),), True),
     PIVOT,
     Psd(1, (PIVOT,)),
     NotPsd((CScalar(1),), Fraction(-1)),

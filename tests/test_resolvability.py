@@ -16,7 +16,7 @@ from kahlerimm.resolvability import (CertifiedNotResolvable,
                                      resolvability)
 from kahlerimm.diastasis import b_transform, normalize_to_diastasis
 from kahlerimm.scalars import CScalar
-from kahlerimm.series import BiSeries, GradedOrder
+from kahlerimm.series import BiSeries, GradedOrder, integer_form
 
 
 def diag_series(values):
@@ -64,6 +64,11 @@ def test_circular_flag_cleared_by_mixed_degrees():
 # PSD certification
 # ---------------------------------------------------------------------------
 
+def herm_matrix(dimension, entries, basis, circular=False):
+    """The ``HermMatrix`` of a dict of exact entries."""
+    return HermMatrix(dimension, *integer_form(entries), basis, circular)
+
+
 def _herm_from_rows(rows):
     entries = {}
     for r, row in enumerate(rows):
@@ -71,7 +76,39 @@ def _herm_from_rows(rows):
             if not CScalar.of(v).is_zero():
                 entries[(r, c)] = CScalar.of(v)
     basis = tuple((j + 1,) for j in range(len(rows)))
-    return HermMatrix(len(rows), entries, basis, False)
+    return herm_matrix(len(rows), entries, basis)
+
+
+def cscalar_qform(entries, v):
+    """v* A v summed term by term in ``CScalar`` arithmetic."""
+    out = CScalar(0)
+    for (r, c), a in entries.items():
+        out = out + v[r].conj() * a * v[c]
+    return out
+
+
+def view(verdict):
+    """A verdict as the values it stands for: the rank and each pivot's
+    position, value and column of L, or the witness and its value."""
+    if isinstance(verdict, NotPsd):
+        return verdict
+    return verdict.rank, tuple((p.ordinal, p.value, p.column)
+                               for p in verdict.pivots)
+
+
+def test_pivot_and_matrix_views_read_the_integer_form():
+    # the views the benchmark tracer reads: B_pp / den and x_q / B_pp
+    pivot = Pivot(2, 6, {3: (3, -9), 5: (0, 4)}, 4)
+    assert pivot.value == Fraction(3, 2)
+    assert pivot.column == {2: CScalar(1),
+                            3: CScalar(Fraction(1, 2), Fraction(-3, 2)),
+                            5: CScalar(0, Fraction(2, 3))}
+    mat = herm_matrix(2, {(0, 0): Fraction(1, 2), (0, 1): CScalar(0, 1),
+                          (1, 0): CScalar(0, -1)}, ((1,), (2,)))
+    assert (mat.den, mat.nums) == (2, {(0, 0): (1, 0), (0, 1): (0, 2),
+                                       (1, 0): (0, -2)})
+    assert mat.entries == {(0, 0): CScalar(Fraction(1, 2)),
+                           (0, 1): CScalar(0, 1), (1, 0): CScalar(0, -1)}
 
 
 def test_psd_identity():
@@ -183,7 +220,7 @@ def test_circular_block_path_matches_monolithic():
         t = b_transform(normalize_to_diastasis(d), Fraction(b))
         mat = build_matrix(t, 3)
         assert mat.circular_flag
-        flat = HermMatrix(mat.dimension, mat.entries, mat.basis, False)
+        flat = mat._replace(circular_flag=False)
         v1 = psd_certify(mat)
         v2 = psd_certify(flat)
         assert type(v1) is type(v2)
@@ -224,23 +261,25 @@ def matrix_and_vector(draw):
 @given(matrix_and_vector())
 def test_qform_matches_cscalar_sum(case):
     entries, v = case
-    want = CScalar(0)
-    for (r, c), a in entries.items():
-        want = want + v[r].conj() * a * v[c]
+    want = cscalar_qform(entries, v)
+    den_a, a = integer_form(entries)
+    den_v, x = integer_form(dict(enumerate(v)))
+    basis = tuple((j + 1,) for j in range(len(v)))
+    mat = herm_matrix(len(v), entries, basis)
     if want.im:
         with pytest.raises(ValueError, match="non-Hermitian"):
-            _qform(entries, v)
+            _qform(a, x)
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            mat.quadratic_form(v)
         return
-    assert _qform(entries, v) == want.re
-    basis = tuple((j + 1,) for j in range(len(v)))
-    assert HermMatrix(len(v), entries, basis, False).quadratic_form(v) \
-        == want.re
+    assert Fraction(_qform(a, x), den_a * den_v * den_v) == want.re
+    assert mat.quadratic_form(v) == want.re
 
 
 def test_qform_of_a_non_hermitian_matrix_raises():
     # [[0, i], [0, 0]] at v = (1, 1) has v*Av = i
     with pytest.raises(ValueError, match="non-Hermitian"):
-        _qform({(0, 1): CScalar(0, 1)}, [CScalar(1), CScalar(1)])
+        _qform({(0, 1): (0, 1)}, {0: (1, 0), 1: (1, 0)})
 
 
 def test_non_hermitian_matrix_rejected():
@@ -258,7 +297,8 @@ def test_non_hermitian_matrix_rejected():
 
 def dense_eliminate(mat, positions):
     """The dense CScalar LDL* loop that ``_eliminate`` replaced: both
-    halves of every pair of active positions at every pivot step.
+    halves of every pair of active positions at every pivot step.  It
+    returns the ``view`` of its verdict.
 
     One token differs from that loop: its 2x2 witness took t = -s conj(a)
     where its comment (and this copy) has t = -s a.  The two agree for a
@@ -301,7 +341,7 @@ def dense_eliminate(mat, positions):
                     if witness_small is not None:
                         break
             if witness_small is None:
-                return Psd(len(pivots), tuple(pivots))
+                return len(pivots), tuple(pivots)
             y = dict(witness_small)
             for p, dval, row in reversed(steps):
                 acc = CScalar(0)
@@ -314,7 +354,7 @@ def dense_eliminate(mat, positions):
                 vec[p] = coeff
             first = next(c for c in vec if not c.is_zero())
             vec = [c / first for c in vec]
-            value = _qform(mat, vec)
+            value = cscalar_qform(mat, vec).re
             if value >= 0:
                 raise AssertionError("witness failed to certify")
             return NotPsd(tuple(vec), value)
@@ -328,7 +368,7 @@ def dense_eliminate(mat, positions):
             if not a.is_zero():
                 col[q] = a / CScalar(dval)
         steps.append((best, dval, {q: entry(best, q) for q in active}))
-        pivots.append(Pivot(best, dval, col))
+        pivots.append((best, dval, col))
         active.remove(best)
         for q in active:
             cq = col.get(q)
@@ -347,7 +387,8 @@ def dense_eliminate(mat, positions):
 
 
 def dense_psd_certify(matrix):
-    """``psd_certify`` with ``dense_eliminate``, circular blocks included."""
+    """``psd_certify`` with ``dense_eliminate``, circular blocks included,
+    as the ``view`` of its verdict."""
     positions = list(range(matrix.dimension))
     if not matrix.circular_flag:
         return dense_eliminate(matrix.entries, positions)
@@ -364,8 +405,8 @@ def dense_psd_certify(matrix):
             vec = list(verdict.witness)
             vec += [CScalar(0)] * (matrix.dimension - len(vec))
             return NotPsd(tuple(vec), verdict.value)
-        all_pivots.extend(verdict.pivots)
-    return Psd(len(all_pivots), tuple(all_pivots))
+        all_pivots.extend(verdict[1])
+    return len(all_pivots), tuple(all_pivots)
 
 
 small_fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 12))
@@ -448,8 +489,8 @@ def test_eliminate_matches_dense_loop(rows):
     mat = _herm_from_rows(rows)
     positions = list(range(mat.dimension))
     want = dense_eliminate(mat.entries, positions)
-    assert _eliminate(mat.entries, positions) == want
-    assert psd_certify(mat) == want
+    assert view(_eliminate(mat.den, mat.nums, positions)) == want
+    assert view(psd_certify(mat)) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -460,8 +501,8 @@ def test_circular_blocks_match_dense_loop(rows):
     basis = GradedOrder(2, 4).basis[1:len(rows) + 1]
     entries = {(r, c): v for (r, c), v in _herm_from_rows(rows).entries.items()
                if sum(basis[r]) == sum(basis[c])}
-    mat = HermMatrix(len(rows), entries, basis, True)
-    assert psd_certify(mat) == dense_psd_certify(mat)
+    mat = herm_matrix(len(rows), entries, basis, True)
+    assert view(psd_certify(mat)) == dense_psd_certify(mat)
 
 
 def test_zero_block_witness_after_two_pivots():
@@ -518,7 +559,7 @@ def test_jets_size_gram_matches_dense_loop():
     assert mat.dimension == 34
     verdict = psd_certify(mat)
     assert isinstance(verdict, Psd) and verdict.rank == 20
-    assert verdict == dense_psd_certify(mat)
+    assert view(verdict) == dense_psd_certify(mat)
     assert max(max(p.value.numerator.bit_length(),
                    p.value.denominator.bit_length())
                for p in verdict.pivots) > 64
@@ -529,7 +570,7 @@ def test_jets_size_gram_matches_dense_loop():
     mat = build_matrix(gram_jet(9, negative=True), 4)
     verdict = psd_certify(mat)
     assert isinstance(verdict, NotPsd)
-    assert verdict == dense_psd_certify(mat)
+    assert view(verdict) == dense_psd_certify(mat)
 
 
 def test_zero_diagonal_complex_off_diagonal_witness():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from kahlerimm.scalars import CScalar, as_fraction, format_fraction, \
-    parse_fraction
+    parse_fraction, parse_ratio
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50)
@@ -103,3 +103,6 @@ tokens = st.text(alphabet="0123456789-+/._eE \u0661\u00b2", max_size=8) | \
 def test_parse_fraction_is_fraction_of_str(text):
     # the same value, or the same exception class and message
     assert outcome(parse_fraction, text) == outcome(Fraction, text)
+    # the ratio it is read through has a positive denominator
+    ratio, _ = outcome(parse_ratio, text)
+    assert ratio is None or ratio[1] > 0

@@ -14,7 +14,8 @@ from kahlerimm.series import (
     index_of_ordinal, log1p_series, ordinal_of_index, pow1p_series,
     solve_graded_fixed_point,
 )
-from oracles import lift_arity, monomial, mul_conj, mul_monomial
+from oracles import binomial, exp_coefficient, lift_arity, \
+    log1p_coefficient, monomial, mul_conj, mul_monomial
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +207,6 @@ def power_sum(a, one, coeff_at):
         if ck:
             out = out + power.scale(ck)
     return out
-
-
-def exp_coefficient(k):
-    return Fraction(1, math.factorial(k))
-
-
-def log1p_coefficient(k):
-    return Fraction((-1) ** (k + 1), k) if k else Fraction(0)
-
-
-def binomial(e):
-    def coefficient(k):
-        num = Fraction(1)
-        for i in range(k):
-            num *= e - i
-        return num / math.factorial(k)
-    return coefficient
 
 
 @st.composite

@@ -1,21 +1,37 @@
-"""The benchmark tracer wraps package functions by name: each must exist.
+"""The benchmark tracer wraps package functions by name and counts what
+their results hold: each target must exist, and each count must read what
+it did.
 
 ``perfbench/tracer.py`` looks every ``(module, attr)`` of its ``TARGETS``
 up in ``kahlerimm`` when a traced request starts, so a renamed or deleted
-function breaks every ``--trace 1`` run; this test fails first.
+function breaks every ``--trace 1`` run; this test fails first.  Its
+counts read the records the pipeline returns (the matrix, the pivots or
+the witness, the map), so a change of what those records hold fails the
+count test.
 """
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tracer():
+    return _load(TRACER, "perfbench_tracer")
 
 
 def test_every_traced_target_is_a_callable_of_the_package():
@@ -26,3 +42,43 @@ def test_every_traced_target_is_a_callable_of_the_package():
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"kahlerimm.{module}.{attr}"
+
+
+# (jet, command, degree, counts): a PSD jet of rank 12 on the 20 monomials
+# of degree 1..5 in 2 variables, emitted as a map of 12 components, and an
+# indefinite jet on the 19 monomials of degree 1..3 in 3 variables.  The
+# non-zeros are the lines of the jet file, one per entry; the largest bit
+# length is that of a pivot, a column entry or a witness part in lowest
+# terms, which does not depend on how the pipeline stores them.
+TRACED = [
+    (("psd_jet", 0, 2, 5, 12), "emit-immersion", 5,
+     {"resolvability.rank": 12, "immersion.components": 12,
+      "resolvability.matrix_dim": 20, "resolvability.witness_support": 0,
+      "resolvability.max_coeff_bits": 85}),
+    (("indefinite_jet", 0, 3, 3, 12), "analyze", 3,
+     {"resolvability.rank": 0, "immersion.components": 0,
+      "resolvability.matrix_dim": 19, "resolvability.witness_support": 13,
+      "resolvability.max_coeff_bits": 106}),
+]
+
+
+@pytest.mark.parametrize("jet,command,degree,counts", TRACED,
+                         ids=lambda v: v[0] if isinstance(v, tuple) else None)
+def test_traced_counts_read_the_records(tmp_path, jet, command, degree,
+                                        counts):
+    jetgen = _load(ROOT / "perfbench" / "jetgen.py", "perfbench_jetgen")
+    kind, *args = jet
+    text = getattr(jetgen, kind)(*args)
+    series = tmp_path / "jet.txt"
+    series.write_text(text)
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, str(TRACER), str(spans), command, "--series",
+         str(series), "--degree", str(degree)],
+        env=env, capture_output=True, text=True)
+    assert "Traceback" not in out.stderr, out.stderr
+    assert out.returncode == (0 if counts["resolvability.rank"] else 1)
+    got = json.loads(spans.read_text())["counts"]
+    assert got["resolvability.matrix_nnz"] == len(text.splitlines())
+    assert {key: got[key] for key in counts} == counts
