@@ -66,20 +66,26 @@ def hartogs_diastasis(F: RSeries, n: int, degree: int) -> BiSeries:
     """
     if F.nvars != 1:
         raise ValueError("F must be univariate")
-    f0 = F.constant_term()
+    den, nums = F.jet.den, F.jet.nums
+    f0 = nums.get((0, 0), (0, 0))[0]  # F(0) = f0 / den
     if f0 <= 0:
         raise ValueError("F(0) must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    one = BiSeries.one(n, degree)
-    # F(|z_0|^2) = sum_k F_k |z_0|^{2k} is diagonal
-    diagonal = (ordinal_of_index((k,) + (0,) * (n - 1))
-                for k in range(degree + 1))
-    f_of_x0 = BiSeries(n, degree, {(j, j): F.ucoeff(k)
-                                   for k, j in enumerate(diagonal)})
-    rho = _rho(n, degree, first=1)
-    inner = (f_of_x0 - rho).scale(1 / f0) - one
-    return normalize_to_diastasis(-log1p_series(inner))
+    # F(|z_0|^2)/F(0) - 1 - sum_{j>=1} |z_j|^2/F(0), diagonal, over the
+    # denominator f0: F's numerators at |z_0|^{2k}, k >= 1 (at k = 0 they
+    # cancel), and -den at each |z_j|^2
+    inner = {}
+    for (k, _), v in nums.items():
+        if 0 < k <= degree:
+            j = ordinal_of_index((k,) + (0,) * (n - 1))
+            inner[(j, j)] = v
+    if degree:
+        for z in range(1, n):
+            j = ordinal_of_index(_unit(n, z))
+            inner[(j, j)] = (-den, 0)
+    return normalize_to_diastasis(-log1p_series(
+        BiSeries._reduced(n, degree, f0, inner)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,22 +241,11 @@ def cigar_diastasis(degree: int) -> BiSeries:
     return BiSeries(1, degree, coeffs)
 
 
-def _diag_to_biseries(series: RSeries, degree: int) -> BiSeries:
-    """Map a radial series in (x_1..x_n) = (|z_1|^2..) to a diagonal jet."""
-    n = series.nvars
-    coeffs: Dict[Tuple[int, int], Fraction] = {}
-    for e, c in series.coeffs.items():
-        if sum(e) == 0 or sum(e) > degree:
-            continue
-        j = ordinal_of_index(tuple(e))
-        coeffs[(j, j)] = c
-    return BiSeries(n, degree, coeffs)
-
-
 def _at_degree(y: RSeries, k: int) -> RSeries:
     """y cut or zero-padded to truncation degree k."""
-    return RSeries(y.nvars, k, {e: c for e, c in y.coeffs.items()
-                                if sum(e) <= k})
+    if k <= y.d:
+        return y.truncate(k)
+    return RSeries._of(BiSeries._of(y.nvars, k, y.jet.den, y.jet.nums))
 
 
 def taubnut_potential(m: RationalLike, mode: str, degree: int) -> BiSeries:
@@ -259,7 +254,9 @@ def taubnut_potential(m: RationalLike, mode: str, degree: int) -> BiSeries:
     slice mode (second coordinate frozen at 0): invert x = t e^{2mt} for
     t(x) by a graded fixed point and return t + m t^2 in x = |z|^2.
     full mode: invert the coupled pair t = x1 e^{-2m(t-s)},
-    s = x2 e^{-2m(s-t)} and return t + s + m(t^2 + s^2).
+    s = x2 e^{-2m(s-t)} and return t + s + m(t^2 + s^2).  The potential
+    phi is an ``RSeries`` in x_j = |z_j|^2, so its diagonal jet
+    ``phi.jet`` is the model jet.
     """
     m = as_fraction(m)
     if m < 0:
@@ -273,7 +270,7 @@ def taubnut_potential(m: RationalLike, mode: str, degree: int) -> BiSeries:
         t = solve_graded_fixed_point(step, RSeries.zero(1, degree),
                                      degree + 2, _at_degree, degree)
         phi = t + (t * t).scale(m)
-        return _diag_to_biseries(phi, degree)
+        return phi.jet
     if mode == "full":
         x1 = RSeries.var(2, degree, 0)
         x2 = RSeries.var(2, degree, 1)
@@ -289,7 +286,7 @@ def taubnut_potential(m: RationalLike, mode: str, degree: int) -> BiSeries:
             step2, seed, degree + 2,
             lambda ts, k: (_at_degree(ts[0], k), _at_degree(ts[1], k)), degree)
         phi = t + s + (t * t + s * s).scale(m)
-        return _diag_to_biseries(phi, degree)
+        return phi.jet
     raise ValueError(f"unknown mode {mode!r}; use 'slice' or 'full'")
 
 
@@ -309,9 +306,8 @@ def calabi_tube(n: int, degree: int) -> Tuple[RSeries, BiSeries]:
     rdeg = 2 * degree
 
     def step(y: RSeries) -> RSeries:
-        e = y.exp()
-        averaged = RSeries(1, e.d, {
-            (j,): c * Fraction(n, j + n) for (j,), c in e.coeffs.items()})
+        # n int_0^1 s^{n-1} e^{y(rs)} ds: x^j times n / (j + n)
+        averaged = y.exp()._shift(0, 0, lambda j: (n, j + n))
         root = averaged.pow_normalized(Fraction(1, n))
         return root.shift_up().integrate()
 

@@ -418,6 +418,10 @@ def hartogs_criterion(F: RSeries, c: RationalLike, jmax: int, kmax: int
     F(0)^(-(c+k)) is dropped — it cannot change any sign, and dropping it
     keeps all arithmetic rational.  First negative coefficient wins,
     scanning k = 0..kmax outer and j = 1..jmax inner.
+
+    With G = F/F(0) cut at jmax, h_0 = G^(-c) and h_(k+1) = h_k G^(-1): one
+    composition and one product per k after the first.  Each sign is that
+    of an integer numerator over the positive denominator of h_k.
     """
     if jmax < 1 or kmax < 0:
         raise ValueError(f"need jmax >= 1 and kmax >= 0, got {jmax}, {kmax}")
@@ -425,15 +429,24 @@ def hartogs_criterion(F: RSeries, c: RationalLike, jmax: int, kmax: int
         raise ValueError(f"F truncated below jmax={jmax}")
     if F.nvars != 1:
         raise ValueError("F must be univariate")
-    f0 = F.constant_term()
+    nums = F.truncate(jmax).jet.nums
+    f0 = nums.get((0, 0), (0, 0))[0]  # the numerator of F(0)
     if f0 <= 0:
         raise ValueError("F(0) must be positive")
     c = as_fraction(c)
-    G = F.scale(Fraction(1) / f0)
+    # G - 1 = F/F(0) - 1: F's numerators over f0, the constant cancelling
+    body = RSeries._of(BiSeries._reduced(1, jmax, f0, {
+        jk: v for jk, v in nums.items() if jk != (0, 0)}))
+    h = body.pow1p(-c)  # G^(-c)
     for k in range(kmax + 1):
-        h = G.pow_normalized(-(c + k))
+        if k == 1:
+            inverse = body.pow1p(-1)  # G^(-1)
+        if k:
+            h = h * inverse
+        h_nums = h.jet.nums
         for j in range(1, jmax + 1):
-            coeff = h.ucoeff(j)
-            if coeff < 0:
-                return CertifiedNotResolvable(jmax, HartogsWitness(j, k, coeff))
+            re = h_nums.get((j, j), (0, 0))[0]
+            if re < 0:
+                return CertifiedNotResolvable(jmax, HartogsWitness(
+                    j, k, Fraction(re, h.jet.den)))
     return ResolvableUpTo(jmax)

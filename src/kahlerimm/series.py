@@ -24,10 +24,12 @@ enter only where a caller builds a series from them (the constructors,
 Every operation documents its output truncation degree; results never
 silently lose degree information.
 
-exp, log(1 + a) and (1 + a)^e of a ``BiSeries`` or an ``RSeries`` run one
-recurrence over total-degree slices (``_degree_recurrence``), which costs
-about one product instead of a sum of powers.  Products bucket their terms
-by bidegree and visit only bucket pairs that stay inside the truncation.
+exp, log(1 + a) and (1 + a)^e run one recurrence over total-degree slices
+(``_degree_recurrence``), which costs about one product instead of a sum of
+powers.  ``radial.RSeries`` holds a series F(x) as its diagonal jet
+F(|z_1|^2, ...), so it composes through the same recurrence.  Products
+bucket their terms by bidegree and visit only bucket pairs that stay
+inside the truncation.
 
 Monomials are packed (Monagan & Pearce, CASC 2007): ``graded_order(n, d)``
 tabulates the order once per (arity, degree) with the Kronecker code of
@@ -734,20 +736,15 @@ def expm1_rule(b: Fraction) -> Rule:
     return (0, 1, b, 0)
 
 
-def _degree_recurrence(a: Dict[int, T], den_a: int, top: int, unit: T,
-                       rule: Rule, mul_add: Callable[[dict, T, T, int], None],
-                       close: Callable[[dict, int], Tuple[int, T]]
-                       ) -> List[Tuple[int, T]]:
-    """Slices F_0..F_top of F = f(A), by total degree, over the integers.
+def _degree_recurrence(order: GradedOrder, a: Dict[int, Buckets], den_a: int,
+                       rule: Rule) -> List[Tuple[int, Buckets]]:
+    """Slices F_0..F_2d of F = f(A), by total degree, over the integers.
 
-    A slice is a map of integer numerators.  ``a`` maps a degree t >= 1 to
+    A slice of total degree t = |m_j| + |m_k| is a bucket map of integer
+    numerators in ``order``, of degree d.  ``a`` maps a degree t >= 1 to
     the slice den_a A_t, for den_a a common denominator of A (A_0 must be
-    empty); ``unit`` is the slice of the series 1; ``mul_add(acc, x, y,
-    w)`` adds w * x * y for an int w, truncated, into an accumulator; and
-    ``close(acc, den)`` returns the slice acc / den in lowest terms, as
-    (den / g, acc / g) for g the gcd of den and every numerator of acc.
-    The result holds the invariant of every slice: the t-th item is
-    (den_t, G_t) with F_t = G_t / den_t, den_t > 0 and G_t integer, and
+    empty).  The result holds the invariant of every slice: the t-th item
+    is (den_t, G_t) with F_t = G_t / den_t, den_t > 0 and G_t integer, and
     den_t is the least such denominator (an empty G_t has den_t = 1).
 
     With (F_0, alpha, beta, gamma) = ``rule``:
@@ -769,27 +766,45 @@ def _degree_recurrence(a: Dict[int, T], den_a: int, top: int, unit: T,
         alpha q L t den_a A_t
             + sum_s (p s + q gamma (t - s)) (L / den_{t-s}) den_a A_s G_{t-s}
 
-    and closes over the denominator q den_a L t.
+    and closes over the denominator q den_a L t.  The sum runs over the
+    degrees s that A has, and a slice no term reaches is empty, closed
+    without arithmetic: F_t = 0 unless t is a multiple of the gcd of A's
+    degrees (a diagonal jet has only even degrees).
     """
     if a.get(0):
         raise ConstantTermError("composition needs a zero constant term")
+    d = order.d
     f0, alpha, beta, gamma = rule
     p, q = beta.numerator, beta.denominator
-    f = [(1, unit) if f0 else close({}, 1)]
-    for t in range(1, top + 1):
+    degrees = sorted(a)
+    step = math.gcd(*degrees) or 1  # F_t = 0 unless step divides t
+    f: List[Tuple[int, Buckets]] = [(1, _UNIT if f0 else {})]
+    for t in range(1, 2 * d + 1):
+        if t % step:
+            f.append((1, {}))
+            continue
         terms = []
-        for s in range(1, t + 1):
+        for s in degrees:
+            if s > t:
+                break
             w = p * s + q * gamma * (t - s)
             den, part = f[t - s]
-            if w and part and a.get(s):
+            if w and part:
                 terms.append((a[s], part, w, den))
+        own = alpha and t in a
+        if not terms and not own:
+            f.append((1, {}))
+            continue
         lcm = math.lcm(*(den for _, _, _, den in terms))
-        acc: dict = {}
-        if alpha and a.get(t):
-            mul_add(acc, a[t], unit, alpha * q * lcm * t)
+        acc: Acc = {}
+        if own:
+            _mul_add(d, acc, a[t], _UNIT, alpha * q * lcm * t)
         for x, part, w, den in terms:
-            mul_add(acc, x, part, w * (lcm // den))
-        f.append(close(acc, q * den_a * lcm * t))
+            _mul_add(d, acc, x, part, w * (lcm // den))
+        den = q * den_a * lcm * t
+        g = math.gcd(den, *itertools.chain.from_iterable(acc.values()))
+        f.append((den // g, _buckets(order, (
+            (key, (re // g, im // g)) for key, (re, im) in acc.items()))))
     return f
 
 
@@ -803,15 +818,7 @@ def _compose(a: BiSeries, rule: Rule) -> BiSeries:
     slices: Dict[int, Buckets] = {}
     for key, terms in _buckets(order, _packed(order, a.nums.items())).items():
         slices.setdefault(sum(key), {})[key] = terms
-
-    def close(acc: Acc, den: int) -> Tuple[int, Buckets]:
-        g = math.gcd(den, *itertools.chain.from_iterable(acc.values()))
-        return den // g, _buckets(order, ((key, (re // g, im // g))
-                                          for key, (re, im) in acc.items()))
-
-    f = _degree_recurrence(
-        slices, a.den, 2 * d, _UNIT, rule,
-        lambda acc, x, y, w: _mul_add(d, acc, x, y, w), close)
+    f = _degree_recurrence(order, slices, a.den, rule)
     # each slice is in lowest terms, so over the lcm of the slice
     # denominators the whole is too; a bucket map holds no zero
     den = math.lcm(*(den_t for den_t, _ in f))

@@ -15,6 +15,8 @@ None of these is reached from the command line, so none is package code:
   diagonals in ``Fraction``, the oracle of the integer pass in
   ``immersion``;
 * ``calabi_tube_residual``: the ODE residual of the tubular metric jet;
+* ``hartogs_scan``: the Hartogs sign scan with one ``pow_normalized`` per
+  k, the oracle of the product chain in ``hartogs_criterion``;
 * ``hua_schmid_prediction``: the inertia of the coefficient matrix of
   h^-eta on a classical domain, from the Hua-Schmid decomposition, an
   oracle for ``resolvability`` on the scaled Bergman models.
@@ -26,6 +28,8 @@ from typing import NamedTuple, Optional
 
 from kahlerimm.immersion import Component, ImmersionMap, Target
 from kahlerimm.radial import RSeries
+from kahlerimm.resolvability import CertifiedNotResolvable, HartogsWitness, \
+    ResolvableUpTo
 from kahlerimm.scalars import CScalar, as_fraction
 from kahlerimm.series import BiSeries, HolSeries, graded_order, \
     index_of_ordinal, ordinal_of_index
@@ -320,6 +324,23 @@ def calabi_tube_residual(n, y):
     else:
         lhs = yp_over_r.pow_normalized(n - 1) * ypp
     return (lhs - y.exp()).truncate(max(y.d - 2, 0))
+
+
+# ---------------------------------------------------------------------------
+# the Hartogs criterion
+# ---------------------------------------------------------------------------
+
+def hartogs_scan(F, c, jmax, kmax):
+    """The verdict of the sign scan of (F/F(0))^(-(c+k)), k = 0..kmax
+    outer and j = 1..jmax inner, each power composed on its own."""
+    G = F.scale(1 / F.constant_term())
+    for k in range(kmax + 1):
+        h = G.pow_normalized(-(as_fraction(c) + k))
+        for j in range(1, jmax + 1):
+            if h.ucoeff(j) < 0:
+                return CertifiedNotResolvable(
+                    jmax, HartogsWitness(j, k, h.ucoeff(j)))
+    return ResolvableUpTo(jmax)
 
 
 # ---------------------------------------------------------------------------

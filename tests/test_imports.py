@@ -99,7 +99,6 @@ def public_definitions(tree):
 # public names that no package module references, and why each stays
 UNREFERENCED_PUBLIC = {
     # perfbench/tracer.py wraps these by name, so each must keep existing
-    "series.py:pow1p_series": "traced as series.compose",
     "radial.py:RSeries.log1p": "traced as radial.compose",
     "immersion.py:ImmersionMap.pullback_norm": "traced as immersion.pullback",
     # read-back views the tracer's counts read, built on access from the
@@ -141,7 +140,7 @@ def test_every_public_name_is_referenced_by_the_package():
 # build, the exact LDL* and its witness search, the pullback with its
 # shape test and the pullback comparison, and the readers that compute on
 # a series: (module, function or Class.method)
-INTEGER_LOOPS = [("series.py", "_mul_add"), ("radial.py", "_mul_add"),
+INTEGER_LOOPS = [("series.py", "_mul_add"),
                  ("series.py", "_degree_recurrence"),
                  ("series.py", "hermitian_update"),
                  ("series.py", "hermitian_defect"),
@@ -152,6 +151,7 @@ INTEGER_LOOPS = [("series.py", "_mul_add"), ("radial.py", "_mul_add"),
                  ("series.py", "BiSeries.scale"),
                  ("series.py", "BiSeries.__mul__"),
                  ("series.py", "BiSeries.truncate"),
+                 ("radial.py", "RSeries._shift"),
                  ("diastasis.py", "normalize_to_diastasis"),
                  ("einstein.py", "_mixed_second_derivative"),
                  ("resolvability.py", "build_matrix"),
@@ -199,7 +199,7 @@ def innermost_loops(fn):
                        for node in ast.walk(loop))]
 
 
-@pytest.mark.parametrize("module", ["series.py", "radial.py"],
+@pytest.mark.parametrize("module", ["series.py"],
                          ids=lambda v: v.removesuffix(".py"))
 def test_product_inner_loops_call_nothing_but_the_accumulator(module):
     # one product term is an integer multiply-add at a key that is the sum
@@ -215,6 +215,17 @@ def test_product_inner_loops_call_nothing_but_the_accumulator(module):
     assert calls, f"{module}:_mul_add has no accumulator lookup"
     other = [call for call in calls if call[1] != "acc.get"]
     assert not other, f"{module}:_mul_add calls {other} per product term"
+
+
+def test_series_is_the_one_product_kernel():
+    # an RSeries is the diagonal jet of a BiSeries, so every series product
+    # runs in series._mul_add; a second kernel would be a second store
+    defining = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                if any(isinstance(node, ast.FunctionDef)
+                       and node.name == "_mul_add"
+                       for node in ast.walk(ast.parse(
+                           path.read_text(encoding="utf-8"))))]
+    assert defining == ["series.py"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),

@@ -1,10 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kahlerimm.radial import RSeries, _fractions
+from kahlerimm.radial import RSeries
 from kahlerimm.series import graded_order
 from oracles import binomial
 
@@ -168,17 +169,37 @@ def test_product_matches_naive(data):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_slices_pack_and_unpack_the_coefficients(data):
-    # the integer slices key each monomial by its Kronecker code in base
-    # d + 1; the graded table of (nvars, d) reads them back
-    a = data.draw(rseries_st(False))
-    d = data.draw(st.integers(0, a.d))
-    den, slices = a._slices(d)
-    order = graded_order(a.nvars, d)
-    for s, part in slices.items():
-        assert {order.degree[order.rank[e]] for e in part} == {s}
-    merged = {e: c for part in slices.values() for e, c in part.items()}
-    assert _fractions(order, den, merged) == a.truncate(d).coeffs
+def test_the_jet_is_the_canonical_diagonal_of_the_coefficients(data):
+    # x^e sits at the ordinal pair (j, j) of e, with a real coefficient, in
+    # the canonical integer form; coeffs and get read the values back
+    nvars = data.draw(st.integers(1, 2))
+    d = data.draw(st.integers(0, 5))
+    order = graded_order(nvars, d)
+    values = data.draw(st.dictionaries(st.sampled_from(order.basis), wide_st,
+                                       max_size=8))
+    s = RSeries(nvars, d, values)
+    jet = s.jet
+    assert (jet.n, jet.d) == (nvars, d) == (s.nvars, s.d)
+    assert all(j == k and not im for (j, k), (_, im) in jet.nums.items())
+    assert all(re for re, _ in jet.nums.values())
+    assert math.gcd(jet.den, *itertools.chain(*jet.nums.values())) == 1
+    nonzero = {e: c for e, c in values.items() if c}
+    assert jet.den == math.lcm(*(c.denominator for c in nonzero.values()))
+    assert {order.basis[j] for j, _ in jet.nums} == set(nonzero)
+    assert s.coeffs == nonzero
+    assert all(s.get(e) == values.get(e, 0) for e in order.basis)
+
+
+@pytest.mark.parametrize("nvars,d,e", [(2, 3, (1,)), (1, 3, (1, 0)),
+                                       (1, 3, (-1,)), (2, 3, (2, -1)),
+                                       (1, 3, (4,)), (2, 3, (2, 2))])
+def test_constructor_rejects_exponents_it_cannot_hold(nvars, d, e):
+    # a wrong arity, a negative exponent or a degree over d
+    with pytest.raises(ValueError):
+        RSeries(nvars, d, {e: 1})
+    if sum(e) > d:
+        with pytest.raises(ValueError, match=f"exceeds degree {d}"):
+            RSeries(nvars, d, {e: 1})
 
 
 def test_recurrence_closes_a_slice_that_cancels_midway():

@@ -15,8 +15,10 @@ from kahlerimm.resolvability import (CertifiedNotResolvable,
                                      hartogs_criterion, psd_certify,
                                      resolvability)
 from kahlerimm.diastasis import b_transform, normalize_to_diastasis
+from kahlerimm.radial import RSeries
 from kahlerimm.scalars import CScalar
 from kahlerimm.series import BiSeries, GradedOrder, integer_form
+from oracles import hartogs_scan
 
 
 def diag_series(values):
@@ -707,6 +709,21 @@ def test_hartogs_criterion_matches_closed_form_recurrence(model, c):
             if j is not None:
                 want = CertifiedNotResolvable(top, HartogsWitness(j, k, h[j]))
     assert hartogs_criterion(F, c, top, top) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                min_size=1, max_size=7),
+       st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6),
+       st.fractions(min_value=-3, max_value=3, max_denominator=4),
+       st.integers(0, 5), st.data())
+def test_hartogs_criterion_matches_the_per_k_scan(tail, f0, c, kmax, data):
+    # h_0 = G^(-c), h_(k+1) = h_k G^(-1) against one pow_normalized per k:
+    # the same verdict, witness and exact coefficient
+    F = RSeries.univariate([f0] + tail)
+    jmax = data.draw(st.integers(1, F.d))
+    assert hartogs_criterion(F, c, jmax, kmax) == hartogs_scan(F, c, jmax,
+                                                               kmax)
 
 
 def test_hartogs_criterion_requires_enough_terms():

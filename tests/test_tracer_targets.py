@@ -82,3 +82,31 @@ def test_traced_counts_read_the_records(tmp_path, jet, command, degree,
     got = json.loads(spans.read_text())["counts"]
     assert got["resolvability.matrix_nnz"] == len(text.splitlines())
     assert {key: got[key] for key in counts} == counts
+
+
+# radial requests: an RSeries composes through the wrapped series
+# functions, so a traced span nests a series span inside a radial one
+RADIAL = [
+    (("analyze", "--model", "springer", "--c", "1", "--degree", "6",
+      "--jmax", "6", "--kmax", "6"),
+     {"radial.compose", "series.compose", "resolvability.hartogs"}),
+    (("cigar", "--c", "1", "--nmax", "6"),
+     {"radial.compose", "series.compose", "bell.cigar_scan"}),
+]
+
+
+@pytest.mark.parametrize("argv,layers", RADIAL, ids=lambda v: v[0]
+                         if isinstance(v, tuple) else None)
+def test_traced_radial_request_prints_the_untraced_bytes(tmp_path, argv,
+                                                         layers):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    plain = subprocess.run([sys.executable, "-m", "kahlerimm.cli", *argv],
+                           env=env, capture_output=True)
+    spans = tmp_path / "spans.json"
+    traced = subprocess.run([sys.executable, str(TRACER), str(spans), *argv],
+                            env=env, capture_output=True)
+    assert b"Traceback" not in traced.stderr, traced.stderr
+    assert traced.returncode == plain.returncode
+    assert traced.stdout == plain.stdout
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert layers <= names, sorted(layers - names)
