@@ -21,8 +21,9 @@ from .immersion import Component, ImmersionMap, NotResolvableError, Target, \
 from .models import MODELS, build_model, hartogs_profile
 from .resolvability import CertifiedNotResolvable, HartogsWitness, \
     MatrixWitness, ResolvableUpTo, hartogs_criterion, resolvability
-from .scalars import CScalar, as_fraction, format_fraction, format_ratio
-from .series import BiSeries, HolSeries, graded_order, ordinal_of_index
+from .scalars import as_fraction, format_fraction, format_ratio, parse_ratio
+from .series import BiSeries, HolSeries, _ratio_form, graded_order, \
+    ordinal_of_index
 from .symmetric import DomainInvariants, bergman_scaling_decision, \
     cartan_hartogs_failure, classical_invariants, wallach_membership
 
@@ -33,8 +34,56 @@ class InputError(ValueError):
     pass
 
 
+_string = json.encoder.encode_basestring_ascii
+
+
 def _emit(obj: Dict[str, Any]) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    """Print the document ``obj`` as ``json.dumps(obj, indent=2,
+    sort_keys=True)`` prints it, byte for byte.
+
+    With ``indent`` set, ``json`` encodes through its pure-Python encoder,
+    a generator per container and a call per chunk; ``_write`` takes the
+    same steps in one recursion over a list of chunks."""
+    out: List[str] = []
+    _write(obj, "\n", out)
+    print("".join(out))
+
+
+def _write(obj: Any, newline: str, out: List[str]) -> None:
+    """Append the chunks of the JSON value ``obj`` to ``out``, its lines
+    indented as ``newline`` (a newline and the indent of ``obj``'s line)
+    says.  As in ``json``: a dict's keys are sorted, a tuple is a list, a
+    string is escaped to ASCII and an int is its ``int.__repr__``; any
+    other leaf (None, a bool or a float) is what ``json.dumps`` makes of
+    it.  Keys are strings, as in every document."""
+    if isinstance(obj, str):
+        out.append(_string(obj))
+    elif type(obj) is int:
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out += (sep, _string(key), ": ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out += (newline, "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write(value, inner, out)
+            sep = "," + inner
+        out += (newline, "]")
+    else:
+        out.append(json.dumps(obj))
 
 
 def _parse_params(pairs: Optional[List[str]], **shortcuts: Any
@@ -74,9 +123,21 @@ def _object(value: Any, what: str) -> Dict[str, Any]:
 
 def _rational(value: Any, what: str) -> Fraction:
     """``value`` as an exact rational if it is a JSON string or integer."""
+    return Fraction(*_ratio(value, what))
+
+
+def _ratio(value: Any, what: str) -> Tuple[int, int]:
+    """(p, q), q > 0, not always in lowest terms: the rational ``value``
+    names if it is a JSON string or integer, read as ``as_fraction``
+    reads it."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise InputError(f"{what} must be a rational, got {value!r}")
-    return as_fraction(value)
+    if isinstance(value, int):
+        return value, 1
+    try:
+        return parse_ratio(value.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def _list_option(text: Optional[str], option: str,
@@ -488,7 +549,7 @@ def _immersion_from_json(doc: Mapping[str, Any]) -> ImmersionMap:
             sign = comp["sign"]
             if type(sign) is not int or sign != 1:
                 raise InputError(f"a component sign must be 1, got {sign!r}")
-            coeffs = {}
+            ratios = {}
             for term in comp["series"]:
                 m = tuple(_integer(e, "an exponent") for e in term["m"])
                 j = ordinals.get(m)
@@ -498,10 +559,13 @@ def _immersion_from_json(doc: Mapping[str, Any]) -> ImmersionMap:
                             f"the multi-index {list(m)} is not of arity "
                             f"{arity} and degree <= {degree}")
                     j = ordinals[m] = ordinal_of_index(m)
-                coeffs[j] = CScalar(_rational(term["re"], "a real part"),
-                                    _rational(term["im"], "an imaginary part"))
-            comps.append(Component(_rational(comp["radicand"], "a radicand"),
-                                   HolSeries(arity, degree, coeffs)))
+                ratios[j] = (_ratio(term["re"], "a real part"),
+                             _ratio(term["im"], "an imaginary part"))
+            # a later term for the same monomial replaces an earlier one
+            comps.append(Component(
+                _rational(comp["radicand"], "a radicand"),
+                HolSeries._reduced(arity, degree, *_ratio_form({
+                    j: v for j, v in ratios.items() if v[0][0] or v[1][0]}))))
     except (AttributeError, IndexError, KeyError, TypeError) as exc:
         raise InputError(f"malformed immersion document: "
                          f"{type(exc).__name__}: {exc}") from exc

@@ -2,21 +2,27 @@
 
 A map is stored as components (radicand, holomorphic series): the component
 function is sqrt(radicand) * series, but the square root is never
-materialized — all verification happens on radicand * |series|^2, which
-stays inside Gaussian-integer arithmetic over one denominator.
+materialized: all verification happens on radicand * |series|^2, in
+Gaussian-integer arithmetic.  A map is verified by running the Bareiss
+steps of the exact LDL* backwards (``_backward_pass``): from the zero
+remainder, each component is added back as the integer step that removed
+it, so the check computes on the Bareiss integers of the matrix, and it
+passes only the map ``psd_certify`` factors, in its order.  Any other map
+is summed over one common denominator (``_pullback_pass``) to report where
+it differs and whether it is the pivoted LDL* of its own pullback.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .resolvability import MatrixWitness, NotPsd, calabi_matrix, \
     calabi_series, psd_certify
 from .scalars import CScalar, RationalLike, as_fraction
 from .series import ArityMismatchError, BiSeries, HolSeries, Nums, Rows, \
-    _order_size, graded_order, hermitian_update, index_of_ordinal
+    _order_size, graded_order, hermitian_update, index_of_ordinal, reduced
 
 
 class NotResolvableError(ValueError):
@@ -92,17 +98,19 @@ def _pullback_pass(imm: ImmersionMap) -> Tuple[int, int, Rows, bool]:
     they are not picked.  S_h exceeds S_{h+1} on the support of f_h only,
     so the pick is the running best or a position of that support: the
     test costs O(support) per component, comparing integers.
+
+    L grows with the number of components (thousands of bits on a dense
+    jet), so a map is verified by ``_rebuilds`` first; this pass serves
+    the maps that one rejects.
     """
     n = imm.arity
-    d = min([imm.degree] + [c.series.d for c in imm.components])
-    size = _order_size(n, d)
+    d = _least_degree(imm)
     comps = []
     for rad, f in imm.components:
         if f.n != n:
             raise ArityMismatchError(f"arity {f.n} != {n}")
         den = f.den
-        x = f.nums if f.d <= d else {j: v for j, v in f.nums.items()
-                                     if j < size}
+        x = _terms(f, d)
         g = math.gcd(rad.numerator, den * den)
         comps.append((rad, den, x, rad.numerator // g,
                       rad.denominator * (den * den // g)))
@@ -124,6 +132,116 @@ def _pullback_pass(imm: ImmersionMap) -> Tuple[int, int, Rows, bool]:
     return d, lam, rows, pivoted
 
 
+def _least_degree(imm: ImmersionMap) -> int:
+    """The least degree of the map and its components."""
+    return min([imm.degree] + [f.d for _, f in imm.components])
+
+
+def _terms(f: HolSeries, d: int) -> Nums:
+    """The numerators of ``f`` through degree ``d``."""
+    if f.d <= d:
+        return f.nums
+    size = _order_size(f.n, d)
+    return {j: v for j, v in f.nums.items() if j < size}
+
+
+def _rebuilds(imm: ImmersionMap, want: BiSeries) -> bool:
+    """True when the components of ``imm`` are, in order, the pivots and
+    columns of the pivoted LDL* that ``psd_certify`` takes from the
+    coefficient matrix of ``want``, and so rebuild that matrix exactly.
+
+    The map and its components must reach want.d, and are read through it.
+    The matrix splits as ``psd_certify`` splits it: when no entry couples
+    two degrees, into one block per degree, each over the least
+    denominator of its own entries (``series.reduced``), whose components
+    come in a run of their own, lowest degree first; else it is one
+    block.  Each block goes through ``_backward_pass``.
+    """
+    n, d = want.n, want.d
+    if imm.arity != n or _least_degree(imm) != d \
+            or any(f.n != n for _, f in imm.components):
+        return False
+    comps = [(rad, f.den, _terms(f, d)) for rad, f in imm.components]
+    degree = graded_order(n, d).degree
+    if any(degree[j] != degree[k] for j, k in want.nums):
+        return _backward_pass(want.den, want.nums, comps)
+    blocks: Dict[int, Nums] = {}
+    for (j, k), v in want.nums.items():
+        blocks.setdefault(degree[j], {})[(j, k)] = v
+    runs: Dict[int, List[Tuple[Fraction, int, Nums]]] = {}
+    last = 0
+    for comp in comps:
+        degrees = {degree[j] for j in comp[2]}
+        if len(degrees) != 1 or min(degrees) < last:
+            return False
+        (last,) = degrees
+        runs.setdefault(last, []).append(comp)
+    return all(_backward_pass(*reduced(want.den, blocks.get(g, {})),
+                              runs.get(g, []))
+               for g in blocks.keys() | runs.keys())
+
+
+def _backward_pass(den: int, nums: Nums,
+                   comps: Sequence[Tuple[Fraction, int, Nums]]) -> bool:
+    """True when the components (r_h, D_h, x_h), each f_h = x_h / D_h, are
+    in order the pivots and columns of the pivoted LDL* of the Hermitian
+    matrix nums / den, f_h being 1 at its pivot p_h.
+
+    Bareiss's step run backwards (Bareiss, Math. Comp. 22, 1968).  With
+    B_0 = 1, B_h = r_h den B_{h-1} and y_h = B_h f_h, the step of
+    ``resolvability._eliminate`` that removed pivot h, M_h = (B_h M_{h-1}
+    - y y*) / B_{h-1} off p_h, is undone by M_{h-1} = (B_{h-1} M_h + y_h
+    y_h*) / B_h, which also restores row and column p_h: one
+    ``hermitian_update(rows, 1, y_h, B_{h-1}, B_h)``, for h = r ... 1 from
+    the zero remainder M_r.  For the LDL* of nums / den the B_h are its
+    Bareiss integers and the M_h its Bareiss minors, so every B_h, every
+    y_h and every division is integral, no integer is larger than a minor
+    of nums, and M_0 = nums; a map for which one of them is not is
+    rejected.
+
+    Shape test: once component h is added back, the diagonal M_{h-1}(q, q)
+    is den B_{h-1} times the Schur diagonal S_{h-1}(q) = sum_{i >= h} r_i
+    |f_i(q)|^2.  p_h must be the pick of the pivot rule, the largest, ties
+    to the lowest position, with y_h(p_h) = M_{h-1}(p_h, p_h) = B_h.  S
+    grows on the support of f_h only, so the pick is the running best or a
+    position of that support, O(support) per component; an entry keeps
+    the scale it was written at (``series.Rows``), so the running best is
+    compared by cross-multiplication.
+    """
+    bs = [1]
+    for rad, fden, _ in comps:
+        b, rem = divmod(rad.numerator * den * bs[-1], rad.denominator)
+        if rem or b % fden:
+            return False
+        bs.append(b)
+    rows: Rows = {}
+    best, top, scale = None, 0, 1  # the pick, its diagonal and its scale
+    for h in range(len(comps), 0, -1):
+        b, prev = bs[h], bs[h - 1]
+        _, fden, x = comps[h - 1]
+        t = b // fden
+        y = {q: (re * t, im * t) for q, (re, im) in x.items()}
+        try:
+            hermitian_update(rows, 1, y, prev, b)
+        except ArithmeticError:
+            return False
+        for q in y:
+            v = rows[q][q][0]
+            c = v * scale - top * prev
+            if c > 0 or not c and q < best:
+                best, top, scale = q, v, prev
+        if y.get(best) != (b, 0) or top != b:
+            return False
+    count = 0  # M_0 = nums: an entry at scale s is s times its numerator
+    for j, row in rows.items():
+        for k, (re, im, s) in row.items():
+            wr, wi = nums.get((j, k), (0, 0))
+            if re != wr * s or im != wi * s:
+                return False
+        count += len(row)
+    return count == len(nums)
+
+
 def target_for(b: Fraction) -> Target:
     """The space form of curvature 4b: flat for b = 0, else curved."""
     return Target("flat") if not b else Target("curved", b)
@@ -135,9 +253,8 @@ def factor_immersion(d: BiSeries, b: RationalLike, degree: int) -> ImmersionMap:
     Component h has radicand = pivot d_h and series = the h-th unit-diagonal
     column of L, so that sum_h d_h |f_h|^2 reproduces b_transform(d, b)
     through ``degree`` exactly.  Before it is returned, the map is verified
-    against that series, the flat-target (b = 0) diastasis of the same map,
-    and put to the pivoted-LDL* shape test that ``check-certificate``
-    applies, in the same pass.
+    as ``check-certificate`` verifies it: the backward pass ``_rebuilds``
+    must rebuild the matrix it was factored from.
     """
     b = as_fraction(b)
     transformed, matrix = calabi_matrix(d, b, degree)
@@ -156,9 +273,8 @@ def factor_immersion(d: BiSeries, b: RationalLike, degree: int) -> ImmersionMap:
         components.append(Component(
             pivot.value, HolSeries._reduced(n, degree, pivot.bareiss, nums)))
     imm = ImmersionMap(tuple(components), target_for(b), degree, n)
-    check = _pullback_residual(imm, transformed, degree)
-    if not (check.ok and check.pivoted):  # pragma: no cover - soundness
-        raise AssertionError(f"factored map failed verification: {check}")
+    if not _rebuilds(imm, transformed):  # pragma: no cover - soundness
+        raise AssertionError("the factored map does not rebuild its matrix")
     return imm
 
 
@@ -171,7 +287,7 @@ class VerifyResult(namedtuple("VerifyResult", "ok residual pivoted",
     """``ok`` (bool): the pullback norm equals the series; ``residual``
     (None, or (m_j, m_k, got, want) with ``CScalar`` values): else the
     first difference; ``pivoted`` (bool): the map passes the shape test of
-    ``ImmersionMap.is_pivoted_ldl``, taken in the same pass."""
+    ``ImmersionMap.is_pivoted_ldl``."""
 
     __slots__ = ()
 
@@ -180,18 +296,25 @@ def verify_immersion(imm: ImmersionMap, d: BiSeries, b: RationalLike,
                      degree: int) -> VerifyResult:
     """Compare the pulled-back squared norm against b_transform(d, b).
 
-    Reports the first differing coefficient in graded order (j, then k);
-    the stated (got, want) pair makes the residual independently checkable.
-    The one pass that computes the pullback also gives ``pivoted``.
+    The map is the one ``factor_immersion`` prints exactly when the
+    backward pass ``_rebuilds`` rebuilds the series' matrix from it: then
+    the norms agree and the map is pivoted.  Any other map goes through
+    ``_pullback_residual``, which reports the first differing coefficient
+    in graded order (j, then k); the stated (got, want) pair makes the
+    residual independently checkable.
     """
     if imm.arity != d.n:
         raise ValueError(f"arity mismatch: map {imm.arity} vs series {d.n}")
-    return _pullback_residual(imm, calabi_series(d, b, degree), degree)
+    want = calabi_series(d, b, degree)
+    if _rebuilds(imm, want):
+        return VerifyResult(True, None, True)
+    return _pullback_residual(imm, want, degree)
 
 
 def _pullback_residual(imm: ImmersionMap, want: BiSeries, degree: int
                        ) -> VerifyResult:
-    """``verify_immersion`` against the already transformed ``want``.
+    """``verify_immersion`` against the already transformed ``want``, by
+    the general sum ``_pullback_pass``.
 
     The pullback stays Gaussian integers over its denominator L and
     ``want`` is Gaussian integers over its own denominator D, so the two

@@ -22,8 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .diastasis import b_transform, normalize_to_diastasis
 from .radial import RSeries
 from .scalars import CScalar, RationalLike, as_fraction
-from .series import BiSeries, Nums, Rows, as_scalars, exact_div, \
-    graded_order, hermitian_defect, hermitian_update, integer_form, reduced
+from .series import BiSeries, Nums, Rows, as_scalars, graded_order, \
+    hermitian_defect, hermitian_update, inexact, integer_form, reduced
 
 
 class NotADiastasisError(ValueError):
@@ -175,7 +175,9 @@ def _eliminate(den: int, nums: Nums, positions: List[int]) -> PsdVerdict:
             if im:
                 raise ValueError("non-Hermitian diagonal")
             if scale != prev:
-                re = exact_div(re * prev, scale)
+                re, rem = divmod(re * prev, scale)
+                if rem:
+                    raise inexact(scale, dv[0] * prev)
             if re > bval:
                 best, bval = p, re
         if best is None:
@@ -192,8 +194,12 @@ def _eliminate(den: int, nums: Nums, positions: List[int]) -> PsdVerdict:
         x = {}  # the pivot column B_qp = conj(B_pq), at D_k
         for q, (re, im, scale) in sorted(row.items()):
             if scale != prev:
-                re = exact_div(re * prev, scale)
-                im = exact_div(im * prev, scale)
+                re, im = re * prev, im * prev
+                qr, mr = divmod(re, scale)
+                qi, mi = divmod(im, scale)
+                if mr or mi:
+                    raise inexact(scale, re if mr else im)
+                re, im = qr, qi
             x[q] = (re, -im)
         pivots.append(Pivot(best, bval, x, den * prev))
         hermitian_update(rows, -1, x, bval, prev)

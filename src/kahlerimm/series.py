@@ -46,9 +46,8 @@ determinant or a composition puts its operands over a common denominator,
 runs its inner loops on Gaussian integers, and divides the result by one
 gcd to put it back in canonical form.  The recurrence keeps each slice
 over one integer denominator of its own.  So is the check path:
-``hermitian_update`` accumulates the pullback norm of a map as
-Gaussian-integer rows over one denominator, which ``immersion`` compares
-with the transformed potential by cross-multiplication.
+``hermitian_update`` is the Bareiss step of the exact LDL*, and
+``immersion`` runs it backwards to rebuild a matrix from a map.
 """
 from __future__ import annotations
 
@@ -554,18 +553,16 @@ def hermitian_defect(nums: Nums) -> Optional[Tuple[int, int]]:
 # A Hermitian matrix of Gaussian integers as one dict per row of its
 # nonzero entries (re, im, scale), a positive int scale: the entry stands
 # for (re + i im) / scale over a denominator the caller keeps, and its
-# conjugate entry has the same scale.  The exact LDL* stores each entry as
-# a Bareiss minor, its scale the pivot integer D of the step that wrote it;
-# the pullback norm keeps scale 1.
+# conjugate entry has the same scale.  The exact LDL* and its backward run
+# store each entry as a Bareiss minor, its scale the pivot integer D of the
+# step that wrote it; the general pullback norm keeps scale 1.
 Rows = Dict[int, Dict[int, Tuple[int, int, int]]]
 
 
-def exact_div(a: int, b: int) -> int:
-    """a / b for a divisor b that must divide a; raises otherwise."""
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError(f"{b} does not divide {a}")
-    return q
+def inexact(b: int, a: int) -> ArithmeticError:
+    """The error of a division a / b that must be exact and is not: the
+    integer kernels divide with ``divmod`` inline and raise this."""
+    return ArithmeticError(f"{b} does not divide {a}")
 
 
 def hermitian_update(rows: Rows, w: int, x: Mapping[int, Tuple[int, int]],
@@ -582,8 +579,10 @@ def hermitian_update(rows: Rows, w: int, x: Mapping[int, Tuple[int, int]],
     ArithmeticError.
 
     The Bareiss step of the exact LDL* is w = -1, x the pivot column,
-    ``scale`` the pivot and ``prev`` the pivot before it.  The pullback
-    norm is w = d_h and x = f_h over one common denominator, with
+    ``scale`` the pivot and ``prev`` the pivot before it; run backwards,
+    it is w = 1, x the pivot column with the pivot at its own position,
+    ``scale`` the pivot before and ``prev`` the pivot.  The general
+    pullback norm is w = d_h and x = f_h over one common denominator, with
     scale = prev = 1.
     """
     xs = [(q, rows.setdefault(q, {}), re, im)
@@ -603,16 +602,23 @@ def hermitian_update(rows: Rows, w: int, x: Mapping[int, Tuple[int, int]],
             if cur is not None:
                 cr, ci, cs = cur
                 if cs != prev:
-                    cr = exact_div(cr * prev, cs)
-                    ci = exact_div(ci * prev, cs)
+                    cr, ci = cr * prev, ci * prev
+                    qr, mr = divmod(cr, cs)
+                    qi, mi = divmod(ci, cs)
+                    if mr or mi:
+                        raise inexact(cs, cr if mr else ci)
+                    cr, ci = qr, qi
                 if scale != 1:
                     cr *= scale
                     ci *= scale
                 re += cr
                 im += ci
             if prev != 1:
-                re = exact_div(re, prev)
-                im = exact_div(im, prev)
+                qr, mr = divmod(re, prev)
+                qi, mi = divmod(im, prev)
+                if mr or mi:
+                    raise inexact(prev, re if mr else im)
+                re, im = qr, qi
             if re or im:
                 rq[r] = (re, im, scale)
                 rr[q] = (re, -im, scale)  # the same entry when q = r

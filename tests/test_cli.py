@@ -1263,3 +1263,95 @@ def test_mutated_spec_file(tmp_path_factory, text, command):
     path.write_text(text)
     assert_clean_exit([command, "--spec", str(path), "--b", "1",
                        "--degree", "2"])
+
+
+# ---------------------------------------------------------------------------
+# the document writer against json's indent encoder
+# ---------------------------------------------------------------------------
+
+def json_printed(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def emitted_with_objects(monkeypatch, tmp_path, *argv):
+    """(stdout of main(argv), the objects ``_emit`` printed); an argument
+    "@doc" is the file that holds the stdout of the call before."""
+    import kahlerimm.cli as cli
+    objects, emit = [], cli._emit
+    monkeypatch.setattr(cli, "_emit",
+                        lambda obj: (objects.append(obj), emit(obj))[1])
+    argv = [str(tmp_path / "doc.json") if a == "@doc" else a for a in argv]
+    code, out, err = call(*argv)
+    assert code in (0, 1) and err == "", err
+    (tmp_path / "doc.json").write_text(out)
+    return out, objects
+
+
+COMMANDS = [
+    MATRIX[1:], ("check-certificate", "@doc"),
+    HARTOGS[1:], ("check-certificate", "@doc"),
+    POSITIVE[1:], POSITIVE_HARTOGS[1:],
+    IMMERSION[1:], ("check-certificate", "@doc"),
+    REFUSAL[1:],
+    ("wallach", "--domain", "omega1", "--sizes", "2,2", "--c", "1/2"),
+    ("wallach", "--domain", "omega1", "--sizes", "2,2", "--c", "1/2",
+     "--mu", "1"),
+    ("cigar", "--c", "1", "--nmax", "6"),
+    ("cigar", "--c", "1e400", "--nmax", "2"),
+    ("bell", "--n", "4", "--x=-1,-1/2,-2/3,-3/2"),
+    ("einstein", "--model", "cp", "--n", "2", "--b", "1", "--degree", "4"),
+    ("einstein", "--model", "cigar", "--degree", "4"),
+    ("models",),
+]
+
+
+def test_every_command_prints_what_json_prints(monkeypatch, tmp_path):
+    kinds = set()
+    for argv in COMMANDS:
+        out, objects = emitted_with_objects(monkeypatch, tmp_path, *argv)
+        assert len(objects) == 1, argv
+        assert out == json_printed(objects[0]), argv
+        kinds.add(objects[0]["kind"])
+    assert kinds == {"certificate", "check", "immersion", "wallach", "cigar",
+                     "bell", "einstein", "models"}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+def test_the_writer_prints_what_json_prints(value):
+    from kahlerimm.cli import _emit
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(value)
+    assert out.getvalue() == json_printed(value)
+
+
+@pytest.mark.parametrize("text", ["\x00\x1f\"\\/ \U0001f600\ud800é",
+                                  "", "\n\t"])
+def test_the_writer_escapes_strings_as_json_does(text):
+    from kahlerimm.cli import _emit
+    doc = {text: [text, {text: text}], "": {}, "list": []}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(doc)
+    assert out.getvalue() == json_printed(doc)
+
+
+def test_the_writer_prints_a_rational_past_the_digit_limit():
+    from fractions import Fraction
+    from kahlerimm.cli import _emit
+    from kahlerimm.scalars import format_fraction
+    value = format_fraction(Fraction(10 ** 4400 + 1, 3))
+    assert len(value) > 4300
+    doc = {"value": value, "components": [{"radicand": value}]}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(doc)
+    assert out.getvalue() == json_printed(doc)

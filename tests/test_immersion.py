@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from kahlerimm.cli import _immersion_from_json
 from kahlerimm.immersion import (Component, ImmersionMap,
-                                 NotResolvableError, factor_immersion,
-                                 target_for, verify_immersion)
+                                 NotResolvableError, _backward_pass,
+                                 _pullback_residual, _rebuilds,
+                                 factor_immersion, target_for,
+                                 verify_immersion)
 from kahlerimm.models import build_model, space_form_diastasis
+from kahlerimm.resolvability import calabi_matrix, calabi_series
 from kahlerimm.scalars import CScalar
 from kahlerimm.series import BiSeries, GradedOrder, HolSeries, \
     index_of_ordinal
@@ -377,3 +381,118 @@ def test_the_integer_shape_test_matches_the_fraction_oracle(jet, data):
         assert verify_immersion(other, d, 0, degree).pivoted \
             == is_pivoted_ldl(other)
     assert imm.is_pivoted_ldl()
+
+
+# ---------------------------------------------------------------------------
+# the backward Bareiss pass against the forward sum
+# ---------------------------------------------------------------------------
+
+# ``verify_immersion`` decides a map through the backward pass where it
+# can; the forward sum over one denominator (``_pullback_residual``), which
+# decides every map, is the reference it must agree with
+
+def dense_gram(seed, n, degree, rank):
+    """The jet sum_i |g_i|^2 of ``rank`` seeded holomorphic g_i, each with
+    a Gaussian-rational coefficient at every monomial of degree 1 ..
+    ``degree``: a dense coefficient matrix of that rank."""
+    rng = random.Random(seed)
+    size = GradedOrder(n, degree).size
+    coeffs = {}
+    for _ in range(rank):
+        g = {j: CScalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                        Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+             for j in range(1, size)}
+        for j, a in g.items():
+            for k, c in g.items():
+                coeffs[(j, k)] = coeffs.get((j, k), CScalar(0)) + a * c.conj()
+    return n, degree, BiSeries(n, degree, coeffs)
+
+
+DENSE = [dense_gram(seed, 2, 4, 12) for seed in (1, 2)]
+
+
+def edited_maps(imm, draw):
+    """Maps that ``imm`` (factored, with at least one component) turns
+    into under one edit each: -f_h, i f_h, a doubled radicand, a radicand
+    times 8/7, f_h moved by 1/3 at one of its terms, a swapped pair, and a
+    later component given a term on an earlier one's pivot."""
+    comps = list(imm.components)
+    h = draw(st.integers(0, len(comps) - 1))
+    comp = comps[h]
+    moved = dict(comp.series.coeffs)
+    q = draw(st.sampled_from(sorted(moved)))
+    moved[q] += CScalar(Fraction(1, 3))
+    maps = [remade(imm, comps[:h] + [other] + comps[h + 1:])
+            for other in (scaled(comp, CScalar(-1)),
+                          scaled(comp, CScalar(0, 1)),
+                          Component(2 * comp.radicand, comp.series),
+                          Component(comp.radicand * Fraction(8, 7),
+                                    comp.series),
+                          Component(comp.radicand, HolSeries(
+                              comp.series.n, comp.series.d, moved)))]
+    if len(comps) > 1:
+        h = draw(st.integers(0, len(comps) - 2))
+        maps.append(remade(imm, comps[:h] + [comps[h + 1], comps[h]]
+                           + comps[h + 2:]))
+        later = draw(st.integers(h + 1, len(comps) - 1))
+        pivot = [j for j, c in comps[h].series.coeffs.items()
+                 if c == CScalar(1)][0]
+        coeffs = dict(comps[later].series.coeffs)
+        coeffs[pivot] = coeffs.get(pivot, CScalar(0)) + CScalar(1)
+        series = comps[later].series
+        maps.append(remade(imm, comps[:later] + [Component(
+            comps[later].radicand, HolSeries(series.n, series.d, coeffs))]
+            + comps[later + 1:]))
+    return maps
+
+
+def assert_backward_pass_rebuilds(d, degree):
+    imm = factor_immersion(d, 0, degree)
+    transformed, matrix = calabi_matrix(d, 0, degree)
+    assert _rebuilds(imm, transformed)
+    if not matrix.circular_flag:
+        # one block: the rows are the matrix's own numerators, over its den
+        assert _backward_pass(matrix.den, matrix.nums, [
+            (rad, f.den, {j - 1: v for j, v in f.nums.items()})
+            for rad, f in imm.components])
+    return imm, transformed, matrix
+
+
+def assert_agrees_with_the_forward_sum(imm, d, want, degree):
+    assert verify_immersion(imm, d, 0, degree) == \
+        _pullback_residual(imm, want, degree)
+    # against the map's own pullback, the backward pass is the shape test
+    assert _rebuilds(imm, imm.pullback_norm()) == imm.is_pivoted_ldl()
+
+
+@settings(max_examples=80, deadline=None)
+@given(jet=gram_jets(), data=st.data())
+def test_the_backward_pass_agrees_with_the_forward_sum(jet, data):
+    n, degree, d = jet
+    imm, want, _ = assert_backward_pass_rebuilds(d, degree)
+    assert verify_immersion(imm, d, 0, degree) == (True, None, True)
+    # against other jets: |z^m|^2 added at the last monomial, which the
+    # map may or may not touch, and an imaginary coupling of ordinals 1, 2
+    m = GradedOrder(n, degree).basis[-1]
+    for other in (d + BiSeries.term(n, degree, m, m),
+                  d + BiSeries(n, degree, {(1, 2): CScalar(0, 1),
+                                           (2, 1): CScalar(0, -1)})):
+        assert verify_immersion(imm, other, 0, degree) == _pullback_residual(
+            imm, calabi_series(other, 0, degree), degree)
+    if imm.components:
+        for other in edited_maps(imm, data.draw):
+            assert_agrees_with_the_forward_sum(other, d, want, degree)
+
+
+@pytest.mark.parametrize("jet", DENSE, ids=["seed1", "seed2"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_the_backward_pass_on_a_dense_rank_12_matrix(jet, data):
+    n, degree, d = jet
+    imm, want, matrix = assert_backward_pass_rebuilds(d, degree)
+    assert len(imm.components) == 12 and not matrix.circular_flag
+    for other in edited_maps(imm, data.draw):
+        assert_agrees_with_the_forward_sum(other, d, want, degree)
+        res = verify_immersion(other, d, 0, degree)
+        assert not (res.ok and res.pivoted)
+

@@ -137,9 +137,10 @@ def test_every_public_name_is_referenced_by_the_package():
 
 # the kernels that run on Gaussian integers over one denominator: the
 # series core and the operations on the stored integer form, the matrix
-# build, the exact LDL* and its witness search, the pullback with its
-# shape test and the pullback comparison, and the readers that compute on
-# a series: (module, function or Class.method)
+# build, the exact LDL* and its witness search, the backward pass that
+# verifies a map with its shape test, the general pullback with its shape
+# test and the pullback comparison, and the readers that compute on a
+# series: (module, function or Class.method)
 INTEGER_LOOPS = [("series.py", "_mul_add"),
                  ("series.py", "_degree_recurrence"),
                  ("series.py", "hermitian_update"),
@@ -158,6 +159,7 @@ INTEGER_LOOPS = [("series.py", "_mul_add"),
                  ("resolvability.py", "_eliminate"),
                  ("resolvability.py", "_qform"),
                  ("resolvability.py", "_small_witness"),
+                 ("immersion.py", "_backward_pass"),
                  ("immersion.py", "_pullback_pass"),
                  ("immersion.py", "_first_mismatch")]
 
