@@ -15,12 +15,11 @@ exponentiation) and insists they agree.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .radial import RSeries
-from .scalars import RationalLike, as_fraction
+from .scalars import RationalLike, Record, as_fraction
 
 
 def _bell_rows(n: int, xs: Sequence[Fraction], kmax: Optional[int] = None
@@ -93,8 +92,8 @@ def bell_complete(n: int, x: Sequence[RationalLike]) -> Fraction:
 # cigar obstruction
 # ---------------------------------------------------------------------------
 
-class CigarScan(namedtuple("CigarScan", "first_negative_n y_value "
-                                        "coefficient coefficients")):
+class CigarScan(Record,
+                fields="first_negative_n y_value coefficient coefficients"):
     """first_negative_n (int or None); y_value (Fraction or None): Y_n(a~)
     at the first negative n; coefficient (Fraction or None): the series
     coefficient there; coefficients (tuple of Fraction): the |z|^{2n}
@@ -143,8 +142,7 @@ def cigar_scan(c: RationalLike, n_max: int) -> CigarScan:
     return CigarScan(first_n, first_y, first_coeff, tuple(coefficients))
 
 
-class CigarLimit(namedtuple("CigarLimit",
-                            "partial_sum enclosure float_value")):
+class CigarLimit(Record, fields="partial_sum enclosure float_value"):
     """partial_sum (Fraction): exact, with a rational midpoint for pi^2/6;
     enclosure (pair of Fraction): a rational enclosure of pi^2/6;
     float_value (float): 1 - exp(-c pi^2/6), a labeled float report."""

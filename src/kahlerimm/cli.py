@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-from collections import namedtuple
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
@@ -21,7 +20,8 @@ from .immersion import Component, ImmersionMap, NotResolvableError, Target, \
 from .models import MODELS, build_model, hartogs_profile
 from .resolvability import CertifiedNotResolvable, HartogsWitness, \
     MatrixWitness, ResolvableUpTo, hartogs_criterion, resolvability
-from .scalars import as_fraction, format_fraction, format_ratio, parse_ratio
+from .scalars import Record, as_fraction, format_fraction, format_ratio, \
+    parse_ratio
 from .series import BiSeries, HolSeries, _ratio_form, graded_order, \
     ordinal_of_index
 from .symmetric import DomainInvariants, bergman_scaling_decision, \
@@ -580,7 +580,7 @@ HELP = ("-h", "--help")
 REQUIRED = object()  # the default of an option every request must give
 
 
-class Option(namedtuple("Option", "kind default help")):
+class Option(Record, fields="kind default help"):
     """A ``--name`` option: ``kind`` is ``str``, ``int`` or ``list`` (a
     repeatable string option whose values are kept in order), ``default``
     is the value when absent, or ``REQUIRED``, and ``help`` its help
@@ -589,8 +589,7 @@ class Option(namedtuple("Option", "kind default help")):
     __slots__ = ()
 
 
-class Command(namedtuple("Command", "func help options positional",
-                         defaults=((),))):
+class Command(Record, fields="func help options positional", defaults=((),)):
     """A command: its handler (callable SimpleNamespace -> exit code), help
     line, options (dict name -> ``Option``), and the names of its
     positional arguments (tuple of str)."""

@@ -1,9 +1,7 @@
 """Diastasis normalization, Bochner-form checking and the b-transform."""
 from __future__ import annotations
 
-from collections import namedtuple
-
-from .scalars import RationalLike, as_fraction
+from .scalars import RationalLike, Record, as_fraction
 from .series import BiSeries, _compose, expm1_rule, index_of_ordinal
 
 
@@ -20,8 +18,7 @@ def normalize_to_diastasis(phi: BiSeries) -> BiSeries:
     return BiSeries._reduced(phi.n, phi.d, phi.den, out)
 
 
-class BochnerReport(namedtuple("BochnerReport", "is_bochner defect",
-                               defaults=(None,))):
+class BochnerReport(Record, fields="is_bochner defect", defaults=(None,)):
     """is_bochner (bool) and defect (None, or (m_j, m_k, coefficient) with
     a ``CScalar`` coefficient): the first offending coefficient."""
 

@@ -6,10 +6,10 @@ det(d^2 D / dz dzbar) = e^{-lambda D / 2}, so lambda can be read off the
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 
 from .diastasis import check_bochner_form
+from .scalars import Record
 from .series import BiSeries, Nums, det_series, graded_order, \
     index_of_ordinal, log1p_series, ordinal_of_index
 
@@ -58,15 +58,14 @@ def hessian_det(d: BiSeries, degree: int) -> BiSeries:
     return det_series(matrix)
 
 
-class EinsteinResult(namedtuple("EinsteinResult", "lam flat",
-                                defaults=(False,))):
+class EinsteinResult(Record, fields="lam flat", defaults=(False,)):
     """lam (Fraction): the Einstein constant; flat (bool): log det H
     vanishes through the degree."""
 
     __slots__ = ()
 
 
-class NotEinstein(namedtuple("NotEinstein", "location got want")):
+class NotEinstein(Record, fields="location got want"):
     """location ((m_j, m_k)) and got, want (``CScalar``): the first
     coefficient at which log det H + (lambda/2) d is not 0."""
 

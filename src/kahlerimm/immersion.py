@@ -14,13 +14,12 @@ it differs and whether it is the pivoted LDL* of its own pullback.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .resolvability import MatrixWitness, NotPsd, calabi_matrix, \
     calabi_series, psd_certify
-from .scalars import CScalar, RationalLike, as_fraction
+from .scalars import CScalar, RationalLike, Record, as_fraction
 from .series import ArityMismatchError, BiSeries, HolSeries, Nums, Rows, \
     _order_size, graded_order, hermitian_update, index_of_ordinal, reduced
 
@@ -34,14 +33,14 @@ class NotResolvableError(ValueError):
         self.witness = witness
 
 
-class Target(namedtuple("Target", "kind b", defaults=(None,))):
+class Target(Record, fields="kind b", defaults=(None,)):
     """kind (str): "flat" or "curved"; b (Fraction or None): the curvature
     parameter of a "curved" target."""
 
     __slots__ = ()
 
 
-class Component(namedtuple("Component", "radicand series")):
+class Component(Record, fields="radicand series"):
     """sqrt(radicand) * series; the radicand is a positive rational."""
 
     __slots__ = ()
@@ -53,8 +52,7 @@ class Component(namedtuple("Component", "radicand series")):
         return super().__new__(cls, radicand, series)
 
 
-class ImmersionMap(namedtuple("ImmersionMap",
-                              "components target degree arity")):
+class ImmersionMap(Record, fields="components target degree arity"):
     __slots__ = ()
 
     def pullback_norm(self) -> BiSeries:
@@ -282,8 +280,8 @@ def factor_immersion(d: BiSeries, b: RationalLike, degree: int) -> ImmersionMap:
 # verification
 # ---------------------------------------------------------------------------
 
-class VerifyResult(namedtuple("VerifyResult", "ok residual pivoted",
-                              defaults=(None, False))):
+class VerifyResult(Record, fields="ok residual pivoted",
+                   defaults=(None, False)):
     """``ok`` (bool): the pullback norm equals the series; ``residual``
     (None, or (m_j, m_k, got, want) with ``CScalar`` values): else the
     first difference; ``pivoted`` (bool): the map passes the shape test of

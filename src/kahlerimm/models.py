@@ -9,13 +9,12 @@ entry by name.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .diastasis import normalize_to_diastasis
 from .radial import RSeries
-from .scalars import RationalLike, as_fraction
+from .scalars import RationalLike, Record, as_fraction
 from .series import BiSeries, MultiIndex, det_series, exp_series, \
     graded_order, log1p_series, ordinal_of_index, solve_graded_fixed_point
 
@@ -397,8 +396,7 @@ def profile_rhp_cubic(degree: int) -> RSeries:
 # registry
 # ---------------------------------------------------------------------------
 
-class ModelEntry(namedtuple("ModelEntry",
-                            "build schema doc profile profile_params")):
+class ModelEntry(Record, fields="build schema doc profile profile_params"):
     """A catalog model: build (callable degree, **parameters -> BiSeries),
     schema (mapping parameter name -> description), doc (str).  A
     Hartogs-family entry also names its radial profile F (callable

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple, TypeAlias
 
 from .scalars import RationalLike, as_fraction
 from .series import BiSeries, OrdinalRangeError, exp_series, graded_order, \
     log1p_series, pow1p_series
 
-Expo = Tuple[int, ...]
+Expo: TypeAlias = "Tuple[int, ...]"
 
 
 class RSeries:

@@ -15,13 +15,12 @@ the witness and its value are built as exact rationals, to be printed.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, TypeAlias
 
 from .diastasis import b_transform, normalize_to_diastasis
 from .radial import RSeries
-from .scalars import CScalar, RationalLike, as_fraction
+from .scalars import CScalar, RationalLike, Record, as_fraction
 from .series import BiSeries, Nums, Rows, as_scalars, graded_order, \
     hermitian_defect, hermitian_update, inexact, integer_form, reduced
 
@@ -34,8 +33,7 @@ class NotADiastasisError(ValueError):
 # matrix construction
 # ---------------------------------------------------------------------------
 
-class HermMatrix(namedtuple("HermMatrix",
-                            "dimension den nums basis circular_flag")):
+class HermMatrix(Record, fields="dimension den nums basis circular_flag"):
     """Hermitian coefficient matrix over the graded basis (ordinals 1..M).
 
     dimension (int): M; den (int) and nums (dict (row, col) -> (re, im)):
@@ -89,7 +87,7 @@ def build_matrix(d: BiSeries, degree: int) -> HermMatrix:
 # exact PSD certification
 # ---------------------------------------------------------------------------
 
-class Pivot(namedtuple("Pivot", "ordinal bareiss x den")):
+class Pivot(Record, fields="ordinal bareiss x den"):
     """One retained LDL* step, A accumulating value * column * column^*,
     kept as the Bareiss step that found it.
 
@@ -115,20 +113,20 @@ class Pivot(namedtuple("Pivot", "ordinal bareiss x den")):
         return out
 
 
-class Psd(namedtuple("Psd", "rank pivots")):
+class Psd(Record, fields="rank pivots"):
     """rank (int) and pivots (tuple of ``Pivot``), in elimination order."""
 
     __slots__ = ()
 
 
-class NotPsd(namedtuple("NotPsd", "witness value")):
+class NotPsd(Record, fields="witness value"):
     """witness (tuple of ``CScalar``): over the full basis, first nonzero
     = 1; value (Fraction): w* A w < 0, exact."""
 
     __slots__ = ()
 
 
-PsdVerdict = Union[Psd, NotPsd]
+PsdVerdict: TypeAlias = "Psd | NotPsd"
 
 
 def _eliminate(den: int, nums: Nums, positions: List[int]) -> PsdVerdict:
@@ -336,35 +334,33 @@ def psd_certify(matrix: HermMatrix) -> PsdVerdict:
 # verdicts
 # ---------------------------------------------------------------------------
 
-class MatrixWitness(namedtuple("MatrixWitness", "basis components value")):
+class MatrixWitness(Record, fields="basis components value"):
     """basis (tuple of multi-indices), components (tuple of ``CScalar``,
     one per basis element) and value (Fraction): w* A w < 0."""
 
     __slots__ = ()
 
 
-class HartogsWitness(namedtuple("HartogsWitness", "j k coefficient")):
+class HartogsWitness(Record, fields="j k coefficient"):
     """j, k (int) and coefficient (Fraction): the negative x^j coefficient
     of (F/F(0))^(-(c+k))."""
 
     __slots__ = ()
 
 
-class ResolvableUpTo(namedtuple("ResolvableUpTo", "degree rank",
-                                defaults=(None,))):
+class ResolvableUpTo(Record, fields="degree rank", defaults=(None,)):
     """degree (int) and rank (int, or None when no matrix was factored)."""
 
     __slots__ = ()
 
 
-class CertifiedNotResolvable(namedtuple("CertifiedNotResolvable",
-                                        "degree witness")):
+class CertifiedNotResolvable(Record, fields="degree witness"):
     """degree (int) and witness (``MatrixWitness`` or ``HartogsWitness``)."""
 
     __slots__ = ()
 
 
-Verdict = Union[ResolvableUpTo, CertifiedNotResolvable]
+Verdict: TypeAlias = "ResolvableUpTo | CertifiedNotResolvable"
 
 
 def calabi_series(d: BiSeries, b: RationalLike, degree: int) -> BiSeries:

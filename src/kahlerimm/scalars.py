@@ -1,19 +1,27 @@
-"""Exact Gaussian-rational scalars: the values a caller passes in and reads
-out.
+"""Exact Gaussian-rational scalars and the result records: the values a
+caller passes in and reads out.
 
 A series or a matrix stores its values as Gaussian integers over one
 denominator (``series.integer_form``); a ``CScalar`` is the form a value
 takes where it is parsed from a caller or printed back, with exact
-``fractions.Fraction`` parts.  Nothing here ever rounds.
+``fractions.Fraction`` parts.  Nothing here ever rounds.  The package's
+records (verdicts, witnesses, maps, catalog entries, commands) are
+``Record`` subclasses.
+
+Type aliases are quoted, here and in every module of the package: under
+``from __future__ import annotations`` only annotations read them, and
+those are never evaluated, while a subscripted ``typing`` alias would be
+built by every CLI process at import.
 """
 from __future__ import annotations
 
 import math
 import sys
 from fractions import Fraction
-from typing import Tuple, Union
+from operator import itemgetter
+from typing import Dict, Tuple, TypeAlias
 
-RationalLike = Union[int, str, Fraction]
+RationalLike: TypeAlias = "int | str | Fraction"
 
 
 def parse_ratio(text: str) -> Tuple[int, int]:
@@ -84,6 +92,63 @@ def format_ratio(num: int, den: int) -> str:
             return str(num) if den == 1 else f"{num}/{den}"
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+class Record(tuple):
+    """An immutable record: a tuple whose fields are also attributes.
+
+    A subclass names its fields in order, and the defaults of its last
+    fields, in its class statement, and keeps ``__slots__ = ()``::
+
+        class Target(Record, fields="kind b", defaults=(None,)):
+            __slots__ = ()
+
+    It is built from positional or keyword fields, compares and hashes as
+    the plain tuple of its fields, and prints as ``Name(field=value, ...)``,
+    as a ``collections.namedtuple`` does; but no ``__new__`` is compiled
+    per class, a cost every CLI process would pay at import.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+    _field_defaults: Dict[str, object] = {}
+
+    def __init_subclass__(cls, fields: str, defaults: tuple = ()):
+        cls._fields = tuple(fields.split())
+        cls._field_defaults = dict(zip(reversed(cls._fields),
+                                       reversed(defaults)))
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __new__(cls, *args, **kwargs):
+        fields = cls._fields
+        if kwargs or len(args) != len(fields):
+            if len(args) > len(fields):
+                raise TypeError(f"{cls.__name__}() takes {len(fields)} "
+                                f"fields but {len(args)} were given")
+            values = list(args)
+            for name in fields[len(args):]:
+                if name in kwargs:
+                    values.append(kwargs.pop(name))
+                elif name in cls._field_defaults:
+                    values.append(cls._field_defaults[name])
+                else:
+                    raise TypeError(f"{cls.__name__}() missing field "
+                                    f"{name!r}")
+            if kwargs:
+                raise TypeError(f"{cls.__name__}() got unexpected or "
+                                f"repeated fields {sorted(kwargs)}")
+            args = values
+        return tuple.__new__(cls, args)
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a record from its fields
+        return tuple(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
 
 
 class CScalar:

@@ -56,12 +56,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, \
-    Sequence, Tuple, TypeVar
+    Sequence, Tuple, TypeAlias, TypeVar
 
 from .scalars import CScalar, RationalLike, as_fraction, format_ratio, \
     parse_ratio
 
-MultiIndex = Tuple[int, ...]
+MultiIndex: TypeAlias = "Tuple[int, ...]"
 T = TypeVar("T")
 
 
@@ -209,7 +209,7 @@ def graded_order(n: int, d: int) -> GradedOrder:
 
 # Gaussian-integer numerators (re, im) by key, over a denominator kept
 # beside them
-Nums = Dict[T, Tuple[int, int]]
+Nums: TypeAlias = "Dict[T, Tuple[int, int]]"
 
 
 def integer_form(values: Mapping[T, "CScalar | RationalLike"]
@@ -226,7 +226,7 @@ def integer_form(values: Mapping[T, "CScalar | RationalLike"]
     return _ratio_form(ratios)
 
 
-Ratio = Tuple[int, int]  # (p, q): p / q, q > 0
+Ratio: TypeAlias = "Tuple[int, int]"  # (p, q): p / q, q > 0
 
 
 def _ratio_form(ratios: Mapping[T, Tuple[Ratio, Ratio]]
@@ -276,7 +276,7 @@ def as_scalars(den: int, nums: Mapping[T, Tuple[int, int]]
 # BiSeries
 # ---------------------------------------------------------------------------
 
-Coeffs = Dict[Tuple[int, int], CScalar]
+Coeffs: TypeAlias = "Dict[Tuple[int, int], CScalar]"
 
 
 class BiSeries:
@@ -556,7 +556,7 @@ def hermitian_defect(nums: Nums) -> Optional[Tuple[int, int]]:
 # conjugate entry has the same scale.  The exact LDL* and its backward run
 # store each entry as a Bareiss minor, its scale the pivot integer D of the
 # step that wrote it; the general pullback norm keeps scale 1.
-Rows = Dict[int, Dict[int, Tuple[int, int, int]]]
+Rows: TypeAlias = "Dict[int, Dict[int, Tuple[int, int, int]]]"
 
 
 def inexact(b: int, a: int) -> ArithmeticError:
@@ -591,10 +591,10 @@ def hermitian_update(rows: Rows, w: int, x: Mapping[int, Tuple[int, int]],
         ar = w * xr
         ai = w * xi
         for r, rr, br, bi in xs[i:]:
-            # (ar + i ai)(br - i bi); im comes out 0 when q = r
+            # (ar + i ai)(br - i bi), real on the diagonal q = r
             if bi:
                 re = ar * br + ai * bi
-                im = ai * br - ar * bi
+                im = 0 if r == q else ai * br - ar * bi
             else:
                 re = ar * br
                 im = ai * br
@@ -636,10 +636,10 @@ def hermitian_update(rows: Rows, w: int, x: Mapping[int, Tuple[int, int]],
 # a ``GradedOrder`` and the Gaussian-integer numerator of a coefficient
 # over a denominator the caller keeps.  ``im`` is 0 for a real
 # coefficient, so that real products skip the imaginary arithmetic.
-Term = Tuple[int, int, int]
-Buckets = Dict[Tuple[int, int], List[Term]]
+Term: TypeAlias = "Tuple[int, int, int]"
+Buckets: TypeAlias = "Dict[Tuple[int, int], List[Term]]"
 # an accumulator: packed key -> [re, im]
-Acc = Dict[int, list]
+Acc: TypeAlias = "Dict[int, list]"
 
 
 def _packed(order: GradedOrder, items: Iterable) -> Iterable:
@@ -727,7 +727,7 @@ _UNIT: Buckets = {(0, 0): [(0, 1, 0)]}
 # ---------------------------------------------------------------------------
 
 # (F_0, alpha, beta, gamma) of the recurrence of _degree_recurrence
-Rule = Tuple[int, int, "Fraction | int", int]
+Rule: TypeAlias = "Tuple[int, int, Fraction | int, int]"
 EXP_RULE: Rule = (1, 0, 1, 0)
 LOG1P_RULE: Rule = (0, 1, 0, -1)
 

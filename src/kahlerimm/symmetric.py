@@ -12,14 +12,13 @@ scalings (c+m) mu / genus for every integer m >= 0.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import RationalLike, as_fraction
+from .scalars import RationalLike, Record, as_fraction
 
 
-class DomainInvariants(namedtuple("DomainInvariants", "rank a genus dim")):
+class DomainInvariants(Record, fields="rank a genus dim"):
     """(rank, invariant a, genus, dimension) of a bounded symmetric domain.
 
     The (r, a) values for specific classical domains are configuration
@@ -90,7 +89,7 @@ def classical_invariants(kind: str, *sizes: int) -> DomainInvariants:
 # Wallach-set decisions
 # ---------------------------------------------------------------------------
 
-class Membership(namedtuple("Membership", "kind k", defaults=(None,))):
+class Membership(Record, fields="kind k", defaults=(None,)):
     """kind (str): "discrete", "continuous" or "outside"; k (int or None):
     the lattice index for the discrete part."""
 

@@ -4,7 +4,8 @@ referenced from somewhere in the package (a public one from a module other
 than ``__init__``, save a few named exceptions), the integer kernels read
 no ``Fraction`` or ``CScalar``, the innermost loops of the series products
 make no call but the accumulator lookup, no record is a
-``typing.NamedTuple``, and a CLI process starts without the standard
+``typing.NamedTuple`` or a ``collections.namedtuple``, importing a module
+builds no ``typing`` alias, and a CLI process starts without the standard
 library's introspection and argparse modules."""
 import ast
 import os
@@ -235,7 +236,7 @@ def test_series_is_the_one_product_kernel():
 def test_no_record_is_a_typing_named_tuple(path):
     # under ``from __future__ import annotations`` each typing.NamedTuple
     # field compiles a ForwardRef when the module is imported, which every
-    # CLI request pays; a record is a collections.namedtuple subclass with
+    # CLI request pays; a record is a scalars.Record subclass with
     # __slots__ = () and its field types in its docstring
     tree = ast.parse(path.read_text(encoding="utf-8"))
     named = [node.lineno for node in ast.walk(tree)
@@ -243,6 +244,54 @@ def test_no_record_is_a_typing_named_tuple(path):
              and any(alias.name == "NamedTuple" for alias in node.names)
              or isinstance(node, ast.Attribute) and node.attr == "NamedTuple"]
     assert not named, f"{path.name} uses typing.NamedTuple at lines {named}"
+
+
+def typing_subscripts(node, names):
+    """Lines of the subscripts of a ``typing`` name (one of ``names``, or
+    ``typing.X``) that importing the module evaluates.  Function and lambda
+    bodies run later, and annotations are never evaluated under ``from
+    __future__ import annotations``; decorators, defaults and class bodies
+    run at import."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        children = [*getattr(node, "decorator_list", ()),
+                    *node.args.defaults, *filter(None, node.args.kw_defaults)]
+    elif isinstance(node, ast.AnnAssign):
+        children = [node.target, *filter(None, [node.value])]
+    else:
+        children = ast.iter_child_nodes(node)
+        if isinstance(node, ast.Subscript) and (
+                isinstance(node.value, ast.Name) and node.value.id in names
+                or isinstance(node.value, ast.Attribute)
+                and ast.unparse(node.value.value) == "typing"):
+            yield node.lineno
+    for child in children:
+        yield from typing_subscripts(child, names)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_import_compiles_no_record_and_builds_no_type_alias(path):
+    # every CLI request is a fresh process that imports every module:
+    # collections.namedtuple compiles a __new__ per record class with eval
+    # (a record is a scalars.Record subclass instead), and a subscripted
+    # typing alias is built at import although only annotations, which are
+    # never evaluated, read it (an alias is a quoted TypeAlias instead)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).split(".")[-1] == "namedtuple"]
+    assert not calls, f"{path.name} calls namedtuple at lines {calls}"
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "typing"
+             for alias in node.names}
+    if names:
+        assert any(isinstance(node, ast.ImportFrom)
+                   and node.module == "__future__"
+                   and node.names[0].name == "annotations"
+                   for node in tree.body), \
+            f"{path.name} evaluates its annotations"
+    built = sorted(typing_subscripts(tree, names))
+    assert not built, f"{path.name} subscripts typing names at lines {built}"
 
 
 def modules_after(code):
