@@ -3,11 +3,12 @@
 All mathematically load-bearing parameters are exact rationals given as
 ``p/q`` strings; floats appear only in clearly labeled report fields.
 Exit codes: 0 = pass/resolvable-up-to, 1 = certified negative verdict,
-2 = input error.
+2 = input error.  Documents and error lines are written here, so only the
+readers of a JSON document, ``check-certificate`` and ``--spec``, import
+``json``.
 """
 from __future__ import annotations
 
-import json
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -34,7 +35,20 @@ class InputError(ValueError):
     pass
 
 
-_string = json.encoder.encode_basestring_ascii
+_INFINITY = float("inf")
+
+
+def _string(s: str) -> str:
+    """``s`` as a JSON string, escaped to ASCII as ``json`` escapes it.
+
+    Printable ASCII other than ``"`` and ``\\`` is written as it is.  Any
+    other string, such as the lines of a series source, goes through the C
+    escaper that ``json.encoder`` binds, imported from ``_json`` alone:
+    the ``json`` package would compile six regexes first."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    from _json import encode_basestring_ascii
+    return encode_basestring_ascii(s)
 
 
 def _emit(obj: Dict[str, Any]) -> None:
@@ -53,9 +67,10 @@ def _write(obj: Any, newline: str, out: List[str]) -> None:
     """Append the chunks of the JSON value ``obj`` to ``out``, its lines
     indented as ``newline`` (a newline and the indent of ``obj``'s line)
     says.  As in ``json``: a dict's keys are sorted, a tuple is a list, a
-    string is escaped to ASCII and an int is its ``int.__repr__``; any
-    other leaf (None, a bool or a float) is what ``json.dumps`` makes of
-    it.  Keys are strings, as in every document."""
+    string is escaped to ASCII, an int is its ``int.__repr__``, None and
+    the bools are ``null``, ``true`` and ``false``, and a float is its
+    ``float.__repr__`` or ``NaN``, ``Infinity`` or ``-Infinity``.  Keys are
+    strings, as in every document."""
     if isinstance(obj, str):
         out.append(_string(obj))
     elif type(obj) is int:
@@ -82,8 +97,19 @@ def _write(obj: Any, newline: str, out: List[str]) -> None:
             _write(value, inner, out)
             sep = "," + inner
         out += (newline, "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, float):
+        out.append("NaN" if obj != obj else "Infinity" if obj == _INFINITY
+                   else "-Infinity" if obj == -_INFINITY
+                   else float.__repr__(obj))
     else:
-        out.append(json.dumps(obj))
+        raise TypeError(f"Object of type {type(obj).__name__} "
+                        f"is not JSON serializable")
 
 
 def _parse_params(pairs: Optional[List[str]], **shortcuts: Any
@@ -154,6 +180,19 @@ def _list_option(text: Optional[str], option: str,
     return out
 
 
+def _read_document(path: str, what: str) -> Any:
+    """The JSON document in the file ``path``, the ``what`` a request
+    names.  ``json`` is imported here, for the requests that read one, and
+    ``json.load`` is looked up on the module at each call, where
+    ``perfbench/tracer.py`` wraps it."""
+    import json
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read {what}: {exc}") from exc
+
+
 def _model_source(name: Any, params: Any) -> Dict[str, Any]:
     params = _object(params, "the model parameters")
     return {"kind": "model", "model": name,
@@ -172,13 +211,13 @@ def _load_source(args) -> Dict[str, Any]:
     if args.model is not None:
         params = _parse_params(args.param, n=args.n, scale=args.scale)
         return _model_source(args.model, params)
-    try:
-        with open(getattr(args, chosen[0]), "r", encoding="utf-8") as fh:
-            if args.series is not None:
+    if args.series is not None:
+        try:
+            with open(args.series, "r", encoding="utf-8") as fh:
                 return {"kind": "series", "series": fh.read()}
-            spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read {chosen[0]} file: {exc}") from exc
+        except OSError as exc:
+            raise InputError(f"cannot read series file: {exc}") from exc
+    spec = _read_document(args.spec, "spec file")
     _object(spec, "a spec file")
     params = _object(spec.get("parameters", {}), "spec parameters")
     degree = _integer(spec.get("degree", args.degree), "spec degree")
@@ -479,12 +518,8 @@ def _rebuild_from_source(source: Any, degree: int, profile: bool = False
 
 
 def _cmd_check_certificate(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read certificate: {exc}") from exc
-    _object(doc, "a certificate")
+    import json
+    doc = _object(_read_document(args.file, "certificate"), "a certificate")
     kind = doc.get("kind")
     if kind == "immersion":
         degree = _integer(doc.get("degree"), "degree", 1)
@@ -755,15 +790,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = _parse_argv(table, sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except InputError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
+        message = str(exc)
     except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its message
         detail = exc.args[0] if isinstance(exc, KeyError) and exc.args \
             else exc
-        print(json.dumps({"error": f"{type(exc).__name__}: {detail}"}),
-              file=sys.stderr)
-        return 2
+        message = f"{type(exc).__name__}: {detail}"
+    # the line json.dumps({"error": message}) prints
+    print('{"error": ' + _string(message) + "}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kahlerimm.cli import build_parser, main
+from kahlerimm.cli import InputError, build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -49,12 +49,37 @@ def test_analyze_positive_exit_zero(capsys):
     assert doc["rank"] == 2
 
 
+# a quote, a backslash, a control character and a non-ASCII letter
+MESSY = 'é"\\\x01'
+
+
 def test_analyze_bad_model_exit_two(capsys):
-    code, out, err = run(capsys, "analyze", "--model", "nope",
-                         "--degree", "2")
-    assert code == 2 and out == ""
-    assert one_json_line(err) == {
-        "error": "unknown model 'nope'; see the 'models' listing"}
+    # the error line is the one json.dumps prints, byte for byte
+    for name in ("nope", MESSY):
+        code, out, err = run(capsys, "analyze", "--model", name,
+                             "--degree", "2")
+        assert code == 2 and out == ""
+        assert err == json.dumps({"error": f"unknown model {name!r}; "
+                                           f"see the 'models' listing"}) + "\n"
+
+
+@pytest.mark.parametrize("error,message", [
+    (InputError, MESSY),
+    (ValueError, "ValueError: " + MESSY),
+    (KeyError, "KeyError: " + MESSY),
+])
+def test_an_error_line_is_what_json_dumps_prints(capsys, monkeypatch, error,
+                                                 message):
+    # a message the CLI builds holds the repr of what it quotes, so a raw
+    # control character reaches the error line only from a raised message
+    import kahlerimm.cli as cli
+
+    def fail(_args):
+        raise error(MESSY)
+    monkeypatch.setattr(cli, "_cmd_models", fail)
+    code, out, err = run(capsys, "models")
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": message}) + "\n"
 
 
 def test_hartogs_certificate_of_a_model_without_profile(capsys, tmp_path):
@@ -364,15 +389,22 @@ def test_non_hermitian_series_rejected(capsys, tmp_path):
      "ValueError: line 2: Fraction(1, 0)"),
     ("1,0 ; 1,0 ; 1 ; 0\n2,-1 ; 1,0 ; 1 ; 0\n3,0 ; 0,3 ; 1 ; 0\n",
      "ValueError: line 2: negative exponent in '2,-1'"),
+    (f"1 ; 1 ; {MESSY} ; 0\n",
+     f"ValueError: line 1: Invalid literal for Fraction: {MESSY!r}"),
+    # no file: {path} is the repr of its name
+    (None, "cannot read series file: [Errno 2] No such file or directory: "
+           "{path}"),
 ])
 def test_malformed_series_file_exit_two(capsys, tmp_path, text, message):
     f = tmp_path / "series.txt"
-    f.write_text(text)
+    if text is not None:
+        f.write_text(text, encoding="utf-8")
+    message = message.replace("{path}", repr(str(f)))
     for command in ("analyze", "emit-immersion"):
         code, out, err = run(capsys, command, "--series", str(f),
                              "--degree", "1")
         assert code == 2 and out == ""
-        assert one_json_line(err) == {"error": message}
+        assert err == json.dumps({"error": message}) + "\n"
 
 
 def test_hartogs_arity_zero_rejected(capsys):
@@ -522,18 +554,29 @@ def test_malformed_certificate_exit_two(capsys, tmp_path, mutate):
     assert "error" in one_json_line(err)
 
 
-@pytest.mark.parametrize("spec", [
-    [{"name": "cp", "parameters": {"n": 1}, "degree": 4}],
-    {"name": "cp", "parameters": ["n", 1], "degree": 4},
-    {"name": "cp", "parameters": {"n": 1}, "degree": None},
+@pytest.mark.parametrize("spec,message", [
+    pytest.param([{"name": "cp", "parameters": {"n": 1}, "degree": 4}],
+                 "a spec file must be a JSON object", id="spec0"),
+    pytest.param({"name": "cp", "parameters": ["n", 1], "degree": 4},
+                 "spec parameters must be a JSON object", id="spec1"),
+    pytest.param({"name": "cp", "parameters": {"n": 1}, "degree": None},
+                 "spec degree must be an integer >= 0, got None", id="spec2"),
+    # text is written as it is; no file: {path} is the repr of its name
+    pytest.param('{"name": "cp",', "cannot read spec file: Expecting "
+                 "property name enclosed in double quotes: line 1 column 15 "
+                 "(char 14)", id="not-json"),
+    pytest.param(None, "cannot read spec file: [Errno 2] No such file or "
+                 "directory: {path}", id="no-file"),
 ])
-def test_malformed_spec_exit_two(capsys, tmp_path, spec):
+def test_malformed_spec_exit_two(capsys, tmp_path, spec, message):
     f = tmp_path / "spec.json"
-    f.write_text(json.dumps(spec))
+    if spec is not None:
+        f.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     code, out, err = run(capsys, "analyze", "--spec", str(f), "--b", "1",
                          "--degree", "4")
     assert code == 2 and out == ""
-    assert "error" in one_json_line(err)
+    assert one_json_line(err) == {
+        "error": message.replace("{path}", repr(str(f)))}
 
 
 # ---------------------------------------------------------------------------
@@ -1057,6 +1100,10 @@ def test_option_defaults(capsys, default, explicit):
      "--x element '': Invalid literal for Fraction: ''"),
     (("bell", "--n", "3", "--x", "1,2/0"),
      "--x element '2/0': zero denominator in '2/0'"),
+    pytest.param(("check-certificate", str(SRC / "no-such-file.json")),
+                 "cannot read certificate: [Errno 2] No such file or "
+                 "directory: " + repr(str(SRC / "no-such-file.json")),
+                 id="no-certificate-file"),
 ])
 def test_argv_error_exit_two(capsys, argv, message):
     code, out, err = run(capsys, *argv)

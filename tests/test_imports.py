@@ -6,7 +6,9 @@ no ``Fraction`` or ``CScalar``, the innermost loops of the series products
 make no call but the accumulator lookup, no record is a
 ``typing.NamedTuple`` or a ``collections.namedtuple``, importing a module
 builds no ``typing`` alias, and a CLI process starts without the standard
-library's introspection and argparse modules."""
+library's introspection, argparse and json modules: every document and
+error line is written by the package, so only the two readers of a JSON
+document, ``check-certificate`` and ``--spec``, load ``json``."""
 import ast
 import os
 import subprocess
@@ -304,16 +306,88 @@ def modules_after(code):
     return set(out.stdout.split())
 
 
+# dataclasses alone pulls in inspect, ast and dis, argparse pulls in
+# gettext, whose lookups import locale, and json compiles six regexes
+START_UP_FORBIDDEN = {"dataclasses", "inspect", "ast", "dis", "argparse",
+                      "gettext", "locale", "json", "json.decoder",
+                      "json.encoder", "json.scanner"}
+
+
 def test_cli_start_up_loads_no_introspection_modules():
     # each CLI command is a fresh process, so what its start-up imports is
-    # paid by every request: dataclasses alone pulls in inspect, ast and
-    # dis, and argparse pulls in gettext, whose lookups import locale.
-    # The bare interpreter is the baseline, so a module that a site .pth
-    # file loads is not counted against the package.
+    # paid by every request.  The bare interpreter is the baseline, so a
+    # module that a site .pth file loads is not counted against the package.
     bare = modules_after("import sys")
     cli = modules_after("import sys, kahlerimm.cli; "
                         "kahlerimm.cli.build_parser()")
     assert "kahlerimm.cli" in cli
-    extra = (cli - bare) & {"dataclasses", "inspect", "ast", "dis",
-                            "argparse", "gettext", "locale"}
+    extra = (cli - bare) & START_UP_FORBIDDEN
     assert not extra, f"CLI start-up imports {sorted(extra)}"
+
+
+def modules_imported(*argv, cwd):
+    """(exit code, the modules ``python -X importtime ARGV`` imports) in a
+    fresh interpreter with PYTHONPATH=src, run in the directory ``cwd``."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                         env=env, cwd=cwd, capture_output=True, text=True)
+    return out.returncode, {line.rsplit("|", 1)[1].strip()
+                            for line in out.stderr.splitlines()
+                            if line.startswith("import time:")}
+
+
+# (argv, exit code, reads a JSON document): whole `python -m kahlerimm.cli`
+# requests, in a directory that holds the files they name
+EMIT = ("emit-immersion", "--model", "cp", "--n", "1", "--b", "1",
+        "--degree", "3")
+REQUESTS = [
+    (("wallach", "--domain", "omega1", "--sizes", "2,2", "--c", "1/2"),
+     0, False),
+    (("cigar", "--c", "1", "--nmax", "6"), 1, False),
+    (("bell", "--n", "4", "--x=-1,-1/2,-2/3,-3/2"), 0, False),
+    (("einstein", "--model", "cp", "--n", "2", "--b", "1", "--degree", "4"),
+     0, False),
+    (("analyze", "--model", "cp", "--n", "1", "--b", "1", "--degree", "3"),
+     0, False),
+    (("analyze", "--series", "jet.txt", "--degree", "2"), 0, False),
+    (EMIT, 0, False),
+    (("analyze", "--model", "nope", "--degree", "2"), 2, False),
+    (("analyze", "--spec", "spec.json", "--b", "1", "--degree", "3"),
+     0, True),
+    (("check-certificate", "map.json"), 0, True),
+]
+
+
+@pytest.fixture(scope="module")
+def request_dir(tmp_path_factory):
+    """A directory with the series, spec and emitted map REQUESTS read."""
+    path = tmp_path_factory.mktemp("requests")
+    (path / "jet.txt").write_text("1 ; 1 ; 1 ; 0\n2 ; 2 ; 1/2 ; 0\n")
+    (path / "spec.json").write_text(
+        '{"name": "cp", "parameters": {"n": 1}, "degree": 3}')
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    (path / "map.json").write_bytes(subprocess.run(
+        [sys.executable, "-m", "kahlerimm.cli", *EMIT], env=env,
+        capture_output=True, check=True).stdout)
+    return path
+
+
+@pytest.fixture(scope="module")
+def bare_imports(request_dir):
+    return modules_imported("-c", "pass", cwd=request_dir)[1]
+
+
+@pytest.mark.parametrize("argv,code,reads_json", REQUESTS,
+                         ids=lambda v: " ".join(v[:3])
+                         if isinstance(v, tuple) else None)
+def test_a_cli_request_loads_json_only_to_read_a_document(
+        request_dir, bare_imports, argv, code, reads_json):
+    got, loaded = modules_imported("-m", "kahlerimm.cli", *argv,
+                                   cwd=request_dir)
+    assert got == code
+    assert "kahlerimm" in loaded
+    extra = (loaded - bare_imports) & START_UP_FORBIDDEN
+    if reads_json:  # the readers still read their files, through json
+        assert "json" in extra
+        extra -= {"json", "json.decoder", "json.encoder", "json.scanner"}
+    assert not extra, f"{argv[0]} imports {sorted(extra)}"

@@ -110,3 +110,31 @@ def test_traced_radial_request_prints_the_untraced_bytes(tmp_path, argv,
     assert traced.stdout == plain.stdout
     names = {span[0] for span in json.loads(spans.read_text())["spans"]}
     assert layers <= names, sorted(layers - names)
+
+
+def test_traced_check_certificate_reads_its_document_through_json_load(
+        tmp_path):
+    # check-certificate reads its file through json.load, looked up on the
+    # json module when the request runs, so the tracer's wrapped json.load
+    # records that read as the request's first cli.load span
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    emitted = subprocess.run(
+        [sys.executable, "-m", "kahlerimm.cli", "emit-immersion", "--model",
+         "cp", "--n", "1", "--b", "1", "--degree", "3"],
+        env=env, capture_output=True, check=True)
+    doc = tmp_path / "map.json"
+    doc.write_bytes(emitted.stdout)
+    argv = ("check-certificate", str(doc))
+    plain = subprocess.run([sys.executable, "-m", "kahlerimm.cli", *argv],
+                           env=env, capture_output=True)
+    spans = tmp_path / "spans.json"
+    traced = subprocess.run([sys.executable, str(TRACER), str(spans), *argv],
+                            env=env, capture_output=True)
+    assert b"Traceback" not in traced.stderr, traced.stderr
+    assert traced.returncode == plain.returncode == 0
+    assert traced.stdout == plain.stdout
+    recorded = json.loads(spans.read_text())["spans"]
+    # under cli.main: json.load, _rebuild_from_source, _immersion_from_json
+    under_main = [name for name, _, _, parent in recorded if parent == 0]
+    assert under_main[:3] == ["cli.load"] * 3, under_main
+    assert not [span for span in recorded if span[3] == 1]
