@@ -3,9 +3,10 @@
 All mathematically load-bearing parameters are exact rationals given as
 ``p/q`` strings; floats appear only in clearly labeled report fields.
 Exit codes: 0 = pass/resolvable-up-to, 1 = certified negative verdict,
-2 = input error.  Documents and error lines are written here, so only the
-readers of a JSON document, ``check-certificate`` and ``--spec``, import
-``json``.
+2 = input error.  Documents and error lines are written here, and a
+document is read here with the C scanner of ``_json``, so no request that
+reads a valid document imports the ``json`` package; a file that is not
+one JSON document goes to ``json.loads``, for json's error.
 """
 from __future__ import annotations
 
@@ -41,12 +42,17 @@ _INFINITY = float("inf")
 def _string(s: str) -> str:
     """``s`` as a JSON string, escaped to ASCII as ``json`` escapes it.
 
-    Printable ASCII other than ``"`` and ``\\`` is written as it is.  Any
-    other string, such as the lines of a series source, goes through the C
-    escaper that ``json.encoder`` binds, imported from ``_json`` alone:
-    the ``json`` package would compile six regexes first."""
-    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
-        return '"' + s + '"'
+    Printable ASCII other than ``"`` and ``\\`` is written as it is, and a
+    newline, the one other character of a series source, as ``\\n``.  Any
+    other string goes through the C escaper that ``json.encoder`` binds,
+    imported from ``_json`` alone: the ``json`` package would compile six
+    regexes first."""
+    if s.isascii() and '"' not in s and "\\" not in s:
+        if s.isprintable():
+            return '"' + s + '"'
+        lines = s.replace("\n", "\\n")
+        if lines.isprintable():
+            return '"' + lines + '"'
     from _json import encode_basestring_ascii
     return encode_basestring_ascii(s)
 
@@ -180,16 +186,43 @@ def _list_option(text: Optional[str], option: str,
     return out
 
 
+# the context json.JSONDecoder() builds its scanner over
+_DECODER = SimpleNamespace(
+    strict=True, object_hook=None, object_pairs_hook=None,
+    parse_float=float, parse_int=int, parse_constant={
+        "NaN": float("nan"), "Infinity": _INFINITY,
+        "-Infinity": -_INFINITY}.__getitem__)
+_SPACE = " \t\n\r"  # the whitespace json skips around a document
+
+
 def _read_document(path: str, what: str) -> Any:
     """The JSON document in the file ``path``, the ``what`` a request
-    names.  ``json`` is imported here, for the requests that read one, and
-    ``json.load`` is looked up on the module at each call, where
-    ``perfbench/tracer.py`` wraps it."""
-    import json
+    names, read as ``json.load`` reads it.
+
+    ``_json``'s C scanner, the one ``json.load`` runs, scans the text
+    between json's leading and trailing whitespace; the ``json`` package
+    would compile six regexes first.  Text that is not one document, a
+    BOM or extra data included, goes to ``json.loads``, which raises
+    json's error for it (the scanner's own can be a ``SystemError``: it
+    builds json's errors only once ``json.decoder`` is imported).  A
+    document nested past the recursion limit is an input error too."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            text = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {what}: {exc}") from exc
+    from _json import make_scanner
+    try:
+        doc, end = make_scanner(_DECODER)(
+            text, len(text) - len(text.lstrip(_SPACE)))
+        if not text[end:].strip(_SPACE):
+            return doc
+    except (StopIteration, ValueError, SystemError, RecursionError):
+        pass  # no value, json's error or its stand-in, or too deep
+    import json
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read {what}: {exc}") from exc
 
 
@@ -518,7 +551,6 @@ def _rebuild_from_source(source: Any, degree: int, profile: bool = False
 
 
 def _cmd_check_certificate(args) -> int:
-    import json
     doc = _object(_read_document(args.file, "certificate"), "a certificate")
     kind = doc.get("kind")
     if kind == "immersion":
@@ -538,10 +570,40 @@ def _cmd_check_certificate(args) -> int:
     else:
         raise InputError(f"unknown file kind {kind!r}")
     # valid only as the very document kahlerimm prints for its request
-    ok = json.dumps(printed, sort_keys=True) == json.dumps(doc, sort_keys=True)
+    ok = _same(printed, doc)
     _emit({"schema_version": SCHEMA_VERSION, "kind": "check",
            "file_kind": kind, "valid": ok})
     return 0 if ok else 1
+
+
+_SEQUENCES = (list, tuple)
+
+
+def _same(printed: Any, doc: Any) -> bool:
+    """Whether ``json.dumps`` gives the JSON values ``printed`` and ``doc``
+    the same text with ``sort_keys``, decided without encoding either.
+
+    A bool, an int and a float are never the same, floats are the same
+    when their ``float.__repr__`` is (so -0.0 is not 0.0, and NaN is NaN),
+    a tuple is a list, and dicts need the same keys.  Keys are strings, as
+    in every document, and strings compare as ``str``: json would also
+    write a surrogate pair the way it writes the character the pair
+    encodes, but no document read from UTF-8 holds one.  The recursion
+    stops where the two differ in type, so it goes no deeper than
+    ``printed``."""
+    kind = type(printed)
+    if kind is not type(doc):
+        if kind not in _SEQUENCES or type(doc) not in _SEQUENCES:
+            return False
+        kind = list
+    if kind is dict:
+        return printed.keys() == doc.keys() and all(
+            _same(value, doc[key]) for key, value in printed.items())
+    if kind in _SEQUENCES:
+        return len(printed) == len(doc) and all(map(_same, printed, doc))
+    if kind is float:
+        return float.__repr__(printed) == float.__repr__(doc)
+    return printed == doc
 
 
 def _check_verdict_form(doc: Mapping[str, Any], want: str) -> None:

@@ -1402,3 +1402,195 @@ def test_the_writer_prints_a_rational_past_the_digit_limit():
     with contextlib.redirect_stdout(out):
         _emit(doc)
     assert out.getvalue() == json_printed(doc)
+
+
+@pytest.mark.parametrize("text", [
+    "a\nb\n", "\n", "1 ; 1 ; 1/2 ; 0\n2 ; 2 ; -1 ; 0", "tab\there",
+    "carriage\r\n", "quote\"\n", "back\\slash\n", "\x00\x07\x1b\x7f\n",
+    "caf\xe9\n", "☃", "\U0001f600\n", "\ud800\n", "lone \udfff",
+    "\n\n\n \n"])
+def test_a_string_is_escaped_as_json_escapes_it(text):
+    from kahlerimm.cli import _string
+    assert _string(text) == json.dumps(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(alphabet=st.characters(codec=None, exclude_categories=())
+               | st.sampled_from("\n\r\t\"\\ a;/-,"), max_size=30))
+def test_every_string_is_escaped_as_json_escapes_it(text):
+    from kahlerimm.cli import _string
+    assert _string(text) == json.dumps(text)
+
+
+# ---------------------------------------------------------------------------
+# the document reader and the printed-document comparison against json
+# ---------------------------------------------------------------------------
+
+def test_the_reader_reads_every_printed_document_as_json_does(
+        monkeypatch, tmp_path):
+    from kahlerimm.cli import _read_document
+    path = tmp_path / "read.json"
+    for argv in COMMANDS:
+        out, _ = emitted_with_objects(monkeypatch, tmp_path, *argv)
+        doc = json.loads(out)
+        for text in (out, json.dumps(doc), json.dumps(doc, indent="\t"),
+                     json.dumps(doc, separators=(",", ":")),
+                     " \t\r\n" + json.dumps(doc, indent=1) + "\r\n\t "):
+            path.write_text(text)
+            # repr tells True, 1 and 1.0 apart, and shows key order
+            assert repr(_read_document(str(path), "x")) \
+                == repr(json.loads(text)), argv
+
+
+WHITESPACE = st.text(alphabet=" \t\r\n", max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES, WHITESPACE, WHITESPACE,
+       st.sampled_from([None, 0, 2, "\t"]))
+def test_the_reader_reads_every_json_value_as_json_does(
+        tmp_path_factory, value, before, after, indent):
+    from kahlerimm.cli import _read_document
+    text = before + json.dumps(value, indent=indent) + after
+    path = tmp_path_factory.getbasetemp() / "value.json"
+    path.write_text(text)
+    assert repr(_read_document(str(path), "x")) == repr(json.loads(text))
+
+
+# leaves that json writes differently although Python may call them equal
+CONFUSABLE = [True, False, 1, 0, 1.0, 0.0, -0.0, float("nan"), float("inf"),
+              float("-inf"), None, "1", "", [], (), {}]
+COMPARED_VALUES = st.recursive(
+    st.sampled_from(CONFUSABLE) | st.none() | st.booleans() | st.integers()
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=4),
+    max_leaves=20)
+
+
+@st.composite
+def edited_copy(draw, value):
+    """A copy of ``value`` in which each list or tuple may be either, and
+    which may be edited: a value swapped for a confusable leaf, or a key or
+    an element dropped or added."""
+    rate = draw(st.sampled_from([0, 10, 40]))
+
+    def copy(v):
+        how = "keep" if draw(st.integers(0, 99)) >= rate \
+            else draw(st.sampled_from(["swap", "drop", "add"]))
+        if how == "swap":
+            return draw(st.sampled_from(CONFUSABLE))
+        if isinstance(v, dict):
+            out = {key: copy(item) for key, item in v.items()}
+            if how == "drop" and out:
+                del out[draw(st.sampled_from(sorted(out)))]
+            elif how == "add":
+                out[draw(st.text(max_size=2))] = draw(
+                    st.sampled_from(CONFUSABLE))
+            return out
+        if isinstance(v, (list, tuple)):
+            out = [copy(item) for item in v]
+            if how == "drop" and out:
+                del out[draw(st.integers(0, len(out) - 1))]
+            elif how == "add":
+                out.insert(draw(st.integers(0, len(out))),
+                           draw(st.sampled_from(CONFUSABLE)))
+            return draw(st.sampled_from([list, tuple]))(out)
+        return v
+
+    return copy(value)
+
+
+@st.composite
+def compared_pairs(draw):
+    value = draw(COMPARED_VALUES)
+    return value, draw(edited_copy(value))
+
+
+@settings(max_examples=400, deadline=None)
+@given(compared_pairs())
+def test_a_document_is_the_printed_one_as_json_dumps_says(pair):
+    from kahlerimm.cli import _same
+    printed, doc = pair
+    assert _same(printed, doc) == (json.dumps(printed, sort_keys=True)
+                                   == json.dumps(doc, sort_keys=True))
+
+
+@pytest.mark.parametrize("printed,doc,same", [
+    (True, 1, False), (1, 1.0, False), (0.0, -0.0, False),
+    (float("nan"), float("nan"), True), (float("inf"), float("inf"), True),
+    ((1, [2]), [1, (2,)], True), ({"a": 1}, {"a": 1, "b": None}, False),
+    ({"a": [1]}, {"a": [1, 2]}, False), (None, {"kind": "immersion"}, False),
+])
+def test_a_document_is_the_printed_one_only_type_for_type(printed, doc, same):
+    from kahlerimm.cli import _same
+    assert _same(printed, doc) is same
+
+
+def test_the_comparison_goes_no_deeper_than_the_printed_document():
+    from kahlerimm.cli import _same
+    deep = []
+    for _ in range(100_000):
+        deep = [deep]
+    assert not _same([[[0]]], deep)
+    assert not _same({"a": [[1]]}, {"a": deep})
+
+
+# (file contents, the error that follows "cannot read certificate: " or
+# "cannot read spec file: ", or the whole error of a file that is not
+# UTF-8 or holds too long an int): each file is read by a fresh process,
+# where json.decoder is not imported until the scanner has failed.  Every
+# error is json's own, but for nesting past the recursion limit, which is
+# an input error too.
+MALFORMED = [
+    pytest.param(None, "[Errno 2] No such file or directory: 'doc.json'",
+                 id="missing"),
+    pytest.param("dir", "[Errno 21] Is a directory: 'doc.json'", id="dir"),
+    pytest.param(b"\xff\xfe{}", "UnicodeDecodeError: 'utf-8' codec can't "
+                 "decode byte 0xff in position 0: invalid start byte",
+                 id="non-utf-8"),
+    pytest.param(b"\xef\xbb\xbf{}", "Unexpected UTF-8 BOM (decode using "
+                 "utf-8-sig): line 1 column 1 (char 0)", id="bom"),
+    pytest.param(b"", "Expecting value: line 1 column 1 (char 0)",
+                 id="empty"),
+    pytest.param(b" \n\t", "Expecting value: line 2 column 2 (char 3)",
+                 id="blank"),
+    pytest.param(b'{"kind": "check"}\n{}', "Extra data: line 2 column 1 "
+                 "(char 18)", id="extra-data"),
+    pytest.param(b'{"kind": tru}', "Expecting value: line 1 column 10 "
+                 "(char 9)", id="bad-token"),
+    pytest.param(b'{"a": "abc', "Unterminated string starting at: line 1 "
+                 "column 7 (char 6)", id="unterminated-string"),
+    pytest.param(b'{"degree": ' + b"1" * 5000 + b"}", "ValueError: Exceeds "
+                 "the limit (4300 digits) for integer string conversion: "
+                 "value has 5000 digits; use sys.set_int_max_str_digits() to "
+                 "increase the limit", id="5000-digits"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth "
+                 "exceeded while decoding a JSON array from a unicode string",
+                 id="deep-array"),
+    pytest.param(b'{"a": ' * 100_000 + b"1" + b"}" * 100_000,
+                 "maximum recursion depth exceeded while decoding a JSON "
+                 "object from a unicode string", id="deep-object"),
+]
+READERS = [("check-certificate", "doc.json"),
+           ("analyze", "--spec", "doc.json", "--degree", "2")]
+
+
+@pytest.mark.parametrize("argv", READERS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("contents,error", MALFORMED)
+def test_a_malformed_file_is_one_error_line_in_a_fresh_process(
+        tmp_path, argv, contents, error):
+    if contents == "dir":
+        (tmp_path / "doc.json").mkdir()
+    elif contents is not None:
+        (tmp_path / "doc.json").write_bytes(contents)
+    what = "certificate" if argv[0] == "check-certificate" else "spec file"
+    if not error.startswith(("UnicodeDecodeError", "ValueError")):
+        error = f"cannot read {what}: {error}"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-m", "kahlerimm.cli", *argv],
+                         env=env, cwd=tmp_path, capture_output=True,
+                         text=True)
+    assert (out.returncode, out.stdout, out.stderr) \
+        == (2, "", json.dumps({"error": error}) + "\n")

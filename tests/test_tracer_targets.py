@@ -112,11 +112,10 @@ def test_traced_radial_request_prints_the_untraced_bytes(tmp_path, argv,
     assert layers <= names, sorted(layers - names)
 
 
-def test_traced_check_certificate_reads_its_document_through_json_load(
-        tmp_path):
-    # check-certificate reads its file through json.load, looked up on the
-    # json module when the request runs, so the tracer's wrapped json.load
-    # records that read as the request's first cli.load span
+def test_traced_check_certificate_prints_the_untraced_bytes(tmp_path):
+    # check-certificate reads its file with _json's scanner, inside
+    # cli.main's own time, then rebuilds the source and the map: the two
+    # cli.load spans under cli.main, ahead of the verification
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     emitted = subprocess.run(
         [sys.executable, "-m", "kahlerimm.cli", "emit-immersion", "--model",
@@ -134,7 +133,12 @@ def test_traced_check_certificate_reads_its_document_through_json_load(
     assert traced.returncode == plain.returncode == 0
     assert traced.stdout == plain.stdout
     recorded = json.loads(spans.read_text())["spans"]
-    # under cli.main: json.load, _rebuild_from_source, _immersion_from_json
+    # under cli.main: _rebuild_from_source, _immersion_from_json
     under_main = [name for name, _, _, parent in recorded if parent == 0]
-    assert under_main[:3] == ["cli.load"] * 3, under_main
-    assert not [span for span in recorded if span[3] == 1]
+    assert under_main[:3] == ["cli.load", "cli.load", "immersion.verify"], \
+        under_main
+    # the source's jet is rebuilt through its model; the map is read
+    # without a call the tracer wraps
+    loads = [i for i, span in enumerate(recorded) if span[0] == "cli.load"]
+    assert [[span[0] for span in recorded if span[3] == i]
+            for i in loads] == [["models.build"], []]
