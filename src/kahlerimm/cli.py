@@ -10,6 +10,7 @@ one JSON document goes to ``json.loads``, for json's error.
 """
 from __future__ import annotations
 
+import gc
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -847,9 +848,24 @@ def _parse_argv(table: Mapping[str, Command], argv: List[str]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run the request ``argv`` and return its exit code.
+
+    ``argv=None`` is a process entry, ``python -m kahlerimm.cli`` or the
+    ``kahlerimm`` console script: the request is ``sys.argv[1:]``, and
+    every object alive before it, the modules that the interpreter,
+    ``site`` and this package loaded, is moved by ``gc.freeze()`` into the
+    collector's permanent generation.  The collections during the request
+    and those that interpreter finalization runs then skip those objects,
+    and their cycles are left to the end of the process; atexit handlers,
+    the stdio flushes and module finalization still run.  A caller that
+    passes a list, such as a test or an embedding program, keeps its
+    collector as it is."""
+    if argv is None:
+        gc.freeze()
+        argv = sys.argv[1:]
     table = build_parser()
     try:
-        args = _parse_argv(table, sys.argv[1:] if argv is None else argv)
+        args = _parse_argv(table, argv)
         return args.func(args)
     except InputError as exc:
         message = str(exc)

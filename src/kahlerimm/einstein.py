@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .diastasis import check_bochner_form
-from .scalars import Record
+from .scalars import CScalar, Record
 from .series import BiSeries, Nums, det_series, graded_order, \
     index_of_ordinal, log1p_series, ordinal_of_index
 
@@ -101,6 +101,7 @@ def einstein_estimate(d: BiSeries, degree: int):
     if not residual.nums:
         return EinsteinResult(lam)
     j, k = min(residual.nums)
+    g_re, g_im = gauge.nums.get((j, k), (0, 0))
     return NotEinstein(
         (index_of_ordinal(n, j), index_of_ordinal(n, k)),
-        logdet.get(j, k), -gauge.get(j, k))
+        logdet.get(j, k), CScalar.of_integers(-g_re, -g_im, gauge.den))

@@ -58,6 +58,8 @@ def classical_invariants(kind: str, *sizes: int) -> DomainInvariants:
     lattice a/2 is measured in.  It equals the determinant-kernel exponent
     of the model catalog except for omega3: there det(I - ZZ*) = h^2 for
     skew Z, so the catalog's exponent n-1 of the determinant is p = 2(n-1).
+    A size the catalog rejects is rejected here with the catalog's message;
+    omega1's sizes go to ``DomainInvariants``, which rejects a rank below 1.
     """
     kind = kind.lower()
     names = SIZE_NAMES.get(kind)
@@ -72,16 +74,24 @@ def classical_invariants(kind: str, *sizes: int) -> DomainInvariants:
         return DomainInvariants(m, Fraction(2), n + m, m * n)
     if kind == "omega2":
         (n,) = sizes
+        if n < 1:
+            raise ValueError("omega2 needs a positive size")
         return DomainInvariants(n, Fraction(1), n + 1, n * (n + 1) // 2)
     if kind == "omega3":
         (n,) = sizes
+        if n < 2:
+            raise ValueError("omega3 needs size >= 2")
         return DomainInvariants(n // 2, Fraction(4), 2 * (n - 1),
                                 n * (n - 1) // 2)
     if kind == "omega4":
         (n,) = sizes
+        if n < 1:
+            raise ValueError("omega4 needs a positive size")
+        if n == 1:
+            raise ValueError("omega4 with n=1 is the disc; use omega1")
         if n == 2:
             raise ValueError("omega4 with n=2 is not irreducible")
-        return DomainInvariants(2 if n > 1 else 1, Fraction(n - 2), n, n)
+        return DomainInvariants(2, Fraction(n - 2), n, n)
     raise ValueError(f"unknown domain kind {kind!r}")
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import gc
 import importlib
 import io
 import json
@@ -292,6 +293,29 @@ def test_cartan_hartogs_refuses_omega4_bases_below_three(capsys, size):
         code, out, err = run(capsys, "wallach", "--domain", "omega4",
                              "--sizes", "1", "--c", "1", "--mu", "1")
         assert code == 2 and out == "" and one_json_line(err)
+
+
+# the domain table rejects a size with the model catalog's message, and
+# omega1's sizes reach DomainInvariants, which rejects rank -1
+@pytest.mark.parametrize("argv,message", [
+    (("--domain", "omega2", "--sizes", "0"), "omega2 needs a positive size"),
+    (("--domain", "omega2", "--sizes", "-3"), "omega2 needs a positive size"),
+    (("--domain", "omega3", "--sizes", "1"), "omega3 needs size >= 2"),
+    (("--domain", "omega3", "--sizes", "0"), "omega3 needs size >= 2"),
+    (("--domain", "omega4", "--sizes", "0"), "omega4 needs a positive size"),
+    (("--domain", "omega4", "--sizes", "1"),
+     "omega4 with n=1 is the disc; use omega1"),
+    (("--domain", "omega4", "--sizes", "1", "--mu", "1"),
+     "omega4 with n=1 is the disc; use omega1"),
+    (("--domain", "omega4", "--sizes", "2"),
+     "omega4 with n=2 is not irreducible"),
+    (("--domain", "omega1", "--sizes", "-1,2"), "rank must be >= 1"),
+])
+def test_wallach_rejects_a_domain_size_with_the_catalog_message(
+        capsys, argv, message):
+    code, out, err = run(capsys, "wallach", *argv, "--c", "1")
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": "ValueError: " + message}) + "\n"
 
 
 def test_wallach_cartan_hartogs_mode(capsys):
@@ -1224,22 +1248,61 @@ COLD_REQUESTS = [
      "--degree", "4"),
     ("analyze", "--model", "taubnut_full", "--param", "m=1",
      "--degree", "4"),
+    # a document of 101,679 bytes, more than a pipe holds: output that the
+    # end of the process lost would show here
+    ("emit-immersion", "--model", "omega1", "--param", "m=2", "--param",
+     "n=2", "--scale", "1/2", "--b", "1", "--degree", "7"),
+    ("wallach", "--domain", "omega3", "--sizes", "1", "--c", "1"),
 ]
+
+# the two process entries: `python -m` runs the __main__ guard, and the
+# console script's wrapper calls main() and exits with what it returns
+ENTRIES = [("-m", "kahlerimm.cli"),
+           ("-c", "import sys; from kahlerimm.cli import main; "
+                  "sys.exit(main())")]
 
 
 def test_a_fresh_process_prints_what_a_warm_one_does():
     # each request is a fresh process, and a warm one has every graded
     # table of every request built: no output may depend on which tables
-    # a process holds
+    # a process holds, nor on how the process ends
     for argv in COLD_REQUESTS:
         call(*argv)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for argv in COLD_REQUESTS:
         warm = call(*argv)
-        cold = subprocess.run([sys.executable, "-m", "kahlerimm.cli", *argv],
-                              env=env, capture_output=True, text=True)
-        assert (cold.returncode, cold.stdout, cold.stderr) == warm, argv
-        assert warm[1]
+        assert warm[1] or warm[2]
+        for entry in ENTRIES:
+            cold = subprocess.run([sys.executable, *entry, *argv], env=env,
+                                  capture_output=True, text=True)
+            assert (cold.returncode, cold.stdout, cold.stderr) == warm, \
+                (entry[0], argv)
+
+
+def test_a_call_with_argv_leaves_the_collector_as_it_is():
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert call("wallach", "--domain", "omega1", "--sizes", "2,2",
+                "--c", "1/2")[0] == 0
+    assert call("analyze", "--model", "nope", "--degree", "2")[0] == 2
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_a_process_entry_freezes_what_start_up_loaded():
+    # main() moves the objects alive before the request into the
+    # collector's permanent generation, so the collections at exit skip
+    # the module graph
+    code = ("import gc, sys; from kahlerimm.cli import main; "
+            "before = gc.get_freeze_count(); exit_code = main(); "
+            "print(before, gc.get_freeze_count(), exit_code, "
+            "gc.isenabled(), file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code, "wallach", "--domain",
+                          "omega1", "--sizes", "2,2", "--c", "1/2"],
+                         env=env, capture_output=True, text=True)
+    before, frozen, exit_code, enabled = out.stderr.split()
+    assert (int(before), exit_code, enabled) == (0, "0", "True")
+    assert int(frozen) > 0
+    assert json.loads(out.stdout)["kind"] == "wallach"
 
 
 # ---------------------------------------------------------------------------

@@ -58,3 +58,15 @@ def test_requires_bochner_gauge():
     half = space_form_diastasis(1, 1, 4).scale(Fraction(1, 2))
     with pytest.raises(GaugeError):
         einstein_estimate(half, 4)
+
+
+def test_a_mismatch_is_reported_without_scalar_arithmetic(monkeypatch):
+    # got and want are read from the integer numerators of the series
+    def refuse(*_args):
+        raise AssertionError("CScalar arithmetic in the package")
+    for name in ("__add__", "__radd__", "__sub__", "__neg__", "__mul__",
+                 "__rmul__", "__truediv__", "conj", "abs2"):
+        monkeypatch.setattr(CScalar, name, refuse)
+    result = einstein_estimate(build_model("cigar", {}, 4), 4)
+    assert result == NotEinstein(((2,), (2,)), CScalar(Fraction(1, 2)),
+                                 CScalar(Fraction(1, 4)))
