@@ -10,11 +10,14 @@ one JSON document goes to ``json.loads``, for json's error.
 """
 from __future__ import annotations
 
+import atexit
 import gc
+import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NoReturn, Optional, \
+    Tuple
 
 from . import bell as bellmod
 from .einstein import EinsteinResult, GaugeError, NotEinstein, einstein_estimate
@@ -850,16 +853,15 @@ def _parse_argv(table: Mapping[str, Command], argv: List[str]
 def main(argv: Optional[List[str]] = None) -> int:
     """Run the request ``argv`` and return its exit code.
 
-    ``argv=None`` is a process entry, ``python -m kahlerimm.cli`` or the
-    ``kahlerimm`` console script: the request is ``sys.argv[1:]``, and
-    every object alive before it, the modules that the interpreter,
-    ``site`` and this package loaded, is moved by ``gc.freeze()`` into the
-    collector's permanent generation.  The collections during the request
-    and those that interpreter finalization runs then skip those objects,
-    and their cycles are left to the end of the process; atexit handlers,
-    the stdio flushes and module finalization still run.  A caller that
+    ``argv=None`` is a process entry (``run``): the request is
+    ``sys.argv[1:]``, and every object alive before it, the modules that
+    the interpreter, ``site`` and this package loaded, is moved by
+    ``gc.freeze()`` into the collector's permanent generation, so the
+    collections during the request, and those of an interpreter exit
+    (when ``run`` ends through ``sys.exit``), skip them.  A caller that
     passes a list, such as a test or an embedding program, keeps its
-    collector as it is."""
+    collector as it is.  Either way ``main`` returns, and leaves the
+    process to its caller."""
     if argv is None:
         gc.freeze()
         argv = sys.argv[1:]
@@ -879,5 +881,31 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 2
 
 
+def run() -> NoReturn:
+    """The process entry, ``python -m kahlerimm.cli`` or the ``kahlerimm``
+    console script: run ``main()`` and end the process with its code.
+
+    The process ends at ``os._exit`` once the atexit handlers have run
+    (CPython clears them, so none runs again) and ``sys.stdout`` and
+    ``sys.stderr`` are flushed: module finalization and the interpreter's
+    closing collections, which would only free memory the OS takes back,
+    are skipped.  Under a profiler or a tracer (cProfile, trace, coverage),
+    or when a flush fails, ``sys.exit`` ends it as the interpreter always
+    does, so the tool writes its report and a failed flush is reported as
+    it is at any exit."""
+    code = main()
+    if sys.getprofile() is None and sys.gettrace() is None:
+        atexit._run_exitfuncs()
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except OSError:
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

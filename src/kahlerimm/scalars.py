@@ -24,18 +24,27 @@ from typing import Dict, Tuple, TypeAlias
 RationalLike: TypeAlias = "int | str | Fraction"
 
 
+# the largest exponent magnitude ``parse_ratio`` reads: the digit limit that
+# ``int()`` applies to a plain digit token (4300 by default)
+MAX_EXPONENT = 4300
+
+
 def parse_ratio(text: str) -> Tuple[int, int]:
     """(p, q) with q > 0 and p / q the value ``Fraction(text)`` reads, not
-    always in lowest terms; or the exception ``Fraction(text)`` raises.
+    always in lowest terms; or the exception ``Fraction(text)`` raises, or
+    ``ValueError`` for an exponent past ``MAX_EXPONENT``.
 
     A token ``[-]digits[/digits]`` of ASCII digits, the form every rational
     kahlerimm prints takes, with a nonzero denominator, is read with
     ``int()``, which skips the regular expression ``Fraction`` matches a
-    string with, and the gcd that puts it in lowest terms.  Any other
-    token (a '+' sign, spaces, a decimal point, an exponent, '_'
-    separators, non-ASCII digits, no digits, or a zero denominator) is
-    handed to ``Fraction(text)``, so the accepted grammar and every error
-    are those of ``Fraction``.
+    string with, and the gcd that puts it in lowest terms.  A token that
+    ends in an exponent (``e`` or ``E``, then an integer that ``int()``
+    reads, with no space before it) past ``MAX_EXPONENT`` in magnitude
+    raises ``ValueError``: ``Fraction`` would build ten to that power, a
+    number of as many digits.  Any other token (a '+' sign, spaces, a
+    decimal point, a smaller exponent, '_' separators, non-ASCII digits,
+    no digits, or a zero denominator) is handed to ``Fraction(text)``, so
+    the accepted grammar and every other error are those of ``Fraction``.
     """
     num, slash, den = text.partition("/")
     digits = num[1:] if num[:1] == "-" else num
@@ -43,13 +52,22 @@ def parse_ratio(text: str) -> Tuple[int, int]:
         q = int(den) if slash else 1
         if q:
             return int(num), q
+    mark = max(text.rfind("e"), text.rfind("E"))
+    if mark >= 0 and not text[mark + 1:mark + 2].isspace():
+        try:
+            exponent = int(text[mark + 1:])
+        except ValueError:  # not an exponent: Fraction reports the token
+            exponent = 0
+        if abs(exponent) > MAX_EXPONENT:
+            raise ValueError(f"exponent of {text!r} exceeds {MAX_EXPONENT} "
+                             f"in magnitude")
     value = Fraction(text)
     return value.numerator, value.denominator
 
 
 def parse_fraction(text: str) -> Fraction:
-    """``Fraction(text)``: the same value, or the same exception
-    (``parse_ratio``)."""
+    """``Fraction(text)``: the same value, or the same exception, save for
+    an exponent past ``MAX_EXPONENT`` (``parse_ratio``)."""
     return Fraction(*parse_ratio(text))
 
 

@@ -318,6 +318,16 @@ def test_wallach_rejects_a_domain_size_with_the_catalog_message(
     assert err == json.dumps({"error": "ValueError: " + message}) + "\n"
 
 
+@pytest.mark.parametrize("c", ["1e-20000000", "1E4301", "1e4_301"])
+def test_an_exponent_past_the_bound_is_an_input_error(capsys, c):
+    # read as it is written, the value would be ten to that power
+    code, out, err = run(capsys, "wallach", "--domain", "omega1", "--sizes",
+                         "2,2", "--c", c)
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": f"ValueError: exponent of {c!r} "
+                                       f"exceeds 4300 in magnitude"}) + "\n"
+
+
 def test_wallach_cartan_hartogs_mode(capsys):
     code, doc = run_json(capsys, "wallach", "--r", "2", "--a", "2",
                          "--gamma", "5", "--c", "1", "--mu", "1/2")
@@ -1255,11 +1265,21 @@ COLD_REQUESTS = [
     ("wallach", "--domain", "omega3", "--sizes", "1", "--c", "1"),
 ]
 
-# the two process entries: `python -m` runs the __main__ guard, and the
-# console script's wrapper calls main() and exits with what it returns
+# the process entries: `python -m` runs the __main__ guard, which calls
+# run(), as the console script does; and main() ended by sys.exit, the
+# interpreter's own exit, which each entry must match
 ENTRIES = [("-m", "kahlerimm.cli"),
            ("-c", "import sys; from kahlerimm.cli import main; "
-                  "sys.exit(main())")]
+                  "sys.exit(main())"),
+           ("-c", "from kahlerimm.cli import run; run()")]
+
+
+def buffered_env():
+    """The environment of a fresh process with a block-buffered stdout,
+    whose output stays in the buffer until something flushes it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def test_a_fresh_process_prints_what_a_warm_one_does():
@@ -1268,7 +1288,7 @@ def test_a_fresh_process_prints_what_a_warm_one_does():
     # a process holds, nor on how the process ends
     for argv in COLD_REQUESTS:
         call(*argv)
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = buffered_env()
     for argv in COLD_REQUESTS:
         warm = call(*argv)
         assert warm[1] or warm[2]
@@ -1303,6 +1323,66 @@ def test_a_process_entry_freezes_what_start_up_loaded():
     assert (int(before), exit_code, enabled) == (0, "0", "True")
     assert int(frozen) > 0
     assert json.loads(out.stdout)["kind"] == "wallach"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("wallach", "--domain", "omega1", "--sizes", "2,2", "--c", "1/2"), 0),
+    (("wallach", "--domain", "omega3", "--sizes", "1", "--c", "1"), 2)])
+def test_run_calls_each_atexit_handler_once_after_the_request(argv, code):
+    # the handler's line follows the document and is flushed with it, and
+    # the exit code is main's
+    child = ("import atexit; from kahlerimm.cli import run; "
+             "atexit.register(print, 'atexit handler'); run()")
+    out = subprocess.run([sys.executable, "-c", child, *argv],
+                         env=buffered_env(), capture_output=True, text=True)
+    warm = call(*argv)
+    assert (out.returncode, out.stdout, out.stderr) \
+        == (code, warm[1] + "atexit handler\n", warm[2])
+    assert warm[0] == code
+
+
+def test_a_profiled_process_still_prints_its_profile():
+    # under a profiler run() ends the process with sys.exit, so cProfile
+    # gets to print its report after the document
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-m", "cProfile", "-m",
+                          "kahlerimm.cli", "models"], env=env,
+                         capture_output=True, text=True)
+    document, _, report = out.stdout.partition("\n}\n")
+    assert out.returncode == 0
+    assert (document + "\n}\n") == call("models")[1]
+    assert "function calls" in report and "Ordered by" in report
+
+
+PIPE_REQUESTS = [
+    ("wallach", "--domain", "omega1", "--sizes", "2,2", "--c", "1/2"),
+    ("emit-immersion", "--model", "omega1", "--param", "m=2", "--param",
+     "n=2", "--scale", "1/2", "--b", "1", "--degree", "7")]
+
+
+def closed_pipe(entry, argv, env):
+    """(exit code, stderr) of a fresh process whose reader closed stdout
+    before the process wrote to it."""
+    child = subprocess.Popen([sys.executable, *entry, *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    return child.wait(), err
+
+
+@pytest.mark.parametrize("argv", PIPE_REQUESTS, ids=lambda argv: argv[0])
+def test_a_closed_pipe_is_reported_as_at_an_interpreter_exit(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    # unbuffered, the write in main fails and main reports it
+    env["PYTHONUNBUFFERED"] = "1"
+    for entry in ENTRIES:
+        assert closed_pipe(entry, argv, env) == (2, json.dumps(
+            {"error": "BrokenPipeError: [Errno 32] Broken pipe"}) + "\n")
+    # buffered, a document smaller than the buffer fails only at the flush
+    # after main, and run() leaves that failure to the interpreter's exit
+    ended = [closed_pipe(entry, argv, buffered_env()) for entry in ENTRIES]
+    assert ended[0] == ended[1] == ended[2], ended
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ builds no ``typing`` alias, and a CLI process starts without the standard
 library's introspection, argparse and json modules: every document and
 error line is written by the package, and a valid document is read with
 ``_json``'s C scanner alone, which only the two readers of a JSON
-document, ``check-certificate`` and ``--spec``, load."""
+document, ``check-certificate`` and ``--spec``, load; and no module but
+``cli`` names ``os._exit`` or ``atexit``, so no library call ends its
+caller's process."""
 import ast
 import os
 import subprocess
@@ -247,6 +249,33 @@ def test_no_record_is_a_typing_named_tuple(path):
              and any(alias.name == "NamedTuple" for alias in node.names)
              or isinstance(node, ast.Attribute) and node.attr == "NamedTuple"]
     assert not named, f"{path.name} uses typing.NamedTuple at lines {named}"
+
+
+def process_enders(tree):
+    """Lines where ``tree`` names ``os._exit`` or the ``atexit`` module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_exit" \
+                or isinstance(node, ast.Name) and node.id == "atexit" \
+                or isinstance(node, ast.Import) \
+                and any(alias.name == "atexit" for alias in node.names) \
+                or isinstance(node, ast.ImportFrom) and (
+                    node.module == "atexit" or node.module == "os"
+                    and any(alias.name == "_exit" for alias in node.names)):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_the_cli_process_entry_ends_the_process(path):
+    # cli.run ends a CLI process at os._exit after running the atexit
+    # handlers; a library call must return to its caller, whose process
+    # and exit handlers are its own
+    lines = sorted(set(process_enders(ast.parse(path.read_text(
+        encoding="utf-8")))))
+    if path.name == "cli.py":
+        assert lines, "cli.run no longer names os._exit and atexit"
+    else:
+        assert not lines, f"{path.name} names os._exit or atexit at {lines}"
 
 
 def typing_subscripts(node, names):

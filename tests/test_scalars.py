@@ -1,11 +1,12 @@
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from kahlerimm.scalars import CScalar, as_fraction, format_fraction, \
-    parse_fraction, parse_ratio
+from kahlerimm.scalars import MAX_EXPONENT, CScalar, as_fraction, \
+    format_fraction, parse_fraction, parse_ratio
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50)
@@ -74,6 +75,13 @@ def outcome(parse, text):
         return None, (type(exc), str(exc))
 
 
+def exponent(text):
+    """The integer that ends ``text`` after an ``e`` or ``E``, as the
+    exponent of Fraction's grammar is written, or 0."""
+    match = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
+    return int(match.group(1)) if match else 0
+
+
 # tokens over the characters of Fraction's grammar and its neighbours:
 # signs, '/', a decimal point, exponents, '_', spaces, non-ASCII digits
 tokens = st.text(alphabet="0123456789-+/._eE \u0661\u00b2", max_size=8) | \
@@ -100,7 +108,19 @@ tokens = st.text(alphabet="0123456789-+/._eE \u0661\u00b2", max_size=8) | \
 @example("/2")
 @example("007/010")
 @example("9" * 5000)
+@example("0E600000")
+@example("1e4300")
+@example("1E-4301")
+@example("1e4_301 ")
+@example("1e-20000000")
+@example("1e \u0665\u0660\u0660\u0660")
+@example("1e\u0665\u0660\u0660\u0660")
 def test_parse_fraction_is_fraction_of_str(text):
+    if abs(exponent(text)) > MAX_EXPONENT:
+        # Fraction would build ten to that power: not called
+        with pytest.raises(ValueError, match="exceeds 4300 in magnitude"):
+            parse_ratio(text)
+        return
     # the same value, or the same exception class and message
     assert outcome(parse_fraction, text) == outcome(Fraction, text)
     # the ratio it is read through has a positive denominator
