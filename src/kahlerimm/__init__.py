@@ -17,7 +17,7 @@ from .resolvability import CertifiedNotResolvable, HartogsWitness, \
     HermMatrix, MatrixWitness, NotPsd, Psd, ResolvableUpTo, build_matrix, \
     hartogs_criterion, psd_certify, resolvability
 from .immersion import Component, ImmersionMap, NotResolvableError, Target, \
-    VerifyResult, factor_immersion, verify_immersion
+    factor_immersion, verify_immersion
 from .models import MODELS, build_model, hartogs_profile
 from .symmetric import DomainInvariants, Membership, \
     bergman_scaling_decision, cartan_hartogs_failure, classical_invariants, \

@@ -565,9 +565,8 @@ def _cmd_check_certificate(args) -> int:
         if imm.target != target_for(b):
             raise InputError(f"an immersion for b = {b} maps into "
                              f"{target_for(b)}, not {imm.target}")
-        check = verify_immersion(imm, series, b, degree)
         printed = _immersion_json(imm, source, b) \
-            if check.ok and check.pivoted else None
+            if verify_immersion(imm, series, b, degree) else None
     elif kind == "certificate":
         _check_verdict_form(doc, _request(doc)["criterion"])
         printed = _certificate(doc)
@@ -858,17 +857,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     the interpreter, ``site`` and this package loaded, is moved by
     ``gc.freeze()`` into the collector's permanent generation, so the
     collections during the request, and those of an interpreter exit
-    (when ``run`` ends through ``sys.exit``), skip them.  A caller that
-    passes a list, such as a test or an embedding program, keeps its
-    collector as it is.  Either way ``main`` returns, and leaves the
-    process to its caller."""
-    if argv is None:
+    (when ``run`` ends through ``sys.exit``), skip them; and stdout is
+    flushed before ``main`` returns, so a closed pipe is reported as a
+    failed write is, whether or not the document fit in the buffer, and
+    stdout then points at the null device, so no later flush reports it
+    again.  A caller that passes a list, such as a test or an embedding
+    program, keeps its collector and its stdout as they are.  Either way
+    ``main`` returns, and leaves the process to its caller."""
+    entry = argv is None
+    if entry:
         gc.freeze()
         argv = sys.argv[1:]
     table = build_parser()
     try:
         args = _parse_argv(table, argv)
-        return args.func(args)
+        code = args.func(args)
+        if entry and sys.stdout is not None:
+            sys.stdout.flush()
+        return code
     except InputError as exc:
         message = str(exc)
     except (ValueError, KeyError, OSError) as exc:
@@ -876,6 +882,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         detail = exc.args[0] if isinstance(exc, KeyError) and exc.args \
             else exc
         message = f"{type(exc).__name__}: {detail}"
+        if entry and isinstance(exc, BrokenPipeError):
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
     # the line json.dumps({"error": message}) prints
     print('{"error": ' + _string(message) + "}", file=sys.stderr)
     return 2

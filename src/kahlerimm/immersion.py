@@ -7,21 +7,24 @@ Gaussian-integer arithmetic.  A map is verified by running the Bareiss
 steps of the exact LDL* backwards (``_backward_pass``): from the zero
 remainder, each component is added back as the integer step that removed
 it, so the check computes on the Bareiss integers of the matrix, and it
-passes only the map ``psd_certify`` factors, in its order.  Any other map
-is summed over one common denominator (``_pullback_pass``) to report where
-it differs and whether it is the pivoted LDL* of its own pullback.
+passes only the map ``psd_certify`` factors, in its order.  That is the
+one decision: a local immersion is unique up to a rigid motion (Calabi),
+so the printed map is the one certificate, and a map that pulls back the
+same norm in another form (-f_h, a unitary mix, a reordering) is not it.
+``ImmersionMap.pullback_norm`` sums any map over one common denominator
+(``_pullback_pass``), to compare its pullback with a series.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .resolvability import MatrixWitness, NotPsd, calabi_matrix, \
     calabi_series, psd_certify
-from .scalars import CScalar, RationalLike, Record, as_fraction
+from .scalars import RationalLike, Record, as_fraction
 from .series import ArityMismatchError, BiSeries, HolSeries, Nums, Rows, \
-    _order_size, graded_order, hermitian_update, index_of_ordinal, reduced
+    _order_size, graded_order, hermitian_update, reduced
 
 
 class NotResolvableError(ValueError):
@@ -56,50 +59,23 @@ class ImmersionMap(Record, fields="components target degree arity"):
     __slots__ = ()
 
     def pullback_norm(self) -> BiSeries:
-        """sum radicand * series * conj(series), exact."""
-        d, lam, rows, _ = _pullback_pass(self)
+        """sum radicand * series * conj(series), exact, through the least
+        degree of the map and its components."""
+        d, lam, rows = _pullback_pass(self)
         return BiSeries._reduced(self.arity, d, lam, {
             (j, k): (re, im)
             for j, row in rows.items() for k, (re, im, _) in row.items()})
 
-    def is_pivoted_ldl(self) -> bool:
-        """True when the components are, in order, the columns and pivots
-        that ``psd_certify`` takes from this map's own pullback norm H
-        (the shape test of ``_pullback_pass``).
 
-        Then the Schur complements of H are the tails of the sum, so the
-        elimination of H returns exactly these components: with H
-        verified, they are the one map ``factor_immersion`` prints, and
-        -f_h, a unitary mix or a reordering of them is not of this form.
-        """
-        return _pullback_pass(self)[3]
-
-
-def _pullback_pass(imm: ImmersionMap) -> Tuple[int, int, Rows, bool]:
-    """(d, L, rows, pivoted): sum_h r_h f_h conj(f_h) through d, the least
-    degree of the map and its components, is rows / L (Gaussian integers
-    at scale 1, no zero entry), and ``pivoted`` is the pivoted-LDL* shape
-    test, taken in the same pass.
+def _pullback_pass(imm: ImmersionMap) -> Tuple[int, int, Rows]:
+    """(d, L, rows): sum_h r_h f_h conj(f_h) through d, the least degree of
+    the map and its components, is rows / L (Gaussian integers at scale 1,
+    no zero entry).
 
     Each f_h is Gaussian integers over its denominator D_h, with weight
     r_h / D_h^2 in lowest terms; the weights are put over their common
-    denominator L, and one integer ``hermitian_update`` per component,
-    from the last back to the first, accumulates L times the sum into rows.
-
-    After component h is added, the diagonal at q is L S_h(q), for the
-    Schur diagonal S_h = sum_{i >= h} r_i |f_i|^2.  Component h must be 1
-    at the position p_h the ``psd_certify`` pivot rule picks from S_h (the
-    largest, ties to the lowest position, within the lowest degree first
-    when every component is of one degree, as H is then block-diagonal by
-    degree), and S_h(p_h) = r_h must hold: no later component meets p_h,
-    and S_h vanishes at the pivots of earlier components that pass, so
-    they are not picked.  S_h exceeds S_{h+1} on the support of f_h only,
-    so the pick is the running best or a position of that support: the
-    test costs O(support) per component, comparing integers.
-
-    L grows with the number of components (thousands of bits on a dense
-    jet), so a map is verified by ``_rebuilds`` first; this pass serves
-    the maps that one rejects.
+    denominator L, and one integer ``hermitian_update`` per component
+    accumulates L times the sum into rows.
     """
     n = imm.arity
     d = _least_degree(imm)
@@ -108,26 +84,14 @@ def _pullback_pass(imm: ImmersionMap) -> Tuple[int, int, Rows, bool]:
         if f.n != n:
             raise ArityMismatchError(f"arity {f.n} != {n}")
         den = f.den
-        x = _terms(f, d)
         g = math.gcd(rad.numerator, den * den)
-        comps.append((rad, den, x, rad.numerator // g,
+        comps.append((_terms(f, d), rad.numerator // g,
                       rad.denominator * (den * den // g)))
     lam = math.lcm(*(wden for *_, wden in comps))
-    degree = graded_order(n, d).degree
-    blocked = all(len({degree[j] for j in x}) <= 1 for _, _, x, _, _ in comps)
     rows: Rows = {}
-    pivoted, top, best = True, None, None
-    for rad, den, x, num, wden in reversed(comps):
+    for x, num, wden in comps:
         hermitian_update(rows, num * (lam // wden), x)
-        if not pivoted:
-            continue
-        for q in x:  # S_h grows on the support of f_h only
-            key = (-degree[q] if blocked else 0, rows[q][q][0], -q)
-            if top is None or key > top:
-                top, best = key, q
-        pivoted = x.get(best) == (den, 0) and \
-            rows[best][best][0] * rad.denominator == lam * rad.numerator
-    return d, lam, rows, pivoted
+    return d, lam, rows
 
 
 def _least_degree(imm: ImmersionMap) -> int:
@@ -250,9 +214,12 @@ def factor_immersion(d: BiSeries, b: RationalLike, degree: int) -> ImmersionMap:
 
     Component h has radicand = pivot d_h and series = the h-th unit-diagonal
     column of L, so that sum_h d_h |f_h|^2 reproduces b_transform(d, b)
-    through ``degree`` exactly.  Before it is returned, the map is verified
-    as ``check-certificate`` verifies it: the backward pass ``_rebuilds``
-    must rebuild the matrix it was factored from.
+    through ``degree`` exactly.  The components come in pivot order, each
+    1 at its pivot: this map, and no other form of it, is what
+    ``verify_immersion(imm, d, b, degree)`` accepts.  Before it is
+    returned, the map is verified as ``check-certificate`` verifies it:
+    the backward pass ``_rebuilds`` must rebuild the matrix it was
+    factored from.
     """
     b = as_fraction(b)
     transformed, matrix = calabi_matrix(d, b, degree)
@@ -280,77 +247,18 @@ def factor_immersion(d: BiSeries, b: RationalLike, degree: int) -> ImmersionMap:
 # verification
 # ---------------------------------------------------------------------------
 
-class VerifyResult(Record, fields="ok residual pivoted",
-                   defaults=(None, False)):
-    """``ok`` (bool): the pullback norm equals the series; ``residual``
-    (None, or (m_j, m_k, got, want) with ``CScalar`` values): else the
-    first difference; ``pivoted`` (bool): the map passes the shape test of
-    ``ImmersionMap.is_pivoted_ldl``."""
-
-    __slots__ = ()
-
-
 def verify_immersion(imm: ImmersionMap, d: BiSeries, b: RationalLike,
-                     degree: int) -> VerifyResult:
-    """Compare the pulled-back squared norm against b_transform(d, b).
+                     degree: int) -> bool:
+    """True exactly when ``imm`` is the map ``factor_immersion(d, b,
+    degree)`` prints: the backward pass ``_rebuilds`` rebuilds the matrix
+    of b_transform(d, b) through ``degree`` from its components.
 
-    The map is the one ``factor_immersion`` prints exactly when the
-    backward pass ``_rebuilds`` rebuilds the series' matrix from it: then
-    the norms agree and the map is pivoted.  Any other map goes through
-    ``_pullback_residual``, which reports the first differing coefficient
-    in graded order (j, then k); the stated (got, want) pair makes the
-    residual independently checkable.
+    By Calabi's rigidity a local immersion is unique up to a rigid motion,
+    so that pivoted LDL* map is the one certificate: -f_h, a unitary mix
+    or a reordering of its components pulls back the same norm and is
+    still rejected.  To compare any other map's pullback with the series,
+    use ``imm.pullback_norm() == calabi_series(d, b, degree)``.
     """
     if imm.arity != d.n:
         raise ValueError(f"arity mismatch: map {imm.arity} vs series {d.n}")
-    want = calabi_series(d, b, degree)
-    if _rebuilds(imm, want):
-        return VerifyResult(True, None, True)
-    return _pullback_residual(imm, want, degree)
-
-
-def _pullback_residual(imm: ImmersionMap, want: BiSeries, degree: int
-                       ) -> VerifyResult:
-    """``verify_immersion`` against the already transformed ``want``, by
-    the general sum ``_pullback_pass``.
-
-    The pullback stays Gaussian integers over its denominator L and
-    ``want`` is Gaussian integers over its own denominator D, so the two
-    are compared by cross-multiplication; a ``CScalar`` is built only for
-    the residual reported.
-    """
-    n = imm.arity
-    d, lam, rows, pivoted = _pullback_pass(imm)
-    size = _order_size(n, min(degree, d, want.d))
-    key = _first_mismatch(size, lam, rows, want.den, want.nums)
-    if key is None:
-        return VerifyResult(True, None, pivoted)
-    j, k = key
-    re, im, _ = rows.get(j, {}).get(k, (0, 0, 1))
-    return VerifyResult(False, (
-        index_of_ordinal(n, j), index_of_ordinal(n, k),
-        CScalar.of_integers(re, im, lam), want.get(j, k)), pivoted)
-
-
-def _first_mismatch(size: int, lam: int, rows: Rows, den: int,
-                    want: Dict[Tuple[int, int], Tuple[int, int]]
-                    ) -> Optional[Tuple[int, int]]:
-    """The least key (j, k) with both ordinals below ``size`` at which
-    rows / lam and want / den differ, or None.
-
-    ``rows`` (scale 1) and ``want`` hold Gaussian-integer numerators and
-    no zero entries; a / lam = c / den is tested as a den = c lam.
-    """
-    bad = []
-    for j, row in rows.items():
-        if j >= size:
-            continue
-        for k, (re, im, _) in row.items():
-            if k >= size:
-                continue
-            w = want.get((j, k))
-            if w is None or re * den != w[0] * lam or im * den != w[1] * lam:
-                bad.append((j, k))
-    bad += [(j, k) for j, k in want
-            if j < size and k < size and k not in rows.get(j, ())]
-    return min(bad, default=None)
+    return _rebuilds(imm, calabi_series(d, b, degree))

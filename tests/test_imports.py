@@ -115,8 +115,6 @@ UNREFERENCED_PUBLIC = {
     # accessors that tests read results through
     "series.py:BiSeries.get_index": "reads a coefficient by multi-index",
     "resolvability.py:HermMatrix.quadratic_form": "evaluates a witness",
-    "immersion.py:ImmersionMap.is_pivoted_ldl":
-        "the shape test without a series to verify against",
     "radial.py:RSeries.univariate": "builds a profile from a coefficient list",
     # operations the oracles in tests/ are written in
     "scalars.py:CScalar.conj": "conjugation in the Hermitian oracles",
@@ -144,9 +142,8 @@ def test_every_public_name_is_referenced_by_the_package():
 # the kernels that run on Gaussian integers over one denominator: the
 # series core and the operations on the stored integer form, the matrix
 # build, the exact LDL* and its witness search, the backward pass that
-# verifies a map with its shape test, the general pullback with its shape
-# test and the pullback comparison, and the readers that compute on a
-# series: (module, function or Class.method)
+# verifies a map with its shape test, the general pullback sum, and the
+# readers that compute on a series: (module, function or Class.method)
 INTEGER_LOOPS = [("series.py", "_mul_add"),
                  ("series.py", "_degree_recurrence"),
                  ("series.py", "hermitian_update"),
@@ -166,8 +163,7 @@ INTEGER_LOOPS = [("series.py", "_mul_add"),
                  ("resolvability.py", "_qform"),
                  ("resolvability.py", "_small_witness"),
                  ("immersion.py", "_backward_pass"),
-                 ("immersion.py", "_pullback_pass"),
-                 ("immersion.py", "_first_mismatch")]
+                 ("immersion.py", "_pullback_pass")]
 
 
 def definition(tree, name):

@@ -13,8 +13,7 @@ from kahlerimm.bell import CigarLimit, CigarScan
 from kahlerimm.cli import Command, Option, build_parser
 from kahlerimm.diastasis import BochnerReport
 from kahlerimm.einstein import EinsteinResult, NotEinstein
-from kahlerimm.immersion import Component, ImmersionMap, Target, \
-    VerifyResult
+from kahlerimm.immersion import Component, ImmersionMap, Target
 from kahlerimm.models import MODELS, ModelEntry
 from kahlerimm.resolvability import CertifiedNotResolvable, HartogsWitness, \
     HermMatrix, MatrixWitness, NotPsd, Pivot, Psd, ResolvableUpTo
@@ -38,7 +37,6 @@ RECORDS = [
     Target("curved", Fraction(1, 2)),
     Component(Fraction(1, 2), SERIES),
     ImmersionMap((Component(Fraction(1), SERIES),), Target("flat"), 2, 1),
-    VerifyResult(True),
     DomainInvariants(2, Fraction(2), 4, 4),
     Membership("discrete", 1),
     CigarScan(2, Fraction(-1), Fraction(-1, 2), (Fraction(1),)),
@@ -64,7 +62,6 @@ FIELDS = {
     Target: (("kind", "b"), (None,)),
     Component: (("radicand", "series"), ()),
     ImmersionMap: (("components", "target", "degree", "arity"), ()),
-    VerifyResult: (("ok", "residual", "pivoted"), (None, False)),
     DomainInvariants: (("rank", "a", "genus", "dim"), ()),
     Membership: (("kind", "k"), (None,)),
     CigarScan: (("first_negative_n", "y_value", "coefficient",
@@ -80,7 +77,7 @@ FIELDS = {
 
 
 def test_every_record_type_is_listed_once():
-    assert len({type(r) for r in RECORDS}) == len(RECORDS) == 22
+    assert len({type(r) for r in RECORDS}) == len(RECORDS) == 21
     assert {type(r) for r in RECORDS} == set(FIELDS)
     assert isinstance(MODELS["flat"], ModelEntry)
     assert COMMAND.positional == ("file",)
