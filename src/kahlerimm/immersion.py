@@ -7,7 +7,9 @@ Gaussian-integer arithmetic.  A map is verified by running the Bareiss
 steps of the exact LDL* backwards (``_backward_pass``): from the zero
 remainder, each component is added back as the integer step that removed
 it, so the check computes on the Bareiss integers of the matrix, and it
-passes only the map ``psd_certify`` factors, in its order.  That is the
+passes only the map ``psd_certify`` factors, in its order: one run of
+components per block of ``resolvability.principal_blocks``, the same
+split the elimination takes, each run checked on its block.  That is the
 one decision: a local immersion is unique up to a rigid motion (Calabi),
 so the printed map is the one certificate, and a map that pulls back the
 same norm in another form (-f_h, a unitary mix, a reordering) is not it.
@@ -18,13 +20,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .resolvability import MatrixWitness, NotPsd, calabi_matrix, \
-    calabi_series, psd_certify
+    calabi_series, principal_blocks, psd_certify
 from .scalars import RationalLike, Record, as_fraction
 from .series import ArityMismatchError, BiSeries, HolSeries, Nums, Rows, \
-    _order_size, graded_order, hermitian_update, reduced
+    _order_size, graded_order, hermitian_update
 
 
 class NotResolvableError(ValueError):
@@ -113,34 +115,28 @@ def _rebuilds(imm: ImmersionMap, want: BiSeries) -> bool:
     coefficient matrix of ``want``, and so rebuild that matrix exactly.
 
     The map and its components must reach want.d, and are read through it.
-    The matrix splits as ``psd_certify`` splits it: when no entry couples
-    two degrees, into one block per degree, each over the least
-    denominator of its own entries (``series.reduced``), whose components
-    come in a run of their own, lowest degree first; else it is one
-    block.  Each block goes through ``_backward_pass``.
+    The matrix splits as ``psd_certify`` splits it, by
+    ``principal_blocks``: the components come in one run per block, in
+    block order, each inside its block's rows, and each run goes through
+    ``_backward_pass`` over its block; a component left after the last
+    block rejects the map.
     """
     n, d = want.n, want.d
     if imm.arity != n or _least_degree(imm) != d \
             or any(f.n != n for _, f in imm.components):
         return False
     comps = [(rad, f.den, _terms(f, d)) for rad, f in imm.components]
-    degree = graded_order(n, d).degree
-    if any(degree[j] != degree[k] for j, k in want.nums):
-        return _backward_pass(want.den, want.nums, comps)
-    blocks: Dict[int, Nums] = {}
-    for (j, k), v in want.nums.items():
-        blocks.setdefault(degree[j], {})[(j, k)] = v
-    runs: Dict[int, List[Tuple[Fraction, int, Nums]]] = {}
-    last = 0
-    for comp in comps:
-        degrees = {degree[j] for j in comp[2]}
-        if len(degrees) != 1 or min(degrees) < last:
+    start = 0
+    for den, nums in principal_blocks(want.den, want.nums,
+                                      graded_order(n, d).degree):
+        rows = {j for j, _ in nums}
+        end = start
+        while end < len(comps) and comps[end][2].keys() <= rows:
+            end += 1
+        if not _backward_pass(den, nums, comps[start:end]):
             return False
-        (last,) = degrees
-        runs.setdefault(last, []).append(comp)
-    return all(_backward_pass(*reduced(want.den, blocks.get(g, {})),
-                              runs.get(g, []))
-               for g in blocks.keys() | runs.keys())
+        start = end
+    return start == len(comps)
 
 
 def _backward_pass(den: int, nums: Nums,

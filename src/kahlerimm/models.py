@@ -17,6 +17,7 @@ from .radial import RSeries
 from .scalars import RationalLike, Record, as_fraction
 from .series import BiSeries, MultiIndex, det_series, exp_series, \
     graded_order, log1p_series, ordinal_of_index, solve_graded_fixed_point
+from .symmetric import classical_invariants
 
 
 def _unit(n: int, which: int, power: int = 1) -> MultiIndex:
@@ -164,16 +165,11 @@ def cartan_bergman_diastasis(kind: str, sizes: Sequence[int], degree: int
 
 def minus_log_norm(kind: str, sizes: Sequence[int], degree: int) -> BiSeries:
     """-log h for the generic norm h of a classical domain: the Bergman
-    diastasis divided by its genus, the exponent of h in the Bergman kernel
-    (``symmetric.classical_invariants``).  That is the determinant exponent
-    of ``cartan_bergman_diastasis`` except for omega3, where det(I - ZZ*)
-    = h^2 and the genus is twice the exponent.  omega4 with n = 1 is
-    rejected: its kernel (1 - |z|^2)^2 is the disc's at genus 2, not the
-    genus n = 1 of the Lie ball, so it has no generic norm of this form."""
-    if kind.lower() == "omega4" and tuple(sizes) == (1,):
-        raise ValueError("omega4 with n=1 is the disc; use base=omega1")
-    series, exponent = cartan_bergman_diastasis(kind, sizes, degree)
-    genus = 2 * exponent if kind.lower() == "omega3" else exponent
+    diastasis divided by its genus, the exponent of h in the Bergman kernel.
+    The genus, and the sizes refused, are those of the domain table
+    ``symmetric.classical_invariants``, read before the series is built."""
+    genus = classical_invariants(kind, *sizes).genus
+    series, _ = cartan_bergman_diastasis(kind, sizes, degree)
     return series.scale(Fraction(1, genus))
 
 

@@ -33,13 +33,13 @@ class NotADiastasisError(ValueError):
 # matrix construction
 # ---------------------------------------------------------------------------
 
-class HermMatrix(Record, fields="dimension den nums basis circular_flag"):
+class HermMatrix(Record, fields="dimension den nums basis"):
     """Hermitian coefficient matrix over the graded basis (ordinals 1..M).
 
     dimension (int): M; den (int) and nums (dict (row, col) -> (re, im)):
     entry (row, col) is (re + i im) / den, in the canonical integer form
     of a ``BiSeries``; basis (tuple of multi-indices): the monomial of
-    each position; circular_flag (bool): no entry couples two degrees.
+    each position, whose degree ``principal_blocks`` splits by.
     """
 
     __slots__ = ()
@@ -64,9 +64,8 @@ def build_matrix(d: BiSeries, degree: int) -> HermMatrix:
     if degree > d.d:
         raise ValueError(f"requested degree {degree} exceeds truncation {d.d}")
     order = graded_order(d.n, degree)
-    size, deg = order.size, order.degree
+    size = order.size
     nums: Nums = {}
-    circular = True
     for (j, k), v in d.nums.items():
         if j == 0 or k == 0:  # ordinal 0 is the constant
             raise NotADiastasisError(
@@ -75,12 +74,27 @@ def build_matrix(d: BiSeries, degree: int) -> HermMatrix:
         if j >= size or k >= size:
             continue
         nums[(j - 1, k - 1)] = v
-        if deg[j] != deg[k]:
-            circular = False
     # ordinal 0 (constant) excluded; a cut may leave a common factor
     den_nums = reduced(d.den, nums) if len(nums) < len(d.nums) \
         else (d.den, nums)
-    return HermMatrix(size - 1, *den_nums, order.basis[1:], circular)
+    return HermMatrix(size - 1, *den_nums, order.basis[1:])
+
+
+def principal_blocks(den: int, nums: Nums, degree: Sequence[int]
+                     ) -> List[Tuple[int, Nums]]:
+    """The independent principal blocks of the Hermitian matrix nums / den,
+    whose rows and columns are graded by ``degree``.
+
+    When no entry couples two degrees (a circular potential), one block per
+    degree, lowest first, each over the least denominator of its own
+    entries (``series.reduced``); else the whole matrix, unchanged.
+    """
+    blocks: Dict[int, Nums] = {}
+    for (j, k), v in nums.items():
+        if degree[j] != degree[k]:
+            return [(den, nums)]
+        blocks.setdefault(degree[j], {})[(j, k)] = v
+    return [reduced(den, blocks[g]) for g in sorted(blocks)]
 
 
 # ---------------------------------------------------------------------------
@@ -297,37 +311,28 @@ def psd_certify(matrix: HermMatrix) -> PsdVerdict:
     A matrix whose entries are not Hermitian raises ValueError (checked once,
     before elimination, since ``_eliminate`` reads one triangle only).
 
-    With ``circular_flag`` the matrix splits into independent per-degree
-    principal blocks, which are factored separately (same verdict as the
-    monolithic elimination; pivot sets identical up to ordering by degree),
-    each over the least denominator of its own entries.
+    Each of the ``principal_blocks`` of the matrix, by the degrees of its
+    basis, is factored on its own, over its own rows: a matrix with an
+    entry between two degrees is one block, and a circular one has one
+    block per degree, whose pivots come by degree (the verdict and rank of
+    one elimination of the whole matrix; the pivot set is the same).  The
+    first block that is not PSD gives the witness, zero off its rows.
     """
     bad = hermitian_defect(matrix.nums)
     if bad is not None:
         r, c = bad
         raise ValueError(f"the matrix is not Hermitian: entry ({r},{c}) "
                          f"is not the conjugate of entry ({c},{r})")
-    positions = list(range(matrix.dimension))
-    if not matrix.circular_flag:
-        return _eliminate(matrix.den, matrix.nums, positions)
     degree = [sum(m) for m in matrix.basis]
-    by_degree: Dict[int, List[int]] = {}
-    for p in positions:
-        by_degree.setdefault(degree[p], []).append(p)
-    blocks: Dict[int, Nums] = {}
-    for (r, c), v in matrix.nums.items():
-        if degree[r] == degree[c]:
-            blocks.setdefault(degree[r], {})[(r, c)] = v
-    all_pivots: List[Pivot] = []
-    for deg in sorted(blocks):
-        verdict = _eliminate(*reduced(matrix.den, blocks[deg]),
-                             by_degree[deg])
+    pivots: List[Pivot] = []
+    for den, nums in principal_blocks(matrix.den, matrix.nums, degree):
+        verdict = _eliminate(den, nums, sorted({r for r, _ in nums}))
         if isinstance(verdict, NotPsd):
             vec = list(verdict.witness)
             vec += [CScalar(0)] * (matrix.dimension - len(vec))
             return NotPsd(tuple(vec), verdict.value)
-        all_pivots.extend(verdict.pivots)
-    return Psd(len(all_pivots), tuple(all_pivots))
+        pivots.extend(verdict.pivots)
+    return Psd(len(pivots), tuple(pivots))
 
 
 # ---------------------------------------------------------------------------

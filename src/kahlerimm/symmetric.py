@@ -58,8 +58,10 @@ def classical_invariants(kind: str, *sizes: int) -> DomainInvariants:
     lattice a/2 is measured in.  It equals the determinant-kernel exponent
     of the model catalog except for omega3: there det(I - ZZ*) = h^2 for
     skew Z, so the catalog's exponent n-1 of the determinant is p = 2(n-1).
-    A size the catalog rejects is rejected here with the catalog's message;
-    omega1's sizes go to ``DomainInvariants``, which rejects a rank below 1.
+    ``models.minus_log_norm`` divides by this genus and refuses the sizes
+    refused here.  A size the catalog rejects is rejected here with the
+    catalog's message; omega1's sizes go to ``DomainInvariants``, which
+    rejects a rank below 1.
     """
     kind = kind.lower()
     names = SIZE_NAMES.get(kind)

@@ -14,6 +14,8 @@ None of these is reached from the command line, so none is package code:
 * ``is_pivoted_ldl``: the pivoted-LDL* shape test of a map by Schur
   diagonals in ``Fraction``, the oracle of the shape test in the backward
   pass that ``verify_immersion`` runs;
+* ``is_circular``: no entry of a coefficient matrix couples two degrees,
+  the case in which ``principal_blocks`` splits it by degree;
 * ``calabi_tube_residual``: the ODE residual of the tubular metric jet;
 * ``hartogs_scan``: the Hartogs sign scan with one ``pow_normalized`` per
   k, the oracle of the product chain in ``hartogs_criterion``;
@@ -239,6 +241,13 @@ def is_pivoted_ldl(imm):
         if comp.series.coeffs.get(p) != CScalar(1) or schur[p] != rad:
             return False
     return True
+
+
+def is_circular(matrix):
+    """True when no entry of the ``HermMatrix`` couples two degrees of
+    its basis, so that it is block-diagonal by degree."""
+    degree = [sum(m) for m in matrix.basis]
+    return all(degree[r] == degree[c] for r, c in matrix.nums)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-import kahlerimm as K
+from kahlerimm.bell import bell_complete, bell_partial, cigar_limit, \
+    cigar_scan
 from kahlerimm.diastasis import b_transform, normalize_to_diastasis
+from kahlerimm.einstein import EinsteinResult, NotEinstein, einstein_estimate
+from kahlerimm.immersion import factor_immersion, verify_immersion
 from kahlerimm.models import (build_model, calabi_tube,
                               profile_inv_one_plus_x_pow,
                               profile_one_minus_x_pow, profile_rhp_cubic,
@@ -23,6 +26,8 @@ from kahlerimm.resolvability import (CertifiedNotResolvable, ResolvableUpTo,
                                      resolvability)
 from kahlerimm.scalars import CScalar
 from kahlerimm.series import GradedOrder, index_of_ordinal
+from kahlerimm.symmetric import DomainInvariants, bergman_scaling_decision, \
+    cartan_hartogs_failure, wallach_membership
 from oracles import calabi_tube_residual
 
 _NEGATIVE_CERTIFICATES = []   # (series, b, degree, verdict) for criterion 11
@@ -87,7 +92,7 @@ def test_criterion_2():
     for n, degree in [(1, 5), (2, 4)]:
         for b_src, b_tgt, radicand in cases:
             d = space_form_diastasis(n, b_src, degree)
-            imm = K.factor_immersion(d, b_tgt, degree)
+            imm = factor_immersion(d, b_tgt, degree)
             _record_immersion(imm, d, b_tgt, degree)
             seen = {}
             for comp in imm.components:
@@ -96,7 +101,7 @@ def test_criterion_2():
                 seen[index_of_ordinal(n, j)] = comp.radicand
             for m in GradedOrder(n, degree).basis[1:]:
                 assert seen[m] == radicand(m), (n, b_src, b_tgt, m)
-            assert K.verify_immersion(imm, d, b_tgt, degree)
+            assert verify_immersion(imm, d, b_tgt, degree)
 
 
 @criterion(3, "Lie-ball degree-2 obstruction")
@@ -160,13 +165,13 @@ def test_criterion_5():
 
 @criterion(6, "cigar obstruction and Bell identities")
 def test_criterion_6():
-    scan = K.cigar_scan(1, 8)
+    scan = cigar_scan(1, 8)
     assert scan.first_negative_n == 4
     assert scan.y_value == Fraction(-1, 12)
     assert scan.coefficient == Fraction(-1, 288)
 
     import mpmath as mp
-    limit = K.cigar_limit(1, 12)
+    limit = cigar_limit(1, 12)
     with mp.workdps(30):
         closed_form = 1 - mp.e ** (-(mp.pi ** 2) / 6)
     assert abs(limit.float_value - float(closed_form)) < 1e-9
@@ -180,17 +185,17 @@ def test_criterion_6():
         a = Fraction(rng.randint(1, 4), rng.randint(1, 3))
         b = Fraction(rng.randint(1, 4), rng.randint(1, 3))
         scaled = [a * b ** i * x for i, x in enumerate(xs, start=1)]
-        assert K.bell_partial(n, k, scaled) == \
-            a ** k * b ** n * K.bell_partial(n, k, xs)
-        assert K.bell_complete(n, scaled[:n]) == sum(
-            a ** kk * b ** n * K.bell_partial(n, kk, xs)
+        assert bell_partial(n, k, scaled) == \
+            a ** k * b ** n * bell_partial(n, k, xs)
+        assert bell_complete(n, scaled[:n]) == sum(
+            a ** kk * b ** n * bell_partial(n, kk, xs)
             for kk in range(1, n + 1))
         # exp link at this n
         s = RSeries.univariate(
             [Fraction(0)] + [x / math.factorial(i)
                              for i, x in enumerate(xs, start=1)], n)
         assert s.exp().ucoeff(n) == \
-            K.bell_complete(n, xs) / math.factorial(n)
+            bell_complete(n, xs) / math.factorial(n)
 
 
 @criterion(7, "Taub-NUT projective-inducedness threshold")
@@ -213,47 +218,47 @@ def test_criterion_8():
     for n in (1, 2, 3):
         for b in (1, -1, 2, -3):
             d = space_form_diastasis(n, b, 4)
-            result = K.einstein_estimate(d, 4)
-            assert result == K.EinsteinResult(Fraction(2 * b * (n + 1)),
-                                              flat=False)
-    cigar = K.einstein_estimate(build_model("cigar", {}, 4), 4)
-    assert isinstance(cigar, K.NotEinstein)
+            result = einstein_estimate(d, 4)
+            assert result == EinsteinResult(Fraction(2 * b * (n + 1)),
+                                            flat=False)
+    cigar = einstein_estimate(build_model("cigar", {}, 4), 4)
+    assert isinstance(cigar, NotEinstein)
 
 
 @criterion(9, "Wallach-set decisions")
 def test_criterion_9():
-    rank_one = K.DomainInvariants(1, Fraction(2), 2, 1)
+    rank_one = DomainInvariants(1, Fraction(2), 2, 1)
     for c in (Fraction(1, 100), Fraction(1, 7), 1, 5):
-        assert K.bergman_scaling_decision(rank_one, c)
+        assert bergman_scaling_decision(rank_one, c)
 
-    synthetic = K.DomainInvariants(2, Fraction(2), 4, 2)  # threshold 1
+    synthetic = DomainInvariants(2, Fraction(2), 4, 2)  # threshold 1
     grid = {Fraction(1, 8): False,   # eta = 1/2, off-lattice
             Fraction(1, 4): True,    # eta = 1, top lattice point
             Fraction(3, 8): True,    # eta = 3/2, continuous
             Fraction(1, 16): False}  # eta = 1/4, below and off-lattice
     for c, expected in grid.items():
-        assert K.bergman_scaling_decision(synthetic, c) == expected
-    assert K.wallach_membership(synthetic, 0).kind == "discrete"  # cγ=0 case
-    assert not K.bergman_scaling_decision(synthetic, Fraction(1, 10 ** 9)) \
+        assert bergman_scaling_decision(synthetic, c) == expected
+    assert wallach_membership(synthetic, 0).kind == "discrete"  # cγ=0 case
+    assert not bergman_scaling_decision(synthetic, Fraction(1, 10 ** 9)) \
         or synthetic.threshold == 0
 
     rng = random.Random(29)
     for _ in range(50):
-        inv = K.DomainInvariants(rng.randint(1, 4),
-                                 Fraction(rng.randint(0, 4), rng.randint(1, 2)),
-                                 rng.randint(1, 6), rng.randint(1, 3))
+        inv = DomainInvariants(rng.randint(1, 4),
+                               Fraction(rng.randint(0, 4), rng.randint(1, 2)),
+                               rng.randint(1, 6), rng.randint(1, 3))
         mu = Fraction(rng.randint(1, 5), rng.randint(1, 4))
         c = Fraction(rng.randint(1, 5), rng.randint(1, 4))
         conj = True
         m = 0
         while (c + m) * mu <= inv.threshold:
             eta = (c + m) * mu
-            member = K.wallach_membership(inv, eta)
+            member = wallach_membership(inv, eta)
             if member.kind != "discrete" or eta == 0:
                 conj = False
                 break
             m += 1
-        assert (K.cartan_hartogs_failure(inv, mu, c) is None) == conj
+        assert (cartan_hartogs_failure(inv, mu, c) is None) == conj
 
 
 @criterion(10, "tubular ODE metric jet")
@@ -296,4 +301,4 @@ def test_criterion_11():
         assert mat.quadratic_form(w.components) == w.value < 0
     assert _IMMERSIONS
     for imm, series, b, degree in _IMMERSIONS:
-        assert K.verify_immersion(imm, series, b, degree)
+        assert verify_immersion(imm, series, b, degree)

@@ -15,8 +15,8 @@ from kahlerimm.resolvability import calabi_matrix, calabi_series
 from kahlerimm.scalars import CScalar
 from kahlerimm.series import BiSeries, GradedOrder, HolSeries, \
     index_of_ordinal
-from oracles import is_pivoted_ldl, space_form_classification, \
-    space_form_rank
+from oracles import is_circular, is_pivoted_ldl, \
+    space_form_classification, space_form_rank
 
 
 def _mfact(m):
@@ -498,7 +498,7 @@ def assert_backward_pass_rebuilds(d, degree):
     imm = factor_immersion(d, 0, degree)
     transformed, matrix = calabi_matrix(d, 0, degree)
     assert _rebuilds(imm, transformed)
-    if not matrix.circular_flag:
+    if not is_circular(matrix):
         # one block: the rows are the matrix's own numerators, over its den
         assert _backward_pass(matrix.den, matrix.nums, [
             (rad, f.den, {j - 1: v for j, v in f.nums.items()})
@@ -540,8 +540,31 @@ def test_the_backward_pass_agrees_with_the_forward_sum(jet, data):
 def test_the_backward_pass_on_a_dense_rank_12_matrix(jet, data):
     n, degree, d = jet
     imm, want, matrix = assert_backward_pass_rebuilds(d, degree)
-    assert len(imm.components) == 12 and not matrix.circular_flag
+    assert len(imm.components) == 12 and not is_circular(matrix)
     for other in edited_maps(imm, data.draw):
         assert_agrees_with_the_forward_sum(other, d, want, degree)
         assert not verify_immersion(other, d, 0, degree)
 
+
+
+def test_the_backward_pass_takes_the_blocks_of_a_circular_jet_in_order():
+    # degree 1 couples its two monomials and degree 2 is diagonal: the
+    # matrix has two blocks, and the runs of components, one per block,
+    # must come lowest degree first.  Swapped, the map pulls back the
+    # same series and is rejected.
+    d = space_form_diastasis(2, -1, 2) + BiSeries(2, 2, {
+        (1, 2): CScalar(0, Fraction(1, 4)),
+        (2, 1): CScalar(0, Fraction(-1, 4))})
+    imm = factor_immersion(d, 0, 2)
+    want, matrix = calabi_matrix(d, 0, 2)
+    assert is_circular(matrix)
+    degree = GradedOrder(2, 2).degree
+    runs = [[c for c in imm.components
+             if {degree[j] for j in c.series.coeffs} == {g}] for g in (1, 2)]
+    assert [len(run) for run in runs] == [2, 3]
+    assert list(imm.components) == runs[0] + runs[1]
+    assert _rebuilds(imm, want) and verify_immersion(imm, d, 0, 2)
+    swapped = remade(imm, runs[1] + runs[0])
+    assert swapped.pullback_norm() == want
+    assert not _rebuilds(swapped, want)
+    assert not verify_immersion(swapped, d, 0, 2)

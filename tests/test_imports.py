@@ -11,7 +11,8 @@ error line is written by the package, and a valid document is read with
 ``_json``'s C scanner alone, which only the two readers of a JSON
 document, ``check-certificate`` and ``--spec``, load; and no module but
 ``cli`` names ``os._exit`` or ``atexit``, so no library call ends its
-caller's process."""
+caller's process; and only ``resolvability.principal_blocks`` splits a
+matrix into blocks, for the elimination and the backward pass alike."""
 import ast
 import os
 import subprocess
@@ -141,9 +142,10 @@ def test_every_public_name_is_referenced_by_the_package():
 
 # the kernels that run on Gaussian integers over one denominator: the
 # series core and the operations on the stored integer form, the matrix
-# build, the exact LDL* and its witness search, the backward pass that
-# verifies a map with its shape test, the general pullback sum, and the
-# readers that compute on a series: (module, function or Class.method)
+# build and its block split, the exact LDL* and its witness search, the
+# backward pass that verifies a map with its shape test, the general
+# pullback sum, and the readers that compute on a series: (module,
+# function or Class.method)
 INTEGER_LOOPS = [("series.py", "_mul_add"),
                  ("series.py", "_degree_recurrence"),
                  ("series.py", "hermitian_update"),
@@ -159,6 +161,7 @@ INTEGER_LOOPS = [("series.py", "_mul_add"),
                  ("diastasis.py", "normalize_to_diastasis"),
                  ("einstein.py", "_mixed_second_derivative"),
                  ("resolvability.py", "build_matrix"),
+                 ("resolvability.py", "principal_blocks"),
                  ("resolvability.py", "_eliminate"),
                  ("resolvability.py", "_qform"),
                  ("resolvability.py", "_small_witness"),
@@ -230,6 +233,26 @@ def test_series_is_the_one_product_kernel():
                        for node in ast.walk(ast.parse(
                            path.read_text(encoding="utf-8"))))]
     assert defining == ["series.py"]
+
+
+def test_resolvability_is_the_one_block_split():
+    # psd_certify and the backward pass that verifies its map split the
+    # matrix the same way because both take principal_blocks: a second
+    # split, or a record field that stores one, could disagree with it
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    defining = [name for name, tree in trees.items()
+                if any(isinstance(node, ast.FunctionDef)
+                       and node.name == "principal_blocks"
+                       for node in ast.walk(tree))]
+    assert defining == ["resolvability.py"]
+    for module, name in [("immersion.py", "_rebuilds"),
+                         ("resolvability.py", "psd_certify")]:
+        calls = {ast.unparse(node.func) for node in ast.walk(
+            definition(trees[module], name)) if isinstance(node, ast.Call)}
+        assert "principal_blocks" in calls, f"{module}:{name}"
+    assert not [name for name, tree in trees.items()
+                if "circular_flag" in referenced_names(tree)]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),

@@ -26,7 +26,7 @@ PIVOT = Pivot(0, 2, {}, 1)
 HARTOGS = HartogsWitness(2, 0, Fraction(-1, 4))
 COMMAND = build_parser()["check-certificate"]
 RECORDS = [
-    HermMatrix(1, 1, {(0, 0): (1, 0)}, ((1,),), True),
+    HermMatrix(1, 1, {(0, 0): (1, 0)}, ((1,),)),
     PIVOT,
     Psd(1, (PIVOT,)),
     NotPsd((CScalar(1),), Fraction(-1)),
@@ -51,7 +51,7 @@ RECORDS = [
 
 # every record type's fields, in order, and the defaults of its last fields
 FIELDS = {
-    HermMatrix: (("dimension", "den", "nums", "basis", "circular_flag"), ()),
+    HermMatrix: (("dimension", "den", "nums", "basis"), ()),
     Pivot: (("ordinal", "bareiss", "x", "den"), ()),
     Psd: (("rank", "pivots"), ()),
     NotPsd: (("witness", "value"), ()),

@@ -12,13 +12,13 @@ from kahlerimm.resolvability import (CertifiedNotResolvable,
                                      NotADiastasisError, NotPsd, Pivot, Psd,
                                      ResolvableUpTo, _eliminate, _qform,
                                      build_matrix, calabi_series,
-                                     hartogs_criterion, psd_certify,
-                                     resolvability)
+                                     hartogs_criterion, principal_blocks,
+                                     psd_certify, resolvability)
 from kahlerimm.diastasis import b_transform, normalize_to_diastasis
 from kahlerimm.radial import RSeries
 from kahlerimm.scalars import CScalar
 from kahlerimm.series import BiSeries, GradedOrder, integer_form
-from oracles import hartogs_scan
+from oracles import hartogs_scan, is_circular
 
 
 def diag_series(values):
@@ -40,7 +40,7 @@ def test_build_matrix_diagonal():
     assert mat.get(1, 1) == CScalar(Fraction(1, 2))
     assert mat.get(2, 2) == CScalar(Fraction(1, 3))
     assert mat.get(0, 1) == CScalar(0)
-    assert mat.circular_flag
+    assert is_circular(mat)
 
 
 def test_build_matrix_rejects_pure_rows():
@@ -59,26 +59,28 @@ def test_build_matrix_truncates():
 def test_circular_flag_cleared_by_mixed_degrees():
     d = BiSeries.term(1, 2, (1,), (1,)) + BiSeries.term(1, 2, (2,), (1,)) \
         + BiSeries.term(1, 2, (1,), (2,))
-    assert not build_matrix(d, 2).circular_flag
+    assert not is_circular(build_matrix(d, 2))
 
 
 # ---------------------------------------------------------------------------
 # PSD certification
 # ---------------------------------------------------------------------------
 
-def herm_matrix(dimension, entries, basis, circular=False):
+def herm_matrix(dimension, entries, basis):
     """The ``HermMatrix`` of a dict of exact entries."""
-    return HermMatrix(dimension, *integer_form(entries), basis, circular)
+    return HermMatrix(dimension, *integer_form(entries), basis)
 
 
 def _herm_from_rows(rows):
+    """The ``HermMatrix`` of the rows over a basis of one degree (the
+    linear monomials of len(rows) variables), so that ``psd_certify``
+    eliminates it whole, whatever its entries."""
     entries = {}
     for r, row in enumerate(rows):
         for c, v in enumerate(row):
             if not CScalar.of(v).is_zero():
                 entries[(r, c)] = CScalar.of(v)
-    basis = tuple((j + 1,) for j in range(len(rows)))
-    return herm_matrix(len(rows), entries, basis)
+    return herm_matrix(len(rows), entries, GradedOrder(len(rows), 1).basis[1:])
 
 
 def cscalar_qform(entries, v):
@@ -221,10 +223,9 @@ def test_circular_block_path_matches_monolithic():
         from kahlerimm.diastasis import b_transform, normalize_to_diastasis
         t = b_transform(normalize_to_diastasis(d), Fraction(b))
         mat = build_matrix(t, 3)
-        assert mat.circular_flag
-        flat = HermMatrix(mat.dimension, mat.den, mat.nums, mat.basis, False)
+        assert is_circular(mat)
         v1 = psd_certify(mat)
-        v2 = psd_certify(flat)
+        v2 = _eliminate(mat.den, mat.nums, list(range(mat.dimension)))
         assert type(v1) is type(v2)
         if isinstance(v1, Psd):
             assert v1.rank == v2.rank
@@ -392,7 +393,7 @@ def dense_psd_certify(matrix):
     """``psd_certify`` with ``dense_eliminate``, circular blocks included,
     as the ``view`` of its verdict."""
     positions = list(range(matrix.dimension))
-    if not matrix.circular_flag:
+    if not is_circular(matrix):
         return dense_eliminate(matrix.entries, positions)
     by_degree = {}
     for p in positions:
@@ -503,8 +504,60 @@ def test_circular_blocks_match_dense_loop(rows):
     basis = GradedOrder(2, 4).basis[1:len(rows) + 1]
     entries = {(r, c): v for (r, c), v in _herm_from_rows(rows).entries.items()
                if sum(basis[r]) == sum(basis[c])}
-    mat = herm_matrix(len(rows), entries, basis, True)
+    mat = herm_matrix(len(rows), entries, basis)
     assert view(psd_certify(mat)) == dense_psd_certify(mat)
+
+
+def test_principal_blocks_keep_a_coupled_matrix_whole():
+    # entry (0, 2) couples degrees 1 and 2: the one block is the matrix
+    nums = {(0, 0): (2, 0), (0, 2): (0, 4), (2, 0): (0, -4), (2, 2): (6, 0),
+            (1, 1): (2, 0)}
+    ((den, block),) = principal_blocks(4, nums, [1, 1, 2])
+    assert den == 4 and block is nums
+
+
+def test_principal_blocks_split_an_uncoupled_matrix_by_degree():
+    # positions of degrees 2, 1, 2, 1: one block per degree, lowest first,
+    # each over the least denominator of its own entries
+    nums = {(0, 0): (3, 0), (0, 2): (0, 6), (2, 0): (0, -6), (2, 2): (9, 0),
+            (1, 1): (2, 0), (1, 3): (2, 2), (3, 1): (2, -2), (3, 3): (4, 0)}
+    assert principal_blocks(12, nums, [2, 1, 2, 1]) == [
+        (6, {(1, 1): (1, 0), (1, 3): (1, 1), (3, 1): (1, -1),
+             (3, 3): (2, 0)}),
+        (4, {(0, 0): (1, 0), (0, 2): (0, 2), (2, 0): (0, -2),
+             (2, 2): (3, 0)})]
+
+
+def test_principal_blocks_of_an_empty_matrix():
+    assert principal_blocks(1, {}, []) == []
+    assert principal_blocks(5, {}, [1, 2]) == []
+
+
+@pytest.mark.parametrize("top", [1, -1])
+def test_psd_certify_factors_an_uncoupled_matrix_block_by_block(top):
+    # positions 0, 1 of degree 2 and 2, 3 of degree 1, no entry between
+    # the degrees.  The blocks are factored lowest degree first, so the
+    # pivot at position 0, the largest diagonal, comes third, where one
+    # elimination of the whole matrix would take it first; with top < 0
+    # the degree-1 block is PSD and the degree-2 block gives the witness.
+    basis = ((2, 0), (1, 1), (1, 0), (0, 1))
+    a = CScalar(1, 1)
+    entries = {(0, 0): CScalar(5), (0, 1): CScalar(0, 2),
+               (1, 0): CScalar(0, -2), (1, 1): CScalar(top),
+               (2, 2): CScalar(1), (2, 3): a, (3, 2): a.conj(),
+               (3, 3): CScalar(3)}
+    mat = herm_matrix(4, entries, basis)
+    assert is_circular(mat)
+    verdict = psd_certify(mat)
+    assert view(verdict) == dense_psd_certify(mat)
+    whole = _eliminate(mat.den, mat.nums, list(range(4)))
+    assert type(verdict) is type(whole)
+    if isinstance(verdict, Psd):
+        assert [p.ordinal for p in verdict.pivots] == [3, 2, 0, 1]
+        assert [p.ordinal for p in whole.pivots] == [0, 3, 2, 1]
+    else:
+        assert verdict.witness[2:] == (CScalar(0), CScalar(0))
+        assert mat.quadratic_form(verdict.witness) == verdict.value < 0
 
 
 def test_zero_block_witness_after_two_pivots():
