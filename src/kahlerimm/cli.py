@@ -28,8 +28,7 @@ from .resolvability import CertifiedNotResolvable, HartogsWitness, \
     MatrixWitness, ResolvableUpTo, hartogs_criterion, resolvability
 from .scalars import Record, as_fraction, format_fraction, format_ratio, \
     parse_ratio
-from .series import BiSeries, HolSeries, _ratio_form, graded_order, \
-    ordinal_of_index
+from .series import BiSeries, _ratio_form, graded_order, ordinal_of_index
 from .symmetric import DomainInvariants, bergman_scaling_decision, \
     cartan_hartogs_failure, classical_invariants, wallach_membership
 
@@ -306,15 +305,14 @@ def _immersion_json(imm: ImmersionMap, source: Dict[str, Any], b: Fraction
     """The document ``emit-immersion`` prints for the verified map ``imm``
     of ``source`` into the space form of curvature 4b."""
     comps = []
+    basis = graded_order(imm.arity, imm.degree).basis
     for comp in imm.components:
         series = []
-        f = comp.series
-        basis = graded_order(f.n, f.d).basis
-        for j, (re, im) in sorted(f.nums.items()):
+        for j, (re, im) in sorted(comp.nums.items()):
             series.append({
                 "m": list(basis[j]),
-                "re": format_ratio(re, f.den),
-                "im": format_ratio(im, f.den),
+                "re": format_ratio(re, comp.den),
+                "im": format_ratio(im, comp.den),
             })
         comps.append({
             "sign": 1,
@@ -663,9 +661,8 @@ def _immersion_from_json(doc: Mapping[str, Any]) -> ImmersionMap:
                              _ratio(term["im"], "an imaginary part"))
             # a later term for the same monomial replaces an earlier one
             comps.append(Component(
-                _rational(comp["radicand"], "a radicand"),
-                HolSeries._reduced(arity, degree, *_ratio_form({
-                    j: v for j, v in ratios.items() if v[0][0] or v[1][0]}))))
+                _rational(comp["radicand"], "a radicand"), *_ratio_form({
+                    j: v for j, v in ratios.items() if v[0][0] or v[1][0]})))
     except (AttributeError, IndexError, KeyError, TypeError) as exc:
         raise InputError(f"malformed immersion document: "
                          f"{type(exc).__name__}: {exc}") from exc

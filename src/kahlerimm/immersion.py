@@ -1,15 +1,17 @@
 """Explicit truncated immersion maps from PSD certificates.
 
-A map is stored as components (radicand, holomorphic series): the component
-function is sqrt(radicand) * series, but the square root is never
-materialized: all verification happens on radicand * |series|^2, in
-Gaussian-integer arithmetic.  A map is verified by running the Bareiss
-steps of the exact LDL* backwards (``_backward_pass``): from the zero
-remainder, each component is added back as the integer step that removed
-it, so the check computes on the Bareiss integers of the matrix, and it
-passes only the map ``psd_certify`` factors, in its order: one run of
-components per block of ``resolvability.principal_blocks``, the same
-split the elimination takes, each run checked on its block.  That is the
+A map is stored as components (radicand, den, nums): the component function
+is sqrt(radicand) * f, with f = nums / den a holomorphic polynomial in the
+integer form of a ``BiSeries``, keyed by the ordinals of the map's own
+``graded_order(arity, degree)``.  The square root is never materialized:
+all verification happens on radicand * |f|^2, in Gaussian-integer
+arithmetic.  A map is verified by running the Bareiss steps of the exact
+LDL* backwards (``_backward_pass``): from the zero remainder, each
+component is added back as the integer step that removed it, so the
+check computes on the Bareiss integers of the matrix, and it passes only
+the map ``psd_certify`` factors, in its order: one run of components per
+block of ``resolvability.principal_blocks``, the same split the
+elimination takes, each run checked on its block.  That is the
 one decision: a local immersion is unique up to a rigid motion (Calabi),
 so the printed map is the one certificate, and a map that pulls back the
 same norm in another form (-f_h, a unitary mix, a reordering) is not it.
@@ -25,8 +27,8 @@ from typing import List, Sequence, Tuple
 from .resolvability import MatrixWitness, NotPsd, calabi_matrix, \
     calabi_series, principal_blocks, psd_certify
 from .scalars import RationalLike, Record, as_fraction
-from .series import ArityMismatchError, BiSeries, HolSeries, Nums, Rows, \
-    _order_size, graded_order, hermitian_update
+from .series import BiSeries, Nums, Rows, graded_order, hermitian_update, \
+    reduced
 
 
 class NotResolvableError(ValueError):
@@ -45,68 +47,56 @@ class Target(Record, fields="kind b", defaults=(None,)):
     __slots__ = ()
 
 
-class Component(Record, fields="radicand series"):
-    """sqrt(radicand) * series; the radicand is a positive rational."""
+class Component(Record, fields="radicand den nums"):
+    """sqrt(radicand) * nums / den.  radicand (Fraction): positive; den
+    (int) and nums (Nums): the Gaussian-integer numerators of the
+    holomorphic factor over one positive denominator, in canonical form
+    (``series.reduced``), keyed by ordinals of the map's graded order."""
 
     __slots__ = ()
 
-    def __new__(cls, radicand: Fraction, series: HolSeries):
+    def __new__(cls, radicand: Fraction, den: int, nums: Nums):
         if not radicand > 0:
             raise ValueError(f"a component needs a positive radicand, "
                              f"got {radicand}")
-        return super().__new__(cls, radicand, series)
+        return super().__new__(cls, radicand, den, nums)
 
 
 class ImmersionMap(Record, fields="components target degree arity"):
+    """components (tuple of Component): in pivot order, each keyed by
+    ordinals of ``graded_order(arity, degree)``; target (Target): the
+    space form; degree (int): the truncation degree; arity (int): the
+    number of variables."""
+
     __slots__ = ()
 
     def pullback_norm(self) -> BiSeries:
-        """sum radicand * series * conj(series), exact, through the least
-        degree of the map and its components."""
-        d, lam, rows = _pullback_pass(self)
-        return BiSeries._reduced(self.arity, d, lam, {
+        """sum radicand * f * conj(f), exact, through the map's degree."""
+        lam, rows = _pullback_pass(self)
+        return BiSeries._reduced(self.arity, self.degree, lam, {
             (j, k): (re, im)
             for j, row in rows.items() for k, (re, im, _) in row.items()})
 
 
-def _pullback_pass(imm: ImmersionMap) -> Tuple[int, int, Rows]:
-    """(d, L, rows): sum_h r_h f_h conj(f_h) through d, the least degree of
-    the map and its components, is rows / L (Gaussian integers at scale 1,
-    no zero entry).
+def _pullback_pass(imm: ImmersionMap) -> Tuple[int, Rows]:
+    """(L, rows): sum_h r_h f_h conj(f_h) is rows / L (Gaussian integers
+    at scale 1, no zero entry).
 
     Each f_h is Gaussian integers over its denominator D_h, with weight
     r_h / D_h^2 in lowest terms; the weights are put over their common
     denominator L, and one integer ``hermitian_update`` per component
     accumulates L times the sum into rows.
     """
-    n = imm.arity
-    d = _least_degree(imm)
     comps = []
-    for rad, f in imm.components:
-        if f.n != n:
-            raise ArityMismatchError(f"arity {f.n} != {n}")
-        den = f.den
+    for rad, den, x in imm.components:
         g = math.gcd(rad.numerator, den * den)
-        comps.append((_terms(f, d), rad.numerator // g,
+        comps.append((x, rad.numerator // g,
                       rad.denominator * (den * den // g)))
     lam = math.lcm(*(wden for *_, wden in comps))
     rows: Rows = {}
     for x, num, wden in comps:
         hermitian_update(rows, num * (lam // wden), x)
-    return d, lam, rows
-
-
-def _least_degree(imm: ImmersionMap) -> int:
-    """The least degree of the map and its components."""
-    return min([imm.degree] + [f.d for _, f in imm.components])
-
-
-def _terms(f: HolSeries, d: int) -> Nums:
-    """The numerators of ``f`` through degree ``d``."""
-    if f.d <= d:
-        return f.nums
-    size = _order_size(f.n, d)
-    return {j: v for j, v in f.nums.items() if j < size}
+    return lam, rows
 
 
 def _rebuilds(imm: ImmersionMap, want: BiSeries) -> bool:
@@ -114,24 +104,22 @@ def _rebuilds(imm: ImmersionMap, want: BiSeries) -> bool:
     columns of the pivoted LDL* that ``psd_certify`` takes from the
     coefficient matrix of ``want``, and so rebuild that matrix exactly.
 
-    The map and its components must reach want.d, and are read through it.
-    The matrix splits as ``psd_certify`` splits it, by
-    ``principal_blocks``: the components come in one run per block, in
-    block order, each inside its block's rows, and each run goes through
-    ``_backward_pass`` over its block; a component left after the last
-    block rejects the map.
+    The map must be of want's arity and degree.  The matrix splits as
+    ``psd_certify`` splits it, by ``principal_blocks``: the components
+    come in one run per block, in block order, each inside its block's
+    rows, and each run goes through ``_backward_pass`` over its block; a
+    component left after the last block rejects the map.
     """
     n, d = want.n, want.d
-    if imm.arity != n or _least_degree(imm) != d \
-            or any(f.n != n for _, f in imm.components):
+    if imm.arity != n or imm.degree != d:
         return False
-    comps = [(rad, f.den, _terms(f, d)) for rad, f in imm.components]
+    comps = imm.components
     start = 0
     for den, nums in principal_blocks(want.den, want.nums,
                                       graded_order(n, d).degree):
         rows = {j for j, _ in nums}
         end = start
-        while end < len(comps) and comps[end][2].keys() <= rows:
+        while end < len(comps) and comps[end].nums.keys() <= rows:
             end += 1
         if not _backward_pass(den, nums, comps[start:end]):
             return False
@@ -208,11 +196,12 @@ def target_for(b: Fraction) -> Target:
 def factor_immersion(d: BiSeries, b: RationalLike, degree: int) -> ImmersionMap:
     """Turn the retained LDL* factorization into explicit components.
 
-    Component h has radicand = pivot d_h and series = the h-th unit-diagonal
-    column of L, so that sum_h d_h |f_h|^2 reproduces b_transform(d, b)
-    through ``degree`` exactly.  The components come in pivot order, each
-    1 at its pivot: this map, and no other form of it, is what
-    ``verify_immersion(imm, d, b, degree)`` accepts.  Before it is
+    Component h has radicand = pivot d_h and f_h = the h-th unit-diagonal
+    column of L, over its own denominator, so that sum_h d_h |f_h|^2
+    reproduces b_transform(d, b) through ``degree`` exactly.  The
+    components come in pivot order, each 1 at its pivot: this map, and no
+    other form of it, is what ``verify_immersion(imm, d, b, degree)``
+    accepts.  Before it is
     returned, the map is verified as ``check-certificate`` verifies it:
     the backward pass ``_rebuilds`` must rebuild the matrix it was
     factored from.
@@ -223,7 +212,6 @@ def factor_immersion(d: BiSeries, b: RationalLike, degree: int) -> ImmersionMap:
     if isinstance(verdict, NotPsd):
         raise NotResolvableError(
             MatrixWitness(matrix.basis, verdict.witness, verdict.value))
-    n = d.n
     components: List[Component] = []
     for pivot in verdict.pivots:
         # the column l = (B_pp at p, x below) / B_pp; basis position ->
@@ -231,9 +219,9 @@ def factor_immersion(d: BiSeries, b: RationalLike, degree: int) -> ImmersionMap:
         nums: Nums = {pivot.ordinal + 1: (pivot.bareiss, 0)}
         for position, v in pivot.x.items():
             nums[position + 1] = v
-        components.append(Component(
-            pivot.value, HolSeries._reduced(n, degree, pivot.bareiss, nums)))
-    imm = ImmersionMap(tuple(components), target_for(b), degree, n)
+        components.append(Component(pivot.value,
+                                    *reduced(pivot.bareiss, nums)))
+    imm = ImmersionMap(tuple(components), target_for(b), degree, d.n)
     if not _rebuilds(imm, transformed):  # pragma: no cover - soundness
         raise AssertionError("the factored map does not rebuild its matrix")
     return imm

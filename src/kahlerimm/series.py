@@ -6,8 +6,9 @@ A ``BiSeries`` stores a Hermitian-symmetric jet
 
 sparsely, keyed by ordinal pairs of the graded-lexicographic multi-index
 order (degree-major, lexicographically ascending within each degree;
-ordinal 0 is the constant term).  ``HolSeries`` is the purely holomorphic
-analogue.
+ordinal 0 is the constant term).  A purely holomorphic series, such as a
+component of an immersion map, is kept as a bare (den, nums) pair of the
+same integer form, keyed by single ordinals.
 
 Coefficients are stored in integer form, as FLINT's ``fmpq_poly`` stores
 an integer polynomial over one denominator: one positive integer ``den``
@@ -190,11 +191,6 @@ class GradedOrder:
             raise OrdinalRangeError(f"{m} is outside truncation degree "
                                     f"{self.d}")
         return self.rank[_kronecker(m, self.d + 1)]
-
-    def index(self, ordinal: int) -> MultiIndex:
-        if not 0 <= ordinal < self.size:
-            raise OrdinalRangeError(f"ordinal {ordinal} out of range")
-        return self.basis[ordinal]
 
 
 @lru_cache(maxsize=None)
@@ -928,66 +924,3 @@ def solve_graded_fixed_point(step: Callable[[T], T], seed: T,
         return current
     raise FixedPointDivergenceError(
         f"no fixed point within {max_steps} iterations")
-
-
-# ---------------------------------------------------------------------------
-# HolSeries
-# ---------------------------------------------------------------------------
-
-class HolSeries:
-    """Purely holomorphic truncated series sum c_j z^{m_j}, in the integer
-    form of a ``BiSeries``: c_j = (re + i im) / den for nums[j] = (re, im).
-    """
-
-    __slots__ = ("n", "d", "den", "nums")
-
-    def __init__(self, n: int, d: int,
-                 coeffs: "Mapping[int, CScalar | RationalLike] | None" = None):
-        if n < 1 or d < 0:
-            raise ValueError("need arity >= 1, degree >= 0")
-        den, nums = integer_form(coeffs or {})
-        size = _order_size(n, d)
-        for j in nums:
-            if not 0 <= j < size:
-                raise OrdinalRangeError(f"ordinal {j} exceeds degree {d}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("HolSeries is immutable")
-
-    @classmethod
-    def _reduced(cls, n: int, d: int, den: int, nums: Nums) -> "HolSeries":
-        """The series of nums / den, at ordinals of degree <= d and with no
-        (0, 0) entry, put in lowest terms."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "n", n)
-        object.__setattr__(out, "d", d)
-        den, nums = reduced(den, nums)
-        object.__setattr__(out, "den", den)
-        object.__setattr__(out, "nums", nums)
-        return out
-
-    @property
-    def coeffs(self) -> Dict[int, CScalar]:
-        """The nonzero coefficients as ``CScalar`` values, built on each
-        access: a read-back view."""
-        return as_scalars(self.den, self.nums)
-
-    def get(self, j: int) -> CScalar:
-        re, im = self.nums.get(j, (0, 0))
-        return CScalar.of_integers(re, im, self.den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HolSeries):
-            return NotImplemented
-        return (self.n, self.d, self.den) == (other.n, other.d, other.den) \
-            and self.nums == other.nums
-
-    def __hash__(self):
-        return hash((self.n, self.d, self.den, frozenset(self.nums.items())))
-
-    def __repr__(self):
-        return f"HolSeries(n={self.n}, d={self.d}, {len(self.nums)} terms)"

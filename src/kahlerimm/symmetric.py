@@ -60,8 +60,7 @@ def classical_invariants(kind: str, *sizes: int) -> DomainInvariants:
     skew Z, so the catalog's exponent n-1 of the determinant is p = 2(n-1).
     ``models.minus_log_norm`` divides by this genus and refuses the sizes
     refused here.  A size the catalog rejects is rejected here with the
-    catalog's message; omega1's sizes go to ``DomainInvariants``, which
-    rejects a rank below 1.
+    catalog's message.
     """
     kind = kind.lower()
     names = SIZE_NAMES.get(kind)
@@ -71,6 +70,8 @@ def classical_invariants(kind: str, *sizes: int) -> DomainInvariants:
                          f"got {len(sizes)}")
     if kind == "omega1":
         m, n = sizes
+        if m < 1 or n < 1:
+            raise ValueError("omega1 needs positive sizes")
         if m > n:
             m, n = n, m
         return DomainInvariants(m, Fraction(2), n + m, m * n)

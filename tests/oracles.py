@@ -10,7 +10,10 @@ None of these is reached from the command line, so none is package code:
   that ``BiSeries`` stores;
 * ``ch_immersion``: the Cartan-Hartogs immersion assembled from base maps
   (Loi & Zedda, Math. Ann. 350, 2011), an oracle for ``factor_immersion``;
-* ``mul_conj``: f conj(g) term by term, the oracle of the pullback norm;
+* ``mul_conj``: f conj(g) term by term, the oracle of the pullback norm,
+  on holomorphic values kept as plain {ordinal: value} dicts
+  (``component`` builds a ``Component`` from one, ``values_of`` reads one
+  back);
 * ``is_pivoted_ldl``: the pivoted-LDL* shape test of a map by Schur
   diagonals in ``Fraction``, the oracle of the shape test in the backward
   pass that ``verify_immersion`` runs;
@@ -33,8 +36,8 @@ from kahlerimm.radial import RSeries
 from kahlerimm.resolvability import CertifiedNotResolvable, HartogsWitness, \
     ResolvableUpTo
 from kahlerimm.scalars import CScalar, as_fraction
-from kahlerimm.series import BiSeries, HolSeries, graded_order, \
-    index_of_ordinal, ordinal_of_index
+from kahlerimm.series import BiSeries, as_scalars, graded_order, \
+    index_of_ordinal, integer_form, ordinal_of_index, reduced
 from kahlerimm.symmetric import classical_invariants
 
 
@@ -178,43 +181,50 @@ def degree_of(n, ordinal):
     return sum(index_of_ordinal(n, ordinal))
 
 
-def monomial(n, d, m, coeff=1):
-    """coeff * z^m as a HolSeries of arity n truncated at degree d."""
-    return HolSeries(n, d, {ordinal_of_index(tuple(m)): CScalar.of(coeff)})
+def monomial(m, coeff=1):
+    """coeff * z^m as {ordinal: value}."""
+    return {ordinal_of_index(tuple(m)): CScalar.of(coeff)}
 
 
-def mul_monomial(f, m):
-    """f * z^m, dropping terms beyond f's degree."""
+def mul_monomial(f, n, d, m):
+    """f * z^m for f of arity n, dropping terms beyond degree d."""
     out = {}
-    for j, c in f.coeffs.items():
-        e = tuple(a + b for a, b in zip(index_of_ordinal(f.n, j), m))
-        if sum(e) <= f.d:
+    for j, c in f.items():
+        e = tuple(a + b for a, b in zip(index_of_ordinal(n, j), m))
+        if sum(e) <= d:
             out[ordinal_of_index(e)] = c
-    return HolSeries(f.n, f.d, out)
+    return out
 
 
-def lift_arity(f, extra):
-    """f in n + extra variables, the new ones appended and unused."""
+def lift_arity(f, n, extra):
+    """f of arity n in n + extra variables, the new ones appended and
+    unused."""
     zeros = (0,) * extra
-    return HolSeries(f.n + extra, f.d, {
-        ordinal_of_index(index_of_ordinal(f.n, j) + zeros): c
-        for j, c in f.coeffs.items()})
+    return {ordinal_of_index(index_of_ordinal(n, j) + zeros): c
+            for j, c in f.items()}
 
 
-def mul_conj(f, g):
-    """f * conj(g) as a BiSeries truncated at the lesser degree."""
-    if f.n != g.n:
-        raise ValueError(f"arity {f.n} != {g.n}")
-    d = min(f.d, g.d)
+def mul_conj(f, g, n, d):
+    """f * conj(g), both of arity n, as a BiSeries truncated at degree d."""
     out = {}
-    for j, cj in f.coeffs.items():
-        if degree_of(f.n, j) > d:
+    for j, cj in f.items():
+        if degree_of(n, j) > d:
             continue
-        for k, ck in g.coeffs.items():
-            if degree_of(f.n, k) > d:
+        for k, ck in g.items():
+            if degree_of(n, k) > d:
                 continue
             out[(j, k)] = out.get((j, k), CScalar(0)) + cj * ck.conj()
-    return BiSeries(f.n, d, out)
+    return BiSeries(n, d, out)
+
+
+def component(radicand, values):
+    """The ``Component`` sqrt(radicand) * f of f = {ordinal: value}."""
+    return Component(Fraction(radicand), *integer_form(values))
+
+
+def values_of(comp):
+    """The holomorphic factor of a ``Component`` as {ordinal: CScalar}."""
+    return as_scalars(comp.den, comp.nums)
 
 
 def is_pivoted_ldl(imm):
@@ -227,18 +237,16 @@ def is_pivoted_ldl(imm):
     first when every component is of one degree), and S_h there must equal
     r_h.  Every position of S_h is scanned for every component.
     """
-    d = max([imm.degree] + [c.series.d for c in imm.components])
-    degree = graded_order(imm.arity, d).degree
-    blocked = all(len({degree[j] for j in c.series.coeffs}) <= 1
-                  for c in imm.components)
+    degree = graded_order(imm.arity, imm.degree).degree
+    comps = [(comp.radicand, values_of(comp)) for comp in imm.components]
+    blocked = all(len({degree[j] for j in f}) <= 1 for _, f in comps)
     schur = {}
-    for comp in reversed(imm.components):
-        rad = comp.radicand
-        for j, c in comp.series.coeffs.items():
+    for rad, f in reversed(comps):
+        for j, c in f.items():
             schur[j] = schur.get(j, 0) + rad * c.abs2()
         p = max(schur, default=None, key=lambda q: (
             -degree[q] if blocked else 0, schur[q], -q))
-        if comp.series.coeffs.get(p) != CScalar(1) or schur[p] != rad:
+        if f.get(p) != CScalar(1) or schur[p] != rad:
             return False
     return True
 
@@ -297,23 +305,23 @@ def ch_immersion(base_maps, mu, gamma, alpha, degree):
     components = []
     # w-only tower
     for m in range(1, degree + 1):
-        components.append(Component(pochhammer_over_fact(alpha, m),
-                                    monomial(n, degree, (0,) * nz + (m,))))
+        components.append(component(pochhammer_over_fact(alpha, m),
+                                    monomial((0,) * nz + (m,))))
     # z-blocks tensored with w^m
     for m in range(0, degree):
         base = lookup(mu * (alpha + m) / gamma)
         if base.arity != nz:
             raise ValueError("base maps must share one arity")
+        if base.degree < degree:
+            raise ValueError("base map truncated below the total degree")
         factor = pochhammer_over_fact(alpha, m)
         for comp in base.components:
-            if comp.series.d < degree:
-                raise ValueError("base map truncated below the total degree")
-            series = HolSeries(nz, degree, {
-                j: c for j, c in comp.series.coeffs.items()
-                if degree_of(nz, j) <= degree})
-            series = mul_monomial(lift_arity(series, 1), (0,) * nz + (m,))
-            if series.coeffs:
-                components.append(Component(comp.radicand * factor, series))
+            # the numerators move to the ordinals of z^m' w^m, over den
+            nums = mul_monomial(lift_arity(comp.nums, nz, 1), n, degree,
+                                (0,) * nz + (m,))
+            if nums:
+                components.append(Component(comp.radicand * factor,
+                                            *reduced(comp.den, nums)))
     return ImmersionMap(tuple(components), Target("curved", Fraction(1)),
                         degree, n)
 

@@ -2,11 +2,13 @@ import contextlib
 import functools
 import gc
 import importlib
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -141,6 +143,55 @@ def test_immersion_round_trip(capsys, tmp_path):
     f.write_text(out)
     code, checked = run_json(capsys, "check-certificate", str(f))
     assert code == 0 and checked["valid"] is True
+
+
+def _jetgen():
+    path = SRC.parent / "perfbench" / "jetgen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_jetgen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def integer_components(imm):
+    """Each component as (radicand numerator, radicand denominator, den,
+    sorted (ordinal, re, im) numerators)."""
+    return [(c.radicand.numerator, c.radicand.denominator, c.den,
+             sorted((j, re, im) for j, (re, im) in c.nums.items()))
+            for c in imm.components]
+
+
+@pytest.mark.parametrize("request_", [
+    ("--model", "cp", "--n", "2", "--b", "1", "--degree", "4"),
+    ("--model", "ch", "--n", "2", "--b", "-1", "--degree", "3"),
+    ("--model", "fbh", "--b", "0", "--degree", "3"),
+    ("--model", "omega1", "--param", "m=2", "--param", "n=2", "--scale",
+     "1/2", "--b", "1", "--degree", "4"),
+    ("--model", "cartan_hartogs", "--param", "base=omega1", "--param", "m=1",
+     "--param", "n=2", "--b", "1", "--degree", "3"),
+    (("psd_jet", 0, 2, 4, 6), "--b", "0", "--degree", "4"),
+    (("psd_jet", 1, 3, 3, 8), "--b", "0", "--degree", "3"),
+], ids=lambda r: "-".join(map(str, r[0] if isinstance(r[0], tuple)
+                              else r[1:2])))
+def test_a_read_map_has_the_factored_components(capsys, tmp_path, request_):
+    # the document emit-immersion prints reads back into the very integer
+    # components factor_immersion built
+    from kahlerimm.cli import _immersion_from_json, _rebuild_from_source
+    from kahlerimm.immersion import factor_immersion
+    if isinstance(request_[0], tuple):
+        kind, *args = request_[0]
+        jet = tmp_path / "jet.txt"
+        jet.write_text(getattr(_jetgen(), kind)(*args))
+        request_ = ("--series", str(jet), *request_[1:])
+    code, doc = run_json(capsys, "emit-immersion", *request_)
+    assert code == 0
+    degree = doc["degree"]
+    _, series = _rebuild_from_source(doc["source"], degree)
+    factored = factor_immersion(series, Fraction(doc["b"]), degree)
+    read = _immersion_from_json(doc)
+    assert integer_components(read) == integer_components(factored)
+    assert len(read.components) == len(doc["components"]) > 0
+    assert read == factored
 
 
 def test_emit_immersion_refusal_prints_certificate(capsys, tmp_path):
@@ -295,8 +346,7 @@ def test_cartan_hartogs_refuses_omega4_bases_below_three(capsys, size):
         assert code == 2 and out == "" and one_json_line(err)
 
 
-# the domain table rejects a size with the model catalog's message, and
-# omega1's sizes reach DomainInvariants, which rejects rank -1
+# the domain table rejects a size with the model catalog's message
 @pytest.mark.parametrize("argv,message", [
     (("--domain", "omega2", "--sizes", "0"), "omega2 needs a positive size"),
     (("--domain", "omega2", "--sizes", "-3"), "omega2 needs a positive size"),
@@ -309,13 +359,25 @@ def test_cartan_hartogs_refuses_omega4_bases_below_three(capsys, size):
      "omega4 with n=1 is the disc; use omega1"),
     (("--domain", "omega4", "--sizes", "2"),
      "omega4 with n=2 is not irreducible"),
-    (("--domain", "omega1", "--sizes", "-1,2"), "rank must be >= 1"),
+    (("--domain", "omega1", "--sizes", "-1,2"),
+     "omega1 needs positive sizes"),
 ])
 def test_wallach_rejects_a_domain_size_with_the_catalog_message(
         capsys, argv, message):
     code, out, err = run(capsys, "wallach", *argv, "--c", "1")
     assert (code, out) == (2, "")
     assert err == json.dumps({"error": "ValueError: " + message}) + "\n"
+
+
+def test_a_cartan_hartogs_base_size_is_rejected_with_the_catalog_message(
+        capsys):
+    # minus_log_norm reads the base's sizes through the domain table
+    code, out, err = run(capsys, "analyze", "--model", "cartan_hartogs",
+                         "--param", "base=omega1", "--param", "m=0",
+                         "--b", "1", "--degree", "2")
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": "bad parameters for cartan_hartogs: "
+                                       "omega1 needs positive sizes"}) + "\n"
 
 
 @pytest.mark.parametrize("c", ["1e-20000000", "1E4301", "1e4_301"])
@@ -1110,10 +1172,11 @@ def test_value_after_a_space_may_start_with_a_dash(capsys):
     code, doc = run_json(capsys, "bell", "--n", "4",
                          "--x", "-1,-1/2,-2/3,-3/2")
     assert code == 0 and doc["value"] == "-1/12"
-    # the sizes reach the domain table, which rejects rank -1
+    # the sizes reach the domain table, which rejects the size -1
     code, out, err = run(capsys, "wallach", "--domain", "omega1",
                          "--sizes", "-1,2", "--c", "1")
-    assert code == 2 and "rank must be >= 1" in one_json_line(err)["error"]
+    assert code == 2 \
+        and "omega1 needs positive sizes" in one_json_line(err)["error"]
 
 
 @pytest.mark.parametrize("default,explicit", [
@@ -1577,7 +1640,6 @@ def test_the_writer_escapes_strings_as_json_does(text):
 
 
 def test_the_writer_prints_a_rational_past_the_digit_limit():
-    from fractions import Fraction
     from kahlerimm.cli import _emit
     from kahlerimm.scalars import format_fraction
     value = format_fraction(Fraction(10 ** 4400 + 1, 3))

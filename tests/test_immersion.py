@@ -13,10 +13,9 @@ from kahlerimm.immersion import (Component, ImmersionMap,
 from kahlerimm.models import build_model, space_form_diastasis
 from kahlerimm.resolvability import calabi_matrix, calabi_series
 from kahlerimm.scalars import CScalar
-from kahlerimm.series import BiSeries, GradedOrder, HolSeries, \
-    index_of_ordinal
-from oracles import is_circular, is_pivoted_ldl, \
-    space_form_classification, space_form_rank
+from kahlerimm.series import BiSeries, GradedOrder, index_of_ordinal
+from oracles import component, is_circular, is_pivoted_ldl, \
+    space_form_classification, space_form_rank, values_of
 
 
 def _mfact(m):
@@ -29,9 +28,9 @@ def _mfact(m):
 def _radicands_by_monomial(imm):
     out = {}
     for comp in imm.components:
-        assert len(comp.series.coeffs) == 1, "expected a monomial component"
-        (j,) = comp.series.coeffs
-        assert comp.series.coeffs[j] == CScalar(1)
+        assert len(comp.nums) == 1, "expected a monomial component"
+        ((j, c),) = values_of(comp).items()
+        assert c == CScalar(1)
         out[index_of_ordinal(imm.arity, j)] = comp.radicand
     return out
 
@@ -237,13 +236,12 @@ def perturbed(imm, h, position=None, radicand=1):
     """``imm`` with component h's coefficient at ``position`` moved by
     1/3 + i, or its radicand multiplied by ``radicand``."""
     comp = imm.components[h]
-    coeffs = dict(comp.series.coeffs)
+    coeffs = values_of(comp)
     if position is not None:
         coeffs[position] = coeffs.get(position, CScalar(0)) \
             + CScalar(Fraction(1, 3), 1)
     comps = list(imm.components)
-    comps[h] = Component(comp.radicand * radicand,
-                         HolSeries(comp.series.n, comp.series.d, coeffs))
+    comps[h] = component(comp.radicand * radicand, coeffs)
     return ImmersionMap(tuple(comps), imm.target, imm.degree, imm.arity)
 
 
@@ -282,7 +280,7 @@ def test_component_needs_unit_sign_and_positive_radicand(sign, radicand):
                             "series": [{"m": [1], "re": "1", "im": "0"}]}]})
     if radicand <= 0:
         with pytest.raises(ValueError, match="positive radicand"):
-            Component(Fraction(radicand), HolSeries(1, 2, {1: CScalar(1)}))
+            Component(Fraction(radicand), 1, {1: (1, 0)})
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +317,8 @@ def remade(imm, comps):
 
 
 def scaled(comp, unit):
-    return Component(comp.radicand, HolSeries(
-        comp.series.n, comp.series.d,
-        {j: c * unit for j, c in comp.series.coeffs.items()}))
+    return component(comp.radicand,
+                     {j: c * unit for j, c in values_of(comp).items()})
 
 
 @settings(max_examples=80, deadline=None)
@@ -353,8 +350,7 @@ def test_only_the_factored_map_is_a_pivoted_ldl(jet, data):
 def test_a_later_component_at_an_earlier_pivot_is_not_the_factored_map():
     # z and z + z^2 pull back |z|^2 + |z + z^2|^2; its elimination pivots
     # on z with radicand 2, so z + z^2 may not reach that pivot
-    imm = ImmersionMap((Component(Fraction(1), HolSeries(1, 2, {1: 1})),
-                        Component(Fraction(1), HolSeries(1, 2, {1: 1, 2: 1}))),
+    imm = ImmersionMap((component(1, {1: 1}), component(1, {1: 1, 2: 1})),
                        target_for(0), 2, 1)
     d = imm.pullback_norm()
     assert imm.pullback_norm() == calabi_series(d, 0, 2)
@@ -369,13 +365,15 @@ def test_a_later_component_at_an_earlier_pivot_is_not_the_factored_map():
 def unitary_mix(imm, a, b):
     """``imm`` with its first two components f1, f2, of equal radicand,
     replaced by (a f1 + b f2, -b f1 + a f2) for real a^2 + b^2 = 1."""
-    (r1, f1), (r2, f2), *rest = imm.components
-    assert r1 == r2 and a * a + b * b == 1
+    first, second, *rest = imm.components
+    r1, f1, f2 = first.radicand, values_of(first), values_of(second)
+    assert r1 == second.radicand and a * a + b * b == 1
 
     def mix(x, y):
-        coeffs = {j: CScalar(x) * f1.get(j) + CScalar(y) * f2.get(j)
-                  for j in f1.coeffs.keys() | f2.coeffs.keys()}
-        return Component(r1, HolSeries(f1.n, f1.d, coeffs))
+        zero = CScalar(0)
+        return component(r1, {
+            j: CScalar(x) * f1.get(j, zero) + CScalar(y) * f2.get(j, zero)
+            for j in f1.keys() | f2.keys()})
     return remade(imm, [mix(a, b), mix(-b, a), *rest])
 
 
@@ -411,20 +409,19 @@ def test_the_integer_shape_test_matches_the_fraction_oracle(jet, data):
         maps += [remade(imm, comps[:h] + [other] + comps[h + 1:])
                  for other in (scaled(comp, CScalar(-1)),
                                scaled(comp, CScalar(0, 1)),
-                               Component(2 * comp.radicand, comp.series))]
+                               Component(2 * comp.radicand, comp.den,
+                                         comp.nums))]
     if len(comps) > 1:
         h = data.draw(st.integers(0, len(comps) - 2))
         maps.append(remade(imm, comps[:h] + [comps[h + 1], comps[h]]
                            + comps[h + 2:]))
         # a later component given a term on an earlier one's support
         later = data.draw(st.integers(h + 1, len(comps) - 1))
-        q = data.draw(st.sampled_from(sorted(comps[h].series.coeffs)))
-        coeffs = dict(comps[later].series.coeffs)
+        q = data.draw(st.sampled_from(sorted(comps[h].nums)))
+        coeffs = values_of(comps[later])
         coeffs[q] = coeffs.get(q, CScalar(0)) + CScalar(1)
-        series = comps[later].series
-        maps.append(remade(imm, comps[:later] + [Component(
-            comps[later].radicand, HolSeries(series.n, series.d, coeffs))]
-            + comps[later + 1:]))
+        maps.append(remade(imm, comps[:later] + [component(
+            comps[later].radicand, coeffs)] + comps[later + 1:]))
     for other in maps:
         assert _rebuilds(other, other.pullback_norm()) \
             == is_pivoted_ldl(other)
@@ -467,30 +464,27 @@ def edited_maps(imm, draw):
     comps = list(imm.components)
     h = draw(st.integers(0, len(comps) - 1))
     comp = comps[h]
-    moved = dict(comp.series.coeffs)
+    moved = values_of(comp)
     q = draw(st.sampled_from(sorted(moved)))
     moved[q] += CScalar(Fraction(1, 3))
     maps = [remade(imm, comps[:h] + [other] + comps[h + 1:])
             for other in (scaled(comp, CScalar(-1)),
                           scaled(comp, CScalar(0, 1)),
-                          Component(2 * comp.radicand, comp.series),
+                          Component(2 * comp.radicand, comp.den, comp.nums),
                           Component(comp.radicand * Fraction(8, 7),
-                                    comp.series),
-                          Component(comp.radicand, HolSeries(
-                              comp.series.n, comp.series.d, moved)))]
+                                    comp.den, comp.nums),
+                          component(comp.radicand, moved))]
     if len(comps) > 1:
         h = draw(st.integers(0, len(comps) - 2))
         maps.append(remade(imm, comps[:h] + [comps[h + 1], comps[h]]
                            + comps[h + 2:]))
         later = draw(st.integers(h + 1, len(comps) - 1))
-        pivot = [j for j, c in comps[h].series.coeffs.items()
+        pivot = [j for j, c in values_of(comps[h]).items()
                  if c == CScalar(1)][0]
-        coeffs = dict(comps[later].series.coeffs)
+        coeffs = values_of(comps[later])
         coeffs[pivot] = coeffs.get(pivot, CScalar(0)) + CScalar(1)
-        series = comps[later].series
-        maps.append(remade(imm, comps[:later] + [Component(
-            comps[later].radicand, HolSeries(series.n, series.d, coeffs))]
-            + comps[later + 1:]))
+        maps.append(remade(imm, comps[:later] + [component(
+            comps[later].radicand, coeffs)] + comps[later + 1:]))
     return maps
 
 
@@ -501,8 +495,8 @@ def assert_backward_pass_rebuilds(d, degree):
     if not is_circular(matrix):
         # one block: the rows are the matrix's own numerators, over its den
         assert _backward_pass(matrix.den, matrix.nums, [
-            (rad, f.den, {j - 1: v for j, v in f.nums.items()})
-            for rad, f in imm.components])
+            (rad, den, {j - 1: v for j, v in nums.items()})
+            for rad, den, nums in imm.components])
     return imm, transformed, matrix
 
 
@@ -560,7 +554,7 @@ def test_the_backward_pass_takes_the_blocks_of_a_circular_jet_in_order():
     assert is_circular(matrix)
     degree = GradedOrder(2, 2).degree
     runs = [[c for c in imm.components
-             if {degree[j] for j in c.series.coeffs} == {g}] for g in (1, 2)]
+             if {degree[j] for j in c.nums} == {g}] for g in (1, 2)]
     assert [len(run) for run in runs] == [2, 3]
     assert list(imm.components) == runs[0] + runs[1]
     assert _rebuilds(imm, want) and verify_immersion(imm, d, 0, 2)

@@ -18,10 +18,9 @@ from kahlerimm.models import MODELS, ModelEntry
 from kahlerimm.resolvability import CertifiedNotResolvable, HartogsWitness, \
     HermMatrix, MatrixWitness, NotPsd, Pivot, Psd, ResolvableUpTo
 from kahlerimm.scalars import CScalar
-from kahlerimm.series import HolSeries
 from kahlerimm.symmetric import DomainInvariants, Membership
 
-SERIES = HolSeries(1, 2, {1: CScalar(1)})
+COLUMN = (1, {1: (1, 0)})  # the den and nums of z
 PIVOT = Pivot(0, 2, {}, 1)
 HARTOGS = HartogsWitness(2, 0, Fraction(-1, 4))
 COMMAND = build_parser()["check-certificate"]
@@ -35,8 +34,8 @@ RECORDS = [
     ResolvableUpTo(3, 2),
     CertifiedNotResolvable(2, HARTOGS),
     Target("curved", Fraction(1, 2)),
-    Component(Fraction(1, 2), SERIES),
-    ImmersionMap((Component(Fraction(1), SERIES),), Target("flat"), 2, 1),
+    Component(Fraction(1, 2), *COLUMN),
+    ImmersionMap((Component(Fraction(1), *COLUMN),), Target("flat"), 2, 1),
     DomainInvariants(2, Fraction(2), 4, 4),
     Membership("discrete", 1),
     CigarScan(2, Fraction(-1), Fraction(-1, 2), (Fraction(1),)),
@@ -60,7 +59,7 @@ FIELDS = {
     ResolvableUpTo: (("degree", "rank"), (None,)),
     CertifiedNotResolvable: (("degree", "witness"), ()),
     Target: (("kind", "b"), (None,)),
-    Component: (("radicand", "series"), ()),
+    Component: (("radicand", "den", "nums"), ()),
     ImmersionMap: (("components", "target", "degree", "arity"), ()),
     DomainInvariants: (("rank", "a", "genus", "dim"), ()),
     Membership: (("kind", "k"), (None,)),
@@ -158,15 +157,15 @@ def test_repr_names_the_type_and_every_field(record):
 
 def test_validated_records_reject_bad_fields():
     with pytest.raises(ValueError, match="positive radicand"):
-        Component(Fraction(0), SERIES)
+        Component(Fraction(0), *COLUMN)
     with pytest.raises(ValueError, match="rank"):
         DomainInvariants(0, Fraction(2), 4, 4)
 
 
 def test_validation_also_runs_for_keyword_fields():
-    assert Component(radicand=Fraction(3), series=SERIES).radicand == 3
+    assert Component(radicand=Fraction(3), den=1, nums={}).radicand == 3
     with pytest.raises(ValueError, match="positive radicand"):
-        Component(radicand=Fraction(-3), series=SERIES)
+        Component(radicand=Fraction(-3), den=1, nums={1: (1, 0)})
     with pytest.raises(ValueError):
         DomainInvariants(rank=1, a=Fraction(-1), genus=2, dim=1)
     assert DomainInvariants(3, Fraction(1), 4, 6).threshold == 1

@@ -1,12 +1,13 @@
 """The integer form every series stores, against ``CScalar`` arithmetic.
 
-A ``BiSeries`` or ``HolSeries`` holds one positive denominator and a dict
-of Gaussian-integer numerators.  Each public operation must give the
-values that the term-by-term ``CScalar`` oracles of ``oracles.py`` give,
-its result must be canonical (den the lcm of the reduced denominators, so
-gcd(den, every part) = 1, and no (0, 0) entry), so that equal values
-compare and hash equal, and a value read back in lowest terms prints as
-``str(Fraction)`` prints it, at any size.
+A ``BiSeries``, and each holomorphic factor of an immersion ``Component``,
+holds one positive denominator and a dict of Gaussian-integer numerators.
+Each public operation must give the values that the term-by-term
+``CScalar`` oracles of ``oracles.py`` give, its result must be canonical
+(den the lcm of the reduced denominators, so gcd(den, every part) = 1, and
+no (0, 0) entry), so that equal values compare and hash equal, and a value
+read back in lowest terms prints as ``str(Fraction)`` prints it, at any
+size.
 """
 import itertools
 import math
@@ -20,11 +21,11 @@ from kahlerimm.immersion import factor_immersion
 from kahlerimm.resolvability import build_matrix, calabi_series, \
     psd_certify
 from kahlerimm.scalars import CScalar, format_fraction, format_ratio
-from kahlerimm.series import BiSeries, GradedOrder, HolSeries, \
+from kahlerimm.series import BiSeries, GradedOrder, as_scalars, \
     det_series, exp_series, log1p_series, pow1p_series
-from oracles import binomial, cs_add, cs_det, cs_dumps, cs_nonzero, \
-    cs_power_sum, cs_product, cs_scale, cs_truncate, exp_coefficient, \
-    log1p_coefficient
+from oracles import binomial, component, cs_add, cs_det, cs_dumps, \
+    cs_nonzero, cs_power_sum, cs_product, cs_scale, cs_truncate, \
+    exp_coefficient, log1p_coefficient, values_of
 
 
 def assert_canonical(s):
@@ -33,8 +34,9 @@ def assert_canonical(s):
     assert s.den > 0
     assert all(re or im for re, im in s.nums.values())
     assert math.gcd(s.den, *itertools.chain(*s.nums.values())) == 1
-    assert s.den == math.lcm(*(c.re.denominator for c in s.coeffs.values()),
-                             *(c.im.denominator for c in s.coeffs.values()))
+    values = as_scalars(s.den, s.nums).values()
+    assert s.den == math.lcm(*(c.re.denominator for c in values),
+                             *(c.im.denominator for c in values))
 
 
 part_st = st.one_of(
@@ -86,10 +88,9 @@ def test_construction_keeps_the_values(case):
     for (j, k), c in coeffs.items():
         assert s.get(j, k) == c
     hol = {j: c for (j, _), c in coeffs.items()}
-    f = HolSeries(n, d, hol)
-    assert f.coeffs == cs_nonzero(hol)
+    f = component(1, hol)
+    assert values_of(f) == cs_nonzero(hol)
     assert_canonical(f)
-    assert all(f.get(j) == c for j, c in hol.items())
 
 
 @settings(max_examples=100, deadline=None)
@@ -235,9 +236,9 @@ def test_pivot_columns_become_canonical_components():
     assert len(imm.components) == len(verdict.pivots) == 2
     for comp, pivot in zip(imm.components, verdict.pivots):
         assert comp.radicand == pivot.value
-        assert comp.series.coeffs == {p + 1: c
-                                      for p, c in pivot.column.items()}
-        assert_canonical(comp.series)
+        assert values_of(comp) == {p + 1: c
+                                   for p, c in pivot.column.items()}
+        assert_canonical(comp)
 
 
 @settings(max_examples=200)

@@ -170,7 +170,7 @@ def test_ch_immersion_w_support_disjoint():
                        degree=degree)
     for comp in imm.components:
         wdegs = {index_of_ordinal(imm.arity, j)[-1]
-                 for j in comp.series.coeffs}
+                 for j in comp.nums}
         assert len(wdegs) == 1  # each component lives at one w-power
 
 
