@@ -8,9 +8,8 @@ homogeneous of degree k the table holds the integers D^k B_{n,k}(x); one
 Y_n = sum_k B_{n,k} govern the Taylor coefficients of exp of a power
 series, which is exactly how they enter the cigar analysis: the |z|^{2n}
 coefficient of e^{c D} - 1 for the cigar diastasis equals
-(-1)^n Y_n(a~)/n! with a~_j = -c j!/j^2.  The scan computes that
-coefficient along both routes (Bell recurrence and direct series
-exponentiation) and insists they agree.
+(-1)^n Y_n(a~)/n! with a~_j = -c j!/j^2.  The scan reads every
+coefficient from one such table.
 """
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .radial import RSeries
 from .scalars import RationalLike, Record, as_fraction
 
 
@@ -103,13 +101,12 @@ class CigarScan(Record,
 
 
 def cigar_scan(c: RationalLike, n_max: int) -> CigarScan:
-    """Scan e^{c D} - 1 for a negative coefficient, dual-path.
+    """Scan e^{c D} - 1 for a negative |z|^{2n} coefficient, n <= n_max.
 
-    Route 1: coefficient_n = (-1)^n Y_n(a~)/n! with a~_j = -c j!/j^2.
-    Route 2: direct exp of the diagonal diastasis as a univariate series.
-    The two must agree exactly at every n <= n_max (internal oracle);
-    disagreement raises.  Returns the smallest n with a negative
-    coefficient (for even n this is exactly Y_n(a~) < 0).
+    coefficient_n = (-1)^n Y_n(a~)/n! with a~_j = -c j!/j^2, each Y_n read
+    from one integer table of partial Bell polynomials.  Returns the
+    smallest n with a negative coefficient (for even n this is exactly
+    Y_n(a~) < 0).
     """
     c = as_fraction(c)
     if c <= 0:
@@ -118,27 +115,16 @@ def cigar_scan(c: RationalLike, n_max: int) -> CigarScan:
         raise ValueError("n_max must be >= 1")
     a_tilde = [Fraction(-c) * math.factorial(j) / (j * j)
                for j in range(1, n_max + 1)]
-    # route 2: univariate x = |z|^2 picture of the diagonal diastasis
-    diag = RSeries(1, n_max, {(j,): Fraction((-1) ** (j + 1), j * j) * c
-                              for j in range(1, n_max + 1)})
-    expd = diag.exp()
-    # route 1: Y_1..Y_{n_max} from one integer table of partial Bell
-    # polynomials, D^n Y_n(a~) = sum_k rows[n][k] D^(n-k)
+    # D^n Y_n(a~) = sum_k rows[n][k] D^(n-k)
     den, rows = _bell_rows(n_max, a_tilde)
     coefficients: List[Fraction] = []
-    first_n = None
-    first_y = None
-    first_coeff = None
+    first_n = first_y = first_coeff = None
     for n in range(1, n_max + 1):
         y = Fraction(_complete_numerator(rows[n], den), den ** n)
-        via_bell = Fraction((-1) ** n) * y / math.factorial(n)
-        via_exp = expd.ucoeff(n)
-        if via_bell != via_exp:  # internal oracle
-            raise AssertionError(
-                f"dual-path disagreement at n={n}: {via_bell} vs {via_exp}")
-        coefficients.append(via_exp)
-        if first_n is None and via_exp < 0:
-            first_n, first_y, first_coeff = n, y, via_exp
+        coefficient = Fraction((-1) ** n) * y / math.factorial(n)
+        coefficients.append(coefficient)
+        if first_n is None and coefficient < 0:
+            first_n, first_y, first_coeff = n, y, coefficient
     return CigarScan(first_n, first_y, first_coeff, tuple(coefficients))
 
 

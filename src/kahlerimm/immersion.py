@@ -27,8 +27,8 @@ from typing import List, Sequence, Tuple
 from .resolvability import MatrixWitness, NotPsd, calabi_matrix, \
     calabi_series, principal_blocks, psd_certify
 from .scalars import RationalLike, Record, as_fraction
-from .series import BiSeries, Nums, Rows, graded_order, hermitian_update, \
-    reduced
+from .series import BiSeries, Nums, Rows, _order_size, graded_order, \
+    hermitian_update, reduced
 
 
 class NotResolvableError(ValueError):
@@ -64,11 +64,23 @@ class Component(Record, fields="radicand den nums"):
 
 class ImmersionMap(Record, fields="components target degree arity"):
     """components (tuple of Component): in pivot order, each keyed by
-    ordinals of ``graded_order(arity, degree)``; target (Target): the
-    space form; degree (int): the truncation degree; arity (int): the
-    number of variables."""
+    ordinals of ``graded_order(arity, degree)`` only (else ValueError);
+    target (Target): the space form; degree (int): the truncation degree;
+    arity (int): the number of variables."""
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        imm = super().__new__(cls, *args, **kwargs)
+        size = _order_size(imm.arity, imm.degree)  # builds no table
+        for h, comp in enumerate(imm.components):
+            for j in comp.nums:
+                if not 0 <= j < size:
+                    raise ValueError(f"component {h} holds ordinal {j}; "
+                                     f"arity {imm.arity} and degree "
+                                     f"{imm.degree} have ordinals "
+                                     f"0..{size - 1}")
+        return imm
 
     def pullback_norm(self) -> BiSeries:
         """sum radicand * f * conj(f), exact, through the map's degree."""

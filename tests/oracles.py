@@ -22,6 +22,8 @@ None of these is reached from the command line, so none is package code:
 * ``calabi_tube_residual``: the ODE residual of the tubular metric jet;
 * ``hartogs_scan``: the Hartogs sign scan with one ``pow_normalized`` per
   k, the oracle of the product chain in ``hartogs_criterion``;
+* ``cigar_exp``: e^{c D} of the cigar diastasis D as a univariate series,
+  the oracle of the Bell-table coefficients of ``cigar_scan``;
 * ``hua_schmid_prediction``: the inertia of the coefficient matrix of
   h^-eta on a classical domain, from the Hua-Schmid decomposition, an
   oracle for ``resolvability`` on the scaled Bergman models.
@@ -358,6 +360,14 @@ def hartogs_scan(F, c, jmax, kmax):
                 return CertifiedNotResolvable(
                     jmax, HartogsWitness(j, k, h.ucoeff(j)))
     return ResolvableUpTo(jmax)
+
+
+def cigar_exp(c, n_max):
+    """e^{c D} for the cigar diastasis D = sum_j (-1)^{j+1} x^j/j^2, x =
+    |z|^2, through x^n_max, by ``RSeries.exp``."""
+    c = as_fraction(c)
+    return RSeries(1, n_max, {(j,): Fraction((-1) ** (j + 1), j * j) * c
+                              for j in range(1, n_max + 1)}).exp()
 
 
 # ---------------------------------------------------------------------------

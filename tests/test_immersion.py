@@ -283,6 +283,19 @@ def test_component_needs_unit_sign_and_positive_radicand(sign, radicand):
             Component(Fraction(radicand), 1, {1: (1, 0)})
 
 
+@pytest.mark.parametrize("ordinal", [2, 7, -1])
+def test_a_map_holds_only_ordinals_of_its_graded_order(ordinal):
+    # arity 1 and degree 1 have the ordinals 0 (1) and 1 (z); z^2 is
+    # ordinal 2, past the degree its pullback would be kept at
+    with pytest.raises(ValueError, match=f"component 0 holds ordinal "
+                                         f"{ordinal}; .* ordinals 0..1"):
+        ImmersionMap((Component(Fraction(1), 1, {ordinal: (1, 0)}),),
+                     target_for(0), 1, 1)
+    assert ImmersionMap((Component(Fraction(1), 1, {1: (1, 0)}),),
+                        target_for(0), 1, 1).pullback_norm() == \
+        BiSeries(1, 1, {(1, 1): 1})
+
+
 # ---------------------------------------------------------------------------
 # the printed map is the only pivoted LDL* of its pullback
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ which only the two readers of a JSON document, ``check-certificate`` and
 ``--spec``, load; and no module but ``cli`` names ``os._exit`` or
 ``atexit``, so no library call ends its caller's process; and only
 ``resolvability.principal_blocks`` splits a matrix into blocks, for the
-elimination and the backward pass alike."""
+elimination and the backward pass alike; and importing ``kahlerimm.bell``
+loads neither ``radial`` nor ``series``."""
 import ast
 import os
 import subprocess
@@ -455,3 +456,11 @@ def test_a_cli_request_loads_json_only_to_read_a_document(
         assert "_json" in extra
         extra.remove("_json")
     assert not extra, f"{argv[0]} imports {sorted(extra)}"
+
+
+def test_the_bell_module_loads_no_series(tmp_path):
+    # the cigar scan reads its coefficients from the Bell table alone
+    got, loaded = modules_imported("-c", "import kahlerimm.bell",
+                                   cwd=tmp_path)
+    assert got == 0 and "kahlerimm.bell" in loaded
+    assert not loaded & {"kahlerimm.radial", "kahlerimm.series"}

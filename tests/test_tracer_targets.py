@@ -84,14 +84,14 @@ def test_traced_counts_read_the_records(tmp_path, jet, command, degree,
     assert {key: got[key] for key in counts} == counts
 
 
-# radial requests: an RSeries composes through the wrapped series
-# functions, so a traced span nests a series span inside a radial one
+# radial requests: springer composes an RSeries through the wrapped series
+# functions, so a traced span nests a series span inside a radial one; the
+# cigar scan reads one Bell table and composes no series
 RADIAL = [
     (("analyze", "--model", "springer", "--c", "1", "--degree", "6",
       "--jmax", "6", "--kmax", "6"),
      {"radial.compose", "series.compose", "resolvability.hartogs"}),
-    (("cigar", "--c", "1", "--nmax", "6"),
-     {"radial.compose", "series.compose", "bell.cigar_scan"}),
+    (("cigar", "--c", "1", "--nmax", "6"), {"bell.cigar_scan"}),
 ]
 
 
